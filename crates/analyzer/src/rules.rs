@@ -55,10 +55,12 @@ pub fn explain(rule: RuleId) -> &'static str {
              Arc::clone/Rc::clone (refcount bumps) are allowed. Arena reuse\n\
              (extend_from_slice, resize, copy_from) is the idiom instead.\n\
              \n\
-             The seeded hot set: Engine::execute's sidecar query path (answer,\n\
-             vertex_anc, the DecodedSidecar accessors), EliminatedFaultSet's\n\
-             per-query checks, ftl-gf2's xor_into/count_ones_and/express_with,\n\
-             and the sketch toggle kernels.\n\
+             The seeded hot set: Engine::execute_grouped_into (the one serving\n\
+             entry point) and its per-group loop execute_group, the sidecar\n\
+             query path (answer, vertex_anc, the DecodedSidecar accessors),\n\
+             EliminatedFaultSet's per-query checks, ftl-gf2's\n\
+             xor_into/count_ones_and/express_with, and the sketch toggle\n\
+             kernels.\n\
              \n\
              Exempt one call site with `// ftl-analyzer: allow(hot-alloc) why`\n\
              on the line above; that also stops call-graph traversal through it.\n\

@@ -65,7 +65,6 @@ fn serve_scenario(spec: &str) -> ScenarioResult {
         EngineConfig::default(),
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_millis(1),
             ..ServerConfig::default()
         },

@@ -1,11 +1,20 @@
 //! The query engine: store → batcher → decoder → cache.
 //!
-//! An [`Engine`] serves [`BatchRequest`]s — connectivity queries grouped by
-//! fault set — over a frozen [`LabelStore`] of wire-encoded cycle-space
-//! labels. Each distinct fault set is eliminated **once** (or fetched from
-//! the LRU cache of eliminated bases, keyed by the canonical fault-set
-//! hash); each query then costs ancestry compares plus a parity test — see
-//! [`crate::batch`] for the math.
+//! An [`Engine`] serves connectivity queries grouped by fault set
+//! ([`FaultSetBatch`]) over a frozen [`LabelStore`] of wire-encoded
+//! cycle-space labels. Each group's fault set is eliminated **once** (or
+//! fetched from the LRU cache of eliminated bases, keyed by the canonical
+//! fault-set hash); each query then costs ancestry compares plus a parity
+//! test — see [`crate::batch`] for the math.
+//!
+//! # One entry point
+//!
+//! [`Engine::execute_grouped_into`] is the engine: it refills a
+//! caller-owned [`GroupedResponse`], isolating failures per group and per
+//! query. [`Engine::execute_grouped`] (fresh response) and
+//! [`Engine::execute`] (an indexed [`BatchRequest`], regrouped by fault
+//! set) are thin conversions onto it. Parallelism lives above the engine:
+//! any number of engines share one store behind an `Arc`, one per thread.
 //!
 //! # The zero-decode hot path
 //!
@@ -13,33 +22,26 @@
 //! label decoded at freeze time, so the cache-hot path touches no
 //! `WireReader`: vertex lookups are array reads of ancestry intervals, and
 //! elimination (on cache miss) streams `φ` columns straight out of the
-//! sidecar's contiguous bank. Records the sidecar could not place fall
-//! back to wire decoding transparently;
-//! [`EngineConfig::use_sidecar`] `= false` forces the wire path everywhere
-//! (the pre-sidecar behavior, kept as a benchmark baseline).
+//! sidecar's contiguous bank. A record the sidecar could not place (a
+//! corrupt upsert, say) falls back to wire decoding for that record alone,
+//! so it fails only the queries that touch it.
 //!
-//! The serving state lives in the private `EngineCore` — cache, scratch, and decoder
-//! arenas with no reference to a particular store — so one store shared
-//! behind an `Arc` can serve any number of engines;
-//! [`ParEngine`](crate::par::ParEngine) runs one core per worker thread.
+//! # Panic containment
 //!
-//! The naive serving path — a fresh elimination per query — is kept as
-//! [`Engine::execute_naive`], both as the differential-testing oracle and
-//! as the benchmark baseline; it shares the per-engine
-//! [`ftl_gf2::DecodeScratch`] arenas, so the batched-vs-naive comparison
-//! measures algorithm, not allocator.
+//! Each group runs under `catch_unwind`. A panic fails only that group, as
+//! [`EngineError::Panicked`]; the serving core (cache and scratch, which
+//! the unwind may have left half-updated) is rebuilt before the next group,
+//! and the caller's thread survives.
 
 use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
 use crate::cache::LruCache;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError};
-use ftl_cycle_space::{
-    CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel,
-};
+use ftl_cycle_space::{CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel};
 use ftl_gf2::BitVec;
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::AncestryLabel;
 use std::fmt;
-use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Engine tuning knobs.
@@ -52,14 +54,10 @@ pub struct EngineConfig {
     /// Whether disconnected results carry the cut certificate `F′`
     /// (costs one small allocation per disconnected query).
     pub collect_certificates: bool,
-    /// Whether to serve from the store's decoded sidecar (default). `false`
-    /// forces the wire-decoding path on every lookup — the pre-sidecar
-    /// behavior, kept for benchmarking the zero-decode win.
-    pub use_sidecar: bool,
     /// Chaos hook: panic while resolving any fault set containing this
-    /// edge. Exercises [`crate::ParEngine`]'s panic containment
-    /// (`catch_unwind` → [`EngineError::WorkerPanicked`]); `None` (the
-    /// default) in all production configurations.
+    /// edge. Exercises the engine's per-group panic containment
+    /// (`catch_unwind` → [`EngineError::Panicked`]); `None` (the default)
+    /// in all production configurations.
     pub chaos_panic_edge: Option<EdgeId>,
 }
 
@@ -69,13 +67,12 @@ impl Default for EngineConfig {
             num_shards: 16,
             cache_capacity: 64,
             collect_certificates: false,
-            use_sidecar: true,
             chaos_panic_edge: None,
         }
     }
 }
 
-/// Why a batch failed.
+/// Why a group (or an indexed batch) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A query named a fault set index outside the request.
@@ -87,13 +84,10 @@ pub enum EngineError {
     },
     /// A label was missing from the store or failed to decode.
     Store(StoreError),
-    /// A worker thread panicked mid-batch. The panic was contained
-    /// ([`crate::ParEngine`] catches it at the batch boundary): the batch
-    /// fails with this error, the process survives, and the worker's core
-    /// is reset before the next batch.
-    WorkerPanicked {
-        /// Index of the worker whose closure panicked.
-        worker: usize,
+    /// Serving the group panicked. The panic was contained at the group
+    /// boundary: this group fails, the other groups keep their answers,
+    /// and the engine's core is rebuilt before the next group.
+    Panicked {
         /// The panic payload, when it was a string.
         message: String,
     },
@@ -106,9 +100,7 @@ impl fmt::Display for EngineError {
                 write!(f, "query names fault set {index}, request has {available}")
             }
             EngineError::Store(e) => write!(f, "label store: {e}"),
-            EngineError::WorkerPanicked { worker, message } => {
-                write!(f, "worker {worker} panicked: {message}")
-            }
+            EngineError::Panicked { message } => write!(f, "engine panicked: {message}"),
         }
     }
 }
@@ -121,11 +113,12 @@ impl From<StoreError> for EngineError {
     }
 }
 
-/// A batch of connectivity queries, grouped by shared fault sets.
+/// A batch of connectivity queries that name their fault sets by index —
+/// the indexed form of a list of [`FaultSetBatch`]es.
 #[derive(Debug, Clone, Default)]
 pub struct BatchRequest {
-    /// The distinct fault sets of this batch (order and duplicates within a
-    /// set are tolerated; sets are canonicalised internally).
+    /// The fault sets of this batch (order and duplicates within a set are
+    /// tolerated; sets are canonicalised internally).
     pub fault_sets: Vec<Vec<EdgeId>>,
     /// The queries, each naming its fault set by index.
     pub queries: Vec<ConnQuery>,
@@ -141,28 +134,25 @@ pub struct QueryResult {
     pub certificate: Option<Vec<EdgeId>>,
 }
 
-/// What one [`Engine::execute`] call did.
+/// What one engine call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Queries answered.
+    /// Queries answered (those of groups whose fault set resolved).
     pub queries: usize,
-    /// Distinct fault sets in the request.
+    /// Fault sets (groups) in the request.
     pub fault_sets: usize,
     /// Eliminations actually run (fault sets that missed the cache).
     pub eliminations: usize,
     /// Fault sets served from the cache.
     pub cache_hits: usize,
-    /// The epoch this batch was served against — 0 for engines over a
+    /// The epoch this call was served against — 0 for engines over a
     /// fixed store, the [`crate::Epoch`] number for engines built with
-    /// `over_epochs` (pinned for the whole batch).
+    /// [`Engine::over_epochs`] (pinned for the whole call).
     pub epoch: u64,
 }
 
-/// A batch response: per-query results in request order, plus statistics.
-///
-/// Reusable: [`Engine::execute_into`] clears and refills an existing
-/// response, so a serving loop that keeps one around allocates nothing
-/// once its `results` vector has reached the high-water batch size.
+/// An indexed batch's response: per-query results in request order, plus
+/// statistics.
 #[derive(Debug, Clone, Default)]
 pub struct BatchResponse {
     /// `results[i]` answers `queries[i]`.
@@ -175,7 +165,8 @@ pub struct BatchResponse {
 /// share it. This is the shape a batching front end (`ftl-server`) hands
 /// the engine after grouping traffic by canonical fault-set hash — no
 /// per-query fault-set indices to validate, one elimination per group by
-/// construction.
+/// construction. A group with no queries still resolves its fault set, so
+/// a bad set is still rejected.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSetBatch {
     /// The (not necessarily canonicalised) fault set shared by every query
@@ -189,22 +180,26 @@ pub struct FaultSetBatch {
 /// failed *that query alone* (e.g. an out-of-range vertex id).
 pub type GroupQueryResult = Result<QueryResult, EngineError>;
 
-/// The outcome of one group of a grouped execute: per-query outcomes in
-/// group order, or the group-level error (an unresolvable fault set, a
-/// contained worker panic) that failed the whole group.
+/// The outcome of one group: per-query outcomes in group order, or the
+/// group-level error (an unresolvable fault set, a contained panic) that
+/// failed the whole group.
 pub type GroupResult = Result<Vec<GroupQueryResult>, EngineError>;
 
 /// Response to a grouped execute: one [`GroupResult`] per submitted
 /// [`FaultSetBatch`], in submission order.
 ///
-/// Unlike [`Engine::execute`], grouped execution isolates failures at the
-/// finest granularity the work allows. Per **group**: a group whose fault
-/// set names a missing edge (or whose worker panicked) fails alone, and
-/// every other group still gets its answers. Per **query** within a
-/// group: a query naming an out-of-range vertex fails alone
-/// ([`GroupQueryResult`]), and the group's other queries still get their
-/// answers — the property a multi-tenant front end needs, since one group
-/// can mix queries from many independent connections.
+/// Failures are isolated at the finest granularity the work allows. Per
+/// **group**: a group whose fault set names a missing edge (or whose
+/// serving panicked) fails alone, and every other group still gets its
+/// answers. Per **query** within a group: a query naming an out-of-range
+/// vertex fails alone ([`GroupQueryResult`]), and the group's other
+/// queries still get their answers — the property a multi-tenant front end
+/// needs, since one group can mix queries from many independent
+/// connections.
+///
+/// Reusable: [`Engine::execute_grouped_into`] refills an existing response
+/// and keeps the per-query vectors of its `Ok` groups, so a serving loop
+/// that keeps one around allocates nothing once it has warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct GroupedResponse {
     /// `groups[i]` answers `FaultSetBatch` `i`.
@@ -213,13 +208,11 @@ pub struct GroupedResponse {
     pub stats: BatchStats,
 }
 
-/// Per-thread serving state: the eliminated-basis cache, the decode
-/// scratch arenas, and the naive-path decoder. A core holds **no** store
-/// reference — callers pass the (shared, immutable) store into every call,
-/// which is what lets [`crate::par::ParEngine`] run one core per worker
-/// over a single `Arc<LabelStore>` with no shared mutable state.
+/// Serving state: the eliminated-basis cache and the decode scratch. The
+/// core holds no store reference — the engine passes its pinned store into
+/// every call — and is rebuilt wholesale after a contained panic.
 #[derive(Debug)]
-pub(crate) struct EngineCore {
+struct EngineCore {
     config: EngineConfig,
     /// Eliminated bases keyed by the canonical fault-set hash **mixed with
     /// the store uid**, each entry also carrying the uid it was computed
@@ -231,56 +224,22 @@ pub(crate) struct EngineCore {
     diff: BitVec,
     /// Scratch for canonicalising fault sets.
     ids_scratch: Vec<EdgeId>,
-    /// Reusable per-query eliminator for the naive baseline path.
-    naive: CycleSpaceDecoder,
-    /// Reusable per-fault-set label buffer for the naive baseline path.
-    naive_labels: Vec<Vec<CycleSpaceEdgeLabel>>,
-    /// Reusable resolved-set buffer for [`EngineCore::execute_into`] —
-    /// taken out of `self` for the duration of a batch (it borrows the
-    /// core mutably per entry), returned cleared.
-    resolved_scratch: Vec<Arc<EliminatedFaultSet>>,
 }
 
 impl EngineCore {
-    pub(crate) fn new(config: EngineConfig) -> Self {
+    fn new(config: EngineConfig) -> Self {
         EngineCore {
             config,
             cache: LruCache::new(config.cache_capacity),
             diff: BitVec::zeros(0),
             ids_scratch: Vec::new(),
-            naive: CycleSpaceDecoder::new(),
-            naive_labels: Vec::new(),
-            resolved_scratch: Vec::new(),
         }
-    }
-
-    pub(crate) fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    pub(crate) fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// The ancestry interval of `v`: a sidecar array read on the hot path,
-    /// wire decoding only for records the sidecar could not place.
-    // ftl-analyzer: hot-path
-    #[inline]
-    fn vertex_anc(&self, store: &LabelStore, v: VertexId) -> Result<AncestryLabel, EngineError> {
-        if self.config.use_sidecar {
-            if let Some(anc) = store.sidecar().vertex_anc(v) {
-                return Ok(anc);
-            }
-        }
-        ftl_obs::global().engine.sidecar_fallbacks.inc();
-        // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
-        Ok(store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
     }
 
     /// Resolves one fault set to its eliminated basis: canonicalise, probe
     /// the cache, eliminate on miss — from the sidecar's `φ` bank when it
     /// covers the whole set, from wire otherwise.
-    pub(crate) fn resolve_fault_set(
+    fn resolve_fault_set(
         &mut self,
         store: &LabelStore,
         faults: &[EdgeId],
@@ -288,12 +247,12 @@ impl EngineCore {
     ) -> Result<Arc<EliminatedFaultSet>, EngineError> {
         self.ids_scratch.clear();
         self.ids_scratch.extend_from_slice(faults);
-        self.ids_scratch.sort();
+        self.ids_scratch.sort_unstable();
         self.ids_scratch.dedup();
         if let Some(chaos) = self.config.chaos_panic_edge {
             if self.ids_scratch.contains(&chaos) {
                 // The whole point of this hook is to panic: it exercises
-                // ParEngine's catch_unwind containment. Never set in
+                // the per-group catch_unwind containment. Never set in
                 // production configs.
                 #[allow(clippy::panic)]
                 {
@@ -325,9 +284,11 @@ impl EngineCore {
         // Time the elimination itself (cold path: cache hits returned
         // above) into the process-wide Elimination stage histogram.
         let eliminate_t0 = std::time::Instant::now();
-        let efs = if self.config.use_sidecar && store.sidecar().covers_edges(&ids) {
+        let efs = if store.sidecar().covers_edges(&ids) {
             EliminatedFaultSet::eliminate_from_sidecar(ids, store.sidecar())?
         } else {
+            // Per-record wire fallback: a record the sidecar could not
+            // place fails only the fault sets that name it.
             let labels: Vec<CycleSpaceEdgeLabel> = ids
                 .iter()
                 .map(|&e| store.edge_label(e))
@@ -344,185 +305,26 @@ impl EngineCore {
         Ok(efs)
     }
 
-    /// Serves a batch: one elimination (or cache hit) per distinct fault
-    /// set, a parity test per query. Results come back in request order.
-    pub(crate) fn execute(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-    ) -> Result<BatchResponse, EngineError> {
-        let mut stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        let resolved: Vec<Arc<EliminatedFaultSet>> = req
-            .fault_sets
-            .iter()
-            .map(|fs| self.resolve_fault_set(store, fs, &mut stats))
-            .collect::<Result<_, _>>()?;
-        let mut results = Vec::with_capacity(req.queries.len());
-        for q in &req.queries {
-            let efs = resolved
-                .get(q.fault_set)
-                .ok_or(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: resolved.len(),
-                })?;
-            results.push(self.answer(store, efs, q)?);
-        }
-        Ok(BatchResponse { results, stats })
-    }
-
-    /// [`EngineCore::execute`], but refilling a caller-owned response
-    /// instead of allocating one — the steady-state serving shape. The
-    /// response's `results` vector and the core's resolved-set scratch are
-    /// both reused, so a cache-hot sidecar-served batch performs **zero**
-    /// heap allocations end to end (asserted at runtime by the
-    /// counting-allocator test `alloc_free.rs`, and lexically by
-    /// `ftl-analyzer`'s hot-path rule).
-    pub(crate) fn execute_into(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-        out: &mut BatchResponse,
-    ) -> Result<(), EngineError> {
-        out.results.clear();
-        out.stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        // Take the scratch out of `self` for the batch: filling it needs
-        // `&mut self` per entry, and `answer` needs `&mut self` per query.
-        let mut resolved = std::mem::take(&mut self.resolved_scratch);
-        resolved.clear();
-        let mut failed = None;
-        for fs in &req.fault_sets {
-            match self.resolve_fault_set(store, fs, &mut out.stats) {
-                Ok(efs) => resolved.push(efs),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if failed.is_none() {
-            for q in &req.queries {
-                let step = resolved
-                    .get(q.fault_set)
-                    .ok_or(EngineError::UnknownFaultSet {
-                        index: q.fault_set,
-                        available: resolved.len(),
-                    })
-                    .and_then(|efs| {
-                        let efs = Arc::clone(efs);
-                        self.answer(store, &efs, q)
-                    });
-                match step {
-                    Ok(r) => out.results.push(r),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        // Drop the batch's Arcs but keep the vector's capacity, then put
-        // the scratch back — even on the error path.
-        resolved.clear();
-        self.resolved_scratch = resolved;
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Serves one pre-grouped fault-set batch: resolve the set once,
-    /// answer its queries. Only a fault set that fails to resolve fails
-    /// the group as a unit; a query that fails on its own (out-of-range
-    /// vertex) carries its error in its [`GroupQueryResult`] slot without
-    /// touching its neighbors — a group merges queries from many
-    /// independent requests, so one bad vertex id must not poison the
-    /// rest. See [`GroupedResponse`] for the isolation contract.
-    pub(crate) fn execute_group(
+    /// Serves one group into `out`: resolve the set once, answer its
+    /// queries. Only a fault set that fails to resolve fails the group as a
+    /// unit; a query that fails on its own (out-of-range vertex) carries
+    /// its error in its slot without touching its neighbours.
+    // ftl-analyzer: hot-path
+    fn execute_group(
         &mut self,
         store: &LabelStore,
         group: &FaultSetBatch,
+        out: &mut Vec<GroupQueryResult>,
         stats: &mut BatchStats,
-    ) -> GroupResult {
+    ) -> Result<(), EngineError> {
+        // ftl-analyzer: allow(hot-alloc) only a cache miss allocates (one elimination per new fault set); a hit is an Arc clone
         let efs = self.resolve_fault_set(store, &group.faults, stats)?;
-        let mut results = Vec::with_capacity(group.queries.len());
+        out.clear();
         for &(s, t) in &group.queries {
-            let q = ConnQuery { s, t, fault_set: 0 };
-            results.push(self.answer(store, &efs, &q));
+            out.push(self.answer(store, &efs, s, t));
         }
         stats.queries += group.queries.len();
-        Ok(results)
-    }
-
-    /// Serves a slice of pre-grouped batches, isolating failures per
-    /// group (and per query within a group). Never fails wholesale: the
-    /// per-group and per-query `Result`s carry the errors.
-    pub(crate) fn execute_grouped(
-        &mut self,
-        store: &LabelStore,
-        groups: &[FaultSetBatch],
-    ) -> GroupedResponse {
-        let mut stats = BatchStats {
-            fault_sets: groups.len(),
-            ..BatchStats::default()
-        };
-        let results = groups
-            .iter()
-            .map(|g| self.execute_group(store, g, &mut stats))
-            .collect();
-        GroupedResponse {
-            groups: results,
-            stats,
-        }
-    }
-
-    /// [`EngineCore::execute`] restricted to `queries[range]` — the
-    /// per-worker slice of a [`crate::par::ParEngine`] batch. Fault sets
-    /// are resolved lazily, so a worker eliminates (and caches) only the
-    /// sets its own queries reference.
-    pub(crate) fn execute_range(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-        range: Range<usize>,
-    ) -> Result<(Vec<QueryResult>, BatchStats), EngineError> {
-        let mut stats = BatchStats {
-            queries: range.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        let mut resolved: Vec<Option<Arc<EliminatedFaultSet>>> = vec![None; req.fault_sets.len()];
-        let mut results = Vec::with_capacity(range.len());
-        for q in &req.queries[range] {
-            // `resolved` is a local, so cloning an entry's Arc out does
-            // not pin `self`: answer() can still take its scratch mutably.
-            // (The bounds probe and lazy fill collapse into one `get_mut`
-            // so no infallible index ever follows a "just filled" fact.)
-            let slot = resolved
-                .get_mut(q.fault_set)
-                .ok_or(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: req.fault_sets.len(),
-                })?;
-            let efs = match slot {
-                Some(efs) => Arc::clone(efs),
-                None => {
-                    let efs =
-                        self.resolve_fault_set(store, &req.fault_sets[q.fault_set], &mut stats)?;
-                    resolved[q.fault_set] = Some(Arc::clone(&efs));
-                    efs
-                }
-            };
-            results.push(self.answer(store, &efs, q)?);
-        }
-        Ok((results, stats))
+        Ok(())
     }
 
     /// Answers one query against its eliminated fault set — the zero-decode
@@ -534,10 +336,11 @@ impl EngineCore {
         &mut self,
         store: &LabelStore,
         efs: &EliminatedFaultSet,
-        q: &ConnQuery,
+        s: VertexId,
+        t: VertexId,
     ) -> Result<QueryResult, EngineError> {
-        let s_anc = self.vertex_anc(store, q.s)?;
-        let t_anc = self.vertex_anc(store, q.t)?;
+        let s_anc = vertex_anc(store, s)?;
+        let t_anc = vertex_anc(store, t)?;
         let gen = efs.separating_generator_anc(&s_anc, &t_anc, &mut self.diff);
         Ok(QueryResult {
             connected: gen.is_none(),
@@ -548,100 +351,32 @@ impl EngineCore {
             },
         })
     }
-
-    /// The naive serving path: labels are still fetched per fault set, but
-    /// every query pays a **fresh elimination** of the augmented system
-    /// (the pre-engine `ftl_cycle_space::decode` formulation). Baseline for
-    /// the batched path; also its differential oracle.
-    ///
-    /// All elimination state is arena-reused across queries (the core's
-    /// [`CycleSpaceDecoder`] and per-set label buffers), so what this
-    /// measures against [`EngineCore::execute`] is the algorithmic gap —
-    /// per-query elimination versus shared elimination — not allocator
-    /// noise.
-    pub(crate) fn execute_naive(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-    ) -> Result<BatchResponse, EngineError> {
-        let mut stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        // Decode each fault set's labels once into reusable buffers —
-        // through the sidecar when it covers them (decode-free, like the
-        // batched path), from wire otherwise.
-        if self.naive_labels.len() < req.fault_sets.len() {
-            self.naive_labels
-                .resize_with(req.fault_sets.len(), Vec::new);
-        }
-        for (buf, fs) in self.naive_labels.iter_mut().zip(&req.fault_sets) {
-            buf.clear();
-            for &e in fs {
-                let label = if self.config.use_sidecar {
-                    match store.sidecar().materialize_edge_label(e) {
-                        Some(l) => l,
-                        None => store.edge_label(e)?,
-                    }
-                } else {
-                    store.edge_label(e)?
-                };
-                buf.push(label);
-            }
-        }
-        let mut results = Vec::with_capacity(req.queries.len());
-        for q in &req.queries {
-            if q.fault_set >= req.fault_sets.len() {
-                return Err(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: req.fault_sets.len(),
-                });
-            }
-            let s_anc = self.vertex_anc(store, q.s)?;
-            let t_anc = self.vertex_anc(store, q.t)?;
-            let sl = CycleSpaceVertexLabel { anc: s_anc };
-            let tl = CycleSpaceVertexLabel { anc: t_anc };
-            let labels = &self.naive_labels[q.fault_set];
-            stats.eliminations += 1;
-            let (connected, certificate) = if self.config.collect_certificates {
-                match self.naive.decode_with_certificate(&sl, &tl, labels) {
-                    Some(idx) => (
-                        false,
-                        Some(
-                            idx.into_iter()
-                                .map(|i| req.fault_sets[q.fault_set][i])
-                                .collect(),
-                        ),
-                    ),
-                    None => (true, None),
-                }
-            } else {
-                // Boolean decode: no certificate is ever materialized, so
-                // separated queries allocate nothing either.
-                (self.naive.decode(&sl, &tl, labels), None)
-            };
-            results.push(QueryResult {
-                connected,
-                certificate,
-            });
-        }
-        Ok(BatchResponse { results, stats })
-    }
 }
 
-/// The sharded, batch-decoding label-query engine: one per-thread serving
-/// core (cache + scratch) over one (shareable) frozen store.
+/// The ancestry interval of `v`: a sidecar array read on the hot path,
+/// wire decoding only for records the sidecar could not place.
+// ftl-analyzer: hot-path
+#[inline]
+fn vertex_anc(store: &LabelStore, v: VertexId) -> Result<AncestryLabel, EngineError> {
+    if let Some(anc) = store.sidecar().vertex_anc(v) {
+        return Ok(anc);
+    }
+    ftl_obs::global().engine.sidecar_fallbacks.inc();
+    // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
+    Ok(store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
+}
+
+/// The sharded, batch-decoding label-query engine: one serving core
+/// (cache + scratch) over one (shareable) frozen store.
 ///
 /// Built with [`Engine::over_epochs`], the engine re-pins its store from
-/// the [`EpochStore`](crate::EpochStore) at every batch boundary: a batch
-/// always runs against one consistent snapshot, and a concurrent epoch
-/// swap becomes visible at the *next* batch without the reader ever
-/// blocking.
+/// the [`EpochStore`](crate::EpochStore) at every call: a call always runs
+/// against one consistent snapshot, and a concurrent epoch swap becomes
+/// visible at the *next* call without the reader ever blocking.
 pub struct Engine {
     store: Arc<LabelStore>,
     core: EngineCore,
-    /// Publication point to re-pin from at batch boundaries, when epoch-
+    /// Publication point to re-pin from at call boundaries, when epoch-
     /// following; `None` for engines over a fixed store.
     epochs: Option<Arc<crate::epoch::EpochStore>>,
     /// Number of the currently pinned epoch (0 when fixed-store).
@@ -655,7 +390,7 @@ impl Engine {
     }
 
     /// Builds an engine over a store already shared behind an `Arc` —
-    /// e.g. the same store a [`crate::par::ParEngine`] serves.
+    /// e.g. the same store another thread's engine serves.
     pub fn with_shared(store: Arc<LabelStore>, config: EngineConfig) -> Self {
         Engine {
             store,
@@ -665,8 +400,8 @@ impl Engine {
         }
     }
 
-    /// Builds an epoch-following engine: each batch is served against the
-    /// snapshot current at its start, re-pinned per batch.
+    /// Builds an epoch-following engine: each call is served against the
+    /// snapshot current at its start, re-pinned per call.
     pub fn over_epochs(epochs: Arc<crate::epoch::EpochStore>, config: EngineConfig) -> Self {
         let current = epochs.current();
         Engine {
@@ -698,9 +433,7 @@ impl Engine {
     }
 
     /// Encodes every label of a cycle-space scheme to the wire format and
-    /// loads the frozen store — the usual way to stand an engine up. A
-    /// config with `use_sidecar = false` freezes wire-only, skipping the
-    /// sidecar's build time and resident bytes along with its reads.
+    /// loads the frozen store — the usual way to stand an engine up.
     ///
     /// # Errors
     ///
@@ -711,7 +444,7 @@ impl Engine {
         config: EngineConfig,
     ) -> Result<Self, StoreError> {
         Ok(Engine::new(
-            store_from_cycle_space_for(scheme, config.num_shards, config.use_sidecar)?,
+            store_from_cycle_space(scheme, config.num_shards)?,
             config,
         ))
     }
@@ -721,8 +454,8 @@ impl Engine {
         &self.store
     }
 
-    /// A shared handle to the store (for standing up further engines or a
-    /// [`crate::par::ParEngine`] over the same frozen labels).
+    /// A shared handle to the store (for standing up further engines over
+    /// the same frozen labels).
     pub fn shared_store(&self) -> Arc<LabelStore> {
         Arc::clone(&self.store)
     }
@@ -732,92 +465,141 @@ impl Engine {
         self.core.config
     }
 
-    /// Cumulative cache hits since construction.
+    /// Cache hits since construction (or since the last contained panic,
+    /// which rebuilds the core).
     pub fn cache_hits(&self) -> u64 {
-        self.core.cache_hits()
+        self.core.cache.hits()
     }
 
-    /// Cumulative cache misses since construction.
+    /// Cache misses since construction (or since the last contained
+    /// panic).
     pub fn cache_misses(&self) -> u64 {
-        self.core.cache_misses()
+        self.core.cache.misses()
     }
 
-    /// Serves a batch: one elimination (or cache hit) per distinct fault
-    /// set, a parity test per query. Results come back in request order.
+    /// Serves pre-grouped fault-set batches into a caller-owned response —
+    /// the engine's one entry point, and the shape `ftl-server` builds
+    /// after grouping cross-connection traffic by canonical fault-set hash.
     ///
-    /// # Errors
-    ///
-    /// Fails if a query names a fault set the request does not carry, or if
-    /// a referenced label is missing from the store / fails to decode.
-    pub fn execute(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
+    /// Each group pays one elimination (or cache hit) and runs under
+    /// `catch_unwind`; failures are isolated per group and per query (see
+    /// [`GroupedResponse`]), so the call itself never fails. `out` is
+    /// cleared and refilled: the per-query vectors of its `Ok` groups are
+    /// reused, so a warmed, cache-hot serving loop performs zero heap
+    /// allocations (asserted by the counting-allocator test
+    /// `alloc_free.rs`, and lexically by `ftl-analyzer`'s hot-path rule).
+    // ftl-analyzer: hot-path
+    pub fn execute_grouped_into(&mut self, groups: &[FaultSetBatch], out: &mut GroupedResponse) {
         self.refresh_epoch();
-        let mut resp = self.core.execute(&self.store, req)?;
-        resp.stats.epoch = self.epoch;
-        record_obs_batch(&resp.stats);
-        Ok(resp)
+        out.stats = BatchStats {
+            fault_sets: groups.len(),
+            epoch: self.epoch,
+            ..BatchStats::default()
+        };
+        out.groups.truncate(groups.len());
+        // ftl-analyzer: allow(hot-alloc) grows the reused response to its high-water group count
+        out.groups.resize_with(groups.len(), || Ok(Vec::new()));
+        let GroupedResponse {
+            groups: slots,
+            stats,
+        } = out;
+        for (group, slot) in groups.iter().zip(slots.iter_mut()) {
+            let mut answers = match slot {
+                Ok(reused) => std::mem::take(reused),
+                // ftl-analyzer: allow(hot-alloc) a previously failed slot restarts empty
+                Err(_) => Vec::new(),
+            };
+            let (core, store) = (&mut self.core, &self.store);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                core.execute_group(store, group, &mut answers, stats)
+            }));
+            *slot = match outcome {
+                Ok(Ok(())) => Ok(answers),
+                Ok(Err(e)) => Err(e),
+                Err(payload) => {
+                    // The unwind may have left the cache or scratch
+                    // half-updated: start the next group on a fresh core.
+                    self.core = EngineCore::new(self.core.config);
+                    // ftl-analyzer: allow(hot-alloc) panic path only
+                    Err(panicked(payload.as_ref()))
+                }
+            };
+        }
+        record_obs_batch(stats);
     }
 
-    /// [`Engine::execute`], but refilling a caller-owned [`BatchResponse`]
-    /// instead of allocating a fresh one. A serving loop that keeps one
-    /// response around performs zero heap allocations per cache-hot
-    /// sidecar-served batch once its buffers have warmed up (the runtime
-    /// twin of `ftl-analyzer`'s no-alloc hot-path rule; asserted by the
-    /// counting-allocator test).
-    ///
-    /// On error the response's contents are unspecified (its buffers are
-    /// still valid to reuse).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::execute`].
-    pub fn execute_into(
-        &mut self,
-        req: &BatchRequest,
-        out: &mut BatchResponse,
-    ) -> Result<(), EngineError> {
-        self.refresh_epoch();
-        self.core.execute_into(&self.store, req, out)?;
-        out.stats.epoch = self.epoch;
-        record_obs_batch(&out.stats);
-        Ok(())
-    }
-
-    /// Serves pre-grouped fault-set batches — the batching front end's
-    /// entry point ([`FaultSetBatch`] is what `ftl-server` builds after
-    /// grouping cross-connection traffic by canonical fault-set hash).
-    /// Each group pays one elimination (or cache hit); failures are
-    /// isolated per group, so the call itself never fails — see
-    /// [`GroupedResponse`].
+    /// [`Engine::execute_grouped_into`] into a fresh response.
     pub fn execute_grouped(&mut self, groups: &[FaultSetBatch]) -> GroupedResponse {
-        self.refresh_epoch();
-        let mut resp = self.core.execute_grouped(&self.store, groups);
-        resp.stats.epoch = self.epoch;
-        record_obs_batch(&resp.stats);
-        resp
+        let mut out = GroupedResponse::default();
+        self.execute_grouped_into(groups, &mut out);
+        out
     }
 
-    /// The naive serving path — a fresh elimination per query — kept as
-    /// the benchmark baseline and differential oracle. See
-    /// `EngineCore::execute_naive` for the arena-reuse story.
+    /// Serves an indexed batch: its fault sets become groups (a set no
+    /// query references becomes a zero-query group, so a bad set is still
+    /// rejected), and the answers come back in request order.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Engine::execute`].
-    pub fn execute_naive(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
-        self.refresh_epoch();
-        let mut resp = self.core.execute_naive(&self.store, req)?;
-        resp.stats.epoch = self.epoch;
-        record_obs_batch(&resp.stats);
-        Ok(resp)
+    /// Fails as a whole if a query names a fault set the request does not
+    /// carry, if any fault set fails to resolve (first in request order),
+    /// or if any query fails (first in request order).
+    pub fn execute(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
+        let available = req.fault_sets.len();
+        let unknown = |index| EngineError::UnknownFaultSet { index, available };
+        let mut groups: Vec<FaultSetBatch> = req
+            .fault_sets
+            .iter()
+            .map(|faults| FaultSetBatch {
+                faults: faults.clone(),
+                queries: Vec::new(),
+            })
+            .collect();
+        for q in &req.queries {
+            let group = groups
+                .get_mut(q.fault_set)
+                .ok_or_else(|| unknown(q.fault_set))?;
+            group.queries.push((q.s, q.t));
+        }
+        let resp = self.execute_grouped(&groups);
+        let mut answers = Vec::with_capacity(resp.groups.len());
+        for group in resp.groups {
+            answers.push(group?.into_iter());
+        }
+        let mut results = Vec::with_capacity(req.queries.len());
+        for q in &req.queries {
+            let answer = answers
+                .get_mut(q.fault_set)
+                .and_then(Iterator::next)
+                .ok_or_else(|| unknown(q.fault_set))?;
+            results.push(answer?);
+        }
+        Ok(BatchResponse {
+            results,
+            stats: resp.stats,
+        })
     }
 }
 
-/// Folds one batch's counters into the process-wide engine metrics —
-/// three relaxed atomic adds per *batch* (not per query), off the
+/// A contained panic as a typed error, keeping the payload text when there
+/// is one.
+fn panicked(payload: &(dyn std::any::Any + Send)) -> EngineError {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    EngineError::Panicked { message }
+}
+
+/// Folds one call's counters into the process-wide engine metrics —
+/// three relaxed atomic adds per *call* (not per query), off the
 /// per-query hot loop.
 // ftl-analyzer: hot-path
 #[inline]
-pub(crate) fn record_obs_batch(stats: &BatchStats) {
+fn record_obs_batch(stats: &BatchStats) {
     ftl_obs::global().engine.record_batch(
         stats.queries as u64,
         stats.eliminations as u64,
@@ -836,14 +618,6 @@ pub fn store_from_cycle_space(
     scheme: &CycleSpaceScheme,
     num_shards: usize,
 ) -> Result<LabelStore, StoreError> {
-    store_from_cycle_space_for(scheme, num_shards, true)
-}
-
-fn store_from_cycle_space_for(
-    scheme: &CycleSpaceScheme,
-    num_shards: usize,
-    with_sidecar: bool,
-) -> Result<LabelStore, StoreError> {
     let mut builder = LabelStoreBuilder::new(num_shards);
     for i in 0..scheme.num_vertices() {
         let v = VertexId::new(i);
@@ -853,9 +627,5 @@ fn store_from_cycle_space_for(
         let e = EdgeId::new(i);
         builder.put_edge_label(e, &scheme.edge_label(e))?;
     }
-    Ok(if with_sidecar {
-        builder.freeze()
-    } else {
-        builder.freeze_wire_only()
-    })
+    Ok(builder.freeze())
 }

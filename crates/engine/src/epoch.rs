@@ -20,9 +20,8 @@
 //!   mutate-and-publish took, is reported per swap in a [`SwapReport`].
 //!
 //! Readers built with [`Engine::over_epochs`](crate::Engine::over_epochs)
-//! / [`ParEngine::over_epochs`](crate::ParEngine::over_epochs) refresh
-//! their pinned snapshot at batch boundaries, so a swap becomes visible at
-//! the next batch — never mid-batch.
+//! refresh their pinned snapshot at call boundaries, so a swap becomes
+//! visible at the next call — never mid-batch.
 
 use crate::engine::EngineConfig;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
@@ -406,11 +405,7 @@ pub fn full_store_of(
     for e in live.alive_edges() {
         b.put_edge_label(e, &live.edge_label(e))?;
     }
-    Ok(if config.use_sidecar {
-        b.freeze()
-    } else {
-        b.freeze_wire_only()
-    })
+    Ok(b.freeze())
 }
 
 #[cfg(test)]

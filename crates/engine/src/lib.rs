@@ -6,7 +6,7 @@
 //! * [`store`] — labels live wire-encoded ([`ftl_labels::wire`]) in a
 //!   hash-sharded, frozen [`LabelStore`]; reads are pure `&self` lookups,
 //!   so any number of query threads can share the store lock-free.
-//! * [`batch`] — queries arrive grouped by fault set ([`BatchRequest`]).
+//! * [`batch`] — queries arrive grouped by fault set ([`FaultSetBatch`]).
 //!   Each distinct fault set pays **one** GF(2) elimination, which yields
 //!   the null-space generators of its `φ` columns; every query is then a
 //!   handful of ancestry checks plus one AND-popcount parity test per
@@ -15,16 +15,15 @@
 //!   canonical fault-set hash, so recurring fault sets (the common case:
 //!   faults change rarely, queries arrive constantly) skip elimination
 //!   entirely.
+//! * [`engine`] — one [`Engine`] per serving thread, with one entry point,
+//!   [`Engine::execute_grouped_into`]; each group runs under
+//!   `catch_unwind`, so a panic fails only its own group.
 //! * [`scenario`] — workload drivers (uniform faults, targeted high-degree
 //!   attacks, multi-round churn) that push traffic through an [`Engine`]
 //!   and report throughput, per-query latency, reachability, and routed
 //!   stretch.
 //!
-//! The naive pre-engine serving path — a fresh elimination per query — is
-//! preserved as [`Engine::execute_naive`] for differential testing and
-//! benchmarking.
-//!
-//! The failure-mode catalogue (epoch swaps mid-batch, worker panics,
+//! The failure-mode catalogue (epoch swaps mid-batch, contained panics,
 //! corrupted labels) is `docs/robustness.md`; the network front end that
 //! feeds this engine batched queries is documented in `docs/serving.md`.
 
@@ -35,7 +34,6 @@ pub mod cache;
 pub mod engine;
 pub mod epoch;
 pub mod inject;
-pub mod par;
 pub mod scenario;
 pub mod store;
 
@@ -50,11 +48,9 @@ pub use inject::{
     corrupt_random_bytes, flip_random_bits, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, truncate_record, RemovalModel,
 };
-pub use par::{ParEngine, WorkerStats};
 pub use scenario::{
     percentile_nearest_rank, run_churn_scenario, run_scenario, ChurnConfig, ChurnReport,
-    ChurnRoundReport, FaultModel, QueryEngine, RoundReport, ScenarioConfig, ScenarioReport,
-    StretchStats, WorkerSummary,
+    ChurnRoundReport, FaultModel, RoundReport, ScenarioConfig, ScenarioReport, StretchStats,
 };
 pub use store::{
     DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, SketchTreeEntry, StoreError, StoreKey,

@@ -4,10 +4,9 @@
 //! experiment loop, aimed at the engine instead of a bare decoder.
 
 use crate::batch::ConnQuery;
-use crate::engine::{BatchRequest, BatchResponse, Engine, EngineError};
+use crate::engine::{BatchRequest, Engine, EngineError};
 use crate::epoch::LiveStore;
 use crate::inject::{plan_edge_removals, plan_vertex_removals, RemovalModel};
-use crate::par::{ParEngine, WorkerStats};
 use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
 use ftl_graph::{EdgeId, Graph, VertexId};
 use ftl_routing::FtRoutingScheme;
@@ -16,42 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::time::Instant;
-
-/// Anything the scenario driver can push batches through: the serial
-/// [`Engine`] or the multi-worker [`ParEngine`]. The driver builds the
-/// same request stream either way (it draws from its own RNG), so two runs
-/// with the same config differ only in who served them — which is exactly
-/// what the differential verification in the benches compares.
-pub trait QueryEngine {
-    /// Serves one batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's batch failure.
-    fn run_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError>;
-
-    /// Cumulative per-worker counters (empty for single-worker engines
-    /// that do not track them).
-    fn worker_stats(&self) -> Vec<WorkerStats> {
-        Vec::new()
-    }
-}
-
-impl QueryEngine for Engine {
-    fn run_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
-        self.execute(req)
-    }
-}
-
-impl QueryEngine for ParEngine {
-    fn run_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
-        self.execute(req)
-    }
-
-    fn worker_stats(&self) -> Vec<WorkerStats> {
-        ParEngine::worker_stats(self).to_vec()
-    }
-}
 
 /// The nearest-rank percentile of an **ascending-sorted** sample array:
 /// the smallest sample with at least `⌈p·n⌉` samples at or below it
@@ -142,20 +105,6 @@ pub struct RoundReport {
     pub mismatches: usize,
 }
 
-/// One worker's share of a scenario run (derived from the engine's
-/// cumulative [`WorkerStats`] delta across the run).
-#[derive(Debug, Clone)]
-pub struct WorkerSummary {
-    /// Worker index.
-    pub worker: usize,
-    /// Queries this worker served during the run.
-    pub queries: u64,
-    /// Wall time this worker spent serving, nanoseconds.
-    pub busy_ns: u64,
-    /// This worker's own serving rate over its busy time.
-    pub throughput_qps: f64,
-}
-
 /// Routed-stretch summary over the sampled pairs.
 #[derive(Debug, Clone)]
 pub struct StretchStats {
@@ -204,9 +153,6 @@ pub struct ScenarioReport {
     pub mismatches: usize,
     /// Routed stretch, when sampled.
     pub stretch: Option<StretchStats>,
-    /// Per-worker shares when the engine is multi-worker (empty for the
-    /// serial engine).
-    pub workers: Vec<WorkerSummary>,
 }
 
 impl ScenarioReport {
@@ -255,18 +201,6 @@ impl ScenarioReport {
                 st.samples, st.mean, st.max
             )),
         }
-        s.push_str("      \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            s.push_str(&format!(
-                "{}{{ \"worker\": {}, \"queries\": {}, \"busy_ns\": {}, \"throughput_qps\": {:.0} }}",
-                if i == 0 { "" } else { ", " },
-                w.worker,
-                w.queries,
-                w.busy_ns,
-                w.throughput_qps
-            ));
-        }
-        s.push_str("],\n");
         s.push_str("      \"rounds\": [\n");
         for (i, r) in self.rounds.iter().enumerate() {
             s.push_str(&format!(
@@ -374,11 +308,9 @@ fn variant_of(g: &Graph, base: &[EdgeId], rng: &mut StdRng) -> Vec<EdgeId> {
     }
 }
 
-/// Runs one scenario against an engine (serial [`Engine`] or multi-worker
-/// [`ParEngine`] — anything implementing [`QueryEngine`]), returning the
-/// full report. The request stream depends only on `cfg`, never on the
-/// engine, so serial and parallel runs of the same config see identical
-/// traffic.
+/// Runs one scenario against an engine, returning the full report. The
+/// request stream depends only on `cfg`, never on the engine, so two runs
+/// of the same config see identical traffic.
 ///
 /// `routing` supplies the stretch measurements when
 /// [`ScenarioConfig::stretch_samples`] is non-zero; pass `None` to skip.
@@ -389,11 +321,10 @@ fn variant_of(g: &Graph, base: &[EdgeId], rng: &mut StdRng) -> Vec<EdgeId> {
 pub fn run_scenario(
     graph: &Graph,
     graph_name: &str,
-    engine: &mut impl QueryEngine,
+    engine: &mut Engine,
     routing: Option<&FtRoutingScheme>,
     cfg: &ScenarioConfig,
 ) -> Result<ScenarioReport, EngineError> {
-    let workers_before = engine.worker_stats();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut base = draw_faults(graph, cfg.f, cfg.model, &mut rng, &HashSet::new());
     let mut rounds = Vec::with_capacity(cfg.rounds);
@@ -436,7 +367,7 @@ pub fn run_scenario(
                 queries,
             };
             let start = Instant::now();
-            let resp = engine.run_batch(&req)?;
+            let resp = engine.execute(&req)?;
             let elapsed = start.elapsed().as_nanos() as u64;
             round_elapsed += elapsed;
             round_queries += resp.results.len();
@@ -486,30 +417,6 @@ pub fn run_scenario(
 
     batch_latencies.sort_by(f64::total_cmp);
     let pct = |p: f64| percentile_nearest_rank(&batch_latencies, p);
-    // Per-worker shares: the delta of the engine's cumulative counters
-    // across this run.
-    let workers_after = engine.worker_stats();
-    let workers = workers_after
-        .iter()
-        .map(|after| {
-            let before = workers_before
-                .iter()
-                .find(|b| b.worker == after.worker)
-                .copied()
-                .unwrap_or(WorkerStats {
-                    worker: after.worker,
-                    ..WorkerStats::default()
-                });
-            let queries = after.queries - before.queries;
-            let busy_ns = after.busy_ns - before.busy_ns;
-            WorkerSummary {
-                worker: after.worker,
-                queries,
-                busy_ns,
-                throughput_qps: queries as f64 / (busy_ns.max(1) as f64 / 1e9),
-            }
-        })
-        .collect();
     Ok(ScenarioReport {
         name: cfg.name.clone(),
         graph: graph_name.to_string(),
@@ -532,7 +439,6 @@ pub fn run_scenario(
             mean: stretch_sum / stretch_samples as f64,
             max: stretch_max,
         }),
-        workers,
     })
 }
 
@@ -679,17 +585,15 @@ impl ChurnReport {
 /// epoch swap per removal kind), then pushes transient-fault query traffic
 /// through `engine` and checks **every** answer against a BFS over the
 /// surviving topology. The engine should be epoch-following (built with
-/// [`Engine::over_epochs`](crate::Engine::over_epochs) or
-/// [`ParEngine::over_epochs`](crate::ParEngine::over_epochs) on
-/// `store.epochs()`), otherwise it keeps serving the pre-churn snapshot
-/// and verification will fail.
+/// [`Engine::over_epochs`] on `store.epochs()`), otherwise it keeps
+/// serving the pre-churn snapshot and verification will fail.
 ///
 /// # Errors
 ///
 /// Propagates any [`EngineError`] from the batches.
 pub fn run_churn_scenario(
     store: &mut LiveStore,
-    engine: &mut impl QueryEngine,
+    engine: &mut Engine,
     cfg: &ChurnConfig,
 ) -> Result<ChurnReport, EngineError> {
     let seed = Seed::new(cfg.seed);
@@ -762,7 +666,7 @@ pub fn run_churn_scenario(
             queries,
         };
         let start = Instant::now();
-        let resp = engine.run_batch(&req)?;
+        let resp = engine.execute(&req)?;
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         // --- always-on ground truth: BFS over alive topology minus the
         // query's transient faults; every answer must agree ---
@@ -854,35 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scenario_reports_workers_and_matches_serial_reachability() {
-        use crate::par::ParEngine;
-        let g = generators::grid(4, 4);
-        let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(77)).unwrap();
-        let mut cfg = ScenarioConfig::new("par-uniform", 4);
-        cfg.rounds = 3;
-        cfg.fault_sets_per_round = 2;
-        cfg.queries_per_fault_set = 40;
-        cfg.verify = true;
-        let mut par = ParEngine::from_cycle_space(&scheme, EngineConfig::default(), 3).unwrap();
-        let par_report = run_scenario(&g, "grid-4x4", &mut par, None, &cfg).unwrap();
-        let mut serial = par.serial_engine();
-        let serial_report = run_scenario(&g, "grid-4x4", &mut serial, None, &cfg).unwrap();
-        assert_eq!(par_report.mismatches, 0);
-        assert_eq!(serial_report.mismatches, 0);
-        // Identical traffic, identical aggregate reachability.
-        assert_eq!(
-            par_report.reachable_fraction,
-            serial_report.reachable_fraction
-        );
-        assert_eq!(par_report.workers.len(), 3);
-        let total: u64 = par_report.workers.iter().map(|w| w.queries).sum();
-        assert_eq!(total as usize, par_report.total_queries);
-        assert!(serial_report.workers.is_empty());
-        let json = par_report.to_json();
-        assert!(json.contains("\"workers\": [{ \"worker\": 0"));
-    }
-
-    #[test]
     fn verified_uniform_churn_run_has_no_mismatches() {
         let g = generators::grid(4, 4);
         let mut engine = engine_for(&g, 4);
@@ -965,10 +840,9 @@ mod tests {
     fn churn_scenario_targeted_model_stays_correct() {
         let g = generators::barabasi_albert(60, 3, &mut StdRng::seed_from_u64(7));
         let mut store = LiveStore::new(&g, 4, Seed::new(0xC0A2), EngineConfig::default()).unwrap();
-        let mut engine = crate::par::ParEngine::over_epochs(
+        let mut engine = Engine::over_epochs(
             std::sync::Arc::clone(store.epochs()),
             EngineConfig::default(),
-            3,
         );
         let mut cfg = ChurnConfig::new("ba-targeted-churn", 3);
         cfg.rounds = 4;

@@ -25,8 +25,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Monotonic source of store identities. Every freeze — full, wire-only,
-/// or delta — mints a fresh uid, so two stores with equal content but
+/// Monotonic source of store identities. Every freeze — full or delta —
+/// mints a fresh uid, so two stores with equal content but
 /// different provenance (and possibly different `φ` banks) never compare
 /// equal by identity. The engine's elimination cache keys on this to stay
 /// epoch-correct.
@@ -214,27 +214,6 @@ impl LabelStoreBuilder {
             shards: shards.into_boxed_slice(),
             sidecar,
             uid: fresh_store_uid(),
-            wire_only: false,
-        }
-    }
-
-    /// [`LabelStoreBuilder::freeze`] without the decoded sidecar: every
-    /// read goes through wire decoding. For memory-constrained stores —
-    /// and for engines pinned to the wire path
-    /// (`EngineConfig::use_sidecar = false`), which would otherwise pay
-    /// the sidecar's build time and resident bytes without ever reading
-    /// it.
-    pub fn freeze_wire_only(self) -> LabelStore {
-        LabelStore {
-            shards: self
-                .shards
-                .into_iter()
-                .map(Arc::new)
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            sidecar: DecodedSidecar::default(),
-            uid: fresh_store_uid(),
-            wire_only: true,
         }
     }
 }
@@ -251,8 +230,6 @@ pub struct LabelStore {
     /// Process-unique identity of this frozen snapshot (see
     /// [`LabelStore::uid`]).
     uid: u64,
-    /// Whether this store was deliberately frozen without a sidecar.
-    wire_only: bool,
 }
 
 impl LabelStore {
@@ -267,13 +244,6 @@ impl LabelStore {
     /// basis) must be keyed or guarded by it.
     pub fn uid(&self) -> u64 {
         self.uid
-    }
-
-    /// Whether this store was frozen without a decoded sidecar
-    /// ([`LabelStoreBuilder::freeze_wire_only`]); delta-freezes of such a
-    /// store stay wire-only rather than growing a sidecar mid-lineage.
-    pub fn is_wire_only(&self) -> bool {
-        self.wire_only
     }
 
     /// Freezes a **successor snapshot**: applies `removals` then `upserts`
@@ -325,17 +295,12 @@ impl LabelStore {
             }
             shards.push(Arc::new(fresh));
         }
-        let sidecar = if self.wire_only {
-            DecodedSidecar::default()
-        } else {
-            DecodedSidecar::delta(&self.sidecar, upserts, removals)
-                .unwrap_or_else(|| DecodedSidecar::build(&shards))
-        };
+        let sidecar = DecodedSidecar::delta(&self.sidecar, upserts, removals)
+            .unwrap_or_else(|| DecodedSidecar::build(&shards));
         Ok(LabelStore {
             shards: shards.into_boxed_slice(),
             sidecar,
             uid: fresh_store_uid(),
-            wire_only: self.wire_only,
         })
     }
 
@@ -1122,27 +1087,6 @@ mod tests {
         ));
         // Other records still decoded.
         assert!(next.sidecar().has_edge(EdgeId::new(1)));
-    }
-
-    #[test]
-    fn wire_only_store_stays_wire_only_across_delta() {
-        let mut b = LabelStoreBuilder::new(2);
-        b.put_vertex_label(VertexId::new(0), &anc(1, 2)).unwrap();
-        let store = b.freeze_wire_only();
-        assert!(store.is_wire_only());
-        let next = store
-            .delta_freeze(
-                &[(StoreKey::vertex(VertexId::new(1)), anc(3, 4).to_wire())],
-                &[],
-            )
-            .unwrap();
-        assert!(next.is_wire_only());
-        assert_eq!(next.sidecar().decoded_vertices(), 0);
-        assert_eq!(
-            next.vertex_label::<AncestryLabel>(VertexId::new(1))
-                .unwrap(),
-            anc(3, 4)
-        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The runtime twin of ftl-analyzer's FTL001 (no-alloc hot path): a
-//! counting global allocator proves that a warmed-up serving loop —
-//! cache-hot fault sets, sidecar-served lookups, a reused
-//! [`BatchResponse`] via [`Engine::execute_into`] — performs **zero** heap
-//! allocations per batch. The static rule says the hot closure *cannot*
-//! allocate; this test says the whole serving path *does not*.
+//! counting global allocator proves that a warmed-up serving loop — the
+//! one `ftl-server`'s executors run: an epoch-following engine, cache-hot
+//! fault sets, sidecar-served lookups, a reused [`GroupedResponse`] via
+//! [`Engine::execute_grouped_into`] — performs **zero** heap allocations
+//! per call. The static rule says the hot closure *cannot* allocate; this
+//! test says the whole serving path *does not*.
 //!
 //! The measured loop runs with `ftl-obs` instrumentation **enabled** (the
 //! default feature set) and records into it explicitly — counters, stage
@@ -22,7 +23,7 @@
 #![allow(unsafe_code)]
 
 use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{BatchRequest, BatchResponse, ConnQuery, Engine, EngineConfig};
+use ftl_engine::{Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse};
 use ftl_graph::{generators, EdgeId, VertexId};
 use ftl_seeded::Seed;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,48 +68,58 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let g = generators::grid(6, 6);
     let f = 4;
     let scheme = CycleSpaceScheme::label(&g, f, Seed::new(7)).unwrap();
-    let config = EngineConfig::default(); // sidecar on, certificates off
-    let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
+    let config = EngineConfig::default(); // certificates off
+    let store = ftl_engine::store_from_cycle_space(&scheme, config.num_shards).unwrap();
+    let epochs = std::sync::Arc::new(EpochStore::new(std::sync::Arc::new(store)));
+    let mut engine = Engine::over_epochs(epochs, config);
 
-    // A batch with repeated fault sets and a spread of endpoints.
+    // A window of groups with a spread of endpoints; two groups name the
+    // same canonical fault set in different orders, as two requests may.
     let fault_sets: Vec<Vec<EdgeId>> = vec![
         vec![EdgeId::new(0), EdgeId::new(7)],
         vec![EdgeId::new(3), EdgeId::new(11), EdgeId::new(19)],
+        vec![EdgeId::new(7), EdgeId::new(0)],
     ];
-    let mut queries = Vec::new();
-    for i in 0..24 {
-        queries.push(ConnQuery {
-            s: VertexId::new(i % g.num_vertices()),
-            t: VertexId::new((i * 5 + 1) % g.num_vertices()),
-            fault_set: i % fault_sets.len(),
-        });
-    }
-    let req = BatchRequest {
-        fault_sets,
-        queries,
-    };
+    let groups: Vec<FaultSetBatch> = fault_sets
+        .into_iter()
+        .enumerate()
+        .map(|(gi, faults)| FaultSetBatch {
+            faults,
+            queries: (0..8)
+                .map(|i| {
+                    let i = gi * 8 + i;
+                    (
+                        VertexId::new(i % g.num_vertices()),
+                        VertexId::new((i * 5 + 1) % g.num_vertices()),
+                    )
+                })
+                .collect(),
+        })
+        .collect();
 
-    // Warm up: first run eliminates both fault sets (allocates: basis
-    // vectors, cache entries), grows the response buffers to the
+    // Warm up: the first call eliminates both distinct fault sets
+    // (allocates: basis vectors, cache entries), grows the response to the
     // high-water mark, and touches every scratch arena.
-    let mut resp = BatchResponse::default();
+    let mut resp = GroupedResponse::default();
     for _ in 0..3 {
-        engine.execute_into(&req, &mut resp).unwrap();
+        engine.execute_grouped_into(&groups, &mut resp);
     }
-    assert_eq!(resp.stats.queries, req.queries.len());
-    assert_eq!(resp.stats.cache_hits, req.fault_sets.len(), "warm cache");
-    let expected = resp.results.clone();
+    assert_eq!(resp.stats.queries, 24);
+    assert_eq!(resp.stats.cache_hits, groups.len(), "warm cache");
+    assert!(resp.groups.iter().all(|g| g.is_ok()));
+    let expected = resp.groups.clone();
 
-    // The measured runs: cache-hot, sidecar-served, response reused —
-    // and instrumented. `execute_into` itself records batch counters and
-    // epoch gauges into the global registry; on top of that the loop
-    // records a span, a histogram sample, and a counter bump per batch to
-    // pin down that the obs record path is allocation-free too.
+    // The measured calls: cache-hot, sidecar-served, response reused —
+    // and instrumented. `execute_grouped_into` itself records batch
+    // counters and the pinned-epoch gauge into the global registry; on top
+    // of that the loop records a span, a histogram sample, and a counter
+    // bump per call to pin down that the obs record path is
+    // allocation-free too.
     let obs = ftl_obs::global();
     let before = alloc_count();
     for _ in 0..10 {
         let _span = ftl_obs::Span::enter(&obs.stages, ftl_obs::Stage::Answer);
-        engine.execute_into(&req, &mut resp).unwrap();
+        engine.execute_grouped_into(&groups, &mut resp);
         obs.engine.queries.add(resp.stats.queries as u64);
         obs.stages
             .record(ftl_obs::Stage::ResponseWrite, resp.stats.queries as u64);
@@ -116,11 +127,11 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let delta = alloc_count() - before;
     assert_eq!(
         delta, 0,
-        "warmed-up execute_into allocated {delta} time(s) across 10 batches — \
+        "warmed-up execute_grouped_into allocated {delta} time(s) across 10 calls — \
          the zero-alloc serving loop regressed (run \
          `cargo run -p ftl-analyzer -- --check` for the static view)"
     );
-    assert_eq!(resp.results, expected, "reused response must stay correct");
+    assert_eq!(resp.groups, expected, "reused response must stay correct");
 }
 
 #[test]

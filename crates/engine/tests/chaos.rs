@@ -2,7 +2,7 @@
 //!
 //! Every test here injects a failure the serving path must survive
 //! *gracefully*: corrupted / truncated / length-lying wire records,
-//! worker panics mid-batch, readers racing snapshot swaps, adversarial
+//! panics mid-batch, readers racing snapshot swaps, adversarial
 //! targeted churn, and stale-cache hazards across epochs. "Gracefully"
 //! means a clean `EngineError` (never a crash), unaffected sibling
 //! queries, and 100% agreement with BFS ground truth after every swap.
@@ -18,8 +18,8 @@ use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, run_churn_scenario, truncate_record, BatchRequest, ChurnConfig,
-    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, LiveStore, ParEngine, RemovalModel,
-    StoreKey,
+    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, FaultSetBatch, LiveStore,
+    RemovalModel, StoreKey,
 };
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
@@ -66,109 +66,100 @@ fn non_tree_edge(store: &LiveStore) -> EdgeId {
 /// the queries that touch them and leave sibling fault sets unharmed.
 #[test]
 fn corrupted_record_errors_cleanly_and_spares_other_queries() {
-    for use_sidecar in [true, false] {
-        let config = EngineConfig {
-            use_sidecar,
-            ..EngineConfig::default()
-        };
-        let g = generators::grid(5, 5);
-        let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(11)).unwrap();
-        let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
-        let victim = EdgeId::new(7);
-        // Re-encode the victim's record with heavy random corruption and
-        // splice it in through the delta path — the way a disk or network
-        // flip would reach a serving snapshot.
-        let mut bytes = scheme.edge_label(victim).to_wire();
-        let smear = bytes.len() * 2;
-        corrupt_random_bytes(&mut bytes, smear, Seed::new(0xBAD));
-        let bad = good
-            .delta_freeze(&[(StoreKey::edge(victim), bytes)], &[])
-            .unwrap();
-        let epochs = Arc::new(EpochStore::new(good));
-        let mut engine = Engine::over_epochs(Arc::clone(&epochs), config);
-        // Pre-swap: the victim decodes fine.
-        let pre = engine.execute(&batch(vec![victim], &[(0, 24)])).unwrap();
-        assert_eq!(pre.results.len(), 1);
-        epochs.publish(Arc::new(bad));
-        // Post-swap: the fault set naming the corrupt record errors
-        // cleanly — no panic, and the error is a store error (or, if the
-        // corruption happened to keep the record decodable, the answer
-        // still matches ground truth).
-        match engine.execute(&batch(vec![victim], &[(0, 24)])) {
-            Err(EngineError::Store(_)) => {}
-            Err(other) => panic!("unexpected error kind: {other:?}"),
-            Ok(resp) => {
-                let mask = ftl_graph::traversal::forbidden_mask(&g, &[victim]);
-                assert_eq!(
-                    resp.results[0].connected,
-                    connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask)
-                );
-            }
+    let config = EngineConfig::default();
+    let g = generators::grid(5, 5);
+    let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(11)).unwrap();
+    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
+    let victim = EdgeId::new(7);
+    // Re-encode the victim's record with heavy random corruption and
+    // splice it in through the delta path — the way a disk or network
+    // flip would reach a serving snapshot.
+    let mut bytes = scheme.edge_label(victim).to_wire();
+    let smear = bytes.len() * 2;
+    corrupt_random_bytes(&mut bytes, smear, Seed::new(0xBAD));
+    let bad = good
+        .delta_freeze(&[(StoreKey::edge(victim), bytes)], &[])
+        .unwrap();
+    let epochs = Arc::new(EpochStore::new(good));
+    let mut engine = Engine::over_epochs(Arc::clone(&epochs), config);
+    // Pre-swap: the victim decodes fine.
+    let pre = engine.execute(&batch(vec![victim], &[(0, 24)])).unwrap();
+    assert_eq!(pre.results.len(), 1);
+    epochs.publish(Arc::new(bad));
+    // Post-swap: the fault set naming the corrupt record errors
+    // cleanly — no panic, and the error is a store error (or, if the
+    // corruption happened to keep the record decodable, the answer
+    // still matches ground truth).
+    match engine.execute(&batch(vec![victim], &[(0, 24)])) {
+        Err(EngineError::Store(_)) => {}
+        Err(other) => panic!("unexpected error kind: {other:?}"),
+        Ok(resp) => {
+            let mask = ftl_graph::traversal::forbidden_mask(&g, &[victim]);
+            assert_eq!(
+                resp.results[0].connected,
+                connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask)
+            );
         }
-        // A sibling fault set that never touches the corrupt record still
-        // serves correctly from the same snapshot.
-        let clean = EdgeId::new(20);
-        let resp = engine.execute(&batch(vec![clean], &[(0, 24)])).unwrap();
-        let mask = ftl_graph::traversal::forbidden_mask(&g, &[clean]);
-        assert_eq!(
-            resp.results[0].connected,
-            connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask),
-            "sidecar={use_sidecar}: clean query infected by corrupt neighbor"
-        );
     }
+    // A sibling fault set that never touches the corrupt record still
+    // serves correctly from the same snapshot.
+    let clean = EdgeId::new(20);
+    let resp = engine.execute(&batch(vec![clean], &[(0, 24)])).unwrap();
+    let mask = ftl_graph::traversal::forbidden_mask(&g, &[clean]);
+    assert_eq!(
+        resp.results[0].connected,
+        connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask),
+        "clean query infected by corrupt neighbor"
+    );
 }
 
 /// Truncated and length-lying records are rejected with errors, never
-/// panics, on both serving paths.
+/// panics: the sidecar cannot place them, so they reach the per-record
+/// wire fallback, which refuses them.
 #[test]
 fn truncated_and_oversized_records_error_not_panic() {
-    for use_sidecar in [true, false] {
-        let config = EngineConfig {
-            use_sidecar,
-            ..EngineConfig::default()
-        };
-        let g = generators::grid(4, 4);
-        let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
-        let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
-        let victim = EdgeId::new(3);
-        let wire = scheme.edge_label(victim).to_wire();
-        let corruptions: Vec<Vec<u8>> = vec![
-            {
-                let mut b = wire.clone();
-                let keep = b.len().saturating_sub(2);
-                truncate_record(&mut b, keep);
-                b
-            },
-            {
-                let mut b = wire.clone();
-                truncate_record(&mut b, 3); // shorter than the header
-                b
-            },
-            {
-                let mut b = wire.clone();
-                assert!(oversize_declared_bits(&mut b, 4096));
-                b
-            },
-        ];
-        for (i, bad_bytes) in corruptions.into_iter().enumerate() {
-            let bad = good
-                .delta_freeze(&[(StoreKey::edge(victim), bad_bytes)], &[])
-                .unwrap();
-            let mut engine = Engine::with_shared(Arc::new(bad), config);
-            let out = engine.execute(&batch(vec![victim], &[(0, 15)]));
-            assert!(
-                matches!(out, Err(EngineError::Store(_))),
-                "sidecar={use_sidecar} corruption #{i}: expected clean store error, got {out:?}"
-            );
-        }
+    let config = EngineConfig::default();
+    let g = generators::grid(4, 4);
+    let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
+    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
+    let victim = EdgeId::new(3);
+    let wire = scheme.edge_label(victim).to_wire();
+    let corruptions: Vec<Vec<u8>> = vec![
+        {
+            let mut b = wire.clone();
+            let keep = b.len().saturating_sub(2);
+            truncate_record(&mut b, keep);
+            b
+        },
+        {
+            let mut b = wire.clone();
+            truncate_record(&mut b, 3); // shorter than the header
+            b
+        },
+        {
+            let mut b = wire.clone();
+            assert!(oversize_declared_bits(&mut b, 4096));
+            b
+        },
+    ];
+    for (i, bad_bytes) in corruptions.into_iter().enumerate() {
+        let bad = good
+            .delta_freeze(&[(StoreKey::edge(victim), bad_bytes)], &[])
+            .unwrap();
+        let mut engine = Engine::with_shared(Arc::new(bad), config);
+        let out = engine.execute(&batch(vec![victim], &[(0, 15)]));
+        assert!(
+            matches!(out, Err(EngineError::Store(_))),
+            "corruption #{i}: expected clean store error, got {out:?}"
+        );
     }
 }
 
 // -------------------------------------------------------------- panic chaos
 
-/// A worker panic mid-batch is contained: the batch fails with
-/// `WorkerPanicked`, the process survives, and the engine serves the next
-/// batch correctly on a rebuilt core.
+/// A panic mid-batch is contained to its group: that group fails with
+/// `Panicked`, the process survives, the other groups keep their answers,
+/// and the engine serves the next call correctly on a rebuilt core.
 #[test]
 fn worker_panic_is_contained_and_engine_recovers() {
     let g = generators::grid(5, 5);
@@ -178,42 +169,54 @@ fn worker_panic_is_contained_and_engine_recovers() {
         chaos_panic_edge: Some(chaos_edge),
         ..EngineConfig::default()
     };
-    let mut par = ParEngine::from_cycle_space(&scheme, config, 4).unwrap();
+    let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
+    let mut reference = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
+    let group = |faults: Vec<EdgeId>| FaultSetBatch {
+        faults,
+        queries: vec![
+            (VertexId::new(0), VertexId::new(24)),
+            (VertexId::new(3), VertexId::new(21)),
+        ],
+    };
     // Any fault set containing the chaos edge detonates its resolver.
-    let out = par.execute(&batch(
-        vec![chaos_edge, EdgeId::new(9)],
-        &[(0, 24), (3, 21)],
-    ));
-    match out {
-        Err(EngineError::WorkerPanicked { worker, message }) => {
-            assert!(worker < 4);
+    let groups = [
+        group(vec![EdgeId::new(9), EdgeId::new(30)]),
+        group(vec![chaos_edge, EdgeId::new(9)]),
+        group(vec![EdgeId::new(2)]),
+    ];
+    let resp = engine.execute_grouped(&groups);
+    match &resp.groups[1] {
+        Err(EngineError::Panicked { message }) => {
             assert!(
                 message.contains("chaos"),
                 "lost the panic payload: {message}"
             );
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        other => panic!("expected Panicked, got {other:?}"),
     }
-    // The engine — same instance, cores rebuilt — keeps serving batches
-    // that avoid the tripwire, bit-identical to a fresh serial engine.
+    let expected = reference.execute_grouped(&groups);
+    assert_eq!(resp.groups[0], expected.groups[0]);
+    assert_eq!(resp.groups[2], expected.groups[2]);
+    // The indexed entry point fails as a whole with the same error kind.
+    assert!(matches!(
+        engine.execute(&batch(vec![chaos_edge], &[(0, 24)])),
+        Err(EngineError::Panicked { .. })
+    ));
+    // The engine — same instance, core rebuilt — keeps serving batches
+    // that avoid the tripwire, identical to a fresh engine.
     let req = batch(
         vec![EdgeId::new(9), EdgeId::new(30)],
         &[(0, 24), (3, 21), (7, 18)],
     );
-    let resp = par
+    let resp = engine
         .execute(&req)
         .expect("engine must recover after a contained panic");
-    let mut serial = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let reference = serial.execute(&req).unwrap();
-    assert_eq!(resp.results, reference.results);
+    let want = reference.execute(&req).unwrap();
+    assert_eq!(resp.results, want.results);
     // And the tripwire still trips — containment is repeatable, not
     // one-shot.
-    assert!(matches!(
-        par.execute(&batch(vec![chaos_edge], &[(0, 24)])),
-        Err(EngineError::WorkerPanicked { .. })
-    ));
-    let resp2 = par.execute(&req).unwrap();
-    assert_eq!(resp2.results, reference.results);
+    assert!(engine.execute_grouped(&groups).groups[1].is_err());
+    assert_eq!(engine.execute(&req).unwrap().results, want.results);
 }
 
 // --------------------------------------------------------------- swap chaos
@@ -312,7 +315,7 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
     let g = generators::barabasi_albert(150, 3, &mut StdRng::seed_from_u64(51));
     let config = EngineConfig::default();
     let mut store = LiveStore::new(&g, 4, Seed::new(52), config).unwrap();
-    let mut engine = ParEngine::over_epochs(Arc::clone(store.epochs()), config, 4);
+    let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
     let mut cfg = ChurnConfig::new("chaos-targeted", 4);
     cfg.model = RemovalModel::Targeted;
     cfg.rounds = 6;
@@ -476,7 +479,7 @@ fn churn_soak() {
         let g = generators::barabasi_albert(200, 3, &mut rng);
         let config = EngineConfig::default();
         let mut store = LiveStore::new(&g, 4, Seed::new(iteration), config).unwrap();
-        let mut engine = ParEngine::over_epochs(Arc::clone(store.epochs()), config, 4);
+        let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
         let mut cfg = ChurnConfig::new("soak", 4);
         cfg.seed = iteration;
         cfg.rounds = 10;

@@ -9,8 +9,13 @@
     clippy::panic,
     clippy::print_stdout
 )]
-use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, StoreError};
+use ftl_cycle_space::{
+    CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel,
+};
+use ftl_engine::{
+    BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch, LabelStore,
+    QueryResult, StoreError,
+};
 use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
 use ftl_seeded::Seed;
@@ -38,6 +43,41 @@ fn random_fault_sets(g: &Graph, count: usize, f: usize, rng: &mut StdRng) -> Vec
         .collect()
 }
 
+/// The naive serving path, kept as the differential oracle: every query
+/// pays a **fresh elimination** of the augmented system over wire-decoded
+/// labels (the pre-engine `ftl_cycle_space::decode` formulation). Its
+/// certificates index the request's fault list, so they come back in
+/// request order rather than canonical order.
+fn naive_answers(store: &LabelStore, req: &BatchRequest) -> Vec<QueryResult> {
+    let mut decoder = CycleSpaceDecoder::new();
+    let labels: Vec<Vec<CycleSpaceEdgeLabel>> = req
+        .fault_sets
+        .iter()
+        .map(|fs| fs.iter().map(|&e| store.edge_label(e).unwrap()).collect())
+        .collect();
+    req.queries
+        .iter()
+        .map(|q| {
+            let s: CycleSpaceVertexLabel = store.vertex_label(q.s).unwrap();
+            let t: CycleSpaceVertexLabel = store.vertex_label(q.t).unwrap();
+            match decoder.decode_with_certificate(&s, &t, &labels[q.fault_set]) {
+                Some(idx) => QueryResult {
+                    connected: false,
+                    certificate: Some(
+                        idx.into_iter()
+                            .map(|i| req.fault_sets[q.fault_set][i])
+                            .collect(),
+                    ),
+                },
+                None => QueryResult {
+                    connected: true,
+                    certificate: None,
+                },
+            }
+        })
+        .collect()
+}
+
 fn random_queries(g: &Graph, count: usize, fault_sets: usize, rng: &mut StdRng) -> Vec<ConnQuery> {
     (0..count)
         .map(|_| ConnQuery {
@@ -54,32 +94,55 @@ fn batched_naive_and_truth_agree() {
         ("grid", generators::grid(4, 4)),
         ("cycle", generators::cycle(12)),
         ("star", generators::star(10)),
+        ("grid-5x5", generators::grid(5, 5)),
     ] {
         let mut rng = StdRng::seed_from_u64(0xD1FF);
-        let mut engine = engine_for(&g, 5, 9, EngineConfig::default());
-        let fault_sets = random_fault_sets(&g, 4, 5, &mut rng);
-        let queries = random_queries(&g, 120, fault_sets.len(), &mut rng);
-        let req = BatchRequest {
-            fault_sets: fault_sets.clone(),
-            queries,
+        let config = EngineConfig {
+            collect_certificates: true,
+            ..EngineConfig::default()
         };
-        let batched = engine.execute(&req).unwrap();
-        let naive = engine.execute_naive(&req).unwrap();
-        assert_eq!(batched.results.len(), naive.results.len());
-        for (i, (b, nv)) in batched.results.iter().zip(&naive.results).enumerate() {
-            let q = &req.queries[i];
+        let mut engine = engine_for(&g, 5, 9, config);
+        for trial in 0..3 {
+            let fault_sets = random_fault_sets(&g, 4, 5, &mut rng);
+            let queries = random_queries(&g, 120, fault_sets.len(), &mut rng);
+            let req = BatchRequest {
+                fault_sets: fault_sets.clone(),
+                queries,
+            };
+            let batched = engine.execute(&req).unwrap();
+            let naive = naive_answers(engine.store(), &req);
+            assert_eq!(batched.results.len(), naive.len());
+            for (i, (b, nv)) in batched.results.iter().zip(&naive).enumerate() {
+                let q = &req.queries[i];
+                assert_eq!(
+                    b.connected, nv.connected,
+                    "{name} trial {trial}: query {i} batched vs naive"
+                );
+                // Cuts are not unique, so the two paths may certify a
+                // disconnection with different cuts — but each must be a
+                // genuine one: inside F, and separating s from t alone.
+                for cert in [&b.certificate, &nv.certificate] {
+                    assert_eq!(cert.is_some(), !b.connected, "{name}: query {i}");
+                    if let Some(cert) = cert {
+                        assert!(cert.iter().all(|e| fault_sets[q.fault_set].contains(e)));
+                        let mask = forbidden_mask(&g, cert);
+                        assert!(
+                            !connected_avoiding(&g, q.s, q.t, &mask),
+                            "{name}: query {i}"
+                        );
+                    }
+                }
+                let mask = forbidden_mask(&g, &fault_sets[q.fault_set]);
+                let truth = connected_avoiding(&g, q.s, q.t, &mask);
+                assert_eq!(b.connected, truth, "{name}: query {i} vs ground truth");
+            }
+            // Batched ran at most one elimination per distinct fault set.
+            assert!(batched.stats.eliminations <= fault_sets.len());
             assert_eq!(
-                b.connected, nv.connected,
-                "{name}: query {i} batched vs naive"
+                batched.stats.eliminations + batched.stats.cache_hits,
+                fault_sets.len()
             );
-            let mask = forbidden_mask(&g, &fault_sets[q.fault_set]);
-            let truth = connected_avoiding(&g, q.s, q.t, &mask);
-            assert_eq!(b.connected, truth, "{name}: query {i} vs ground truth");
         }
-        // Batched ran one elimination per distinct fault set; naive ran one
-        // per query.
-        assert_eq!(batched.stats.eliminations, fault_sets.len());
-        assert_eq!(naive.stats.eliminations, req.queries.len());
     }
 }
 
@@ -254,112 +317,67 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// PR 5: zero-decode sidecar and the multi-worker engine.
+// The decoded sidecar, shared stores, and request validation.
 // ---------------------------------------------------------------------
 
-/// The zero-decode sidecar path and the wire-decoding path must be
-/// bit-identical — results *and* certificates.
+/// The store-level equivalence the engine relies on: for every record,
+/// the wire decode and the decoded sidecar's view agree — vertex ancestry
+/// exactly, edge `φ` bit for bit, and the tree-path predicate
+/// `on_root_path_of` for every vertex. Checked on a fresh freeze and on a
+/// delta-frozen successor after churn.
 #[test]
 fn sidecar_and_wire_paths_agree() {
-    let g = generators::grid(5, 5);
-    let scheme = CycleSpaceScheme::label(&g, 6, Seed::new(31)).unwrap();
-    let mut with_sidecar = Engine::from_cycle_space(
-        &scheme,
-        EngineConfig {
-            collect_certificates: true,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let mut wire_only = Engine::from_cycle_space(
-        &scheme,
-        EngineConfig {
-            collect_certificates: true,
-            use_sidecar: false,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(0x51DE);
-    for trial in 0..6 {
-        let fault_sets = random_fault_sets(&g, 3, 6, &mut rng);
-        let queries = random_queries(&g, 100, fault_sets.len(), &mut rng);
-        let req = BatchRequest {
-            fault_sets,
-            queries,
-        };
-        let a = with_sidecar.execute(&req).unwrap();
-        let b = wire_only.execute(&req).unwrap();
-        assert_eq!(a.results, b.results, "trial {trial}");
-        let an = with_sidecar.execute_naive(&req).unwrap();
-        let bn = wire_only.execute_naive(&req).unwrap();
-        assert_eq!(an.results, bn.results, "naive trial {trial}");
-        // Batched certificates come back in canonical (sorted) fault order,
-        // naive ones in request order — compare them as sets, and the
-        // connectivity verdicts exactly.
-        for (qa, qn) in a.results.iter().zip(&an.results) {
-            assert_eq!(qa.connected, qn.connected, "batched vs naive trial {trial}");
-            match (&qa.certificate, &qn.certificate) {
-                (None, None) => {}
-                (Some(ca), Some(cn)) => {
-                    let mut ca = ca.clone();
-                    let mut cn = cn.clone();
-                    ca.sort();
-                    cn.sort();
-                    assert_eq!(ca, cn, "certificate sets trial {trial}");
-                }
-                other => panic!("certificate presence mismatch: {other:?}"),
+    use ftl_engine::{plan_edge_removals, LiveStore, RemovalModel};
+    fn check(store: &LabelStore, vertices: &[VertexId], edges: &[EdgeId]) {
+        let sidecar = store.sidecar();
+        assert_eq!(sidecar.decoded_vertices(), vertices.len());
+        assert_eq!(sidecar.decoded_edges(), edges.len());
+        let ancs: Vec<_> = vertices
+            .iter()
+            .map(|&v| {
+                let wire: CycleSpaceVertexLabel = store.vertex_label(v).unwrap();
+                assert_eq!(sidecar.vertex_anc(v), Some(wire.anc), "vertex {v:?}");
+                wire.anc
+            })
+            .collect();
+        for &e in edges {
+            let wire: CycleSpaceEdgeLabel = store.edge_label(e).unwrap();
+            let view = sidecar.materialize_edge_label(e).unwrap();
+            assert_eq!(view.phi, wire.phi, "phi of edge {e:?}");
+            assert_eq!(view.is_tree, wire.is_tree, "edge {e:?}");
+            for anc in &ancs {
+                assert_eq!(
+                    view.on_root_path_of(anc),
+                    wire.on_root_path_of(anc),
+                    "edge {e:?} vs {anc:?}"
+                );
             }
         }
     }
-    // The sidecar really decoded the whole store.
-    assert_eq!(
-        with_sidecar.store().sidecar().decoded_vertices(),
-        g.num_vertices()
+    let g = generators::grid(6, 6);
+    let mut live = LiveStore::new(&g, 6, Seed::new(31), EngineConfig::default()).unwrap();
+    let alive = |live: &LiveStore| {
+        (
+            live.live().alive_vertices().collect::<Vec<_>>(),
+            live.live().alive_edges().collect::<Vec<_>>(),
+        )
+    };
+    let (vertices, edges) = alive(&live);
+    check(live.epochs().current().store(), &vertices, &edges);
+    let plan = plan_edge_removals(live.live(), 6, RemovalModel::Random, Seed::new(32));
+    live.remove_edges(&plan).unwrap();
+    assert!(
+        live.epochs().current().number() > 1,
+        "no delta swap happened"
     );
-    assert_eq!(
-        with_sidecar.store().sidecar().decoded_edges(),
-        g.num_edges()
-    );
-}
-
-/// `ParEngine` must return bit-identical results to the serial engine on
-/// the same request stream — across batches, so per-worker caches are
-/// warm and cold at different times.
-#[test]
-fn par_engine_matches_serial_engine() {
-    use ftl_engine::ParEngine;
-    let g = generators::grid(5, 4);
-    let scheme = CycleSpaceScheme::label(&g, 5, Seed::new(77)).unwrap();
-    for workers in [1usize, 2, 3, 7] {
-        let mut par =
-            ParEngine::from_cycle_space(&scheme, EngineConfig::default(), workers).unwrap();
-        let mut serial = par.serial_engine();
-        let mut rng = StdRng::seed_from_u64(0xBA5E + workers as u64);
-        for batch in 0..5 {
-            let fault_sets = random_fault_sets(&g, 3, 5, &mut rng);
-            let queries = random_queries(&g, 64 + batch * 17, fault_sets.len(), &mut rng);
-            let req = BatchRequest {
-                fault_sets,
-                queries,
-            };
-            let p = par.execute(&req).unwrap();
-            let s = serial.execute(&req).unwrap();
-            assert_eq!(p.results, s.results, "workers {workers} batch {batch}");
-            assert_eq!(p.stats.queries, s.stats.queries);
-            assert_eq!(p.stats.fault_sets, s.stats.fault_sets);
-        }
-        let stats = par.worker_stats();
-        assert_eq!(stats.len(), workers);
-        let total: u64 = stats.iter().map(|w| w.queries).sum();
-        assert_eq!(total, (0..5).map(|b| 64 + b * 17).sum::<usize>() as u64);
-    }
+    let (vertices, edges) = alive(&live);
+    check(live.epochs().current().store(), &vertices, &edges);
 }
 
 /// M plain threads hammering one frozen `Arc<LabelStore>` — each with its
-/// own serving core — must all reproduce the serial engine's answers.
-/// This is the lock-free-reads contract of the store, exercised with real
-/// threads regardless of the `parallel` feature.
+/// own engine — must all reproduce a reference engine's answers. This is
+/// the lock-free-reads contract of the store, and the shape of a server
+/// with several executors.
 #[test]
 fn threads_sharing_one_frozen_store_agree_with_serial() {
     use std::sync::Arc;
@@ -394,12 +412,11 @@ fn threads_sharing_one_frozen_store_agree_with_serial() {
     }
 }
 
-/// A fault set naming a missing edge must be rejected by BOTH engines
-/// even when no query references it (ParEngine resolves unreferenced
-/// sets for validation parity with the serial engine).
+/// A fault set naming a missing edge is rejected by both entry points even
+/// when no query references it: the indexed call fails as a whole, and as
+/// a zero-query group it fails its own slot.
 #[test]
 fn unreferenced_bad_fault_set_rejected_by_both_engines() {
-    use ftl_engine::ParEngine;
     let g = generators::grid(3, 3);
     let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(4)).unwrap();
     let req = BatchRequest {
@@ -410,57 +427,19 @@ fn unreferenced_bad_fault_set_rejected_by_both_engines() {
             fault_set: 0, // the bad set (index 1) is never referenced
         }],
     };
-    let mut serial = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let serial_err = serial.execute(&req).unwrap_err();
-    assert!(matches!(
-        serial_err,
-        EngineError::Store(StoreError::Missing(_))
-    ));
-    let mut par = ParEngine::from_cycle_space(&scheme, EngineConfig::default(), 2).unwrap();
-    assert_eq!(par.execute(&req).unwrap_err(), serial_err);
-}
-
-/// `freeze_wire_only` skips the sidecar entirely; a wire-path engine over
-/// it answers identically to a sidecar engine over the same labels.
-#[test]
-fn wire_only_freeze_serves_identically_without_sidecar() {
-    use ftl_engine::{LabelStoreBuilder, StoreKey};
-    let g = generators::grid(4, 4);
-    let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(6)).unwrap();
-    let mut builder = LabelStoreBuilder::new(4);
-    for i in 0..g.num_vertices() {
-        let v = VertexId::new(i);
-        builder
-            .put_vertex_label(v, &scheme.vertex_label(v))
-            .unwrap();
-    }
-    for i in 0..g.num_edges() {
-        let e = EdgeId::new(i);
-        builder.put_edge_label(e, &scheme.edge_label(e)).unwrap();
-    }
-    let store = builder.freeze_wire_only();
-    assert_eq!(store.sidecar().decoded_vertices(), 0);
-    assert_eq!(store.sidecar().decoded_edges(), 0);
-    assert!(store
-        .get_bytes(StoreKey::vertex(VertexId::new(0)))
-        .is_some());
-    let mut wire_engine = Engine::new(
-        store,
-        EngineConfig {
-            use_sidecar: false,
-            ..EngineConfig::default()
+    let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
+    let err = engine.execute(&req).unwrap_err();
+    assert!(matches!(err, EngineError::Store(StoreError::Missing(_))));
+    let grouped = engine.execute_grouped(&[
+        FaultSetBatch {
+            faults: vec![EdgeId::new(0)],
+            queries: vec![(VertexId::new(0), VertexId::new(8))],
         },
-    );
-    let mut sidecar_engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xF00);
-    let fault_sets = random_fault_sets(&g, 2, 4, &mut rng);
-    let queries = random_queries(&g, 80, fault_sets.len(), &mut rng);
-    let req = BatchRequest {
-        fault_sets,
-        queries,
-    };
-    assert_eq!(
-        wire_engine.execute(&req).unwrap().results,
-        sidecar_engine.execute(&req).unwrap().results
-    );
+        FaultSetBatch {
+            faults: vec![EdgeId::new(999_999)],
+            queries: Vec::new(),
+        },
+    ]);
+    assert!(grouped.groups[0].is_ok());
+    assert_eq!(grouped.groups[1], Err(err));
 }

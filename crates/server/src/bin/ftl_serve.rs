@@ -26,7 +26,6 @@ struct Args {
     width: usize,
     shards: usize,
     executors: usize,
-    workers: usize,
     window_us: u64,
     budget: usize,
     watchdog_factor: u32,
@@ -43,7 +42,6 @@ impl Default for Args {
             width: 8,
             shards: 16,
             executors: 2,
-            workers: 2,
             window_us: 500,
             budget: 1 << 16,
             watchdog_factor: 16,
@@ -65,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
             "--width" => args.width = parse(&value("--width")?)?,
             "--shards" => args.shards = parse(&value("--shards")?)?,
             "--executors" => args.executors = parse(&value("--executors")?)?,
-            "--workers" => args.workers = parse(&value("--workers")?)?,
             "--window-us" => args.window_us = parse(&value("--window-us")?)?,
             "--budget" => args.budget = parse(&value("--budget")?)?,
             "--watchdog-factor" => args.watchdog_factor = parse(&value("--watchdog-factor")?)?,
@@ -74,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "ftl-serve [--addr A] [--graph SPEC] [--seed N] [--width B] [--shards N]\n\
-                     \x20         [--executors N] [--workers N] [--window-us N] [--budget N]\n\
+                     \x20         [--executors N] [--window-us N] [--budget N]\n\
                      \x20         [--watchdog-factor N] (force-release requests stuck longer\n\
                      \x20          than N accumulation windows; 0 = no watchdog)\n\
                      \x20         [--duration-secs N]   (0 = run until Enter on stdin)\n\
@@ -119,7 +116,6 @@ fn run() -> Result<(), String> {
     let epochs = Arc::new(EpochStore::new(Arc::new(store)));
     let server_config = ServerConfig {
         executors: args.executors,
-        engine_workers: args.workers,
         window: Duration::from_micros(args.window_us),
         pending_budget: args.budget,
         watchdog_factor: args.watchdog_factor,
@@ -133,10 +129,9 @@ fn run() -> Result<(), String> {
     )
     .map_err(|e| format!("bind {} failed: {e}", args.addr))?;
     println!(
-        "serving on {} — {} executors x {} engine workers, {}us window, budget {}",
+        "serving on {} — {} executors, {}us window, budget {}",
         handle.local_addr(),
         args.executors,
-        args.workers,
         args.window_us,
         args.budget
     );

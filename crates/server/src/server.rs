@@ -12,7 +12,7 @@
 //!                         ▼
 //!                      executor (config.executors threads)
 //!                         │ group by canonical fault-set hash
-//!                         │ ParEngine/Engine::execute_grouped (epoch-pinned)
+//!                         │ Engine::execute_grouped_into (epoch-pinned)
 //!                         ▼
 //!                      Registry ──▶ response frames, demuxed by request id
 //! ```
@@ -38,7 +38,6 @@ use crate::registry::Registry;
 use crate::stats::{ServerStats, StatsSnapshot};
 use ftl_engine::{
     canonical_fault_hash, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
-    ParEngine,
 };
 use ftl_labels::wire::{LabelKind, WireLabel};
 use ftl_obs::{Span, Stage};
@@ -53,12 +52,10 @@ use std::time::{Duration, Instant};
 /// Tunables for one server instance.
 #[derive(Debug, Copy, Clone)]
 pub struct ServerConfig {
-    /// Batch-executor threads. Each owns its own epoch-following engine;
-    /// more executors overlap window execution with window accumulation.
+    /// Batch-executor threads — the server's only engine parallelism. Each
+    /// owns its own epoch-following engine over the shared store; more
+    /// executors overlap window execution with window accumulation.
     pub executors: usize,
-    /// `ParEngine` workers inside each executor (`<= 1` means a serial
-    /// engine).
-    pub engine_workers: usize,
     /// How long an executor holds a non-empty window open for more
     /// connections to join.
     pub window: Duration,
@@ -91,37 +88,12 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_micros(500),
             pending_budget: 1 << 16,
             max_frame_bytes: MAX_FRAME_BYTES_DEFAULT,
             read_timeout: Duration::from_millis(5),
             write_timeout: Duration::from_secs(2),
             watchdog_factor: 0,
-        }
-    }
-}
-
-/// Serial or parallel executor engine, chosen by
-/// [`ServerConfig::engine_workers`].
-enum ExecEngine {
-    Serial(Box<Engine>),
-    Par(ParEngine),
-}
-
-impl ExecEngine {
-    fn new(epochs: Arc<EpochStore>, config: EngineConfig, workers: usize) -> Self {
-        if workers > 1 {
-            ExecEngine::Par(ParEngine::over_epochs(epochs, config, workers))
-        } else {
-            ExecEngine::Serial(Box::new(Engine::over_epochs(epochs, config)))
-        }
-    }
-
-    fn execute_grouped(&mut self, groups: &[FaultSetBatch]) -> GroupedResponse {
-        match self {
-            ExecEngine::Serial(e) => e.execute_grouped(groups),
-            ExecEngine::Par(e) => e.execute_grouped(groups),
         }
     }
 }
@@ -164,13 +136,13 @@ impl Server {
             let batcher = Arc::clone(&batcher);
             let registry = Arc::clone(&registry);
             let stats = Arc::clone(&stats);
-            let workers = config.engine_workers;
             let handle = std::thread::Builder::new()
                 .name(format!("ftl-exec-{i}"))
                 .spawn(move || {
-                    let mut engine = ExecEngine::new(epochs, engine_config, workers);
+                    let mut engine = Engine::over_epochs(epochs, engine_config);
+                    let mut resp = GroupedResponse::default();
                     while let Some(window) = batcher.next_window() {
-                        execute_window(&mut engine, &window, &registry, &stats);
+                        execute_window(&mut engine, &mut resp, &window, &registry, &stats);
                         // Only now — responses written — does the window
                         // stop counting against the admission budget.
                         batcher.release(window.iter().map(Batcher::charge).sum());
@@ -423,10 +395,11 @@ fn serve_connection(
 }
 
 /// Executes one accumulation window: group by canonical fault-set hash,
-/// run the engine once per distinct fault set, demux responses by
-/// request id.
+/// run the engine once per distinct fault set (into the executor's reused
+/// response), demux responses by request id.
 fn execute_window(
-    engine: &mut ExecEngine,
+    engine: &mut Engine,
+    resp: &mut GroupedResponse,
     window: &[Pending],
     registry: &Registry,
     stats: &ServerStats,
@@ -476,7 +449,7 @@ fn execute_window(
         return;
     }
     let engine_t0 = Instant::now();
-    let resp = engine.execute_grouped(&groups);
+    engine.execute_grouped_into(&groups, resp);
     // Answer stage: engine time amortized per query, recorded once per
     // window (per-query clock reads would dominate the ~16 ns answers).
     let total_queries: u64 = groups.iter().map(|g| g.queries.len() as u64).sum();

@@ -89,7 +89,6 @@ fn loadgen_through_seeded_chaos_completes_clean_and_accounts_every_fault() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_millis(2),
             watchdog_factor: 8,
             ..ServerConfig::default()
@@ -204,7 +203,6 @@ fn chaos_soak() {
             &g,
             ServerConfig {
                 executors: 2,
-                engine_workers: 2,
                 window: Duration::from_millis(2),
                 watchdog_factor: 8,
                 ..ServerConfig::default()

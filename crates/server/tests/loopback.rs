@@ -23,10 +23,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn spawn_server(g: &ftl_graph::Graph, config: ServerConfig) -> ServerHandle {
+    spawn_server_with(g, EngineConfig::default(), config)
+}
+
+fn spawn_server_with(
+    g: &ftl_graph::Graph,
+    engine: EngineConfig,
+    config: ServerConfig,
+) -> ServerHandle {
     let scheme = CycleSpaceScheme::label(g, 8, Seed::new(7)).expect("graph is connected");
     let store = store_from_cycle_space(&scheme, 8).unwrap();
     let epochs = Arc::new(EpochStore::new(Arc::new(store)));
-    Server::spawn(epochs, EngineConfig::default(), config, "127.0.0.1:0").unwrap()
+    Server::spawn(epochs, engine, config, "127.0.0.1:0").unwrap()
 }
 
 fn read_response(stream: &mut TcpStream) -> QueryResponseFrame {
@@ -39,6 +47,21 @@ fn send_request(stream: &mut TcpStream, req: &QueryRequestFrame) {
     frame::write_frame(stream, &req.to_wire()).unwrap();
 }
 
+/// `read_response`, but failing instead of hanging when no response
+/// arrives within `limit` (`read_frame` retries through socket timeouts,
+/// so a timer flag is what bounds it).
+fn read_response_within(stream: &mut TcpStream, limit: Duration) -> QueryResponseFrame {
+    let give_up = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&give_up);
+    std::thread::spawn(move || {
+        std::thread::sleep(limit);
+        flag.store(true, std::sync::atomic::Ordering::Relaxed);
+    });
+    let body = frame::read_frame(stream, frame::MAX_FRAME_BYTES_DEFAULT, &give_up)
+        .unwrap_or_else(|e| panic!("no response within {limit:?}: {e:?}"));
+    QueryResponseFrame::from_wire(&body).unwrap()
+}
+
 /// The acceptance scenario: 64 concurrent connections, a shared
 /// vocabulary of 8 fault sets, every response checked against BFS, and
 /// cross-connection batching actually collapsing the work.
@@ -49,7 +72,6 @@ fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_millis(4),
             ..ServerConfig::default()
         },
@@ -101,7 +123,6 @@ fn admission_control_answers_server_busy() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             pending_budget: 4,
             ..ServerConfig::default()
@@ -164,7 +185,6 @@ fn shutdown_drains_in_flight_window() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_secs(60),
             ..ServerConfig::default()
         },
@@ -214,7 +234,6 @@ fn expired_ttl_answered_before_elimination() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             ..ServerConfig::default()
         },
@@ -282,7 +301,6 @@ fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(20),
             // Big enough that the flood is admitted (charge = 1/request),
             // so `ServerBusy` can only come from the watchdog.
@@ -480,7 +498,6 @@ fn bad_vertex_isolated_within_shared_fault_set_group() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             ..ServerConfig::default()
         },
@@ -562,7 +579,6 @@ fn stalled_reader_costs_only_its_own_connection() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 0,
             window: Duration::from_micros(500),
             pending_budget: 1 << 12,
             write_timeout: Duration::from_millis(100),
@@ -630,7 +646,6 @@ fn bad_fault_set_isolated_to_engine_failed() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(100),
             ..ServerConfig::default()
         },
@@ -661,6 +676,85 @@ fn bad_fault_set_isolated_to_engine_failed() {
     assert_eq!(bad_resp.status, ResponseStatus::EngineFailed);
     assert!(matches!(&good_resp.status, ResponseStatus::Ok(v) if v.len() == 1));
     let stats = handle.shutdown();
+    assert_eq!(stats.engine_errors, 1);
+    assert_eq!(stats.requests, 1);
+}
+
+/// A panic while the engine serves one group is contained to that group's
+/// requests, even on a single executor: the poisoned request gets a typed
+/// `EngineFailed`, the executor thread survives and releases the window's
+/// admission charge, the next request is answered correctly, and
+/// shutdown drains in bounded time.
+#[test]
+fn engine_panic_fails_only_its_request_and_server_keeps_serving() {
+    let g = generators::grid(6, 6);
+    let chaos = EdgeId::new(3);
+    let handle = spawn_server_with(
+        &g,
+        EngineConfig {
+            chaos_panic_edge: Some(chaos),
+            ..EngineConfig::default()
+        },
+        ServerConfig {
+            executors: 1,
+            window: Duration::from_millis(20),
+            pending_budget: 8,
+            ..ServerConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let poisoned = QueryRequestFrame {
+        request_id: 1,
+        tenant_id: 1,
+        faults: vec![EdgeId::new(0), chaos],
+        queries: vec![(VertexId::new(0), VertexId::new(35)); 4],
+        ttl_ms: 0,
+    };
+    send_request(&mut stream, &poisoned);
+    let resp = read_response_within(&mut stream, Duration::from_secs(20));
+    assert_eq!(resp.request_id, 1);
+    assert_eq!(resp.status, ResponseStatus::EngineFailed);
+
+    // The same executor answers the next request, and answers it right.
+    // It carries the whole budget: had the poisoned window's charge not
+    // been released, this would bounce with `ServerBusy`.
+    let faults = vec![EdgeId::new(5), EdgeId::new(17)];
+    let pairs: Vec<(VertexId, VertexId)> = (0..8)
+        .map(|i| (VertexId::new(i), VertexId::new(35 - 3 * i)))
+        .collect();
+    let clean = QueryRequestFrame {
+        request_id: 2,
+        tenant_id: 1,
+        faults: faults.clone(),
+        queries: pairs.clone(),
+        ttl_ms: 0,
+    };
+    send_request(&mut stream, &clean);
+    let resp = read_response_within(&mut stream, Duration::from_secs(20));
+    assert_eq!(resp.request_id, 2);
+    let ResponseStatus::Ok(answers) = resp.status else {
+        panic!("clean request after a contained panic: {:?}", resp.status);
+    };
+    let mask = ftl_graph::traversal::forbidden_mask(&g, &faults);
+    for (&(s, t), &connected) in pairs.iter().zip(&answers) {
+        assert_eq!(
+            connected,
+            ftl_graph::traversal::connected_avoiding(&g, s, t, &mask),
+            "({s:?}, {t:?}) disagrees with BFS"
+        );
+    }
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        let _ = tx.send(handle.shutdown());
+    });
+    let stats = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("shutdown hung after a contained engine panic");
+    drainer.join().unwrap();
     assert_eq!(stats.engine_errors, 1);
     assert_eq!(stats.requests, 1);
 }

@@ -81,7 +81,6 @@ fn mid_load_scrape_returns_every_documented_series_and_parses() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_millis(2),
             ..ServerConfig::default()
         },
