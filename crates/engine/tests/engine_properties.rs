@@ -412,6 +412,66 @@ fn threads_sharing_one_frozen_store_agree_with_serial() {
     }
 }
 
+/// A store whose sidecar places nothing serves every record through the
+/// per-record wire fallback, and answers identically to a sidecar engine
+/// over the same labels. One record at a far-out id per namespace makes
+/// both id spaces too sparse for the dense sidecar arrays, so an ordinary
+/// `freeze` leaves the whole store wire-only.
+#[test]
+fn wire_only_freeze_serves_identically_without_sidecar() {
+    use ftl_engine::{LabelStoreBuilder, StoreKey};
+    let g = generators::grid(4, 4);
+    let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(6)).unwrap();
+    let mut builder = LabelStoreBuilder::new(4);
+    for i in 0..g.num_vertices() {
+        let v = VertexId::new(i);
+        builder
+            .put_vertex_label(v, &scheme.vertex_label(v))
+            .unwrap();
+    }
+    for i in 0..g.num_edges() {
+        let e = EdgeId::new(i);
+        builder.put_edge_label(e, &scheme.edge_label(e)).unwrap();
+    }
+    let far = 1_000_000;
+    builder
+        .put_vertex_label(VertexId::new(far), &scheme.vertex_label(VertexId::new(0)))
+        .unwrap();
+    builder
+        .put_edge_label(EdgeId::new(far), &scheme.edge_label(EdgeId::new(0)))
+        .unwrap();
+    let store = builder.freeze();
+    assert_eq!(store.sidecar().decoded_vertices(), 0);
+    assert_eq!(store.sidecar().decoded_edges(), 0);
+    assert!(store
+        .get_bytes(StoreKey::vertex(VertexId::new(0)))
+        .is_some());
+    let config = EngineConfig {
+        collect_certificates: true,
+        ..EngineConfig::default()
+    };
+    let mut wire_engine = Engine::new(store, config);
+    let mut sidecar_engine = Engine::from_cycle_space(&scheme, config).unwrap();
+    assert_eq!(
+        sidecar_engine.store().sidecar().decoded_edges(),
+        g.num_edges()
+    );
+    let mut rng = StdRng::seed_from_u64(0xF00);
+    for trial in 0..4 {
+        let fault_sets = random_fault_sets(&g, 2, 4, &mut rng);
+        let queries = random_queries(&g, 80, fault_sets.len(), &mut rng);
+        let req = BatchRequest {
+            fault_sets,
+            queries,
+        };
+        assert_eq!(
+            wire_engine.execute(&req).unwrap().results,
+            sidecar_engine.execute(&req).unwrap().results,
+            "trial {trial}"
+        );
+    }
+}
+
 /// A fault set naming a missing edge is rejected by both entry points even
 /// when no query references it: the indexed call fails as a whole, and as
 /// a zero-query group it fails its own slot.

@@ -81,6 +81,42 @@ fn grouped_agrees_with_indexed_execute() {
     assert_eq!(grouped.stats.cache_hits, 3);
 }
 
+/// Several engines on their own threads over one shared store — the shape
+/// of a server with several executors — each match a serial reference
+/// engine group for group, and each eliminates every distinct fault set
+/// exactly once: on its first call, never again on a cache-warm replay.
+#[test]
+fn par_grouped_matches_serial_and_eliminates_once_per_group() {
+    use std::sync::Arc;
+    let (g, scheme) = scheme();
+    let config = EngineConfig::default();
+    let mut serial = Engine::from_cycle_space(&scheme, config).unwrap();
+    let store = serial.shared_store();
+    let groups = Arc::new(groups(&g));
+    let expected = Arc::new(serial.execute_grouped(&groups).groups);
+    assert!(expected.iter().all(|gr| gr.is_ok()));
+    let handles: Vec<_> = (0..3)
+        .map(|worker| {
+            let store = Arc::clone(&store);
+            let groups = Arc::clone(&groups);
+            let expected = Arc::clone(&expected);
+            std::thread::spawn(move || {
+                let mut engine = Engine::with_shared(store, config);
+                let cold = engine.execute_grouped(&groups);
+                assert_eq!(cold.groups, *expected, "worker {worker} cold");
+                assert_eq!(cold.stats.eliminations, 3, "worker {worker}");
+                let warm = engine.execute_grouped(&groups);
+                assert_eq!(warm.groups, *expected, "worker {worker} warm");
+                assert_eq!(warm.stats.eliminations, 0, "worker {worker}");
+                assert_eq!(warm.stats.cache_hits, 3, "worker {worker}");
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("worker thread panicked");
+    }
+}
+
 /// `execute_grouped_into` over a reused response gives the same answers as
 /// a fresh `execute_grouped`, whatever the previous call left in it: more
 /// groups, fewer groups, or failed groups.
