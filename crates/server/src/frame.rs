@@ -15,10 +15,14 @@
 //! accounting, and zero-padding enforcement. A corrupted frame decodes to
 //! a typed [`WireError`] — never a panic, never a silent misparse.
 //!
-//! Reads are *interruptible*: [`read_frame`] tolerates read timeouts
-//! (polling the caller's stop flag between attempts) and keeps partial
-//! fills, so a socket configured with a short read timeout can observe
-//! server shutdown without ever desynchronizing mid-frame.
+//! One framing implementation, [`FrameReader`], reads every stream: the
+//! server's readers keep one per connection and take every frame a single
+//! `read` delivered, while [`read_frame`] and [`read_frame_deadline`] are
+//! one-shot wrappers that read no byte past their frame. Reads are
+//! *interruptible*: they tolerate read timeouts (polling the caller's stop
+//! flag or deadline between attempts) and keep partial fills, so a socket
+//! configured with a short read timeout can observe server shutdown
+//! without ever desynchronizing mid-frame.
 
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::wire::{LabelKind, WireError, WireLabel, WireReader, WireWriter};
@@ -88,11 +92,21 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all` of prefix
+/// and body, so it leaves as one send (one TCP segment under
+/// `TCP_NODELAY`), not two.
 pub fn write_frame(w: &mut impl Write, record: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(record.len() as u32).to_le_bytes())?;
-    w.write_all(record)?;
+    let mut framed = Vec::with_capacity(4 + record.len());
+    push_frame(&mut framed, record);
+    w.write_all(&framed)?;
     w.flush()
+}
+
+/// Appends one length-prefixed frame to `out` — how a run of responses
+/// for one connection is built before its single write.
+pub fn push_frame(out: &mut Vec<u8>, record: &[u8]) {
+    out.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    out.extend_from_slice(record);
 }
 
 /// Reads one length-prefixed frame body (the wire record bytes).
@@ -102,12 +116,15 @@ pub fn write_frame(w: &mut impl Write, record: &[u8]) -> std::io::Result<()> {
 /// many reads still assembles correctly. EOF exactly at a frame boundary
 /// is a clean [`FrameError::Closed`]; EOF anywhere inside a frame is
 /// [`FrameError::Truncated`].
+///
+/// A one-shot [`FrameReader`]: it reads no byte past the frame, so the
+/// stream stays positioned at the next frame for the next call.
 pub fn read_frame(
     r: &mut impl Read,
     max_bytes: usize,
     stop: &AtomicBool,
 ) -> Result<Vec<u8>, FrameError> {
-    read_frame_with(r, max_bytes, &mut || {
+    FrameReader::new(max_bytes).into_one_frame(r, &mut || {
         stop.load(Ordering::Relaxed).then_some(FrameError::Stopped)
     })
 }
@@ -124,59 +141,154 @@ pub fn read_frame_deadline(
     max_bytes: usize,
     deadline: std::time::Instant,
 ) -> Result<Vec<u8>, FrameError> {
-    read_frame_with(r, max_bytes, &mut || {
+    FrameReader::new(max_bytes).into_one_frame(r, &mut || {
         (std::time::Instant::now() >= deadline).then_some(FrameError::TimedOut)
     })
 }
 
-fn read_frame_with(
-    r: &mut impl Read,
-    max_bytes: usize,
-    give_up: &mut impl FnMut() -> Option<FrameError>,
-) -> Result<Vec<u8>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    read_full(r, &mut len_buf, give_up, true)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len as usize > max_bytes {
-        return Err(FrameError::Oversized {
-            len,
-            max: max_bytes as u32,
-        });
-    }
-    let mut body = vec![0u8; len as usize];
-    read_full(r, &mut body, give_up, false)?;
-    Ok(body)
+/// Bytes one buffered read may pull at once; the buffer grows past this
+/// only to hold a single frame larger than it.
+const READ_CHUNK: usize = 64 << 10;
+
+/// The one framing implementation: a buffered reader that yields frames
+/// as slices of its own buffer.
+///
+/// [`next_frame`](FrameReader::next_frame) returns a frame already
+/// buffered without a syscall; otherwise one `read` pulls as many bytes as
+/// the stream holds, so a client that pipelines requests costs one read
+/// per burst, not two per request. The buffer is reused for the
+/// connection's life and bounded at `max(64 KiB, max_frame_bytes + 4)`:
+/// a declared length over `max_frame_bytes` is refused as soon as its
+/// prefix is buffered, before the buffer grows for it.
+///
+/// Timeouts keep partial fills, exactly like [`read_frame`]; EOF at a frame
+/// boundary is [`FrameError::Closed`], inside one [`FrameError::Truncated`].
+/// The stop flag is checked only before a read, never while a complete
+/// frame is buffered.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the first unconsumed byte.
+    start: usize,
+    /// End of the filled bytes.
+    end: usize,
+    max_frame: usize,
 }
 
-/// Fills `buf` completely, retrying through timeouts. `at_boundary` marks
-/// whether EOF before the first byte is a clean close.
-fn read_full(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    give_up: &mut impl FnMut() -> Option<FrameError>,
-    at_boundary: bool,
-) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if let Some(e) = give_up() {
-            return Err(e);
-        }
-        let Some(rest) = buf.get_mut(filled..) else {
-            return Err(FrameError::Io(ErrorKind::InvalidInput));
-        };
-        match r.read(rest) {
-            Ok(0) if filled == 0 && at_boundary => return Err(FrameError::Closed),
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(FrameError::Io(e.kind())),
+impl FrameReader {
+    /// An empty reader refusing frames longer than `max_frame_bytes`.
+    pub fn new(max_frame_bytes: usize) -> Self {
+        FrameReader {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            max_frame: max_frame_bytes,
         }
     }
-    Ok(())
+
+    /// The next frame body: from the buffer if one is complete there,
+    /// otherwise after as many reads as it takes, each pulling whatever
+    /// the stream holds.
+    pub fn next_frame(
+        &mut self,
+        r: &mut impl Read,
+        stop: &AtomicBool,
+    ) -> Result<&[u8], FrameError> {
+        let body = self.frame_with(r, true, &mut || {
+            stop.load(Ordering::Relaxed).then_some(FrameError::Stopped)
+        })?;
+        Ok(self.buf.get(body).unwrap_or_default())
+    }
+
+    /// Whether [`next_frame`](FrameReader::next_frame) would return
+    /// without touching the stream: a complete frame, or a prefix it will
+    /// refuse, is buffered.
+    pub fn has_buffered_frame(&self) -> bool {
+        !matches!(self.buffered(), Ok(None))
+    }
+
+    /// The head frame's declared length, once its prefix is buffered.
+    fn head_len(&self) -> Option<u32> {
+        let filled = self.buf.get(self.start..self.end)?;
+        let prefix = <[u8; 4]>::try_from(filled.get(..4)?).ok()?;
+        Some(u32::from_le_bytes(prefix))
+    }
+
+    /// The head frame's body range in `buf`, if the frame is complete. A
+    /// declared length over the ceiling is an error as soon as the prefix
+    /// is buffered.
+    fn buffered(&self) -> Result<Option<std::ops::Range<usize>>, FrameError> {
+        let Some(len) = self.head_len() else {
+            return Ok(None);
+        };
+        if len as usize > self.max_frame {
+            return Err(FrameError::Oversized {
+                len,
+                max: self.max_frame as u32,
+            });
+        }
+        let body = self.start + 4..self.start + 4 + len as usize;
+        Ok((body.end <= self.end).then_some(body))
+    }
+
+    /// Returns the next frame's body range, reading until one is complete.
+    /// `greedy` reads as much as the stream holds; otherwise no byte past
+    /// the head frame is read.
+    fn frame_with(
+        &mut self,
+        r: &mut impl Read,
+        greedy: bool,
+        give_up: &mut impl FnMut() -> Option<FrameError>,
+    ) -> Result<std::ops::Range<usize>, FrameError> {
+        loop {
+            if let Some(body) = self.buffered()? {
+                self.start = body.end;
+                return Ok(body);
+            }
+            if let Some(e) = give_up() {
+                return Err(e);
+            }
+            // Move the partial head frame to the front, then make room for
+            // all of it (≤ max_frame + 4, checked above) and, when greedy,
+            // for a full read chunk.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            // Within the ceiling: `buffered` refused anything longer.
+            let need = 4 + self.head_len().map_or(0, |len| len as usize);
+            let want = if greedy { need.max(READ_CHUNK) } else { need };
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            let Some(room) = self.buf.get_mut(self.end..want) else {
+                return Err(FrameError::Io(ErrorKind::InvalidInput));
+            };
+            match r.read(room) {
+                Ok(0) if self.end == 0 => return Err(FrameError::Closed),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => self.end += n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(FrameError::Io(e.kind())),
+            }
+        }
+    }
+
+    /// Reads exactly one frame and returns its body in the reader's own
+    /// buffer, reading no byte past it.
+    fn into_one_frame(
+        mut self,
+        r: &mut impl Read,
+        give_up: &mut impl FnMut() -> Option<FrameError>,
+    ) -> Result<Vec<u8>, FrameError> {
+        let body = self.frame_with(r, false, give_up)?;
+        self.buf.truncate(body.end);
+        self.buf.drain(..body.start);
+        Ok(self.buf)
+    }
 }
 
 /// One connectivity request: a fault set and a list of `(s, t)` queries,

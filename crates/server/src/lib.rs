@@ -21,8 +21,9 @@
 //!   registry, the accumulation-window batcher with a bounded
 //!   pending-query budget (admission control answers `ServerBusy` instead
 //!   of queueing unboundedly), and executor threads that pin an epoch per
-//!   window via `over_epochs` engines. Shutdown drains in-flight windows
-//!   before the executors exit.
+//!   fault-set group via `over_epochs` engines and answer each connection
+//!   with one coalesced write per window. Shutdown drains in-flight
+//!   windows before the executors exit.
 //! * [`stats`] — per-tenant counters (requests, queries, rejects) with
 //!   nearest-rank p50/p99 service latency, plus server-wide batch and
 //!   error counters.

@@ -8,16 +8,18 @@
 //! different shards.
 //!
 //! A [`ConnWriter`] holds the write half (a `try_clone` of the stream)
-//! behind a poison-recovering slot (`locked::Slot`), because two executors can finish windows carrying
-//! responses for the *same* connection concurrently — the slot makes each
-//! response frame atomic on the stream.
+//! behind a poison-recovering slot (`locked::Slot`), because two executors
+//! can finish windows carrying responses for the *same* connection
+//! concurrently — the slot makes each write atomic on the stream, whether
+//! it carries one frame ([`send`](ConnWriter::send)) or a window's whole
+//! run of them ([`send_framed`](ConnWriter::send_framed)).
 //!
 //! Frame atomicity survives *failure*, too: a write that errors mid-frame
 //! (a timeout against a stalled reader, a reset) may have left a torn
 //! frame on the stream, so the writer latches a dead flag under the same
-//! slot and every later [`send`](ConnWriter::send) is refused without
-//! touching the socket. The torn frame is therefore the last bytes the
-//! client can ever observe — no complete-looking frame can follow garbage.
+//! slot and every later send is refused without touching the socket. The
+//! torn frame is therefore the last bytes the client can ever observe — no
+//! complete-looking frame can follow garbage.
 
 use crate::frame::write_frame;
 use crate::locked::Slot;
@@ -38,24 +40,33 @@ struct WriteState<S> {
     dead: bool,
 }
 
-/// Sends one frame, refusing if an earlier send failed (the stream may
+/// Runs one write, refusing if an earlier one failed (the stream may
 /// carry a torn frame) and latching the dead flag if this one fails.
-/// Generic over the sink so the every-byte-boundary kill test below can
+/// Generic over the sink so the every-byte-boundary kill tests below can
 /// drive it without a socket.
-fn send_locked<S: Write>(state: &mut WriteState<S>, record: &[u8]) -> std::io::Result<()> {
+fn send_locked<S: Write>(
+    state: &mut WriteState<S>,
+    write: impl FnOnce(&mut S) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     if state.dead {
         return Err(std::io::Error::new(
             std::io::ErrorKind::BrokenPipe,
             "write half poisoned by an earlier failed write",
         ));
     }
-    match write_frame(&mut state.stream, record) {
+    match write(&mut state.stream) {
         Ok(()) => Ok(()),
         Err(e) => {
             state.dead = true;
             Err(e)
         }
     }
+}
+
+/// Writes bytes that are already framed, as one `write_all`.
+fn write_framed(w: &mut impl Write, framed: &[u8]) -> std::io::Result<()> {
+    w.write_all(framed)?;
+    w.flush()
 }
 
 /// The write half of one registered connection.
@@ -75,7 +86,21 @@ impl ConnWriter {
     /// unrecoverable afterwards, so this writer refuses every subsequent
     /// send (`BrokenPipe`) and the caller must drop the connection.
     pub fn send(&self, record: &[u8]) -> std::io::Result<()> {
-        self.state.with(|s| send_locked(s, record))
+        self.state
+            .with(|s| send_locked(s, |w| write_frame(w, record)))
+    }
+
+    /// Writes a run of frames already length-prefixed back to back (see
+    /// [`push_frame`](crate::frame::push_frame)) with one write — how an
+    /// executor answers all of one connection's requests in a window.
+    ///
+    /// Same contract as [`send`](ConnWriter::send): the run is atomic
+    /// against other senders, bounded by the write timeout, and a failure
+    /// anywhere in it poisons the writer, so a torn run is the last thing
+    /// the client can observe.
+    pub fn send_framed(&self, framed: &[u8]) -> std::io::Result<()> {
+        self.state
+            .with(|s| send_locked(s, |w| write_framed(w, framed)))
     }
 
     /// Shuts both halves of the socket down (best effort), so the
@@ -166,6 +191,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::push_frame;
 
     /// A sink that accepts exactly `budget` bytes and then fails every
     /// write with `TimedOut` — the shape of a response write dying
@@ -212,7 +238,7 @@ mod tests {
                 },
                 dead: false,
             };
-            let err = send_locked(&mut state, &record).unwrap_err();
+            let err = send_locked(&mut state, |w| write_frame(w, &record)).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
             assert!(state.dead, "a failed send must latch the dead flag");
             assert_eq!(
@@ -225,12 +251,56 @@ mod tests {
             // appear after the torn frame, even though the sink would now
             // accept writes again.
             state.stream.budget = usize::MAX;
-            let refused = send_locked(&mut state, &record).unwrap_err();
+            let refused = send_locked(&mut state, |w| write_frame(w, &record)).unwrap_err();
             assert_eq!(refused.kind(), std::io::ErrorKind::BrokenPipe);
             assert_eq!(
                 state.stream.out,
                 framed.get(..cut).unwrap_or(&framed),
                 "cut at byte {cut}: refused send must not touch the stream"
+            );
+        }
+    }
+
+    /// The same proof for a coalesced run: kill a 3-frame `send_framed`
+    /// run at every byte boundary. The stream holds a strict prefix of the
+    /// run, and the next send of either shape is refused without touching
+    /// it.
+    #[test]
+    fn killed_run_never_leaves_bytes_after_a_torn_frame() {
+        let mut run = Vec::new();
+        for len in [32u8, 1, 17] {
+            push_frame(&mut run, &(0..len).collect::<Vec<u8>>());
+        }
+        let single: Vec<u8> = (0u8..8).collect();
+
+        for cut in 0..run.len() {
+            let mut state = WriteState {
+                stream: KillAt {
+                    out: Vec::new(),
+                    budget: cut,
+                },
+                dead: false,
+            };
+            let err = send_locked(&mut state, |w| write_framed(w, &run)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+            assert!(state.dead, "a failed run must latch the dead flag");
+            assert_eq!(
+                state.stream.out,
+                run.get(..cut).unwrap_or(&run),
+                "cut at byte {cut}: stream must hold a strict prefix of the run"
+            );
+
+            state.stream.budget = usize::MAX;
+            for refused in [
+                send_locked(&mut state, |w| write_framed(w, &run)),
+                send_locked(&mut state, |w| write_frame(w, &single)),
+            ] {
+                assert_eq!(refused.unwrap_err().kind(), std::io::ErrorKind::BrokenPipe);
+            }
+            assert_eq!(
+                state.stream.out,
+                run.get(..cut).unwrap_or(&run),
+                "cut at byte {cut}: refused sends must not touch the stream"
             );
         }
     }
@@ -250,9 +320,9 @@ mod tests {
             },
             dead: false,
         };
-        send_locked(&mut state, &record).unwrap();
-        send_locked(&mut state, &record).unwrap();
+        send_locked(&mut state, |w| write_frame(w, &record)).unwrap();
+        send_locked(&mut state, |w| write_framed(w, &framed)).unwrap();
         assert!(!state.dead);
-        assert_eq!(state.stream.out.len(), framed.len() * 2);
+        assert_eq!(state.stream.out, [framed.clone(), framed].concat());
     }
 }

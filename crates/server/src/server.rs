@@ -5,16 +5,21 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ reader (1 per connection)
-//!                         │ decode frame → admission check → submit
+//!                         │ one read → decode every frame it delivered
+//!                         │ → submit_all (one lock, per-request admission)
 //!                         ▼
 //!                      Batcher (accumulation window, bounded budget)
 //!                         │ take window
 //!                         ▼
 //!                      executor (config.executors threads)
 //!                         │ group by canonical fault-set hash
-//!                         │ Engine::execute_grouped_into (epoch-pinned)
+//!                         │ Engine::execute_grouped_into per group
+//!                         │ (epoch-pinned) → outbox: one run of frames
+//!                         │ per connection
 //!                         ▼
-//!                      Registry ──▶ response frames, demuxed by request id
+//!                      Registry ──▶ one write per connection per window
+//!                                   (more when the window's engine work
+//!                                   outlasts the accumulation window)
 //! ```
 //!
 //! The acceptor polls a nonblocking listener so it can observe the stop
@@ -26,20 +31,20 @@
 //! connection — deregistered, socket shut down — instead of parking the
 //! executor. Shutdown is graceful by construction: stop flag → acceptor
 //! joins every reader (no further submissions) → batcher closes →
-//! executors drain every queued window on the epoch each window pins →
+//! executors drain every queued window on the epochs its groups pin →
 //! handle joins the executors.
 
-use crate::batcher::{Batcher, Pending, SubmitError};
+use crate::batcher::{Batcher, Pending, Refused, SubmitError};
 use crate::frame::{
-    read_frame, FrameError, MetricsRequestFrame, MetricsResponseFrame, QueryRequestFrame,
-    QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
+    push_frame, FrameError, FrameReader, MetricsRequestFrame, MetricsResponseFrame,
+    QueryRequestFrame, QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
 };
-use crate::registry::Registry;
+use crate::registry::{ConnWriter, Registry};
 use crate::stats::{ServerStats, StatsSnapshot};
 use ftl_engine::{
     canonical_fault_hash, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
 };
-use ftl_labels::wire::{LabelKind, WireLabel};
+use ftl_labels::wire::{LabelKind, WireError, WireLabel};
 use ftl_obs::{Span, Stage};
 use ftl_seeded::DetHashMap;
 use std::io::ErrorKind;
@@ -141,11 +146,24 @@ impl Server {
                 .spawn(move || {
                     let mut engine = Engine::over_epochs(epochs, engine_config);
                     let mut resp = GroupedResponse::default();
+                    let mut outbox = Outbox::default();
+                    let sink = Sink {
+                        registry: &registry,
+                        batcher: &batcher,
+                        stats: &stats,
+                    };
                     while let Some(window) = batcher.next_window() {
-                        execute_window(&mut engine, &mut resp, &window, &registry, &stats);
-                        // Only now — responses written — does the window
-                        // stop counting against the admission budget.
-                        batcher.release(window.iter().map(Batcher::charge).sum());
+                        execute_window(
+                            &mut engine,
+                            &mut resp,
+                            &mut outbox,
+                            &window,
+                            &sink,
+                            config.window,
+                        );
+                        // Every request in the window is answered into the
+                        // outbox; this write hands their charge back.
+                        outbox.flush(&sink);
                     }
                 })?;
             executors.push(handle);
@@ -280,10 +298,12 @@ fn accept_loop(
     }
 }
 
-/// One connection's read loop: frame → decode → admission → submit.
+/// One connection's read loop: read → decode every frame the read
+/// delivered → admit them under one batcher lock → read again.
 /// Every protocol violation (bad magic, wrong version, oversize length,
 /// truncation, malformed payload) closes the connection — a client that
-/// desynced once can only send garbage afterwards.
+/// desynced once can only send garbage afterwards — but only after the
+/// well-formed frames before it have been admitted.
 fn serve_connection(
     mut stream: TcpStream,
     stop: &AtomicBool,
@@ -306,85 +326,69 @@ fn serve_connection(
     // the handle's problem, not the reader's.
     let mut keep_registered = false;
     let obs = ftl_obs::global();
+    let mut reader = FrameReader::new(config.max_frame_bytes);
+    let mut admit = Admit {
+        batch: Vec::new(),
+        refused: Vec::new(),
+        batcher,
+        writer: &writer,
+        stats,
+    };
     loop {
+        // Every frame the last read delivered is decoded: admit them
+        // before the next read can block.
+        if !reader.has_buffered_frame() && !admit.flush() {
+            break;
+        }
         let frame = {
-            // The frame-read stage brackets the blocking read, so on a
-            // lightly loaded connection it includes the wait for the
-            // client's next request — see docs/observability.md.
+            // One sample per frame: a frame already buffered costs no
+            // syscall; the one that needs a read includes the wait for
+            // the client's next bytes — see docs/observability.md.
             let _span = Span::enter(&obs.stages, Stage::FrameRead);
-            read_frame(&mut stream, config.max_frame_bytes, stop)
+            reader.next_frame(&mut stream, stop).map(decode_request)
         };
         match frame {
+            Ok(Ok(Request::Query(req))) => {
+                // The TTL is anchored here, at decode: the server's clock,
+                // not the client's, measures the budget.
+                let now = Instant::now();
+                let deadline =
+                    (req.ttl_ms > 0).then(|| now + Duration::from_millis(req.ttl_ms as u64));
+                admit.batch.push(Pending {
+                    conn,
+                    request_id: req.request_id,
+                    tenant: req.tenant_id,
+                    faults: req.faults,
+                    queries: req.queries,
+                    enqueued: now, // restamped at admission
+                    deadline,
+                });
+            }
             // The admin plane: a metrics scrape is answered inline by the
             // reader thread, bypassing admission control and the batching
-            // pipeline (it must work *because* the data plane is full).
-            Ok(record) if record.get(3) == Some(&(LabelKind::MetricsRequest as u8)) => {
-                match MetricsRequestFrame::from_wire(&record) {
-                    Ok(req) => {
-                        let frame = MetricsResponseFrame {
-                            request_id: req.request_id,
-                            text: stats.render_text(),
-                        };
-                        if writer.send(&frame.to_wire()).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        stats.record_frame_error();
-                        break;
-                    }
-                }
-            }
-            Ok(record) => match QueryRequestFrame::from_wire(&record) {
-                Ok(req) => {
-                    let (request_id, tenant) = (req.request_id, req.tenant_id);
-                    // The TTL is anchored here, at decode: the server's
-                    // clock, not the client's, measures the budget.
-                    let now = Instant::now();
-                    let deadline =
-                        (req.ttl_ms > 0).then(|| now + Duration::from_millis(req.ttl_ms as u64));
-                    let submitted = {
-                        let _span = Span::enter(&obs.stages, Stage::Admission);
-                        batcher.submit(Pending {
-                            conn,
-                            request_id,
-                            tenant,
-                            faults: req.faults,
-                            queries: req.queries,
-                            enqueued: now,
-                            deadline,
-                        })
-                    };
-                    let reject = match submitted {
-                        Ok(()) => continue,
-                        Err(SubmitError::Busy { pending, budget }) => {
-                            stats.record_reject(tenant);
-                            ResponseStatus::ServerBusy { pending, budget }
-                        }
-                        Err(SubmitError::ShuttingDown) => ResponseStatus::ShuttingDown,
-                    };
-                    let done = matches!(reject, ResponseStatus::ShuttingDown);
-                    let frame = QueryResponseFrame {
-                        request_id,
-                        epoch: 0,
-                        status: reject,
-                    };
-                    if writer.send(&frame.to_wire()).is_err() || done {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    stats.record_frame_error();
+            // pipeline (it must work *because* the data plane is full) —
+            // after the requests read before it, so inline answers keep
+            // arrival order.
+            Ok(Ok(Request::Metrics(req))) => {
+                if !admit.flush() {
                     break;
                 }
-            },
+                let frame = MetricsResponseFrame {
+                    request_id: req.request_id,
+                    text: stats.render_text(),
+                };
+                if writer.send(&frame.to_wire()).is_err() {
+                    break;
+                }
+            }
             Err(FrameError::Closed) => break,
             Err(FrameError::Stopped) => {
                 keep_registered = true;
                 break;
             }
-            Err(_) => {
+            Ok(Err(_)) | Err(_) => {
                 stats.record_frame_error();
+                admit.flush();
                 break;
             }
         }
@@ -394,16 +398,95 @@ fn serve_connection(
     }
 }
 
+/// A decoded request frame.
+enum Request {
+    Query(QueryRequestFrame),
+    Metrics(MetricsRequestFrame),
+}
+
+fn decode_request(record: &[u8]) -> Result<Request, WireError> {
+    if record.get(3) == Some(&(LabelKind::MetricsRequest as u8)) {
+        MetricsRequestFrame::from_wire(record).map(Request::Metrics)
+    } else {
+        QueryRequestFrame::from_wire(record).map(Request::Query)
+    }
+}
+
+/// A reader's decoded-but-not-yet-admitted requests, and where to answer
+/// the ones admission refuses. Both buffers are reused across reads.
+struct Admit<'a> {
+    batch: Vec<Pending>,
+    refused: Vec<Refused>,
+    batcher: &'a Batcher,
+    writer: &'a ConnWriter,
+    stats: &'a ServerStats,
+}
+
+impl Admit<'_> {
+    /// Admits the batch under one batcher lock and answers each refused
+    /// request inline, in arrival order. Returns whether the connection
+    /// stays open: not after a failed write or once the server drains.
+    fn flush(&mut self) -> bool {
+        let n = self.batch.len() as u64;
+        if n == 0 {
+            return true;
+        }
+        // Service latency starts at admission, as for a lone request.
+        let t0 = Instant::now();
+        for p in &mut self.batch {
+            p.enqueued = t0;
+        }
+        self.batcher.submit_all(&mut self.batch, &mut self.refused);
+        // Admission stage: one sample per request, the lock hold
+        // amortized over the requests it admitted.
+        let per_request = t0.elapsed().as_nanos() as u64 / n;
+        let stages = &ftl_obs::global().stages;
+        for _ in 0..n {
+            stages.record(Stage::Admission, per_request);
+        }
+        let (mut written, mut draining) = (true, false);
+        for r in self.refused.drain(..) {
+            let status = match r.error {
+                SubmitError::Busy { pending, budget } => {
+                    self.stats.record_reject(r.tenant);
+                    ResponseStatus::ServerBusy { pending, budget }
+                }
+                SubmitError::ShuttingDown => {
+                    draining = true;
+                    ResponseStatus::ShuttingDown
+                }
+            };
+            let frame = QueryResponseFrame {
+                request_id: r.request_id,
+                epoch: 0,
+                status,
+            };
+            written = written && self.writer.send(&frame.to_wire()).is_ok();
+        }
+        written && !draining
+    }
+}
+
 /// Executes one accumulation window: group by canonical fault-set hash,
 /// run the engine once per distinct fault set (into the executor's reused
-/// response), demux responses by request id.
+/// response), and answer every request into the executor's outbox, which
+/// the caller flushes — one write per connection in the window.
+///
+/// An answer never waits behind more than `flush_after` (the accumulation
+/// window) of further engine work: when the groups take longer than that
+/// (cold fault sets, each a full elimination), the outbox is flushed
+/// between groups. Clients then see their answers — and send their next
+/// requests, which another executor can take — while this window is still
+/// executing, instead of all at once at its end.
 fn execute_window(
     engine: &mut Engine,
     resp: &mut GroupedResponse,
+    outbox: &mut Outbox,
     window: &[Pending],
-    registry: &Registry,
-    stats: &ServerStats,
+    sink: &Sink<'_>,
+    flush_after: Duration,
 ) {
+    let stats = sink.stats;
     let obs = ftl_obs::global();
     // Window-wait stage: admission to the executor picking the window up.
     for p in window {
@@ -417,7 +500,7 @@ fn execute_window(
     let now = Instant::now();
     for p in window.iter().filter(|p| p.expired_at(now)) {
         stats.record_deadline_drop();
-        respond(registry, p, 0, ResponseStatus::DeadlineExceeded, stats);
+        outbox.reply(p, 0, ResponseStatus::DeadlineExceeded);
     }
     let mut by_hash: DetHashMap<u64, usize> = DetHashMap::default();
     let mut groups: Vec<FaultSetBatch> = Vec::new();
@@ -443,63 +526,174 @@ fn execute_window(
             m.push(i);
         }
     }
-
+    // With every request expired there is nothing to execute, only the
+    // expiries to send.
     if groups.is_empty() {
-        // Every request in the window had expired — nothing to execute.
         return;
     }
-    let engine_t0 = Instant::now();
-    engine.execute_grouped_into(&groups, resp);
+
+    let mut engine_ns = 0u64;
+    let mut last_flush = Instant::now();
+    for (group, member_idxs) in groups.iter().zip(&members) {
+        // One group per call: each group's answers come back on the epoch
+        // that call pinned, stamped in its responses.
+        let engine_t0 = Instant::now();
+        engine.execute_grouped_into(std::slice::from_ref(group), resp);
+        engine_ns += engine_t0.elapsed().as_nanos() as u64;
+        let (epoch, result) = (resp.stats.epoch, resp.groups.first());
+        let mut cursor = 0usize;
+        for &wi in member_idxs {
+            let Some(p) = window.get(wi) else { continue };
+            let n = p.queries.len();
+            let slice = result
+                .and_then(|r| r.as_ref().ok())
+                .and_then(|a| a.get(cursor..cursor + n));
+            cursor += n;
+            // Per-query isolation: a request fails alone if any of *its
+            // own* queries errored (out-of-range vertex id); co-batched
+            // requests sharing the fault set keep their answers. A failed
+            // group fails all its members.
+            let status = match slice {
+                Some(rs) if rs.iter().all(|r| r.is_ok()) => ResponseStatus::Ok(
+                    rs.iter()
+                        .map(|r| r.as_ref().is_ok_and(|q| q.connected))
+                        .collect(),
+                ),
+                _ => {
+                    stats.record_engine_error();
+                    ResponseStatus::EngineFailed
+                }
+            };
+            outbox.reply(p, epoch, status);
+        }
+        if last_flush.elapsed() >= flush_after {
+            outbox.flush(sink);
+            last_flush = Instant::now();
+        }
+    }
     // Answer stage: engine time amortized per query, recorded once per
     // window (per-query clock reads would dominate the ~16 ns answers).
     let total_queries: u64 = groups.iter().map(|g| g.queries.len() as u64).sum();
-    if let Some(per_query) = (engine_t0.elapsed().as_nanos() as u64).checked_div(total_queries) {
+    if let Some(per_query) = engine_ns.checked_div(total_queries) {
         obs.stages.record(Stage::Answer, per_query);
     }
     stats.record_batch(groups.len());
-    let epoch = resp.stats.epoch;
+}
 
-    for (gi, result) in resp.groups.iter().enumerate() {
-        let Some(member_idxs) = members.get(gi) else {
-            continue;
+/// Bytes of encoded responses an executor keeps allocated between windows;
+/// a larger window's buffer is released after its writes.
+const OUTBOX_KEEP_BYTES: usize = 256 << 10;
+
+/// Where answers go: the connections' writers, the budget their charge
+/// returns to, and the counters.
+struct Sink<'a> {
+    registry: &'a Registry,
+    batcher: &'a Batcher,
+    stats: &'a ServerStats,
+}
+
+impl Sink<'_> {
+    /// Forfeits a connection whose write failed: the write half carries
+    /// [`ServerConfig::write_timeout`], so a client that stopped reading
+    /// its responses (full TCP window) surfaces as a timeout after at most
+    /// that bound, and a timed-out write may have left a partial frame on
+    /// the stream. The connection is deregistered — answers still due to
+    /// it in other executors' windows are dropped instantly instead of
+    /// each eating another timeout — its queued backlog is purged with its
+    /// charge, and the socket is shut down so the reader thread exits too.
+    fn forfeit(&self, conn: u64, writer: &ConnWriter) {
+        self.stats.record_slow_drop();
+        self.registry.deregister(conn);
+        writer.shutdown();
+        self.batcher.purge(conn);
+    }
+}
+
+/// One executor's reused response buffers. A window's responses are
+/// collected here, then each connection's run of frames goes out in one
+/// [`ConnWriter::send_framed`] — one syscall per connection per window
+/// instead of one per response.
+#[derive(Default)]
+struct Outbox {
+    replies: Vec<Reply>,
+    bytes: Vec<u8>,
+    /// Budget charge of the requests in `replies`.
+    charge: usize,
+}
+
+/// One encoded response waiting for its connection's write.
+struct Reply {
+    conn: u64,
+    record: Vec<u8>,
+    /// `(tenant, queries, enqueued)` of a served request, for the latency
+    /// recorded after the write.
+    served: Option<(u32, usize, Instant)>,
+}
+
+impl Outbox {
+    fn reply(&mut self, p: &Pending, epoch: u64, status: ResponseStatus) {
+        let served = match &status {
+            ResponseStatus::Ok(answers) => Some((p.tenant, answers.len(), p.enqueued)),
+            _ => None,
         };
-        match result {
-            Ok(answers) => {
-                let mut cursor = 0usize;
-                for &wi in member_idxs {
-                    let Some(p) = window.get(wi) else { continue };
-                    let n = p.queries.len();
-                    let slice = answers.get(cursor..cursor + n);
-                    cursor += n;
-                    // Per-query isolation: a request fails alone if any of
-                    // *its own* queries errored (out-of-range vertex id);
-                    // co-batched requests sharing the fault set keep their
-                    // answers.
-                    let status = match slice {
-                        Some(rs) if rs.iter().all(|r| r.is_ok()) => ResponseStatus::Ok(
-                            rs.iter()
-                                .map(|r| r.as_ref().is_ok_and(|q| q.connected))
-                                .collect(),
-                        ),
-                        _ => ResponseStatus::EngineFailed,
-                    };
-                    let ok_queries = matches!(status, ResponseStatus::Ok(_)).then_some(n);
-                    respond(registry, p, epoch, status, stats);
-                    match ok_queries {
-                        Some(n) => {
-                            stats.record_ok(p.tenant, n, p.enqueued.elapsed().as_nanos() as u64)
-                        }
-                        None => stats.record_engine_error(),
-                    }
+        let frame = QueryResponseFrame {
+            request_id: p.request_id,
+            epoch,
+            status,
+        };
+        self.replies.push(Reply {
+            conn: p.conn,
+            record: frame.to_wire(),
+            served,
+        });
+        self.charge += Batcher::charge(p);
+    }
+
+    /// Returns the answered requests' charge to the budget, then writes
+    /// each connection's run with one send and records the served
+    /// requests' latency (after the write, as seen by the client). The
+    /// charge goes back first so a client holding an answer never finds
+    /// that request still counted against the budget.
+    ///
+    /// A vanished connection (already deregistered) just drops its run —
+    /// the client is gone. A *failed* write forfeits the connection (see
+    /// [`Sink::forfeit`]); the other connections in the window get their
+    /// runs as usual.
+    fn flush(&mut self, sink: &Sink<'_>) {
+        let Outbox {
+            replies,
+            bytes,
+            charge,
+        } = self;
+        sink.batcher.release(std::mem::take(charge));
+        // A stable sort: each connection's run keeps reply order.
+        replies.sort_by_key(|r| r.conn);
+        for run in replies.chunk_by(|a, b| a.conn == b.conn) {
+            let Some(conn) = run.first().map(|r| r.conn) else {
+                continue;
+            };
+            if let Some(writer) = sink.registry.get(conn) {
+                bytes.clear();
+                for r in run {
+                    push_frame(bytes, &r.record);
+                }
+                let sent = {
+                    let _span = Span::enter(&ftl_obs::global().stages, Stage::ResponseWrite);
+                    writer.send_framed(bytes)
+                };
+                if sent.is_err() {
+                    sink.forfeit(conn, &writer);
                 }
             }
-            Err(_) => {
-                for &wi in member_idxs {
-                    let Some(p) = window.get(wi) else { continue };
-                    stats.record_engine_error();
-                    respond(registry, p, epoch, ResponseStatus::EngineFailed, stats);
-                }
+            for &(tenant, queries, enqueued) in run.iter().filter_map(|r| r.served.as_ref()) {
+                sink.stats
+                    .record_ok(tenant, queries, enqueued.elapsed().as_nanos() as u64);
             }
+        }
+        replies.clear();
+        if bytes.capacity() > OUTBOX_KEEP_BYTES {
+            bytes.clear();
+            bytes.shrink_to(OUTBOX_KEEP_BYTES);
         }
     }
 }
@@ -514,9 +708,9 @@ fn execute_window(
 /// of them stack). Stuck requests are answered directly from this thread:
 /// `DeadlineExceeded` when the request's TTL has expired, `ServerBusy`
 /// otherwise (the honest signal that the server could not schedule it —
-/// retryable, and both are retried by the resilient client). Their budget charge is
-/// released only after the answers are written, mirroring the executor
-/// flow so admission control never over-admits during a flush.
+/// retryable, and both are retried by the resilient client). As in the
+/// executor flow, their budget charge goes back once their answers are
+/// decided, before the writes.
 fn watchdog_loop(
     stop: &AtomicBool,
     batcher: &Batcher,
@@ -524,6 +718,11 @@ fn watchdog_loop(
     stats: &ServerStats,
     config: ServerConfig,
 ) {
+    let sink = Sink {
+        registry,
+        batcher,
+        stats,
+    };
     let max_age = config
         .window
         .saturating_mul(config.watchdog_factor)
@@ -536,6 +735,8 @@ fn watchdog_loop(
             continue;
         }
         let now = Instant::now();
+        let pending = batcher.pending_queries() as u32;
+        batcher.release(stale.iter().map(Batcher::charge).sum());
         for p in &stale {
             stats.record_watchdog_fire();
             let status = if p.expired_at(now) {
@@ -543,13 +744,23 @@ fn watchdog_loop(
                 ResponseStatus::DeadlineExceeded
             } else {
                 ResponseStatus::ServerBusy {
-                    pending: batcher.pending_queries() as u32,
+                    pending,
                     budget: config.pending_budget as u32,
                 }
             };
-            respond(registry, p, 0, status, stats);
+            let frame = QueryResponseFrame {
+                request_id: p.request_id,
+                epoch: 0,
+                status,
+            };
+            // One frame at a time; a vanished connection just drops it.
+            if let Some(writer) = registry.get(p.conn) {
+                let _span = Span::enter(&ftl_obs::global().stages, Stage::ResponseWrite);
+                if writer.send(&frame.to_wire()).is_err() {
+                    sink.forfeit(p.conn, &writer);
+                }
+            }
         }
-        batcher.release(stale.iter().map(Batcher::charge).sum());
     }
 }
 
@@ -564,37 +775,4 @@ fn fresh_group(
     });
     members.push(Vec::new());
     groups.len() - 1
-}
-
-/// Writes one response; a vanished connection (already deregistered)
-/// just drops the frame — the client is gone.
-///
-/// A *failed* write forfeits the connection: the write half carries
-/// [`ServerConfig::write_timeout`], so a client that stopped reading its
-/// responses (full TCP window) surfaces here as a timeout after at most
-/// that bound, and a timed-out write may have left a partial frame on the
-/// stream. The connection is deregistered — responses still queued for it
-/// in this or other executors' windows are dropped instantly instead of
-/// each eating another timeout — and the socket is shut down so the
-/// reader thread exits too.
-fn respond(
-    registry: &Registry,
-    p: &Pending,
-    epoch: u64,
-    status: ResponseStatus,
-    stats: &ServerStats,
-) {
-    let frame = QueryResponseFrame {
-        request_id: p.request_id,
-        epoch,
-        status,
-    };
-    if let Some(writer) = registry.get(p.conn) {
-        let _span = Span::enter(&ftl_obs::global().stages, Stage::ResponseWrite);
-        if writer.send(&frame.to_wire()).is_err() {
-            stats.record_slow_drop();
-            registry.deregister(p.conn);
-            writer.shutdown();
-        }
-    }
 }

@@ -208,44 +208,33 @@ impl ServerStats {
     /// latencies, engine cache counters, epoch gauges) followed by this
     /// server's `ftl_server_*` families and the per-tenant breakdown.
     /// This is what a `MetricsRequest 0x50` gets back.
+    ///
+    /// The server totals are read *before* the pipeline families are
+    /// rendered, so a scrape never counts a request whose stage samples
+    /// it lacks (each request's stages are recorded before its totals).
     pub fn render_text(&self) -> String {
+        let totals = [
+            ("ftl_server_batches_total", &self.batches),
+            ("ftl_server_groups_total", &self.groups),
+            ("ftl_server_requests_total", &self.requests),
+            ("ftl_server_queries_total", &self.queries),
+            ("ftl_server_rejects_total", &self.rejects),
+            ("ftl_server_engine_errors_total", &self.engine_errors),
+            ("ftl_server_frame_errors_total", &self.frame_errors),
+            (
+                "ftl_server_slow_client_drops_total",
+                &self.slow_client_drops,
+            ),
+            ("ftl_server_connections_total", &self.connections_accepted),
+            ("ftl_server_deadline_drops_total", &self.deadline_drops),
+            ("ftl_server_watchdog_fires_total", &self.watchdog_fires),
+        ]
+        .map(|(name, c)| (name, c.get()));
         let mut out = String::with_capacity(8 << 10);
         ftl_obs::global().render_into(&mut out);
-        expo::counter(&mut out, "ftl_server_batches_total", self.batches.get());
-        expo::counter(&mut out, "ftl_server_groups_total", self.groups.get());
-        expo::counter(&mut out, "ftl_server_requests_total", self.requests.get());
-        expo::counter(&mut out, "ftl_server_queries_total", self.queries.get());
-        expo::counter(&mut out, "ftl_server_rejects_total", self.rejects.get());
-        expo::counter(
-            &mut out,
-            "ftl_server_engine_errors_total",
-            self.engine_errors.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ftl_server_frame_errors_total",
-            self.frame_errors.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ftl_server_slow_client_drops_total",
-            self.slow_client_drops.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ftl_server_connections_total",
-            self.connections_accepted.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ftl_server_deadline_drops_total",
-            self.deadline_drops.get(),
-        );
-        expo::counter(
-            &mut out,
-            "ftl_server_watchdog_fires_total",
-            self.watchdog_fires.get(),
-        );
+        for (name, value) in totals {
+            expo::counter(&mut out, name, value);
+        }
         self.tenants.with(|t| {
             let mut ids: Vec<u32> = t.keys().copied().collect();
             ids.sort_unstable();

@@ -11,7 +11,7 @@ use ftl_server::{
     frame, QueryRequestFrame, QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, ErrorKind, Read};
 use std::sync::atomic::AtomicBool;
 
 fn request(
@@ -51,7 +51,159 @@ fn encode_v1(r: &QueryRequestFrame) -> Vec<u8> {
     w.finish(LabelKind::QueryRequest)
 }
 
+/// A stream that hands out its bytes in the given chunk sizes (cycling),
+/// with a read timeout between chunks — how a socket delivers a pipelined
+/// burst split at arbitrary points.
+struct Chunked {
+    data: Vec<u8>,
+    pos: usize,
+    chunks: Vec<usize>,
+    next: usize,
+    stalled: bool,
+}
+
+impl Chunked {
+    fn new(data: Vec<u8>, chunks: Vec<usize>) -> Self {
+        Chunked {
+            data,
+            pos: 0,
+            chunks,
+            next: 0,
+            stalled: false,
+        }
+    }
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.stalled {
+            self.stalled = true;
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        self.stalled = false;
+        let chunk = self.chunks[self.next % self.chunks.len()].max(1);
+        self.next += 1;
+        let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+fn framed(bodies: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for b in bodies {
+        frame::push_frame(&mut out, b);
+    }
+    out
+}
+
+/// Drains a [`frame::FrameReader`]: every frame it yields, then the error
+/// that ended the stream.
+fn drain(r: &mut impl Read, max: usize) -> (Vec<Vec<u8>>, frame::FrameError) {
+    let stop = AtomicBool::new(false);
+    let mut reader = frame::FrameReader::new(max);
+    let mut got = Vec::new();
+    loop {
+        match reader.next_frame(r, &stop) {
+            Ok(body) => got.push(body.to_vec()),
+            Err(e) => return (got, e),
+        }
+    }
+}
+
+/// Splitting a pipelined burst at every single byte boundary still yields
+/// exactly its frames, then a clean close.
+#[test]
+fn frame_reader_survives_every_split_point() {
+    let bodies: Vec<Vec<u8>> = vec![
+        request(1, 2, &[3], &[(4, 5)]).to_wire(),
+        Vec::new(),
+        (0u8..=255).collect(),
+        request(6, 7, &[], &[(8, 9), (10, 11)]).to_wire(),
+    ];
+    let data = framed(&bodies);
+    for split in 0..=data.len() {
+        let mut stream = Chunked::new(data.clone(), vec![split, data.len()]);
+        assert_eq!(
+            drain(&mut stream, MAX_FRAME_BYTES_DEFAULT),
+            (bodies.clone(), frame::FrameError::Closed),
+            "split at byte {split}"
+        );
+    }
+}
+
 proptest! {
+    /// K valid frames delivered in any chunking, with read timeouts in
+    /// between, yield exactly the K bodies and then `Closed` (EOF at a
+    /// boundary). The one-shot `read_frame` reads the same stream frame by
+    /// frame, never past one.
+    #[test]
+    fn frame_reader_yields_every_frame_whatever_the_chunking(
+        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..8),
+        chunks in proptest::collection::vec(1usize..50, 1..20),
+    ) {
+        let data = framed(&bodies);
+        let mut stream = Chunked::new(data.clone(), chunks.clone());
+        prop_assert_eq!(
+            drain(&mut stream, MAX_FRAME_BYTES_DEFAULT),
+            (bodies.clone(), frame::FrameError::Closed)
+        );
+
+        let stop = AtomicBool::new(false);
+        let mut stream = Chunked::new(data, chunks);
+        for body in &bodies {
+            let one = frame::read_frame(&mut stream, MAX_FRAME_BYTES_DEFAULT, &stop);
+            prop_assert_eq!(one.as_ref(), Ok(body));
+        }
+        prop_assert_eq!(
+            frame::read_frame(&mut stream, MAX_FRAME_BYTES_DEFAULT, &stop),
+            Err(frame::FrameError::Closed)
+        );
+    }
+
+    /// A stream cut inside its last frame yields the complete frames
+    /// before it, then `Truncated`.
+    #[test]
+    fn frame_reader_truncated_tail_is_typed(
+        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+        cut_permille in 0usize..1000,
+        chunks in proptest::collection::vec(1usize..50, 1..20),
+    ) {
+        let mut data = framed(&bodies);
+        let last = framed(&[tail]);
+        // 1..last.len(): at least one byte of the tail frame, never all.
+        let cut = 1 + (last.len() - 2) * cut_permille / 1000;
+        data.extend_from_slice(&last[..cut]);
+        let mut stream = Chunked::new(data, chunks);
+        prop_assert_eq!(
+            drain(&mut stream, MAX_FRAME_BYTES_DEFAULT),
+            (bodies, frame::FrameError::Truncated)
+        );
+    }
+
+    /// An oversize prefix after good frames: those frames, then
+    /// `Oversized` — refused on the prefix alone, whatever follows.
+    #[test]
+    fn frame_reader_oversize_after_good_frames(
+        bodies in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..6),
+        extra in 1u32..=1 << 16,
+        chunks in proptest::collection::vec(1usize..50, 1..20),
+    ) {
+        let max = 64u32;
+        let bodies: Vec<Vec<u8>> = bodies.into_iter().filter(|b| b.len() <= max as usize).collect();
+        let mut data = framed(&bodies);
+        let len = max + extra;
+        data.extend_from_slice(&len.to_le_bytes());
+        data.extend_from_slice(&[0xAB; 16]);
+        let mut stream = Chunked::new(data, chunks);
+        prop_assert_eq!(
+            drain(&mut stream, max as usize),
+            (bodies, frame::FrameError::Oversized { len, max })
+        );
+    }
+
     /// Requests of any valid shape (at least one query) round-trip
     /// exactly.
     #[test]

@@ -13,8 +13,8 @@ use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::wire::WireLabel;
 use ftl_seeded::Seed;
 use ftl_server::{
-    derive_fault_sets, frame, run_loadgen, LoadgenConfig, QueryRequestFrame, QueryResponseFrame,
-    ResponseStatus, Server, ServerConfig, ServerHandle,
+    derive_fault_sets, frame, run_loadgen, ConnectivityOracle, LoadgenConfig, QueryRequestFrame,
+    QueryResponseFrame, ResponseStatus, Server, ServerConfig, ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -175,6 +175,99 @@ fn admission_control_answers_server_busy() {
     assert_eq!(stats.tenants.first().map(|t| t.rejects), Some(1));
 }
 
+/// A pipelined burst: 64 requests in one `write_all`, against a budget
+/// with room for only the first 20. The server reads them in as few reads
+/// as the socket allows and admits them under one lock, yet charges each
+/// on its own and in order: the admitted prefix is answered (and audited
+/// against BFS), the rest get `ServerBusy` in arrival order, and every
+/// request id gets exactly one response.
+#[test]
+fn pipelined_burst_admits_a_prefix_and_refuses_the_rest_in_order() {
+    const REQUESTS: u64 = 64;
+    const QUERIES: usize = 2;
+    const ADMITTED: u64 = 20;
+    let g = generators::grid(8, 8);
+    let handle = spawn_server(
+        &g,
+        ServerConfig {
+            executors: 1,
+            // Long enough that no charge is released before the whole
+            // burst has been read.
+            window: Duration::from_millis(300),
+            pending_budget: ADMITTED as usize * QUERIES,
+            ..ServerConfig::default()
+        },
+    );
+    let sets = derive_fault_sets(&g, 4, 2, 17);
+    let oracle = ConnectivityOracle::new(&g, &sets);
+    let n = g.num_vertices() as u64;
+    let requests: Vec<(usize, QueryRequestFrame)> = (0..REQUESTS)
+        .map(|i| {
+            let set = i as usize % sets.len();
+            let queries = (0..QUERIES as u64)
+                .map(|q| {
+                    let s = (i * 7 + q * 13) % n;
+                    let t = (i * 29 + q * 5 + 11) % n;
+                    (VertexId::new(s as usize), VertexId::new(t as usize))
+                })
+                .collect();
+            let req = QueryRequestFrame {
+                request_id: i,
+                tenant_id: 5,
+                faults: sets[set].clone(),
+                queries,
+                ttl_ms: 0,
+            };
+            (set, req)
+        })
+        .collect();
+    let mut burst = Vec::new();
+    for (_, req) in &requests {
+        frame::push_frame(&mut burst, &req.to_wire());
+    }
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&burst).unwrap();
+
+    let mut answered = vec![0u32; REQUESTS as usize];
+    let mut busy_order = Vec::new();
+    for _ in 0..REQUESTS {
+        let resp = read_response(&mut stream);
+        let id = resp.request_id;
+        answered[id as usize] += 1;
+        match &resp.status {
+            ResponseStatus::Ok(answers) => {
+                assert!(id < ADMITTED, "request {id} past the budget was served");
+                let (set, req) = &requests[id as usize];
+                for (&(s, t), &got) in req.queries.iter().zip(answers) {
+                    assert_eq!(
+                        got,
+                        oracle.connected(*set, s, t),
+                        "request {id}: BFS mismatch"
+                    );
+                }
+                assert_eq!(answers.len(), QUERIES);
+            }
+            ResponseStatus::ServerBusy { pending, budget } => {
+                assert_eq!((*pending, *budget), (40, 40));
+                busy_order.push(id);
+            }
+            other => panic!("request {id}: unexpected {other:?}"),
+        }
+    }
+    assert!(
+        answered.iter().all(|&c| c == 1),
+        "every request id gets exactly one response: {answered:?}"
+    );
+    assert_eq!(busy_order, (ADMITTED..REQUESTS).collect::<Vec<_>>());
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.requests, ADMITTED);
+    assert_eq!(stats.rejects, REQUESTS - ADMITTED);
+}
+
 /// Graceful shutdown drains admitted requests: a request sitting in a
 /// long accumulation window is still answered (on the pinned epoch)
 /// after `shutdown` is called.
@@ -288,14 +381,16 @@ fn expired_ttl_answered_before_elimination() {
 /// the executor to come back.
 ///
 /// Parking is real TCP backpressure: the stalled client floods enough
-/// single-query requests that their responses (~30 bytes each) overflow
-/// loopback socket buffering (a few MB), so the executor blocks inside a
-/// response write for up to `write_timeout`. The timeout is finite (the
+/// single-query requests that their responses (~34 bytes each, ~10 MB in
+/// all) overflow loopback socket buffering (a few MB — more payload fits
+/// when a window's responses leave as one coalesced write than as many
+/// small ones), so the executor blocks inside a response write for up to
+/// `write_timeout`. The timeout is finite (the
 /// production shape) so the test also exercises the recovery path — the
 /// stalled connection is eventually forfeited and the server heals.
 #[test]
 fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
-    const FLOOD: u64 = 150_000;
+    const FLOOD: u64 = 300_000;
     let g = generators::grid(8, 8);
     let handle = spawn_server(
         &g,
