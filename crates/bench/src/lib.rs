@@ -4,9 +4,10 @@
 //! Each experiment of `EXPERIMENTS.md` (E1–E11) is a binary in `src/bin/`;
 //! run e.g. `cargo run -p ftl-bench --bin table1 --release`.
 //!
-//! The repo-level view of what these binaries measure — and the
-//! PR-by-PR trajectory of their headline numbers — lives in `README.md`
-//! (benchmark table) and the committed `BENCH_pr*.json` reports.
+//! The repo-level view of what these binaries measure lives in
+//! `README.md`. The serving stack's benchmark is `perfbench/` (declared in
+//! `BENCHMARK.json`); the older JSON reports committed at the repo root
+//! are frozen history.
 
 #![forbid(unsafe_code)]
 

@@ -18,10 +18,9 @@
 //! * [`engine`] — one [`Engine`] per serving thread, with one entry point,
 //!   [`Engine::execute_grouped_into`]; each group runs under
 //!   `catch_unwind`, so a panic fails only its own group.
-//! * [`scenario`] — workload drivers (uniform faults, targeted high-degree
-//!   attacks, multi-round churn) that push traffic through an [`Engine`]
-//!   and report throughput, per-query latency, reachability, and routed
-//!   stretch.
+//! * [`scenario`] — the live-churn driver ([`run_churn_scenario`]): rounds
+//!   of structural removals through a [`LiveStore`], with every answer of
+//!   an epoch-following [`Engine`] checked against BFS ground truth.
 //!
 //! The failure-mode catalogue (epoch swaps mid-batch, contained panics,
 //! corrupted labels) is `docs/robustness.md`; the network front end that
@@ -49,9 +48,6 @@ pub use inject::{
     plan_vertex_removals, truncate_record, RemovalModel,
 };
 pub use scenario::{
-    percentile_nearest_rank, run_churn_scenario, run_scenario, ChurnConfig, ChurnReport,
-    ChurnRoundReport, FaultModel, RoundReport, ScenarioConfig, ScenarioReport, StretchStats,
+    percentile_nearest_rank, run_churn_scenario, ChurnConfig, ChurnReport, ChurnRoundReport,
 };
-pub use store::{
-    DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, SketchTreeEntry, StoreError, StoreKey,
-};
+pub use store::{DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};

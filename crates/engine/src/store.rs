@@ -19,8 +19,7 @@ use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::wire::{WireError, WireLabel};
 use ftl_labels::AncestryLabel;
-use ftl_seeded::{DetHashMap, Seed};
-use ftl_sketch::{Sketch, SketchEdgeLabel, SketchParams, SketchVertexLabel};
+use ftl_seeded::DetHashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -360,35 +359,23 @@ impl LabelStore {
     }
 }
 
-/// Decoded subtree-sketch material of one tree edge (sketch-scheme
-/// stores).
-#[derive(Debug, Clone)]
-pub struct SketchTreeEntry {
-    /// `Sketch_G(V(T_c))` for the child endpoint `c`.
-    pub sketch: Sketch,
-    /// The identifier seed `S_ID`.
-    pub sid: Seed,
-    /// The sampling seed `S_h`.
-    pub sh: Seed,
-}
-
 /// Per-vertex / per-edge label artifacts decoded **once at freeze time**
 /// into contiguous arena-backed arrays, so the serving hot path is index
 /// lookups + ancestry compares + parity tests with no `WireReader` in
 /// sight:
 ///
-/// * **ancestry intervals** — `anc(v)` for every vertex record
-///   (cycle-space, sketch, or bare ancestry labels all carry one);
+/// * **ancestry intervals** — `anc(v)` for every cycle-space or bare
+///   ancestry vertex record;
 /// * **`φ` column bank** — one [`BitMatrix`] row per edge id for
 ///   cycle-space edge labels, plus the precomputed child interval of every
-///   tree edge (what the per-query `D(s, t)` sweep needs);
-/// * **sketch banks** — the subtree-sketch cell banks of tree edges in
-///   sketch-scheme stores, one contiguous slot per edge.
+///   tree edge (what the per-query `D(s, t)` sweep needs).
 ///
-/// Records the sidecar cannot place (unknown kinds, decode failures,
-/// wildly sparse id spaces, mixed `φ` widths) simply stay wire-only: every
-/// accessor returns `Option`/`bool` and the engine falls back to the
-/// store's decoding read path for them.
+/// Records the sidecar cannot place (other kinds — sketch-scheme labels
+/// included — decode failures, wildly sparse id spaces, mixed `φ` widths)
+/// simply stay wire-only: every accessor returns `Option`/`bool` and the
+/// engine falls back to the store's decoding read path for them, which
+/// fails with a typed error for any record that is not a cycle-space
+/// label.
 #[derive(Debug, Default, Clone)]
 pub struct DecodedSidecar {
     /// Ancestry interval per vertex id; aligned with `vertex_present`.
@@ -400,14 +387,6 @@ pub struct DecodedSidecar {
     /// interval) where the edge is absent or non-tree.
     edge_child: Vec<(u32, u32)>,
     edge_present: Vec<bool>,
-    /// Tree-edge subtree sketches: slot index per edge id
-    /// (`u32::MAX` = none) into `sketch_bank`.
-    sketch_slot: Vec<u32>,
-    sketch_params: Option<SketchParams>,
-    /// `(S_ID, S_h)` per slot, aligned with the bank.
-    sketch_seeds: Vec<(Seed, Seed)>,
-    /// Contiguous cell banks, `units × levels` rows per slot.
-    sketch_bank: BitMatrix,
 }
 
 /// Decodes a record as `L` if its kind byte says so; `None` on any
@@ -417,6 +396,13 @@ fn decode_as<L: WireLabel>(bytes: &[u8]) -> Option<L> {
         return None;
     }
     L::from_wire(bytes).ok()
+}
+
+/// The ancestry interval of a cycle-space or bare ancestry vertex record.
+fn decode_vertex_anc(bytes: &[u8]) -> Option<AncestryLabel> {
+    decode_as::<CycleSpaceVertexLabel>(bytes)
+        .map(|l| l.anc)
+        .or_else(|| decode_as::<AncestryLabel>(bytes))
 }
 
 /// Dense-array guard: materializing by id only pays off when the id space
@@ -432,25 +418,18 @@ impl DecodedSidecar {
     fn build(shards: &[Arc<Shard>]) -> DecodedSidecar {
         let mut vertices: Vec<(u32, AncestryLabel)> = Vec::new();
         let mut cyc_edges: Vec<(u32, CycleSpaceEdgeLabel)> = Vec::new();
-        let mut sk_edges: Vec<(u32, SketchEdgeLabel)> = Vec::new();
         for shard in shards {
             for (&key, &(start, len)) in &shard.index {
                 let bytes = &shard.bytes[start as usize..(start + len) as usize];
                 match key.ns {
                     Namespace::Vertex => {
-                        let anc = decode_as::<CycleSpaceVertexLabel>(bytes)
-                            .map(|l| l.anc)
-                            .or_else(|| decode_as::<SketchVertexLabel>(bytes).map(|l| l.anc))
-                            .or_else(|| decode_as::<AncestryLabel>(bytes));
-                        if let Some(anc) = anc {
+                        if let Some(anc) = decode_vertex_anc(bytes) {
                             vertices.push((key.id, anc));
                         }
                     }
                     Namespace::Edge => {
                         if let Some(l) = decode_as::<CycleSpaceEdgeLabel>(bytes) {
                             cyc_edges.push((key.id, l));
-                        } else if let Some(l) = decode_as::<SketchEdgeLabel>(bytes) {
-                            sk_edges.push((key.id, l));
                         }
                     }
                 }
@@ -459,7 +438,6 @@ impl DecodedSidecar {
         let mut sidecar = DecodedSidecar::default();
         sidecar.place_vertices(vertices);
         sidecar.place_cycle_edges(cyc_edges);
-        sidecar.place_sketch_edges(sk_edges);
         sidecar
     }
 
@@ -467,9 +445,7 @@ impl DecodedSidecar {
     /// id-stable arrays. Returns `None` — meaning "rebuild from shards
     /// instead" — whenever an upsert cannot be placed structurally: an id
     /// beyond the existing arrays (including the empty arrays of a store
-    /// that never placed anything), a `φ` width differing from the bank's,
-    /// or a sketch edge record (whose contiguous bank does not support
-    /// splicing — rebuilt wholesale).
+    /// that never placed anything) or a `φ` width differing from the bank's.
     ///
     /// An upsert whose bytes *decode* to nothing placeable (corrupt or
     /// unknown kind) is not an error: the id is evicted from the sidecar
@@ -504,11 +480,6 @@ impl DecodedSidecar {
                     if let Some(c) = next.edge_child.get_mut(id) {
                         *c = (1, 0);
                     }
-                    if let Some(s) = next.sketch_slot.get_mut(id) {
-                        // The bank slot leaks until the next full build;
-                        // correctness only needs the slot unreachable.
-                        *s = u32::MAX;
-                    }
                 }
             }
         }
@@ -523,11 +494,7 @@ impl DecodedSidecar {
                     if id >= next.vertex_present.len() {
                         return None;
                     }
-                    let anc = decode_as::<CycleSpaceVertexLabel>(bytes)
-                        .map(|l| l.anc)
-                        .or_else(|| decode_as::<SketchVertexLabel>(bytes).map(|l| l.anc))
-                        .or_else(|| decode_as::<AncestryLabel>(bytes));
-                    match anc {
+                    match decode_vertex_anc(bytes) {
                         Some(anc) => {
                             next.vertex_anc[id] = anc;
                             next.vertex_present[id] = true;
@@ -536,11 +503,6 @@ impl DecodedSidecar {
                     }
                 }
                 Namespace::Edge => {
-                    if bytes.len() >= ftl_labels::wire::HEADER_BYTES
-                        && bytes[3] == <SketchEdgeLabel as WireLabel>::KIND as u8
-                    {
-                        return None;
-                    }
                     if id >= next.edge_present.len() {
                         return None;
                     }
@@ -601,39 +563,6 @@ impl DecodedSidecar {
                 self.edge_child[id as usize] = interval;
             }
             self.edge_present[id as usize] = true;
-        }
-    }
-
-    fn place_sketch_edges(&mut self, edges: Vec<(u32, SketchEdgeLabel)>) {
-        let tree: Vec<(u32, _)> = edges
-            .into_iter()
-            .filter_map(|(id, l)| l.tree.map(|info| (id, info)))
-            .collect();
-        let Some(max_id) = tree.iter().map(|&(id, _)| id as usize).max() else {
-            return;
-        };
-        if !dense_enough(max_id, tree.len()) {
-            return;
-        }
-        let params = tree[0].1.params;
-        if tree.iter().any(|(_, info)| info.params != params) {
-            return; // mixed shapes cannot share one bank
-        }
-        self.sketch_params = Some(params);
-        self.sketch_slot = vec![u32::MAX; max_id + 1];
-        self.sketch_bank = BitMatrix::with_capacity(
-            tree.len() * params.units * params.levels as usize,
-            params.cell_bits(),
-        );
-        let mut row = BitVec::zeros(0);
-        for (slot, (id, info)) in tree.into_iter().enumerate() {
-            self.sketch_slot[id as usize] = slot as u32;
-            self.sketch_seeds.push((info.sid, info.sh));
-            let cells = info.sketch_subtree.cells();
-            for r in 0..cells.num_rows() {
-                cells.read_row_into(r, &mut row);
-                self.sketch_bank.push_row(&row);
-            }
         }
     }
 
@@ -711,27 +640,6 @@ impl DecodedSidecar {
         })
     }
 
-    /// The decoded subtree-sketch entry of tree edge `e` in a sketch-scheme
-    /// store. The sketch is copied out of the contiguous bank — no wire
-    /// decoding.
-    pub fn sketch_tree(&self, e: EdgeId) -> Option<SketchTreeEntry> {
-        let slot = *self.sketch_slot.get(e.index())?;
-        if slot == u32::MAX {
-            return None;
-        }
-        let params = self.sketch_params?;
-        let rows = params.units * params.levels as usize;
-        let (sid, sh) = self.sketch_seeds[slot as usize];
-        Some(SketchTreeEntry {
-            sketch: Sketch::from_cells(
-                params,
-                self.sketch_bank.clone_row_range(slot as usize * rows, rows),
-            ),
-            sid,
-            sh,
-        })
-    }
-
     /// Number of vertices with decoded records.
     pub fn decoded_vertices(&self) -> usize {
         self.vertex_present.iter().filter(|&&p| p).count()
@@ -740,11 +648,6 @@ impl DecodedSidecar {
     /// Number of edges with decoded cycle-space records.
     pub fn decoded_edges(&self) -> usize {
         self.edge_present.iter().filter(|&&p| p).count()
-    }
-
-    /// Number of tree edges with decoded sketch banks.
-    pub fn decoded_sketch_edges(&self) -> usize {
-        self.sketch_seeds.len()
     }
 }
 
@@ -904,9 +807,12 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_decodes_sketch_store_banks() {
+    fn foreign_kind_store_stays_wire_only_and_fails_typed() {
+        use crate::engine::{Engine, EngineConfig, EngineError, FaultSetBatch};
         use ftl_seeded::Seed;
         use ftl_sketch::{SketchParams, SketchScheme};
+        // A whole store of sketch-scheme records: a valid wire format, but
+        // not the cycle-space kind the engine eliminates.
         let g = ftl_graph::generators::grid(3, 3);
         let params = SketchParams::for_graph(&g);
         let scheme = SketchScheme::label(&g, &params, Seed::new(9)).unwrap();
@@ -920,23 +826,40 @@ mod tests {
             b.put_edge_label(e, &scheme.edge_label(e)).unwrap();
         }
         let store = b.freeze();
-        let sidecar = store.sidecar();
-        // Sketch vertex labels carry ancestry intervals too.
-        assert_eq!(sidecar.decoded_vertices(), g.num_vertices());
-        assert_eq!(sidecar.decoded_sketch_edges(), g.num_vertices() - 1);
-        for i in 0..g.num_edges() {
-            let e = EdgeId::new(i);
-            let label = scheme.edge_label(e);
-            match label.tree {
-                None => assert!(sidecar.sketch_tree(e).is_none()),
-                Some(info) => {
-                    let entry = sidecar.sketch_tree(e).expect("tree edge bank");
-                    assert_eq!(entry.sketch, info.sketch_subtree, "edge {i}");
-                    assert_eq!(entry.sid, info.sid);
-                    assert_eq!(entry.sh, info.sh);
-                }
-            }
-        }
+        assert_eq!(store.len(), g.num_vertices() + g.num_edges());
+        assert_eq!(store.sidecar().decoded_edges(), 0);
+        assert_eq!(store.sidecar().decoded_vertices(), 0);
+
+        let (s, t) = (VertexId::new(0), VertexId::new(8));
+        let groups = [
+            FaultSetBatch {
+                faults: vec![EdgeId::new(0), EdgeId::new(3)],
+                queries: vec![(s, t)],
+            },
+            FaultSetBatch {
+                faults: Vec::new(),
+                queries: vec![(s, t)],
+            },
+        ];
+        let resp = Engine::new(store, EngineConfig::default()).execute_grouped(&groups);
+        assert_eq!(resp.groups.len(), 2);
+        // The fault set's edge records fail the wire fallback: the group
+        // fails as a unit, with a typed store error.
+        assert!(
+            matches!(resp.groups[0], Err(EngineError::Store(_))),
+            "{:?}",
+            resp.groups[0]
+        );
+        // An empty fault set resolves, so the failure moves to the query:
+        // its endpoints' records are foreign too. No answer, no panic.
+        let answers = resp.groups[1].as_ref().expect("empty fault set resolves");
+        assert_eq!(answers.len(), 1);
+        assert!(
+            matches!(answers[0], Err(EngineError::Store(_))),
+            "{:?}",
+            answers[0]
+        );
+        assert_eq!(resp.stats.queries, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, run_churn_scenario, truncate_record, BatchRequest, ChurnConfig,
     ConnQuery, Engine, EngineConfig, EngineError, EpochStore, FaultSetBatch, LiveStore,
-    RemovalModel, StoreKey,
+    RemovalModel, StoreKey, SwapPath,
 };
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
@@ -457,6 +457,82 @@ fn elimination_cache_never_crosses_epochs() {
         post.results[0].connected, truth,
         "stale cached elimination served across an epoch swap"
     );
+}
+
+// ------------------------------------------------------------- timing gate
+
+/// Release-mode timing gate: publishing a delta-frozen epoch must beat
+/// relabel-from-scratch + full freeze of the same topology by a clear
+/// margin. Two workloads (`ba-600`, `er-1000`, drawn in that order from
+/// one seed-6 RNG), 20 rounds of 5 edge + 1 vertex removals under both
+/// removal models, labels of width 16 over 16 shards. Every round first
+/// times a full rebuild of the current topology
+/// (`measure_full_rebuild_ns`), then applies its removals through the
+/// live store. Answers are BFS-audited elsewhere
+/// (`targeted_churn_rounds_keep_perfect_reachability`, `churn_soak`); this
+/// test only times. Run explicitly: `cargo test --release -p ftl-engine
+/// --test chaos -- --ignored delta_swap_beats_relabel_from_scratch`.
+#[test]
+#[ignore = "timing gate; run in release mode"]
+fn delta_swap_beats_relabel_from_scratch() {
+    const ROUNDS: usize = 20;
+    let median = |mut xs: Vec<u64>| {
+        xs.sort_unstable();
+        xs.get(xs.len() / 2).copied().unwrap_or(0)
+    };
+    let mut rng = StdRng::seed_from_u64(6);
+    let workloads = [
+        ("ba-600", generators::barabasi_albert(600, 3, &mut rng)),
+        (
+            "er-1000",
+            generators::connected_random(1000, 8.0 / 1000.0, 1, &mut rng),
+        ),
+    ];
+    for (name, g) in &workloads {
+        for model in [RemovalModel::Random, RemovalModel::Targeted] {
+            let seed = Seed::new(0x9A6 ^ g.num_vertices() as u64);
+            let config = EngineConfig {
+                num_shards: 16,
+                ..EngineConfig::default()
+            };
+            let mut store = LiveStore::new(g, 16, seed, config).unwrap();
+            let (mut delta_ns, mut rebuild_ns) = (Vec::new(), Vec::new());
+            for round in 0..ROUNDS {
+                let round_seed = seed.derive(round as u64 + 1);
+                rebuild_ns.push(store.measure_full_rebuild_ns().unwrap());
+                let edges = plan_edge_removals(store.live(), 5, model, round_seed);
+                let (edge_swap, _) = store.remove_edges(&edges).unwrap();
+                let vertices = plan_vertex_removals(store.live(), 1, model, round_seed.derive(1));
+                let (vertex_swap, _) = store.remove_vertices(&vertices).unwrap();
+                let full = [&edge_swap, &vertex_swap]
+                    .iter()
+                    .any(|swap| swap.path == SwapPath::FullRebuild);
+                if !full {
+                    delta_ns.push(edge_swap.elapsed_ns + vertex_swap.elapsed_ns);
+                }
+            }
+            let delta_rounds = delta_ns.len();
+            let final_epoch = store.epochs().current().number();
+            let (delta, rebuild) = (median(delta_ns), median(rebuild_ns));
+            println!(
+                "{name} {model:?}: delta median {delta} ns, rebuild median {rebuild} ns \
+                 ({:.1}x), {delta_rounds}/{ROUNDS} delta rounds, final epoch {final_epoch}",
+                rebuild as f64 / delta.max(1) as f64
+            );
+            assert!(
+                delta_rounds > 0,
+                "{name}/{model:?}: no round stayed on the delta path"
+            );
+            assert!(
+                final_epoch > ROUNDS as u64 / 2,
+                "{name}/{model:?}: churn barely published any epochs"
+            );
+            assert!(
+                delta * 2 < rebuild,
+                "{name}/{model:?}: delta swap not measurably faster: {delta} ns vs {rebuild} ns"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------- soak mode

@@ -606,9 +606,8 @@ impl BitMatrix {
         out.xor_assign_words(self.row(i));
     }
 
-    /// A new matrix holding copies of rows `first .. first + count` — how
-    /// a decoded sketch is materialized out of a contiguous multi-sketch
-    /// cell bank (e.g. the engine store's subtree-sketch sidecar).
+    /// A new matrix holding copies of rows `first .. first + count` — e.g.
+    /// one sketch's cells out of a contiguous multi-sketch cell bank.
     pub fn clone_row_range(&self, first: usize, count: usize) -> BitMatrix {
         BitMatrix {
             cols: self.cols,

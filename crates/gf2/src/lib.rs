@@ -25,7 +25,8 @@
 //! ```
 //!
 //! `README.md` at the repo root maps this kernel into the full decode
-//! pipeline; `BENCH_pr1.json` tracks its before/after numbers.
+//! pipeline; `perfbench/` measures it in the serving stack
+//! (`gf2.basis_insert_ns`, `gf2.and_popcount_ns`).
 
 #![forbid(unsafe_code)]
 

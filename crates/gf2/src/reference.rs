@@ -3,9 +3,9 @@
 //! [`NaiveBasis`] is the pre-optimization implementation of [`crate::Basis`]:
 //! per-row `Vec` allocations, an `O(rank)` linear scan to find the row with
 //! a given pivot, and a full `sort_by_key` after every insertion. The
-//! property tests assert the pivot-indexed basis matches it bit for bit,
-//! and the criterion benches use it as the "before" baseline recorded in
-//! `BENCH_pr1.json`.
+//! property tests (`tests/properties.rs`) assert the pivot-indexed basis
+//! matches it bit for bit and that [`crate::solve()`] agrees with
+//! [`solve_naive`].
 
 use crate::bitvec::BitVec;
 

@@ -31,8 +31,10 @@
 //!   exponential backoff with seeded jitter, reconnect-and-retry (safe:
 //!   queries are pure and responses are request-id-keyed).
 //! * [`loadgen`] — a loopback load-generating client with a BFS
-//!   [`loadgen::ConnectivityOracle`], used by the `ftl-loadgen` binary,
-//!   the loopback tests, and the `bench_pr8` scenario. Built on
+//!   [`loadgen::ConnectivityOracle`], used by the `ftl-loadgen` binary
+//!   and the loopback tests (`tests/loopback.rs`, whose ignored
+//!   `loopback_throughput_stays_above_floor` is the release-mode
+//!   queries/s floor). Built on
 //!   [`client::ResilientClient`], with a global run deadline so a stalled
 //!   server can never hang a run.
 //! * [`spec`] — the tiny graph/fault-set spec language (`grid:16x16`,

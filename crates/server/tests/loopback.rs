@@ -114,6 +114,82 @@ fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
     assert!(stats.tenants.iter().all(|t| t.p99_ms > 0.0));
 }
 
+/// Release-mode throughput floor over the same batched loopback path, at
+/// a larger shape: `er:1024:8` and `grid:32x32`, 64 clients × 16
+/// requests × 16 queries over 8 shared sets of 4 faults, a 1 ms window
+/// and 2 executors. Asserts the correctness gates of the test above plus
+/// an audited queries/s floor set far below what a laptop measures, so a
+/// shared 1-core runner passes while a 10× serving regression fails. Run
+/// explicitly: `cargo test --release -p ftl-server --test loopback --
+/// --ignored loopback_throughput_stays_above_floor`.
+#[test]
+#[ignore = "throughput floor; run in release mode"]
+fn loopback_throughput_stays_above_floor() {
+    const MIN_QUERIES_PER_SEC: f64 = 5_000.0;
+    const CLIENTS: usize = 64;
+    const REQUESTS_PER_CLIENT: usize = 16;
+    const QUERIES_PER_REQUEST: usize = 16;
+    for spec in ["er:1024:8", "grid:32x32"] {
+        let g = ftl_server::parse_graph_spec(spec, 1).unwrap();
+        let scheme = CycleSpaceScheme::label(&g, 8, Seed::new(1)).unwrap();
+        let store = store_from_cycle_space(&scheme, 16).unwrap();
+        let handle = Server::spawn(
+            Arc::new(EpochStore::new(Arc::new(store))),
+            EngineConfig::default(),
+            ServerConfig {
+                executors: 2,
+                window: Duration::from_millis(1),
+                ..ServerConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let sets = derive_fault_sets(&g, 8, 4, 1);
+        let report = run_loadgen(
+            handle.local_addr(),
+            &g,
+            &sets,
+            LoadgenConfig {
+                clients: CLIENTS,
+                requests_per_client: REQUESTS_PER_CLIENT,
+                queries_per_request: QUERIES_PER_REQUEST,
+                seed: 5,
+                ..LoadgenConfig::default()
+            },
+        );
+        let stats = handle.shutdown();
+        println!(
+            "{spec}: {:.0} audited queries/s, p50 {:.3} ms, p99 {:.3} ms, \
+             {} groups for {} requests",
+            report.queries_per_sec, report.p50_ms, report.p99_ms, stats.groups, stats.requests
+        );
+        let requests = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
+        assert_eq!(report.mismatches, 0, "{spec}: answers disagreed with BFS");
+        assert_eq!(report.io_errors, 0, "{spec}: client-side socket errors");
+        assert_eq!(
+            report.unserved, 0,
+            "{spec}: requests starved by busy-rejects"
+        );
+        assert_eq!(report.requests_ok, requests, "{spec}: lost requests");
+        assert_eq!(
+            report.queries_ok,
+            requests * QUERIES_PER_REQUEST as u64,
+            "{spec}: lost queries"
+        );
+        assert!(
+            stats.groups * 2 < stats.requests,
+            "{spec}: batching did not collapse: {} groups for {} requests",
+            stats.groups,
+            stats.requests
+        );
+        assert!(
+            report.queries_per_sec >= MIN_QUERIES_PER_SEC,
+            "{spec}: {:.0} queries/s is below the {MIN_QUERIES_PER_SEC} floor",
+            report.queries_per_sec
+        );
+    }
+}
+
 /// Admission control: a tiny budget inside a long window rejects the
 /// overflowing request with a typed `ServerBusy` carrying the budget.
 #[test]
