@@ -56,8 +56,8 @@ pub fn explain(rule: RuleId) -> &'static str {
              (extend_from_slice, resize, copy_from) is the idiom instead.\n\
              \n\
              The seeded hot set: Engine::execute_grouped_into (the one serving\n\
-             entry point) and its per-group loop execute_group, the sidecar\n\
-             query path (answer, vertex_anc, the DecodedSidecar accessors),\n\
+             entry point) and its per-group loop execute_group, the store\n\
+             query path (answer, vertex_anc, the LabelStore column accessors),\n\
              EliminatedFaultSet's per-query checks, ftl-gf2's\n\
              xor_into/count_ones_and/express_with, and the sketch toggle\n\
              kernels.\n\
@@ -123,10 +123,10 @@ pub fn explain(rule: RuleId) -> &'static str {
              ftl-server, ftl-obs, ftl-chaos, and the\n\
              engine's store.rs/cache.rs) must not use std's default-hasher\n\
              HashMap/HashSet (RandomState is keyed per process, so iteration\n\
-             order — and anything derived from it, like sidecar placement or\n\
+             order — and anything derived from it, like build order or\n\
              eviction order — varies run to run). Use ftl_seeded::DetHashMap/\n\
-             DetHashSet, which wrap the same SplitMix64 mixing the shard router\n\
-             already relies on, behind a fixed key.\n\
+             DetHashSet, which wrap the same SplitMix64 mixing fault-set\n\
+             hashing already relies on, behind a fixed key.\n\
              \n\
              clippy.toml's disallowed-types mirrors this workspace-wide for\n\
              explicit RandomState/Mutex/RwLock mentions."

@@ -426,7 +426,7 @@ fn hot_set_is_nonempty_on_the_real_tree() {
         .collect();
     assert!(
         hot.len() >= 8,
-        "expected the seeded hot set (gf2 kernels, sketch toggles, sidecar \
+        "expected the seeded hot set (gf2 kernels, sketch toggles, store \
          accessors), found only: {hot:?}"
     );
     for expected in ["xor_into", "count_ones_and", "express_with", "vertex_anc"] {

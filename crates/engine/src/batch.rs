@@ -22,8 +22,7 @@
 //! `O(f²/64)` words instead of a fresh `O(f²·(f+log n)/64)` elimination.
 //! A separating generator is itself the disconnecting cut certificate `F′`.
 
-use crate::store::{DecodedSidecar, StoreError, StoreKey};
-use ftl_cycle_space::{CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
+use crate::store::{LabelStore, StoreError, StoreKey};
 use ftl_gf2::{Basis, BitVec, DecodeScratch};
 use ftl_graph::EdgeId;
 use ftl_labels::AncestryLabel;
@@ -58,54 +57,18 @@ pub struct EliminatedFaultSet {
 }
 
 impl EliminatedFaultSet {
-    /// Runs the one-time elimination. `labels[i]` must be the label of
-    /// `edge_ids[i]`, with `edge_ids` sorted ascending and distinct.
-    pub fn eliminate(edge_ids: Vec<EdgeId>, labels: Vec<CycleSpaceEdgeLabel>) -> Self {
-        assert_eq!(edge_ids.len(), labels.len(), "ids/labels misaligned");
-        debug_assert!(
-            edge_ids.windows(2).all(|w| w[0] < w[1]),
-            "ids not canonical"
-        );
-        let f = labels.len();
-        let mut null_gens = Vec::new();
-        let mut rank = 0;
-        let mut tree_intervals = Vec::new();
-        if f > 0 {
-            let b = labels[0].phi.len();
-            let mut basis = Basis::new(b, f);
-            let mut scratch = DecodeScratch::new();
-            for (i, l) in labels.iter().enumerate() {
-                if basis.insert_with(&l.phi, &mut scratch) {
-                    rank += 1;
-                } else {
-                    null_gens.push(scratch.combo().clone());
-                }
-                if let Some((pre, post)) = crate::store::tree_child_interval_of(l) {
-                    tree_intervals.push((i as u32, pre, post));
-                }
-            }
-        }
-        EliminatedFaultSet {
-            edge_ids,
-            tree_intervals,
-            null_gens,
-            rank,
-        }
-    }
-
-    /// [`EliminatedFaultSet::eliminate`] fed straight from a store's
-    /// [`DecodedSidecar`]: `φ` columns are read out of the contiguous
-    /// column bank and the tree intervals were precomputed at freeze time,
-    /// so the elimination touches no `WireReader` and materializes no
-    /// [`CycleSpaceEdgeLabel`]s.
+    /// Runs the one-time elimination of the fault set `edge_ids` (sorted
+    /// ascending and distinct) over a store's columns: `φ` columns are read
+    /// out of the contiguous bank and the tree intervals were computed when
+    /// the labels were stored, so nothing is decoded here.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Missing`] if any fault edge has no decoded
-    /// record in the sidecar (callers fall back to the wire path).
+    /// Returns [`StoreError::Missing`] if any fault edge is not in the
+    /// store.
     pub fn eliminate_from_sidecar(
         edge_ids: Vec<EdgeId>,
-        sidecar: &DecodedSidecar,
+        store: &LabelStore,
     ) -> Result<Self, StoreError> {
         debug_assert!(
             edge_ids.windows(2).all(|w| w[0] < w[1]),
@@ -116,12 +79,12 @@ impl EliminatedFaultSet {
         let mut rank = 0;
         let mut tree_intervals = Vec::new();
         if f > 0 {
-            let b = sidecar.phi_width();
+            let b = store.phi_width();
             let mut basis = Basis::new(b, f);
             let mut scratch = DecodeScratch::new();
             let mut col = BitVec::zeros(0);
             for (i, &e) in edge_ids.iter().enumerate() {
-                if !sidecar.read_phi_into(e, &mut col) {
+                if !store.read_phi_into(e, &mut col) {
                     return Err(StoreError::Missing(StoreKey::edge(e)));
                 }
                 if basis.insert_with(&col, &mut scratch) {
@@ -129,7 +92,7 @@ impl EliminatedFaultSet {
                 } else {
                     null_gens.push(scratch.combo().clone());
                 }
-                if let Some((pre, post)) = sidecar.tree_child_interval(e) {
+                if let Some((pre, post)) = store.tree_child_interval(e) {
                     tree_intervals.push((i as u32, pre, post));
                 }
             }
@@ -169,24 +132,12 @@ impl EliminatedFaultSet {
             + self.tree_intervals.len() * 12
     }
 
-    /// Answers one query: returns the index of a separating null-space
-    /// generator, or `None` when `s` and `t` stay connected (w.h.p.).
-    ///
-    /// `diff` is caller-owned scratch for the `D(s, t)` membership vector —
-    /// reused across queries, so the test allocates nothing.
-    pub fn separating_generator(
-        &self,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        diff: &mut BitVec,
-    ) -> Option<usize> {
-        self.separating_generator_anc(&s.anc, &t.anc, diff)
-    }
-
-    /// [`EliminatedFaultSet::separating_generator`] on bare ancestry
-    /// intervals — the zero-decode hot path: one containment test per
-    /// **tree** fault (non-tree faults were dropped at elimination time)
-    /// and one AND-popcount per generator.
+    /// Answers one query on the ancestry intervals of `s` and `t`: returns
+    /// the index of a separating null-space generator, or `None` when they
+    /// stay connected (w.h.p.). One containment test per **tree** fault
+    /// (non-tree faults were dropped at elimination time) and one
+    /// AND-popcount per generator; `diff` is caller-owned scratch for the
+    /// `D(s, t)` membership vector, so the test allocates nothing.
     // ftl-analyzer: hot-path
     pub fn separating_generator_anc(
         &self,
@@ -208,16 +159,6 @@ impl EliminatedFaultSet {
         self.null_gens
             .iter()
             .position(|g| g.count_ones_and(diff) % 2 == 1)
-    }
-
-    /// Whether `s` and `t` are connected in `G \ F` (w.h.p.).
-    pub fn is_connected(
-        &self,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        diff: &mut BitVec,
-    ) -> bool {
-        self.separating_generator(s, t, diff).is_none()
     }
 
     /// The disconnecting cut `F′` witnessed by generator `gen`, as edge ids.
@@ -243,6 +184,7 @@ pub fn canonical_fault_hash(sorted_ids: &[EdgeId]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::store_from_cycle_space;
     use ftl_cycle_space::CycleSpaceScheme;
     use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
     use ftl_graph::{generators, Graph, VertexId};
@@ -252,8 +194,8 @@ mod tests {
         let mut ids = faults.to_vec();
         ids.sort();
         ids.dedup();
-        let labels = ids.iter().map(|&e| scheme.edge_label(e)).collect();
-        EliminatedFaultSet::eliminate(ids, labels)
+        let store = store_from_cycle_space(scheme, 4).unwrap();
+        EliminatedFaultSet::eliminate_from_sidecar(ids, &store).unwrap()
     }
 
     /// The batched parity decoder must agree with the per-query eliminator
@@ -271,10 +213,11 @@ mod tests {
                 let tl = scheme.vertex_label(t);
                 let truth = connected_avoiding(g, s, t, &mask);
                 let eager = ftl_cycle_space::decode(&sl, &tl, &flabels);
-                let batched = efs.is_connected(&sl, &tl, &mut diff);
+                let gen = efs.separating_generator_anc(&sl.anc, &tl.anc, &mut diff);
+                let batched = gen.is_none();
                 assert_eq!(batched, eager, "pair ({a},{b}) vs eager, faults {faults:?}");
                 assert_eq!(batched, truth, "pair ({a},{b}) vs truth, faults {faults:?}");
-                if let Some(gen) = efs.separating_generator(&sl, &tl, &mut diff) {
+                if let Some(gen) = gen {
                     // The certificate must be a real separating cut: remove
                     // it from the graph and s, t must be disconnected.
                     let cut = efs.certificate(gen);
@@ -333,14 +276,15 @@ mod tests {
     fn empty_fault_set_always_connected() {
         let g = generators::grid(2, 3);
         let scheme = CycleSpaceScheme::label(&g, 0, Seed::new(2)).unwrap();
-        let efs = EliminatedFaultSet::eliminate(vec![], vec![]);
+        let efs = eliminate_for(&scheme, &[]);
         let mut diff = BitVec::zeros(0);
         assert_eq!(efs.num_null_generators(), 0);
-        assert!(efs.is_connected(
-            &scheme.vertex_label(VertexId::new(0)),
-            &scheme.vertex_label(VertexId::new(5)),
+        let gen = efs.separating_generator_anc(
+            &scheme.vertex_label(VertexId::new(0)).anc,
+            &scheme.vertex_label(VertexId::new(5)).anc,
             &mut diff,
-        ));
+        );
+        assert_eq!(gen, None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The query engine: store → batcher → decoder → cache.
 //!
 //! An [`Engine`] serves connectivity queries grouped by fault set
-//! ([`FaultSetBatch`]) over a frozen [`LabelStore`] of wire-encoded
-//! cycle-space labels. Each group's fault set is eliminated **once** (or
+//! ([`FaultSetBatch`]) over a frozen [`LabelStore`] of cycle-space
+//! labels. Each group's fault set is eliminated **once** (or
 //! fetched from the LRU cache of eliminated bases, keyed by the canonical
 //! fault-set hash); each query then costs ancestry compares plus a parity
 //! test — see [`crate::batch`] for the math.
@@ -18,13 +18,12 @@
 //!
 //! # The zero-decode hot path
 //!
-//! The store's [`DecodedSidecar`](crate::store::DecodedSidecar) holds every
-//! label decoded at freeze time, so the cache-hot path touches no
-//! `WireReader`: vertex lookups are array reads of ancestry intervals, and
-//! elimination (on cache miss) streams `φ` columns straight out of the
-//! sidecar's contiguous bank. A record the sidecar could not place (a
-//! corrupt upsert, say) falls back to wire decoding for that record alone,
-//! so it fails only the queries that touch it.
+//! The [`LabelStore`] holds every label as decoded columns, so serving
+//! never decodes: vertex lookups are array reads of ancestry intervals,
+//! and elimination (on cache miss) streams `φ` columns straight out of
+//! the store's contiguous bank. A vertex or edge the store does not hold
+//! fails only the queries or fault sets that name it, with
+//! [`StoreError::Missing`].
 //!
 //! # Panic containment
 //!
@@ -35,8 +34,8 @@
 
 use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
 use crate::cache::LruCache;
-use crate::store::{LabelStore, LabelStoreBuilder, StoreError};
-use ftl_cycle_space::{CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel};
+use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
+use ftl_cycle_space::CycleSpaceScheme;
 use ftl_gf2::BitVec;
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::AncestryLabel;
@@ -47,7 +46,7 @@ use std::sync::Arc;
 /// Engine tuning knobs.
 #[derive(Debug, Copy, Clone)]
 pub struct EngineConfig {
-    /// Store shard count.
+    /// Most shards a store is split into: the unit a delta freeze copies.
     pub num_shards: usize,
     /// Capacity of the eliminated-basis LRU cache (0 disables caching).
     pub cache_capacity: usize,
@@ -82,7 +81,7 @@ pub enum EngineError {
         /// How many fault sets the request carried.
         available: usize,
     },
-    /// A label was missing from the store or failed to decode.
+    /// A vertex or edge the query names is not in the store.
     Store(StoreError),
     /// Serving the group panicked. The panic was contained at the group
     /// boundary: this group fails, the other groups keep their answers,
@@ -237,8 +236,7 @@ impl EngineCore {
     }
 
     /// Resolves one fault set to its eliminated basis: canonicalise, probe
-    /// the cache, eliminate on miss — from the sidecar's `φ` bank when it
-    /// covers the whole set, from wire otherwise.
+    /// the cache, eliminate from the store's `φ` bank on miss.
     fn resolve_fault_set(
         &mut self,
         store: &LabelStore,
@@ -284,17 +282,7 @@ impl EngineCore {
         // Time the elimination itself (cold path: cache hits returned
         // above) into the process-wide Elimination stage histogram.
         let eliminate_t0 = std::time::Instant::now();
-        let efs = if store.sidecar().covers_edges(&ids) {
-            EliminatedFaultSet::eliminate_from_sidecar(ids, store.sidecar())?
-        } else {
-            // Per-record wire fallback: a record the sidecar could not
-            // place fails only the fault sets that name it.
-            let labels: Vec<CycleSpaceEdgeLabel> = ids
-                .iter()
-                .map(|&e| store.edge_label(e))
-                .collect::<Result<_, _>>()?;
-            EliminatedFaultSet::eliminate(ids, labels)
-        };
+        let efs = EliminatedFaultSet::eliminate_from_sidecar(ids, store)?;
         ftl_obs::global().stages.record(
             ftl_obs::Stage::Elimination,
             eliminate_t0.elapsed().as_nanos() as u64,
@@ -353,17 +341,13 @@ impl EngineCore {
     }
 }
 
-/// The ancestry interval of `v`: a sidecar array read on the hot path,
-/// wire decoding only for records the sidecar could not place.
+/// The ancestry interval of `v`, or [`StoreError::Missing`].
 // ftl-analyzer: hot-path
 #[inline]
 fn vertex_anc(store: &LabelStore, v: VertexId) -> Result<AncestryLabel, EngineError> {
-    if let Some(anc) = store.sidecar().vertex_anc(v) {
-        return Ok(anc);
-    }
-    ftl_obs::global().engine.sidecar_fallbacks.inc();
-    // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
-    Ok(store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
+    store
+        .vertex_anc(v)
+        .ok_or(EngineError::Store(StoreError::Missing(StoreKey::vertex(v))))
 }
 
 /// The sharded, batch-decoding label-query engine: one serving core
@@ -432,13 +416,12 @@ impl Engine {
         self.epoch
     }
 
-    /// Encodes every label of a cycle-space scheme to the wire format and
-    /// loads the frozen store — the usual way to stand an engine up.
+    /// Freezes every label of a cycle-space scheme into a store and serves
+    /// it — the usual way to stand an engine up.
     ///
     /// # Errors
     ///
-    /// Fails if a label is too large for its shard's arena
-    /// ([`StoreError::ArenaOverflow`]).
+    /// As [`store_from_cycle_space`].
     pub fn from_cycle_space(
         scheme: &CycleSpaceScheme,
         config: EngineConfig,
@@ -607,25 +590,30 @@ fn record_obs_batch(stats: &BatchStats) {
     );
 }
 
-/// Wire-encodes every label of a cycle-space scheme into a frozen store
-/// (with the decoded sidecar).
+/// Freezes every label of a cycle-space scheme into a store of at most
+/// `num_shards` shards.
 ///
 /// # Errors
 ///
-/// Fails if a label is too large for its shard's arena
-/// ([`StoreError::ArenaOverflow`]).
+/// Never fails for a well-formed scheme; a label the builder refuses
+/// (see [`LabelStoreBuilder::put_edge`]) is returned as its error.
 pub fn store_from_cycle_space(
     scheme: &CycleSpaceScheme,
     num_shards: usize,
 ) -> Result<LabelStore, StoreError> {
-    let mut builder = LabelStoreBuilder::new(num_shards);
+    let mut builder = LabelStoreBuilder::new(
+        scheme.num_vertices(),
+        scheme.num_edges(),
+        scheme.bits_b(),
+        num_shards,
+    );
     for i in 0..scheme.num_vertices() {
         let v = VertexId::new(i);
-        builder.put_vertex_label(v, &scheme.vertex_label(v))?;
+        builder.put_vertex(v, &scheme.vertex_label(v))?;
     }
     for i in 0..scheme.num_edges() {
         let e = EdgeId::new(i);
-        builder.put_edge_label(e, &scheme.edge_label(e))?;
+        builder.put_edge(e, &scheme.edge_label(e))?;
     }
     Ok(builder.freeze())
 }

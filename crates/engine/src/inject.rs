@@ -2,11 +2,10 @@
 //! planners for the chaos suite.
 //!
 //! Everything here is deterministic under a [`Seed`], so a failing chaos
-//! run reproduces exactly. The corrupters mutate *copies* of wire bytes —
-//! frozen stores are immutable; corrupt records enter a store through
-//! [`LabelStore::delta_freeze`](crate::LabelStore::delta_freeze) upserts
-//! or a builder's `put_bytes`, exactly like a disk/network flip would
-//! arrive in practice.
+//! run reproduces exactly. The corrupters mutate *copies* of wire bytes,
+//! which reach a store the way a disk or network flip would: through
+//! [`LabelStoreBuilder::put_bytes`](crate::LabelStoreBuilder::put_bytes),
+//! the import boundary that must refuse them.
 //!
 //! The removal planners mirror the DRFE-R evaluation: uniform random
 //! churn versus **targeted** removal of the highest-degree survivors (the

@@ -3,9 +3,12 @@
 //! The labeling schemes of this workspace build compact labels; this crate
 //! *serves* them. The pipeline is **store → batcher → decoder → cache**:
 //!
-//! * [`store`] — labels live wire-encoded ([`ftl_labels::wire`]) in a
-//!   hash-sharded, frozen [`LabelStore`]; reads are pure `&self` lookups,
-//!   so any number of query threads can share the store lock-free.
+//! * [`store`] — labels live as decoded columns (ancestry intervals, the
+//!   `φ` bank, tree-child intervals) in a frozen [`LabelStore`], split by
+//!   id range into copy-on-write shards; reads are pure `&self` lookups,
+//!   so any number of query threads can share the store lock-free. Wire
+//!   records ([`ftl_labels::wire`]) enter only through the builder's
+//!   import, which refuses what it cannot place.
 //! * [`batch`] — queries arrive grouped by fault set ([`FaultSetBatch`]).
 //!   Each distinct fault set pays **one** GF(2) elimination, which yields
 //!   the null-space generators of its `φ` columns; every query is then a
@@ -50,4 +53,4 @@ pub use inject::{
 pub use scenario::{
     percentile_nearest_rank, run_churn_scenario, ChurnConfig, ChurnReport, ChurnRoundReport,
 };
-pub use store::{DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};
+pub use store::{LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};

@@ -1,11 +1,12 @@
 //! Fault-injection (chaos) suite for the epoch-versioned serving stack.
 //!
 //! Every test here injects a failure the serving path must survive
-//! *gracefully*: corrupted / truncated / length-lying wire records,
-//! panics mid-batch, readers racing snapshot swaps, adversarial
-//! targeted churn, and stale-cache hazards across epochs. "Gracefully"
-//! means a clean `EngineError` (never a crash), unaffected sibling
-//! queries, and 100% agreement with BFS ground truth after every swap.
+//! *gracefully*: corrupted / truncated / length-lying wire records at the
+//! store's import boundary, panics mid-batch, readers racing snapshot
+//! swaps, adversarial targeted churn, and stale-cache hazards across
+//! epochs. "Gracefully" means a typed error (never a crash), unaffected
+//! sibling queries, and 100% agreement with BFS ground truth after every
+//! swap.
 
 // Test code: panicking asserts and progress prints are the point here.
 #![allow(
@@ -17,13 +18,14 @@
 use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
-    plan_vertex_removals, run_churn_scenario, truncate_record, BatchRequest, ChurnConfig,
-    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, FaultSetBatch, LiveStore,
-    RemovalModel, StoreKey, SwapPath,
+    plan_vertex_removals, run_churn_scenario, store_from_cycle_space, truncate_record,
+    BatchRequest, ChurnConfig, ConnQuery, Engine, EngineConfig, EngineError, EpochStore,
+    FaultSetBatch, LabelStore, LabelStoreBuilder, LiveStore, RemovalModel, StoreError, StoreKey,
+    SwapPath,
 };
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
-use ftl_labels::wire::WireLabel;
+use ftl_labels::wire::{WireError, WireLabel};
 use ftl_seeded::Seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,47 +64,81 @@ fn non_tree_edge(store: &LiveStore) -> EdgeId {
 
 // ---------------------------------------------------------------- wire chaos
 
-/// Corrupt records published through a delta swap produce clean errors on
-/// the queries that touch them and leave sibling fault sets unharmed.
+/// A builder for `scheme`'s id spaces and `φ` width.
+fn builder_for(scheme: &CycleSpaceScheme) -> LabelStoreBuilder {
+    LabelStoreBuilder::new(
+        scheme.num_vertices(),
+        scheme.num_edges(),
+        scheme.bits_b(),
+        8,
+    )
+}
+
+/// Offers `record` to the import boundary under `key`: it must be refused
+/// with a typed error and leave the builder exactly as it was.
+fn refused(b: &mut LabelStoreBuilder, key: StoreKey, record: &[u8]) -> StoreError {
+    let before = b.clone();
+    let err = b
+        .put_bytes(key, record)
+        .expect_err("the import boundary accepted a record it cannot place");
+    assert_eq!(*b, before, "refusing {key:?} changed the builder");
+    err
+}
+
+/// Every label of `scheme` imported through its wire record, except the
+/// `victim` edge, whose record is `victim_record` — which the import must
+/// refuse with a wire error. The victim is then absent from the store.
+fn import_refusing(scheme: &CycleSpaceScheme, victim: EdgeId, victim_record: &[u8]) -> LabelStore {
+    let mut b = builder_for(scheme);
+    for i in 0..scheme.num_vertices() {
+        let v = VertexId::new(i);
+        b.put_bytes(StoreKey::vertex(v), &scheme.vertex_label(v).to_wire())
+            .unwrap();
+    }
+    for e in (0..scheme.num_edges())
+        .map(EdgeId::new)
+        .filter(|&e| e != victim)
+    {
+        b.put_bytes(StoreKey::edge(e), &scheme.edge_label(e).to_wire())
+            .unwrap();
+    }
+    let err = refused(&mut b, StoreKey::edge(victim), victim_record);
+    assert!(matches!(err, StoreError::Wire(_)), "{err:?}");
+    b.freeze()
+}
+
+/// A corrupt record is refused where it enters, at import. A snapshot
+/// built without it and published over a good one fails only the fault
+/// sets naming the victim, with a typed `Missing`; a sibling fault set on
+/// the same snapshot still matches BFS.
 #[test]
 fn corrupted_record_errors_cleanly_and_spares_other_queries() {
     let config = EngineConfig::default();
     let g = generators::grid(5, 5);
     let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(11)).unwrap();
-    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
+    let good = Arc::new(store_from_cycle_space(&scheme, 8).unwrap());
     let victim = EdgeId::new(7);
-    // Re-encode the victim's record with heavy random corruption and
-    // splice it in through the delta path — the way a disk or network
-    // flip would reach a serving snapshot.
+    // The victim's record with heavy random corruption, the way a disk or
+    // network flip would reach the import.
     let mut bytes = scheme.edge_label(victim).to_wire();
     let smear = bytes.len() * 2;
     corrupt_random_bytes(&mut bytes, smear, Seed::new(0xBAD));
-    let bad = good
-        .delta_freeze(&[(StoreKey::edge(victim), bytes)], &[])
-        .unwrap();
+    let bad = import_refusing(&scheme, victim, &bytes);
     let epochs = Arc::new(EpochStore::new(good));
     let mut engine = Engine::over_epochs(Arc::clone(&epochs), config);
-    // Pre-swap: the victim decodes fine.
+    // Pre-swap: the victim serves fine.
     let pre = engine.execute(&batch(vec![victim], &[(0, 24)])).unwrap();
     assert_eq!(pre.results.len(), 1);
     epochs.publish(Arc::new(bad));
-    // Post-swap: the fault set naming the corrupt record errors
-    // cleanly — no panic, and the error is a store error (or, if the
-    // corruption happened to keep the record decodable, the answer
-    // still matches ground truth).
-    match engine.execute(&batch(vec![victim], &[(0, 24)])) {
-        Err(EngineError::Store(_)) => {}
-        Err(other) => panic!("unexpected error kind: {other:?}"),
-        Ok(resp) => {
-            let mask = ftl_graph::traversal::forbidden_mask(&g, &[victim]);
-            assert_eq!(
-                resp.results[0].connected,
-                connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask)
-            );
-        }
-    }
-    // A sibling fault set that never touches the corrupt record still
-    // serves correctly from the same snapshot.
+    // Post-swap: the fault set naming the refused record fails cleanly.
+    assert_eq!(
+        engine
+            .execute(&batch(vec![victim], &[(0, 24)]))
+            .unwrap_err(),
+        EngineError::Store(StoreError::Missing(StoreKey::edge(victim)))
+    );
+    // A sibling fault set that never touches the victim still serves
+    // correctly from the same snapshot.
     let clean = EdgeId::new(20);
     let resp = engine.execute(&batch(vec![clean], &[(0, 24)])).unwrap();
     let mask = ftl_graph::traversal::forbidden_mask(&g, &[clean]);
@@ -113,15 +149,14 @@ fn corrupted_record_errors_cleanly_and_spares_other_queries() {
     );
 }
 
-/// Truncated and length-lying records are rejected with errors, never
-/// panics: the sidecar cannot place them, so they reach the per-record
-/// wire fallback, which refuses them.
+/// Truncated and length-lying records are refused at import with typed
+/// errors, never panics, and the fault sets naming the refused edge fail
+/// with `Missing`.
 #[test]
 fn truncated_and_oversized_records_error_not_panic() {
     let config = EngineConfig::default();
     let g = generators::grid(4, 4);
     let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
-    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
     let victim = EdgeId::new(3);
     let wire = scheme.edge_label(victim).to_wire();
     let corruptions: Vec<Vec<u8>> = vec![
@@ -142,17 +177,116 @@ fn truncated_and_oversized_records_error_not_panic() {
             b
         },
     ];
-    for (i, bad_bytes) in corruptions.into_iter().enumerate() {
-        let bad = good
-            .delta_freeze(&[(StoreKey::edge(victim), bad_bytes)], &[])
-            .unwrap();
-        let mut engine = Engine::with_shared(Arc::new(bad), config);
+    for (i, bad_bytes) in corruptions.iter().enumerate() {
+        let bad = import_refusing(&scheme, victim, bad_bytes);
+        let mut engine = Engine::new(bad, config);
         let out = engine.execute(&batch(vec![victim], &[(0, 15)]));
-        assert!(
-            matches!(out, Err(EngineError::Store(_))),
-            "corruption #{i}: expected clean store error, got {out:?}"
+        assert_eq!(
+            out.unwrap_err(),
+            EngineError::Store(StoreError::Missing(StoreKey::edge(victim))),
+            "corruption #{i}"
         );
     }
+}
+
+/// The import boundary refuses every record it cannot place with a typed
+/// `StoreError` and leaves the builder unchanged: every truncation point
+/// of a real edge record, lying length fields, heavy random byte smears,
+/// records of a foreign label kind (the sketch scheme's), a `φ` of the
+/// wrong width, and ids outside the declared id spaces.
+#[test]
+fn import_boundary_refuses_typed_and_never_panics() {
+    use ftl_sketch::{SketchParams, SketchScheme};
+    let g = generators::grid(4, 4);
+    let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let victim = EdgeId::new(3);
+    let key = StoreKey::edge(victim);
+    let wire = scheme.edge_label(victim).to_wire();
+    let mut b = builder_for(&scheme);
+    for i in 0..n {
+        let v = VertexId::new(i);
+        b.put_vertex(v, &scheme.vertex_label(v)).unwrap();
+    }
+    for e in (0..m).map(EdgeId::new).filter(|&e| e != victim) {
+        b.put_edge(e, &scheme.edge_label(e)).unwrap();
+    }
+
+    for keep in 0..wire.len() {
+        let mut cut = wire.clone();
+        truncate_record(&mut cut, keep);
+        let err = refused(&mut b, key, &cut);
+        assert!(matches!(err, StoreError::Wire(_)), "keep {keep}: {err:?}");
+    }
+    for extra in [1, 7, 8, 64, 4096, u32::MAX] {
+        let mut lying = wire.clone();
+        assert!(oversize_declared_bits(&mut lying, extra));
+        let err = refused(&mut b, key, &lying);
+        assert!(matches!(err, StoreError::Wire(_)), "extra {extra}: {err:?}");
+    }
+    for seed in 0..64 {
+        let mut smeared = wire.clone();
+        let count = smeared.len() * 2;
+        corrupt_random_bytes(&mut smeared, count, Seed::new(0x5EA7).derive(seed));
+        let err = refused(&mut b, key, &smeared);
+        assert!(matches!(err, StoreError::Wire(_)), "smear {seed}: {err:?}");
+    }
+
+    let sketch = SketchScheme::label(&g, &SketchParams::for_graph(&g), Seed::new(9)).unwrap();
+    let foreign = sketch.edge_label(victim).to_wire();
+    let err = refused(&mut b, key, &foreign);
+    assert!(
+        matches!(err, StoreError::Wire(WireError::WrongKind { .. })),
+        "{err:?}"
+    );
+    let foreign = sketch.vertex_label(VertexId::new(0)).to_wire();
+    let err = refused(&mut b, StoreKey::vertex(VertexId::new(0)), &foreign);
+    assert!(
+        matches!(err, StoreError::Wire(WireError::WrongKind { .. })),
+        "{err:?}"
+    );
+
+    let wider = CycleSpaceScheme::label(&g, 9, Seed::new(12)).unwrap();
+    assert_ne!(wider.bits_b(), scheme.bits_b());
+    let err = refused(&mut b, key, &wider.edge_label(victim).to_wire());
+    assert_eq!(
+        err,
+        StoreError::PhiWidth {
+            key,
+            expected: scheme.bits_b(),
+            got: wider.bits_b()
+        }
+    );
+
+    for far in [m, m + 1, u32::MAX as usize] {
+        let far_key = StoreKey::edge(EdgeId::new(far));
+        let err = refused(&mut b, far_key, &wire);
+        assert_eq!(
+            err,
+            StoreError::OutOfRange {
+                key: far_key,
+                len: m
+            }
+        );
+    }
+    let far_key = StoreKey::vertex(VertexId::new(n));
+    let err = refused(
+        &mut b,
+        far_key,
+        &scheme.vertex_label(VertexId::new(0)).to_wire(),
+    );
+    assert_eq!(
+        err,
+        StoreError::OutOfRange {
+            key: far_key,
+            len: n
+        }
+    );
+
+    // After all those refusals the genuine record still imports, and the
+    // result is the store a direct build makes.
+    b.put_bytes(key, &wire).unwrap();
+    assert_eq!(b.freeze(), store_from_cycle_space(&scheme, 8).unwrap());
 }
 
 // -------------------------------------------------------------- panic chaos
@@ -347,9 +481,9 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
 }
 
 /// The delta-freeze path and a from-scratch rebuild of the same surviving
-/// topology are bit-identical: every surviving record byte-for-byte, every
-/// removed key absent, and every query answer (certificates included)
-/// equal.
+/// topology are identical: equal column for column (every surviving
+/// record, every removed key absent), equal in bytes, and equal in every
+/// query answer, certificates included.
 #[test]
 fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let g = generators::grid(7, 7);
@@ -368,23 +502,9 @@ fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let live = store.live();
     let delta_built = Arc::clone(store.epochs().current().store());
     let rebuilt = Arc::new(full_store_of(live, &config).unwrap());
-    // Record-level identity over the whole keyspace.
-    for v in 0..g.num_vertices() {
-        let key = StoreKey::vertex(VertexId::new(v));
-        assert_eq!(
-            delta_built.get_bytes(key),
-            rebuilt.get_bytes(key),
-            "vertex {v}"
-        );
-    }
-    for e in 0..g.num_edges() {
-        let key = StoreKey::edge(EdgeId::new(e));
-        assert_eq!(
-            delta_built.get_bytes(key),
-            rebuilt.get_bytes(key),
-            "edge {e}"
-        );
-    }
+    // Column-level identity over the whole id space.
+    assert_eq!(*delta_built, *rebuilt);
+    assert_eq!(delta_built.bytes_total(), rebuilt.bytes_total());
     // Query-level identity, certificates included.
     let alive_edges: Vec<EdgeId> = live.alive_edges().collect();
     let alive_vertices: Vec<VertexId> = live.alive_vertices().collect();
@@ -417,6 +537,57 @@ fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let a = over_delta.execute(&req).unwrap();
     let b = over_rebuilt.execute(&req).unwrap();
     assert_eq!(a.results, b.results);
+}
+
+/// The published store equals a fresh build of the live labeling column
+/// for column, and holds exactly its bytes.
+fn assert_published_is_fresh_build(store: &LiveStore) {
+    let published = store.epochs().current();
+    let fresh = full_store_of(store.live(), &store.config()).unwrap();
+    assert_eq!(**published.store(), fresh, "epoch {}", published.number());
+    assert_eq!(
+        published.store().bytes_total(),
+        fresh.bytes_total(),
+        "epoch {}",
+        published.number()
+    );
+}
+
+/// Store memory under long churn, in the DRFE-R multi-round shape: 1000
+/// single-edge delta rounds on er 1024/8 (about 4k of its edges are
+/// removable). Every 100 rounds the published store must equal a fresh
+/// build of the surviving topology column for column, and its bytes must
+/// equal the fresh build's exactly: delta freezes leave nothing behind.
+#[test]
+fn long_churn_store_stays_equal_to_a_fresh_build() {
+    const ROUNDS: usize = 1000;
+    let mut rng = StdRng::seed_from_u64(1);
+    let g = generators::connected_random(1024, 8.0 / 1024.0, 1, &mut rng);
+    let mut store = LiveStore::new(&g, 4, Seed::new(0x10C), EngineConfig::default()).unwrap();
+    let plan = plan_edge_removals(
+        store.live(),
+        g.num_edges(),
+        RemovalModel::Random,
+        Seed::new(0x10D),
+    );
+    let mut delta_rounds = 0;
+    for e in plan {
+        // A bridge of the surviving topology is refused and publishes
+        // nothing; it is not a round.
+        let Ok(report) = store.remove_edge(e) else {
+            continue;
+        };
+        if matches!(report.path, SwapPath::Delta { .. }) {
+            delta_rounds += 1;
+            if delta_rounds % 100 == 0 {
+                assert_published_is_fresh_build(&store);
+            }
+            if delta_rounds == ROUNDS {
+                break;
+            }
+        }
+    }
+    assert_eq!(delta_rounds, ROUNDS, "ran out of removable edges");
 }
 
 /// Regression: the elimination cache must not serve a basis eliminated
@@ -539,7 +710,8 @@ fn delta_swap_beats_relabel_from_scratch() {
 
 /// Time-boxed churn soak: repeats randomized churn scenarios (fresh graph,
 /// fresh seeds each iteration) until the `CHURN_SOAK_MS` budget runs out,
-/// requiring perfect ground-truth agreement throughout. Run explicitly:
+/// requiring perfect ground-truth agreement throughout, and a final store
+/// equal (columns and bytes) to a fresh build after every iteration. Run explicitly:
 /// `CHURN_SOAK_MS=30000 cargo test -p ftl-engine --test chaos -- --ignored`.
 #[test]
 #[ignore = "time-boxed soak; enable via CHURN_SOAK_MS"]
@@ -571,6 +743,7 @@ fn churn_soak() {
             report.mismatches, 0,
             "soak iteration {iteration} diverged from ground truth"
         );
+        assert_published_is_fresh_build(&store);
         iteration += 1;
     }
     assert!(iteration > 0, "soak budget too small to run one iteration");

@@ -9,15 +9,14 @@
     clippy::panic,
     clippy::print_stdout
 )]
-use ftl_cycle_space::{
-    CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel,
-};
+use ftl_cycle_space::{CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme};
 use ftl_engine::{
     BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch, LabelStore,
-    QueryResult, StoreError,
+    LabelStoreBuilder, QueryResult, StoreError, StoreKey,
 };
 use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
+use ftl_labels::wire::WireLabel;
 use ftl_seeded::Seed;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,6 +25,27 @@ use rand::{Rng, SeedableRng};
 fn engine_for(g: &Graph, f: usize, seed: u64, config: EngineConfig) -> Engine {
     let scheme = CycleSpaceScheme::label(g, f, Seed::new(seed)).unwrap();
     Engine::from_cycle_space(&scheme, config).unwrap()
+}
+
+/// Every label of `scheme` imported through its wire record.
+fn imported(scheme: &CycleSpaceScheme) -> LabelStore {
+    let mut b = LabelStoreBuilder::new(
+        scheme.num_vertices(),
+        scheme.num_edges(),
+        scheme.bits_b(),
+        EngineConfig::default().num_shards,
+    );
+    for i in 0..scheme.num_vertices() {
+        let v = VertexId::new(i);
+        b.put_bytes(StoreKey::vertex(v), &scheme.vertex_label(v).to_wire())
+            .unwrap();
+    }
+    for i in 0..scheme.num_edges() {
+        let e = EdgeId::new(i);
+        b.put_bytes(StoreKey::edge(e), &scheme.edge_label(e).to_wire())
+            .unwrap();
+    }
+    b.freeze()
 }
 
 fn random_fault_sets(g: &Graph, count: usize, f: usize, rng: &mut StdRng) -> Vec<Vec<EdgeId>> {
@@ -43,23 +63,23 @@ fn random_fault_sets(g: &Graph, count: usize, f: usize, rng: &mut StdRng) -> Vec
         .collect()
 }
 
-/// The naive serving path, kept as the differential oracle: every query
-/// pays a **fresh elimination** of the augmented system over wire-decoded
+/// The naive path, kept as the differential oracle: every query pays a
+/// **fresh elimination** of the augmented system over the scheme's own
 /// labels (the pre-engine `ftl_cycle_space::decode` formulation). Its
 /// certificates index the request's fault list, so they come back in
 /// request order rather than canonical order.
-fn naive_answers(store: &LabelStore, req: &BatchRequest) -> Vec<QueryResult> {
+fn naive_answers(scheme: &CycleSpaceScheme, req: &BatchRequest) -> Vec<QueryResult> {
     let mut decoder = CycleSpaceDecoder::new();
     let labels: Vec<Vec<CycleSpaceEdgeLabel>> = req
         .fault_sets
         .iter()
-        .map(|fs| fs.iter().map(|&e| store.edge_label(e).unwrap()).collect())
+        .map(|fs| fs.iter().map(|&e| scheme.edge_label(e)).collect())
         .collect();
     req.queries
         .iter()
         .map(|q| {
-            let s: CycleSpaceVertexLabel = store.vertex_label(q.s).unwrap();
-            let t: CycleSpaceVertexLabel = store.vertex_label(q.t).unwrap();
+            let s = scheme.vertex_label(q.s);
+            let t = scheme.vertex_label(q.t);
             match decoder.decode_with_certificate(&s, &t, &labels[q.fault_set]) {
                 Some(idx) => QueryResult {
                     connected: false,
@@ -101,7 +121,8 @@ fn batched_naive_and_truth_agree() {
             collect_certificates: true,
             ..EngineConfig::default()
         };
-        let mut engine = engine_for(&g, 5, 9, config);
+        let scheme = CycleSpaceScheme::label(&g, 5, Seed::new(9)).unwrap();
+        let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
         for trial in 0..3 {
             let fault_sets = random_fault_sets(&g, 4, 5, &mut rng);
             let queries = random_queries(&g, 120, fault_sets.len(), &mut rng);
@@ -110,7 +131,7 @@ fn batched_naive_and_truth_agree() {
                 queries,
             };
             let batched = engine.execute(&req).unwrap();
-            let naive = naive_answers(engine.store(), &req);
+            let naive = naive_answers(&scheme, &req);
             assert_eq!(batched.results.len(), naive.len());
             for (i, (b, nv)) in batched.results.iter().zip(&naive).enumerate() {
                 let q = &req.queries[i];
@@ -320,58 +341,49 @@ proptest! {
 // The decoded sidecar, shared stores, and request validation.
 // ---------------------------------------------------------------------
 
-/// The store-level equivalence the engine relies on: for every record,
-/// the wire decode and the decoded sidecar's view agree — vertex ancestry
-/// exactly, edge `φ` bit for bit, and the tree-path predicate
-/// `on_root_path_of` for every vertex. Checked on a fresh freeze and on a
-/// delta-frozen successor after churn.
+/// The wire format is only a transfer encoding: importing every label
+/// through `put_bytes` builds the same columns as storing the typed labels
+/// directly — on a fresh labeling, and on the labeling a live store reached
+/// through delta swaps, where both also equal the published snapshot.
 #[test]
 fn sidecar_and_wire_paths_agree() {
-    use ftl_engine::{plan_edge_removals, LiveStore, RemovalModel};
-    fn check(store: &LabelStore, vertices: &[VertexId], edges: &[EdgeId]) {
-        let sidecar = store.sidecar();
-        assert_eq!(sidecar.decoded_vertices(), vertices.len());
-        assert_eq!(sidecar.decoded_edges(), edges.len());
-        let ancs: Vec<_> = vertices
-            .iter()
-            .map(|&v| {
-                let wire: CycleSpaceVertexLabel = store.vertex_label(v).unwrap();
-                assert_eq!(sidecar.vertex_anc(v), Some(wire.anc), "vertex {v:?}");
-                wire.anc
-            })
-            .collect();
-        for &e in edges {
-            let wire: CycleSpaceEdgeLabel = store.edge_label(e).unwrap();
-            let view = sidecar.materialize_edge_label(e).unwrap();
-            assert_eq!(view.phi, wire.phi, "phi of edge {e:?}");
-            assert_eq!(view.is_tree, wire.is_tree, "edge {e:?}");
-            for anc in &ancs {
-                assert_eq!(
-                    view.on_root_path_of(anc),
-                    wire.on_root_path_of(anc),
-                    "edge {e:?} vs {anc:?}"
-                );
-            }
+    use ftl_engine::{full_store_of, plan_edge_removals, LiveStore, RemovalModel};
+    fn import(live: &ftl_cycle_space::LiveCycleSpace, num_shards: usize) -> LabelStore {
+        let g = live.graph();
+        let mut b =
+            LabelStoreBuilder::new(g.num_vertices(), g.num_edges(), live.bits(), num_shards);
+        for v in live.alive_vertices() {
+            b.put_bytes(StoreKey::vertex(v), &live.vertex_label(v).to_wire())
+                .unwrap();
         }
+        for e in live.alive_edges() {
+            b.put_bytes(StoreKey::edge(e), &live.edge_label(e).to_wire())
+                .unwrap();
+        }
+        b.freeze()
     }
     let g = generators::grid(6, 6);
-    let mut live = LiveStore::new(&g, 6, Seed::new(31), EngineConfig::default()).unwrap();
-    let alive = |live: &LiveStore| {
-        (
-            live.live().alive_vertices().collect::<Vec<_>>(),
-            live.live().alive_edges().collect::<Vec<_>>(),
-        )
+    let config = EngineConfig::default();
+    let mut live = LiveStore::new(&g, 6, Seed::new(31), config).unwrap();
+    let check = |live: &LiveStore| {
+        let published = live.epochs().current();
+        let direct = full_store_of(live.live(), &config).unwrap();
+        let wire = import(live.live(), config.num_shards);
+        assert_eq!(wire, direct);
+        assert_eq!(**published.store(), direct);
+        assert_eq!(
+            wire.len(),
+            live.live().num_alive_vertices() + live.live().num_alive_edges()
+        );
     };
-    let (vertices, edges) = alive(&live);
-    check(live.epochs().current().store(), &vertices, &edges);
+    check(&live);
     let plan = plan_edge_removals(live.live(), 6, RemovalModel::Random, Seed::new(32));
     live.remove_edges(&plan).unwrap();
     assert!(
         live.epochs().current().number() > 1,
         "no delta swap happened"
     );
-    let (vertices, edges) = alive(&live);
-    check(live.epochs().current().store(), &vertices, &edges);
+    check(&live);
 }
 
 /// M plain threads hammering one frozen `Arc<LabelStore>` — each with its
@@ -412,51 +424,23 @@ fn threads_sharing_one_frozen_store_agree_with_serial() {
     }
 }
 
-/// A store whose sidecar places nothing serves every record through the
-/// per-record wire fallback, and answers identically to a sidecar engine
-/// over the same labels. One record at a far-out id per namespace makes
-/// both id spaces too sparse for the dense sidecar arrays, so an ordinary
-/// `freeze` leaves the whole store wire-only.
+/// A store imported record by record through the wire boundary
+/// (`put_bytes`) serves identically to one built directly from the typed
+/// labels, certificates included: one store representation, whichever way
+/// the labels arrived.
 #[test]
 fn wire_only_freeze_serves_identically_without_sidecar() {
-    use ftl_engine::{LabelStoreBuilder, StoreKey};
     let g = generators::grid(4, 4);
     let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(6)).unwrap();
-    let mut builder = LabelStoreBuilder::new(4);
-    for i in 0..g.num_vertices() {
-        let v = VertexId::new(i);
-        builder
-            .put_vertex_label(v, &scheme.vertex_label(v))
-            .unwrap();
-    }
-    for i in 0..g.num_edges() {
-        let e = EdgeId::new(i);
-        builder.put_edge_label(e, &scheme.edge_label(e)).unwrap();
-    }
-    let far = 1_000_000;
-    builder
-        .put_vertex_label(VertexId::new(far), &scheme.vertex_label(VertexId::new(0)))
-        .unwrap();
-    builder
-        .put_edge_label(EdgeId::new(far), &scheme.edge_label(EdgeId::new(0)))
-        .unwrap();
-    let store = builder.freeze();
-    assert_eq!(store.sidecar().decoded_vertices(), 0);
-    assert_eq!(store.sidecar().decoded_edges(), 0);
-    assert!(store
-        .get_bytes(StoreKey::vertex(VertexId::new(0)))
-        .is_some());
     let config = EngineConfig {
         collect_certificates: true,
         ..EngineConfig::default()
     };
-    let mut wire_engine = Engine::new(store, config);
-    let mut sidecar_engine = Engine::from_cycle_space(&scheme, config).unwrap();
-    assert_eq!(
-        sidecar_engine.store().sidecar().decoded_edges(),
-        g.num_edges()
-    );
+    let mut wire_engine = Engine::new(imported(&scheme), config);
+    let mut direct_engine = Engine::from_cycle_space(&scheme, config).unwrap();
+    assert_eq!(wire_engine.store(), direct_engine.store());
     let mut rng = StdRng::seed_from_u64(0xF00);
+    let mut disconnected = 0;
     for trial in 0..4 {
         let fault_sets = random_fault_sets(&g, 2, 4, &mut rng);
         let queries = random_queries(&g, 80, fault_sets.len(), &mut rng);
@@ -464,12 +448,15 @@ fn wire_only_freeze_serves_identically_without_sidecar() {
             fault_sets,
             queries,
         };
+        let wire = wire_engine.execute(&req).unwrap().results;
         assert_eq!(
-            wire_engine.execute(&req).unwrap().results,
-            sidecar_engine.execute(&req).unwrap().results,
+            wire,
+            direct_engine.execute(&req).unwrap().results,
             "trial {trial}"
         );
+        disconnected += wire.iter().filter(|r| r.certificate.is_some()).count();
     }
+    assert!(disconnected > 0, "no certificate was compared");
 }
 
 /// A fault set naming a missing edge is rejected by both entry points even

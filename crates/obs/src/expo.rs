@@ -92,7 +92,7 @@ fn push_extra_label(out: &mut String, had_none: bool, k: &str, v: &str) {
 
 impl Registry {
     /// Appends every pipeline-side series to `out`: the per-stage latency
-    /// summaries, the engine's cache and sidecar counters (plus the
+    /// summaries, the engine's query and cache counters (plus the
     /// derived hit ratio), the epoch gauges and swap-latency summary, and
     /// the live-labeling relabel count. `ftl-server` appends its own
     /// `ftl_server_*` families after this to form a complete scrape.
@@ -117,11 +117,6 @@ impl Registry {
             out,
             "ftl_engine_cache_hits_total",
             self.engine.cache_hits.get(),
-        );
-        counter(
-            out,
-            "ftl_engine_sidecar_fallbacks_total",
-            self.engine.sidecar_fallbacks.get(),
         );
         type_line(out, "ftl_engine_cache_hit_ratio", "gauge");
         let hits = self.engine.cache_hits.get();

@@ -108,7 +108,7 @@ impl Stage {
     }
 }
 
-/// Engine-side counters: cache effectiveness and sidecar coverage.
+/// Engine-side counters: answered queries and cache effectiveness.
 #[derive(Debug, Default)]
 pub struct EngineMetrics {
     /// Queries answered (all batches, all engines in the process).
@@ -117,9 +117,6 @@ pub struct EngineMetrics {
     pub eliminations: Counter,
     /// Fault sets served from the elimination cache.
     pub cache_hits: Counter,
-    /// Ancestry lookups that missed the sidecar arrays and fell back to
-    /// decoding the wire record.
-    pub sidecar_fallbacks: Counter,
 }
 
 impl EngineMetrics {
@@ -129,7 +126,6 @@ impl EngineMetrics {
             queries: Counter::new(),
             eliminations: Counter::new(),
             cache_hits: Counter::new(),
-            sidecar_fallbacks: Counter::new(),
         }
     }
 
@@ -271,7 +267,7 @@ impl ClientMetrics {
 pub struct Registry {
     /// Per-stage wall-clock histograms.
     pub stages: StageSet,
-    /// Engine cache/sidecar counters.
+    /// Engine query and cache counters.
     pub engine: EngineMetrics,
     /// Epoch publication and swap metrics.
     pub epoch: EpochMetrics,
@@ -316,11 +312,9 @@ mod tests {
         let r = Registry::new();
         r.engine.record_batch(10, 2, 8);
         r.engine.record_batch(5, 0, 5);
-        r.engine.sidecar_fallbacks.inc();
         assert_eq!(r.engine.queries.get(), 15);
         assert_eq!(r.engine.eliminations.get(), 2);
         assert_eq!(r.engine.cache_hits.get(), 13);
-        assert_eq!(r.engine.sidecar_fallbacks.get(), 1);
         r.epoch.published.set(7);
         assert_eq!(r.epoch.published.get(), 7);
     }
@@ -442,7 +436,6 @@ mod tests {
             "ftl_engine_queries_total 4",
             "ftl_engine_cache_hits_total 3",
             "ftl_engine_cache_hit_ratio 0.750000",
-            "ftl_engine_sidecar_fallbacks_total 0",
             "ftl_epoch_published 2",
             "ftl_epoch_lag 0",
             "ftl_epoch_swap_ns_count 1",

@@ -2,12 +2,11 @@
 //!
 //! `std`'s default `HashMap`/`HashSet` hasher is randomly keyed per
 //! process, so iteration order — and therefore anything derived from it
-//! (sidecar placement order, shard diagnostics, debug dumps) — varies run
-//! to run. Label and store code is required to be reproducible end to end
+//! (build order, cache eviction order, debug dumps) — varies run to run. Label and store code is required to be reproducible end to end
 //! (the whole construction re-derives randomness from explicit [`Seed`]s),
 //! so collections there use [`DetHashMap`]/[`DetHashSet`] instead: the
-//! same SplitMix64 mixing the shard router and fault-set hashing already
-//! rely on, with a fixed key.
+//! same SplitMix64 mixing fault-set hashing already relies on, with a
+//! fixed key.
 //!
 //! This is enforced two ways: rule `FTL004` of `ftl-analyzer` flags
 //! default-hasher collections in label/store code, and `clippy.toml`

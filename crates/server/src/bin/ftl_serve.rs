@@ -4,8 +4,9 @@
 //! The server and its clients agree on the topology via the spec
 //! language (`--graph grid:32x32 --seed 1` must match on both sides; see
 //! `ftl_server::spec`). Labels are built once at startup, frozen into a
-//! sharded store, and published as epoch 1 of an `EpochStore` — each
-//! accumulation window pins whatever epoch is current when it executes.
+//! store of decoded label columns, and published as epoch 1 of an
+//! `EpochStore` — each accumulation window pins whatever epoch is current
+//! when it executes.
 //!
 //! ```text
 //! ftl-serve --addr 127.0.0.1:7411 --graph er:1024:8 --seed 1 --duration-secs 30
@@ -70,7 +71,9 @@ fn parse_args() -> Result<Args, String> {
             "--stats-interval" => args.stats_interval = parse(&value("--stats-interval")?)?,
             "--help" | "-h" => {
                 println!(
-                    "ftl-serve [--addr A] [--graph SPEC] [--seed N] [--width B] [--shards N]\n\
+                    "ftl-serve [--addr A] [--graph SPEC] [--seed N] [--width B]\n\
+                     \x20         [--shards N]  (most id-range shards the label store is\n\
+                     \x20          split into)\n\
                      \x20         [--executors N] [--window-us N] [--budget N]\n\
                      \x20         [--watchdog-factor N] (force-release requests stuck longer\n\
                      \x20          than N accumulation windows; 0 = no watchdog)\n\
@@ -106,7 +109,7 @@ fn run() -> Result<(), String> {
     let store =
         store_from_cycle_space(&scheme, args.shards).map_err(|e| format!("freeze failed: {e}"))?;
     println!(
-        "labeled + frozen in {:.1} ms ({} records, {} wire bytes, {} shards)",
+        "labeled + frozen in {:.1} ms ({} records, {} column bytes, {} shards)",
         t0.elapsed().as_secs_f64() * 1e3,
         store.len(),
         store.bytes_total(),

@@ -35,7 +35,6 @@ const DOCUMENTED_FAMILIES: &[&str] = &[
     "ftl_engine_queries_total",
     "ftl_engine_eliminations_total",
     "ftl_engine_cache_hits_total",
-    "ftl_engine_sidecar_fallbacks_total",
     "ftl_engine_cache_hit_ratio",
     "ftl_epoch_published",
     "ftl_epoch_pinned",
