@@ -731,6 +731,166 @@ mod tests {
         assert_eq!(back.len(), 30);
     }
 
+    /// The store's capacity is the id space the builder declared, and a
+    /// write past it is a typed refusal, not a panic or an out-of-bounds
+    /// index: the builder is unchanged and no shard is copied.
+    #[test]
+    fn arena_overflow_is_a_typed_error_not_a_panic() {
+        let (_, scheme) = grid_scheme();
+        let store = store_from_cycle_space(&scheme, 4).unwrap();
+        let (n, m) = (scheme.num_vertices(), scheme.num_edges());
+        let mut edit = store.edit();
+        for id in [m, m + 1, u32::MAX as usize] {
+            let e = EdgeId::new(id);
+            let key = StoreKey::edge(e);
+            let err = edit.put_edge(e, &scheme.edge_label(EdgeId::new(0)));
+            assert_eq!(err, Err(StoreError::OutOfRange { key, len: m }));
+            assert_eq!(
+                edit.remove(key),
+                Err(StoreError::OutOfRange { key, len: m })
+            );
+        }
+        let v = VertexId::new(u32::MAX as usize);
+        let err = edit
+            .put_vertex(v, &scheme.vertex_label(VertexId::new(0)))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::OutOfRange {
+                key: StoreKey::vertex(v),
+                len: n
+            }
+        );
+        assert!(err.to_string().contains(&format!("{n} ids")), "{err}");
+        let next = edit.freeze();
+        assert_eq!(next, store);
+        for s in 0..store.num_shards() {
+            assert!(
+                next.shares_shard_with(&store, s),
+                "refusal copied shard {s}"
+            );
+        }
+    }
+
+    /// An undecodable upsert offered while editing a snapshot is refused
+    /// at the import boundary: the successor keeps serving the record it
+    /// had, decoded, and shares every shard with its predecessor.
+    #[test]
+    fn delta_freeze_evicts_undecodable_upsert_but_serves_wire() {
+        let g = ftl_graph::generators::cycle(6);
+        let scheme = CycleSpaceScheme::label(&g, 2, Seed::new(3)).unwrap();
+        let store = store_from_cycle_space(&scheme, 2).unwrap();
+        let e = EdgeId::new(0);
+        assert!(store.has_edge(e));
+
+        let mut bad = scheme.edge_label(e).to_wire();
+        bad[0] ^= 0xFF;
+        let mut edit = store.edit();
+        assert!(matches!(
+            edit.put_bytes(StoreKey::edge(e), &bad),
+            Err(StoreError::Wire(_))
+        ));
+        let next = edit.freeze();
+        assert_ne!(next.uid(), store.uid());
+        assert_eq!(next, store);
+        for s in 0..store.num_shards() {
+            assert!(next.shares_shard_with(&store, s), "shard {s}");
+        }
+        let mut phi = BitVec::zeros(0);
+        assert!(next.read_phi_into(e, &mut phi));
+        assert_eq!(phi, scheme.edge_label(e).phi);
+        assert!(next.has_edge(EdgeId::new(1)));
+    }
+
+    /// A whole store's worth of records of a foreign label kind (the
+    /// sketch scheme's) is refused record by record with a typed
+    /// `WrongKind`; an engine over the resulting empty store fails every
+    /// group and query with a typed store error.
+    #[test]
+    fn foreign_kind_store_stays_wire_only_and_fails_typed() {
+        use crate::engine::{Engine, EngineConfig, EngineError, FaultSetBatch};
+        use ftl_sketch::{SketchParams, SketchScheme};
+        let g = ftl_graph::generators::grid(3, 3);
+        let params = SketchParams::for_graph(&g);
+        let scheme = SketchScheme::label(&g, &params, Seed::new(9)).unwrap();
+        let mut b = LabelStoreBuilder::new(g.num_vertices(), g.num_edges(), 4, 2);
+        let empty = b.clone();
+        for i in 0..g.num_vertices() {
+            let v = VertexId::new(i);
+            let err = b.put_bytes(StoreKey::vertex(v), &scheme.vertex_label(v).to_wire());
+            assert!(
+                matches!(err, Err(StoreError::Wire(WireError::WrongKind { .. }))),
+                "{err:?}"
+            );
+        }
+        for i in 0..g.num_edges() {
+            let e = EdgeId::new(i);
+            let err = b.put_bytes(StoreKey::edge(e), &scheme.edge_label(e).to_wire());
+            assert!(
+                matches!(err, Err(StoreError::Wire(WireError::WrongKind { .. }))),
+                "{err:?}"
+            );
+        }
+        assert_eq!(b, empty);
+        let store = b.freeze();
+        assert!(store.is_empty());
+
+        let (s, t) = (VertexId::new(0), VertexId::new(8));
+        let groups = [
+            FaultSetBatch {
+                faults: vec![EdgeId::new(0), EdgeId::new(3)],
+                queries: vec![(s, t)],
+            },
+            FaultSetBatch {
+                faults: Vec::new(),
+                queries: vec![(s, t)],
+            },
+        ];
+        let resp = Engine::new(store, EngineConfig::default()).execute_grouped(&groups);
+        assert_eq!(resp.groups.len(), 2);
+        // The fault set's edges are absent: the group fails as a unit.
+        assert!(
+            matches!(
+                resp.groups[0],
+                Err(EngineError::Store(StoreError::Missing(_)))
+            ),
+            "{:?}",
+            resp.groups[0]
+        );
+        // An empty fault set resolves, so the failure moves to the query:
+        // its endpoints are absent too. No answer, no panic.
+        let answers = resp.groups[1].as_ref().expect("empty fault set resolves");
+        assert_eq!(answers.len(), 1);
+        assert!(
+            matches!(answers[0], Err(EngineError::Store(StoreError::Missing(_)))),
+            "{:?}",
+            answers[0]
+        );
+    }
+
+    /// Ids far outside the declared id space are refused with
+    /// `OutOfRange` instead of being kept aside; reads of them find
+    /// nothing, and the in-range record is served from the columns.
+    #[test]
+    fn sparse_id_space_stays_wire_only() {
+        let mut b = LabelStoreBuilder::new(8, 0, 4, 1);
+        b.put_vertex(VertexId::new(3), &vlabel(1, 2)).unwrap();
+        let far = VertexId::new(900_000);
+        assert_eq!(
+            b.put_bytes(StoreKey::vertex(far), &vlabel(3, 4).to_wire()),
+            Err(StoreError::OutOfRange {
+                key: StoreKey::vertex(far),
+                len: 8
+            })
+        );
+        let store = b.freeze();
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.vertex_anc(VertexId::new(3)), Some(vlabel(1, 2).anc));
+        assert_eq!(store.vertex_anc(far), None);
+        // The columns stay sized to the declared ids, not the far one.
+        assert!(store.bytes_total() < 1024, "{}", store.bytes_total());
+    }
+
     #[test]
     fn zero_shards_clamped_to_one() {
         let mut b = LabelStoreBuilder::new(1, 0, 4, 0);
