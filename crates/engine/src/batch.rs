@@ -16,14 +16,25 @@
 //! for *some* null-space element iff it is odd for some **generator**.
 //!
 //! Hence one elimination per fault set produces `f − rank` null-space
-//! generators (collected for free from the dependent inserts of
-//! [`ftl_gf2::Basis::insert_with`]), and every query against that fault set
-//! is `f` ancestry checks plus one AND-popcount per generator —
-//! `O(f²/64)` words instead of a fresh `O(f²·(f+log n)/64)` elimination.
-//! A separating generator is itself the disconnecting cut certificate `F′`.
+//! generators, and every query against that fault set is `f` ancestry
+//! checks plus one AND-popcount per generator — `O(f²/64)` words instead
+//! of a fresh `O(f²·(f+log n)/64)` elimination. A separating generator is
+//! itself the disconnecting cut certificate `F′`.
+//!
+//! # The elimination
+//!
+//! [`ftl_gf2::NullSpace`] computes the generators: it transposes the `f`
+//! `φ` columns into one contiguous word run per 64 faults, reduces them to
+//! echelon form with branch-free masked sweeps, and reads each dependent
+//! column's generator off by back-substitution. Generator `k` is the `k`-th
+//! dependent fault (in canonical order) together with the unique set of
+//! earlier independent faults whose `φ` XOR equals its own, so answers and
+//! certificates are a function of the fault set alone. Each engine keeps
+//! one [`EliminationScratch`], so a cold elimination allocates only its
+//! result.
 
 use crate::store::{LabelStore, StoreError, StoreKey};
-use ftl_gf2::{Basis, BitVec, DecodeScratch};
+use ftl_gf2::{BitVec, NullSpace};
 use ftl_graph::EdgeId;
 use ftl_labels::AncestryLabel;
 
@@ -56,11 +67,21 @@ pub struct EliminatedFaultSet {
     rank: usize,
 }
 
+/// Reusable scratch for [`EliminatedFaultSet::eliminate_with`]: the
+/// null-space kernel and the staging buffer for tree intervals. After it
+/// has grown to the largest fault set it has seen, an elimination allocates
+/// only the [`EliminatedFaultSet`] it returns.
+#[derive(Debug, Clone, Default)]
+pub struct EliminationScratch {
+    kernel: NullSpace,
+    tree_intervals: Vec<(u32, u32, u32)>,
+}
+
 impl EliminatedFaultSet {
     /// Runs the one-time elimination of the fault set `edge_ids` (sorted
-    /// ascending and distinct) over a store's columns: `φ` columns are read
-    /// out of the contiguous bank and the tree intervals were computed when
-    /// the labels were stored, so nothing is decoded here.
+    /// ascending and distinct) over a store's columns, with fresh scratch.
+    /// A serving loop keeps an [`EliminationScratch`] and calls
+    /// [`EliminatedFaultSet::eliminate_with`] instead.
     ///
     /// # Errors
     ///
@@ -70,37 +91,45 @@ impl EliminatedFaultSet {
         edge_ids: Vec<EdgeId>,
         store: &LabelStore,
     ) -> Result<Self, StoreError> {
-        debug_assert!(
-            edge_ids.windows(2).all(|w| w[0] < w[1]),
-            "ids not canonical"
-        );
-        let f = edge_ids.len();
-        let mut null_gens = Vec::new();
-        let mut rank = 0;
-        let mut tree_intervals = Vec::new();
-        if f > 0 {
-            let b = store.phi_width();
-            let mut basis = Basis::new(b, f);
-            let mut scratch = DecodeScratch::new();
-            let mut col = BitVec::zeros(0);
-            for (i, &e) in edge_ids.iter().enumerate() {
-                if !store.read_phi_into(e, &mut col) {
-                    return Err(StoreError::Missing(StoreKey::edge(e)));
-                }
-                if basis.insert_with(&col, &mut scratch) {
-                    rank += 1;
-                } else {
-                    null_gens.push(scratch.combo().clone());
-                }
-                if let Some((pre, post)) = store.tree_child_interval(e) {
-                    tree_intervals.push((i as u32, pre, post));
-                }
+        Self::eliminate_with(edge_ids, store, &mut EliminationScratch::default())
+    }
+
+    /// Runs the one-time elimination of the fault set `edge_ids` (sorted
+    /// ascending and distinct) over a store's columns, reusing `scratch`:
+    /// `φ` columns are read out of the contiguous bank and the tree
+    /// intervals were computed when the labels were stored, so nothing is
+    /// decoded here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Missing`] if any fault edge is not in the
+    /// store.
+    pub fn eliminate_with(
+        edge_ids: Vec<EdgeId>,
+        store: &LabelStore,
+        scratch: &mut EliminationScratch,
+    ) -> Result<Self, StoreError> {
+        debug_assert!(edge_ids.is_sorted_by(|a, b| a < b), "ids not canonical");
+        let EliminationScratch {
+            kernel,
+            tree_intervals,
+        } = scratch;
+        kernel.reset(store.phi_width(), edge_ids.len());
+        tree_intervals.clear();
+        for (i, &e) in edge_ids.iter().enumerate() {
+            let column = store
+                .fault_column(e)
+                .ok_or(StoreError::Missing(StoreKey::edge(e)))?;
+            kernel.push_column(column.phi);
+            if let Some((pre, post)) = column.tree_interval {
+                tree_intervals.push((i as u32, pre, post));
             }
         }
+        let rank = kernel.eliminate();
         Ok(EliminatedFaultSet {
             edge_ids,
-            tree_intervals,
-            null_gens,
+            tree_intervals: tree_intervals.clone(),
+            null_gens: kernel.generators(),
             rank,
         })
     }
@@ -125,11 +154,14 @@ impl EliminatedFaultSet {
         &self.edge_ids
     }
 
-    /// Approximate resident size in bytes (for cache accounting).
+    /// Resident size in bytes (for cache accounting): each generator's
+    /// `⌈f/64⌉` words plus its `BitVec` header, the fault ids and the tree
+    /// intervals.
     pub fn resident_bytes(&self) -> usize {
-        self.null_gens.len() * (self.edge_ids.len() / 8 + 24)
-            + self.edge_ids.len() * 4
-            + self.tree_intervals.len() * 12
+        let f = self.edge_ids.len();
+        self.null_gens.len() * (f.div_ceil(64) * 8 + size_of::<BitVec>())
+            + size_of_val(self.edge_ids.as_slice())
+            + size_of_val(self.tree_intervals.as_slice())
     }
 
     /// Answers one query on the ancestry intervals of `s` and `t`: returns
@@ -161,12 +193,15 @@ impl EliminatedFaultSet {
             .position(|g| g.count_ones_and(diff) % 2 == 1)
     }
 
-    /// The disconnecting cut `F′` witnessed by generator `gen`, as edge ids.
-    pub fn certificate(&self, gen: usize) -> Vec<EdgeId> {
-        self.null_gens[gen]
-            .ones()
-            .map(|i| self.edge_ids[i])
-            .collect()
+    /// The disconnecting cut `F′` witnessed by generator `gen`, as edge
+    /// ids; `None` when there is no generator `gen`.
+    pub fn certificate(&self, gen: usize) -> Option<Vec<EdgeId>> {
+        let g = self.null_gens.get(gen)?;
+        Some(
+            g.ones()
+                .filter_map(|i| self.edge_ids.get(i).copied())
+                .collect(),
+        )
     }
 }
 
@@ -186,6 +221,7 @@ mod tests {
     use super::*;
     use crate::engine::store_from_cycle_space;
     use ftl_cycle_space::CycleSpaceScheme;
+    use ftl_gf2::{Basis, DecodeScratch};
     use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
     use ftl_graph::{generators, Graph, VertexId};
     use ftl_seeded::Seed;
@@ -220,7 +256,7 @@ mod tests {
                 if let Some(gen) = gen {
                     // The certificate must be a real separating cut: remove
                     // it from the graph and s, t must be disconnected.
-                    let cut = efs.certificate(gen);
+                    let cut = efs.certificate(gen).unwrap();
                     let cut_mask = forbidden_mask(g, &cut);
                     assert!(
                         !connected_avoiding(g, s, t, &cut_mask),
@@ -296,6 +332,100 @@ mod tests {
         assert_eq!(efs.num_faults(), 4);
         assert_eq!(efs.rank() + efs.num_null_generators(), 4);
         assert!(efs.resident_bytes() > 0);
+        assert_eq!(efs.certificate(efs.num_null_generators()), None);
+    }
+
+    /// Each generator costs its `⌈f/64⌉` words plus a `BitVec` header, with
+    /// no flooring below one word and no dropped partial word.
+    #[test]
+    fn resident_bytes_counts_whole_generator_words() {
+        let header = std::mem::size_of::<BitVec>();
+        for (f, words) in [(4, 1), (64, 1), (65, 2)] {
+            let efs = EliminatedFaultSet {
+                edge_ids: (0..f).map(EdgeId::new).collect(),
+                tree_intervals: vec![(0, 1, 2)],
+                null_gens: vec![BitVec::zeros(f); 3],
+                rank: f - 3,
+            };
+            let ids = f * std::mem::size_of::<EdgeId>();
+            assert_eq!(
+                efs.resident_bytes(),
+                3 * (words * 8 + header) + ids + 12,
+                "f = {f}"
+            );
+        }
+    }
+
+    /// SplitMix64 draws for the differential test's fault sets.
+    fn draw(state: &mut u64, below: usize) -> usize {
+        *state = ftl_seeded::splitmix64(*state);
+        (*state % below as u64) as usize
+    }
+
+    /// The kernel-backed elimination is bit-identical to a `Basis`
+    /// elimination of the same `φ` columns: same rank, and the same
+    /// generators in the same order. Grid labels, fault sets with planted
+    /// vertex cuts (each a null-space element), `f` from a few faults to
+    /// more than the cycle space's dimension (many generators). Answers
+    /// stay BFS-correct and certificates stay genuine cuts.
+    #[test]
+    fn kernel_elimination_matches_basis_on_planted_cuts() {
+        let g = generators::grid(6, 7);
+        let mut state = 0x0B5E_55EDu64;
+        let mut scratch = EliminationScratch::default();
+        let mut diff = BitVec::zeros(0);
+        let mut total_gens = 0;
+        for f in [3, 9, 16, 40, 70] {
+            let scheme = CycleSpaceScheme::label(&g, f, Seed::new(77 + f as u64)).unwrap();
+            let store = store_from_cycle_space(&scheme, 4).unwrap();
+            for _ in 0..12 {
+                let mut ids = Vec::new();
+                for _ in 0..1 + draw(&mut state, 3) {
+                    let v = VertexId::new(draw(&mut state, g.num_vertices()));
+                    ids.extend((0..g.num_edges()).map(EdgeId::new).filter(|&e| {
+                        let edge = g.edge(e);
+                        edge.u() == v || edge.v() == v
+                    }));
+                }
+                while ids.len() < f {
+                    ids.push(EdgeId::new(draw(&mut state, g.num_edges())));
+                }
+                ids.sort();
+                ids.dedup();
+
+                let efs =
+                    EliminatedFaultSet::eliminate_with(ids.clone(), &store, &mut scratch).unwrap();
+                let mut basis = Basis::new(store.phi_width(), ids.len());
+                let mut decode = DecodeScratch::new();
+                let mut col = BitVec::zeros(0);
+                let mut witnesses = Vec::new();
+                for &e in &ids {
+                    assert!(store.read_phi_into(e, &mut col));
+                    if !basis.insert_with(&col, &mut decode) {
+                        witnesses.push(decode.combo().clone());
+                    }
+                }
+                assert_eq!(efs.rank(), basis.rank(), "rank, f = {f}");
+                assert_eq!(efs.null_gens, witnesses, "generators, f = {f}");
+                assert!(!witnesses.is_empty(), "a planted cut is a generator");
+                total_gens += witnesses.len();
+
+                let mask = forbidden_mask(&g, &ids);
+                for _ in 0..24 {
+                    let s = VertexId::new(draw(&mut state, g.num_vertices()));
+                    let t = VertexId::new(draw(&mut state, g.num_vertices()));
+                    let (sa, ta) = (store.vertex_anc(s).unwrap(), store.vertex_anc(t).unwrap());
+                    let gen = efs.separating_generator_anc(&sa, &ta, &mut diff);
+                    assert_eq!(gen.is_none(), connected_avoiding(&g, s, t, &mask));
+                    if let Some(gen) = gen {
+                        let cut = efs.certificate(gen).unwrap();
+                        let cut_mask = forbidden_mask(&g, &cut);
+                        assert!(!connected_avoiding(&g, s, t, &cut_mask));
+                    }
+                }
+            }
+        }
+        assert!(total_gens > 200, "only {total_gens} generators exercised");
     }
 
     #[test]

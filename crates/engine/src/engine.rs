@@ -32,7 +32,7 @@
 //! the unwind may have left half-updated) is rebuilt before the next group,
 //! and the caller's thread survives.
 
-use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
+use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet, EliminationScratch};
 use crate::cache::LruCache;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
 use ftl_cycle_space::CycleSpaceScheme;
@@ -207,9 +207,10 @@ pub struct GroupedResponse {
     pub stats: BatchStats,
 }
 
-/// Serving state: the eliminated-basis cache and the decode scratch. The
-/// core holds no store reference — the engine passes its pinned store into
-/// every call — and is rebuilt wholesale after a contained panic.
+/// Serving state: the eliminated-basis cache and the elimination and decode
+/// scratch. The core holds no store reference — the engine passes its
+/// pinned store into every call — and is rebuilt wholesale after a
+/// contained panic.
 #[derive(Debug)]
 struct EngineCore {
     config: EngineConfig,
@@ -223,6 +224,8 @@ struct EngineCore {
     diff: BitVec,
     /// Scratch for canonicalising fault sets.
     ids_scratch: Vec<EdgeId>,
+    /// Scratch for cold eliminations: the null-space kernel's buffers.
+    elimination: EliminationScratch,
 }
 
 impl EngineCore {
@@ -232,6 +235,7 @@ impl EngineCore {
             cache: LruCache::new(config.cache_capacity),
             diff: BitVec::zeros(0),
             ids_scratch: Vec::new(),
+            elimination: EliminationScratch::default(),
         }
     }
 
@@ -282,7 +286,7 @@ impl EngineCore {
         // Time the elimination itself (cold path: cache hits returned
         // above) into the process-wide Elimination stage histogram.
         let eliminate_t0 = std::time::Instant::now();
-        let efs = EliminatedFaultSet::eliminate_from_sidecar(ids, store)?;
+        let efs = EliminatedFaultSet::eliminate_with(ids, store, &mut self.elimination)?;
         ftl_obs::global().stages.record(
             ftl_obs::Stage::Elimination,
             eliminate_t0.elapsed().as_nanos() as u64,
@@ -334,7 +338,7 @@ impl EngineCore {
             connected: gen.is_none(),
             certificate: match gen {
                 // ftl-analyzer: allow(hot-alloc) certificates are opt-in and only built for disconnected queries
-                Some(g) if self.config.collect_certificates => Some(efs.certificate(g)),
+                Some(g) if self.config.collect_certificates => efs.certificate(g),
                 _ => None,
             },
         })

@@ -39,7 +39,7 @@ pub mod inject;
 pub mod scenario;
 pub mod store;
 
-pub use batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
+pub use batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet, EliminationScratch};
 pub use cache::LruCache;
 pub use engine::{
     store_from_cycle_space, BatchRequest, BatchResponse, BatchStats, Engine, EngineConfig,
@@ -53,4 +53,4 @@ pub use inject::{
 pub use scenario::{
     percentile_nearest_rank, run_churn_scenario, ChurnConfig, ChurnReport, ChurnRoundReport,
 };
-pub use store::{LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};
+pub use store::{FaultColumn, LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};

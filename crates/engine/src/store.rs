@@ -463,16 +463,33 @@ impl LabelStore {
         }
     }
 
-    /// The child ancestry interval of `e` when it is a stored **tree**
-    /// edge (see `EliminatedFaultSet`'s per-query sweep).
+    /// Everything an elimination reads of fault `e`, from one lookup.
+    /// `None` when `e` is not stored.
     // ftl-analyzer: hot-path
     #[inline]
-    pub fn tree_child_interval(&self, e: EdgeId) -> Option<(u32, u32)> {
-        match self.edge(e)? {
-            (_, _, EdgeRow::Tree { pre, post }) => Some((pre, post)),
+    pub fn fault_column(&self, e: EdgeId) -> Option<FaultColumn<'_>> {
+        let (rows, i, row) = self.edge(e)?;
+        let tree_interval = match row {
+            EdgeRow::Tree { pre, post } => Some((pre, post)),
             _ => None,
-        }
+        };
+        let wpr = rows.phi.words_per_row();
+        Some(FaultColumn {
+            phi: rows.phi.words().get(i * wpr..(i + 1) * wpr)?,
+            tree_interval,
+        })
     }
+}
+
+/// What an elimination reads of one fault edge: see
+/// [`LabelStore::fault_column`].
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
+pub struct FaultColumn<'a> {
+    /// The words of `φ(e)` in the column bank.
+    pub phi: &'a [u64],
+    /// For a tree edge, the ancestry interval of its deeper endpoint (see
+    /// `EliminatedFaultSet`'s per-query sweep); `None` for a non-tree edge.
+    pub tree_interval: Option<(u32, u32)>,
 }
 
 /// The ancestry interval of the *deeper* endpoint of a tree edge — all the
@@ -543,11 +560,14 @@ mod tests {
             let label = scheme.edge_label(e);
             assert!(store.read_phi_into(e, &mut phi));
             assert_eq!(phi, label.phi, "phi of edge {i}");
-            assert_eq!(store.tree_child_interval(e), tree_child_interval_of(&label));
+            let column = store.fault_column(e).unwrap();
+            assert_eq!(column.phi, label.phi.words(), "phi words of edge {i}");
+            assert_eq!(column.tree_interval, tree_child_interval_of(&label));
         }
         // Past the declared ids: absent, not a panic.
         assert_eq!(store.vertex_anc(VertexId::new(1 << 20)), None);
         assert!(!store.read_phi_into(EdgeId::new(1 << 20), &mut phi));
+        assert_eq!(store.fault_column(EdgeId::new(1 << 20)), None);
     }
 
     #[test]
@@ -557,7 +577,7 @@ mod tests {
         let store = b.freeze();
         assert_eq!(store.vertex_anc(VertexId::new(7)), Some(vlabel(1, 2).anc));
         assert!(!store.has_edge(EdgeId::new(7)));
-        assert_eq!(store.tree_child_interval(EdgeId::new(7)), None);
+        assert_eq!(store.fault_column(EdgeId::new(7)), None);
         assert_eq!(store.len(), 1);
     }
 
@@ -638,7 +658,8 @@ mod tests {
             for x in 0..g.num_vertices() {
                 let anc = scheme.vertex_label(VertexId::new(x)).anc;
                 let by_interval = imported
-                    .tree_child_interval(e)
+                    .fault_column(e)
+                    .and_then(|column| column.tree_interval)
                     .is_some_and(|(pre, post)| pre <= anc.pre && anc.post <= post);
                 assert_eq!(by_interval, label.on_root_path_of(&anc), "edge {i} vs {x}");
             }

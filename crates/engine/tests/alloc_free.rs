@@ -10,6 +10,10 @@
 //! default feature set) and records into it explicitly — counters, stage
 //! histograms, and a live [`ftl_obs::Span`] — so the zero-allocation
 //! claim covers the observability layer, not just the engine.
+//!
+//! A cache *miss* must allocate too, but only its result: the engine keeps
+//! the elimination kernel's scratch, so a warmed cold miss allocates a
+//! fixed handful of times plus once per null-space generator.
 
 // Test code: panicking asserts and progress prints are the point here.
 #![allow(
@@ -23,24 +27,34 @@
 #![allow(unsafe_code)]
 
 use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse};
-use ftl_graph::{generators, EdgeId, VertexId};
-use ftl_seeded::Seed;
+use ftl_engine::{
+    EliminatedFaultSet, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
+};
+use ftl_graph::{generators, EdgeId, Graph, VertexId};
+use ftl_seeded::{splitmix64, Seed};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// `System`, plus a global count of allocation *events* (alloc + realloc;
-/// frees are not counted — the invariant is "no new memory", not "no
-/// churn").
+/// `System`, plus a per-thread count of allocation *events* (alloc +
+/// realloc; frees are not counted — the invariant is "no new memory", not
+/// "no churn"). Per thread, because the test harness runs tests on
+/// parallel threads and the engine serves on its caller's thread: each
+/// test sees only its own allocations.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// Relaxed is enough: the test reads the counter on the same thread that
-// allocates, and only ever compares before/after deltas.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -49,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -132,6 +146,86 @@ fn warmed_sidecar_batch_allocates_nothing() {
          `cargo run -p ftl-analyzer -- --check` for the static view)"
     );
     assert_eq!(resp.groups, expected, "reused response must stay correct");
+}
+
+/// A sorted fault set of `f` edges of `g`: every edge around one vertex
+/// (a planted cut, so the set has a null-space generator) plus random
+/// edges.
+fn fault_set_with_cut(g: &Graph, f: usize, state: &mut u64) -> Vec<EdgeId> {
+    *state = splitmix64(*state);
+    let v = VertexId::new((*state % g.num_vertices() as u64) as usize);
+    let mut set: Vec<EdgeId> = (0..g.num_edges())
+        .map(EdgeId::new)
+        .filter(|&e| {
+            let edge = g.edge(e);
+            edge.u() == v || edge.v() == v
+        })
+        .collect();
+    while set.len() < f {
+        *state = splitmix64(*state);
+        let e = EdgeId::new((*state % g.num_edges() as u64) as usize);
+        if !set.contains(&e) {
+            set.push(e);
+        }
+    }
+    set.sort_unstable();
+    set
+}
+
+/// Allocations a cold miss may make besides one per generator: the
+/// canonical ids, the tree intervals, the generator list and the `Arc`.
+const COLD_MISS_FIXED_ALLOCS: usize = 4;
+
+#[test]
+fn warmed_cold_miss_allocates_only_its_result() {
+    let g = generators::grid(10, 10);
+    let f = 24;
+    let scheme = CycleSpaceScheme::label(&g, f, Seed::new(11)).unwrap();
+    let config = EngineConfig::default();
+    let store = ftl_engine::store_from_cycle_space(&scheme, config.num_shards).unwrap();
+    let store = std::sync::Arc::new(store);
+    let epochs = std::sync::Arc::new(EpochStore::new(std::sync::Arc::clone(&store)));
+    let mut engine = Engine::over_epochs(epochs, config);
+    let mut state = 0xC01Du64;
+    let group = |faults: Vec<EdgeId>| FaultSetBatch {
+        faults,
+        queries: (0..4)
+            .map(|i| (VertexId::new(i), VertexId::new(99 - i)))
+            .collect(),
+    };
+
+    // Warm up on distinct fault sets, every one a miss: the kernel scratch
+    // grows to its high-water mark, the cache fills and starts evicting,
+    // and the response reaches its capacity.
+    let mut resp = GroupedResponse::default();
+    for _ in 0..4 * config.cache_capacity {
+        let groups = [group(fault_set_with_cut(&g, f, &mut state))];
+        engine.execute_grouped_into(&groups, &mut resp);
+        assert_eq!(resp.stats.eliminations, 1, "every warm-up set is new");
+    }
+
+    let (mut total_gens, mut misses) = (0, 0);
+    for _ in 0..32 {
+        let faults = fault_set_with_cut(&g, f, &mut state);
+        let gens = EliminatedFaultSet::eliminate_from_sidecar(faults.clone(), &store)
+            .unwrap()
+            .num_null_generators();
+        let groups = [group(faults)];
+        let before = alloc_count();
+        engine.execute_grouped_into(&groups, &mut resp);
+        let delta = alloc_count() - before;
+        assert_eq!(resp.stats.eliminations, 1, "the measured set is a miss");
+        assert!(resp.groups.iter().all(|g| g.is_ok()));
+        assert!(
+            delta <= COLD_MISS_FIXED_ALLOCS + gens,
+            "a warmed cold miss with {gens} generator(s) allocated {delta} time(s); \
+             at most {COLD_MISS_FIXED_ALLOCS} + {gens} allowed — is the kernel \
+             scratch still reused?"
+        );
+        total_gens += gens;
+        misses += 1;
+    }
+    assert!(total_gens >= misses, "every planted cut yields a generator");
 }
 
 #[test]

@@ -9,7 +9,12 @@
 //! * [`Basis`]: an incremental GF(2) basis that tracks, for every basis
 //!   vector, *which input vectors combine to it* — so a solution certificate
 //!   (the fault subset `F′`) falls out of the elimination;
-//! * [`solve()`]: membership of a target in the span, with certificate.
+//! * [`solve()`]: membership of a target in the span, with certificate;
+//! * [`NullSpace`]: the rank and null-space generators of a whole column
+//!   set at once, by branch-free elimination of the transposed matrix. The
+//!   serving engine runs it once per fault set; its generators are
+//!   bit-identical, in order, to the witnesses of `Basis`'s dependent
+//!   inserts, and `Basis` stays as its differential oracle.
 //!
 //! # Example
 //!
@@ -24,15 +29,18 @@
 //! assert!(x.get(0) && x.get(1));
 //! ```
 //!
-//! `README.md` at the repo root maps this kernel into the full decode
-//! pipeline; `perfbench/` measures it in the serving stack
-//! (`gf2.basis_insert_ns`, `gf2.and_popcount_ns`).
+//! `README.md` at the repo root maps these kernels into the full decode
+//! pipeline; `perfbench/` measures them in the serving stack
+//! (`gf2.basis_insert_ns`, `gf2.and_popcount_ns`, and `NullSpace` through
+//! `engine.eliminate_us*`).
 
 #![forbid(unsafe_code)]
 
 pub mod bitvec;
+pub mod nullspace;
 pub mod reference;
 pub mod solve;
 
 pub use bitvec::{BitMatrix, BitVec};
+pub use nullspace::NullSpace;
 pub use solve::{solve, solve_brute_force, Basis, DecodeScratch};

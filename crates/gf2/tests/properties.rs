@@ -1,10 +1,148 @@
 //! Property-based tests for GF(2) algebra, including differential tests of
 //! the pivot-indexed [`Basis`] against the scan-based
-//! [`reference::NaiveBasis`] it replaced.
+//! [`reference::NaiveBasis`] it replaced, and of the transposed
+//! [`NullSpace`] kernel against both.
 
 use ftl_gf2::reference::{self, NaiveBasis};
-use ftl_gf2::{solve, solve_brute_force, Basis, BitMatrix, BitVec};
+use ftl_gf2::{solve, solve_brute_force, Basis, BitMatrix, BitVec, DecodeScratch, NullSpace};
 use proptest::prelude::*;
+
+/// SplitMix64. Random columns must come from a nonlinear generator:
+/// xorshift words are GF(2)-linear in the seed, so any 65 of them have rank
+/// at most 64, which would hide rank bugs past one word of columns.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `f` columns of `b` bits: mostly random, with zero columns, duplicates of
+/// earlier columns and XORs of a few earlier columns planted among them, so
+/// dependent columns occur even when `b ≥ f`.
+fn planted_columns(f: usize, b: usize, seed: u64) -> Vec<BitVec> {
+    let mut state = seed;
+    let mut cols: Vec<BitVec> = Vec::with_capacity(f);
+    for j in 0..f {
+        let mut c = BitVec::zeros(b);
+        let pick = |state: &mut u64| (splitmix(state) % j.max(1) as u64) as usize;
+        match (splitmix(&mut state) % 10, j) {
+            (0, _) => {}
+            (1, 1..) => c.copy_from(&cols[pick(&mut state)]),
+            (2, 1..) => {
+                for _ in 0..2 + splitmix(&mut state) % 3 {
+                    c.xor_assign(&cols[pick(&mut state)]);
+                }
+            }
+            _ => c.randomize(|| splitmix(&mut state)),
+        }
+        cols.push(c);
+    }
+    cols
+}
+
+/// Eliminates `cols` with the kernel and with `Basis::insert_with`, and
+/// asserts the same rank and the same generators, bit for bit and in the
+/// same order; with `naive`, the same against `NaiveBasis` too. Every
+/// generator must XOR its columns to zero. Returns the generator count.
+fn assert_kernel_matches_oracles(cols: &[BitVec], b: usize, naive: bool) -> usize {
+    let f = cols.len();
+    let mut ns = NullSpace::new();
+    ns.reset(b, cols.len());
+    for c in cols {
+        ns.push_column(c.words());
+    }
+    let rank = ns.eliminate();
+    let gens = ns.generators();
+    assert_eq!(ns.rank(), rank);
+    assert_eq!(rank + gens.len(), f, "f = {f}, b = {b}");
+
+    let mut basis = Basis::new(b, f);
+    let mut scratch = DecodeScratch::new();
+    let mut witnesses = Vec::new();
+    for c in cols {
+        if !basis.insert_with(c, &mut scratch) {
+            witnesses.push(scratch.combo().clone());
+        }
+    }
+    assert_eq!(rank, basis.rank(), "rank vs Basis, f = {f}, b = {b}");
+    assert_eq!(gens, witnesses, "generators vs Basis, f = {f}, b = {b}");
+
+    if naive {
+        let mut oracle = NaiveBasis::new(b, f);
+        let mut naive_witnesses = Vec::new();
+        for (j, c) in cols.iter().enumerate() {
+            // A column in the span of the earlier ones is dependent; its
+            // witness is its certificate plus the column itself.
+            if let Some(mut w) = oracle.express(c) {
+                w.set(j, true);
+                naive_witnesses.push(w);
+            }
+            oracle.insert(c);
+        }
+        assert_eq!(rank, oracle.rank(), "rank vs NaiveBasis, f = {f}, b = {b}");
+        assert_eq!(
+            gens, naive_witnesses,
+            "generators vs NaiveBasis, f = {f}, b = {b}"
+        );
+    }
+
+    for g in &gens {
+        assert_eq!(g.len(), f);
+        let mut acc = BitVec::zeros(b);
+        for i in g.ones() {
+            acc.xor_assign(&cols[i]);
+        }
+        assert!(acc.is_zero(), "generator {g:?} does not XOR to zero");
+    }
+    gens.len()
+}
+
+/// The kernel matches `Basis` and `NaiveBasis` at every word boundary of
+/// the column count, with `b` from well below `f` (many generators) to
+/// `f + 70`.
+#[test]
+fn null_space_kernel_matches_basis_and_naive_at_word_boundaries() {
+    let mut total_gens = 0;
+    for f in [
+        0usize, 1, 4, 8, 9, 16, 17, 32, 33, 63, 64, 65, 127, 128, 129, 200,
+    ] {
+        let mut widths = vec![1, f / 2, f.saturating_sub(1), f, f + 1, f + 40, f + 70];
+        widths.retain(|&b| b >= 1);
+        widths.dedup();
+        for b in widths {
+            for seed in 0..2u64 {
+                let cols = planted_columns(f, b, seed ^ ((f as u64) << 20) ^ ((b as u64) << 40));
+                total_gens += assert_kernel_matches_oracles(&cols, b, true);
+            }
+        }
+    }
+    assert!(total_gens > 1000, "only {total_gens} generators exercised");
+}
+
+/// A reused kernel gives the same answers as a fresh one: nothing of an
+/// earlier, larger system leaks into the next.
+#[test]
+fn null_space_kernel_reuse_across_shapes_matches_fresh() {
+    let mut reused = NullSpace::new();
+    let mut state = 0xC0FF_EE00u64;
+    for _ in 0..40 {
+        let f = (splitmix(&mut state) % 220) as usize;
+        let b = 1 + (splitmix(&mut state) % (f as u64 + 70)) as usize;
+        let cols = planted_columns(f, b, splitmix(&mut state));
+        let mut fresh = NullSpace::new();
+        for ns in [&mut reused, &mut fresh] {
+            ns.reset(b, cols.len());
+            for c in &cols {
+                ns.push_column(c.words());
+            }
+            ns.eliminate();
+        }
+        assert_eq!(reused.rank(), fresh.rank());
+        assert_eq!(reused.generators(), fresh.generators());
+    }
+}
 
 fn bitvec_strategy(len: usize) -> impl Strategy<Value = BitVec> {
     proptest::collection::vec(any::<bool>(), len).prop_map(|bits| BitVec::from_bits(&bits))
@@ -278,5 +416,17 @@ proptest! {
         prop_assert_eq!(out, expect.clone());
         m.xor_bitvec_into_row(0, &expect);
         prop_assert!(m.row_is_zero(0));
+    }
+
+    /// The kernel matches `Basis` on random shapes, zero and duplicate
+    /// columns included.
+    #[test]
+    fn null_space_kernel_matches_basis(
+        f in 0usize..260,
+        extra in 0usize..330,
+        seed in any::<u64>(),
+    ) {
+        let b = 1 + extra % (f + 70);
+        assert_kernel_matches_oracles(&planted_columns(f, b, seed), b, false);
     }
 }
