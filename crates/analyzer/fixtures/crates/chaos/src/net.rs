@@ -1,26 +1,6 @@
-//! Bad-corpus fixture for the chaos-scoped rules (FTL002 narrow-trigger
-//! variant with no blessed side, FTL003, FTL004). Never compiled — only
-//! lexed by `tests/self_test.rs`.
+//! Fixture: FTL003 covers ftl-chaos. Never compiled — only lexed by
+//! `tests/self_test.rs`.
 
-use std::collections::HashMap; // FTL004: default-hasher map in chaos code
-use std::sync::Mutex; // FTL002: Mutex named in the lock-free proxy
-
-pub fn plan_slot(m: &Mutex<u64>) -> u64 {
-    *m.lock().expect("poisoned") // FTL002: .lock(); FTL003: .expect()
-}
-
-pub fn pump_io(stream: &mut std::net::TcpStream, buf: &mut [u8]) -> usize {
-    // Neither of these fires: in ftl-chaos `.read()`/`.write()` are the
-    // pumps' socket I/O, not lock acquisition.
-    let n = stream.read(buf).unwrap_or(0); // pump-read-site
-    let _ = stream.write(buf); // pump-write-site
-    n
-}
-
-pub fn splice(garbage: &[u8], i: usize) -> u8 {
-    garbage[i] // FTL003: slice index without get
-}
-
-pub fn plans(map: &HashMap<u64, u32>) -> usize {
-    map.len() // FTL004 fired on the signature's HashMap mention
+pub fn route(conns: &std::collections::BTreeMap<u32, u64>, id: u32) -> u64 {
+    conns[&id] // FTL003: map index panics on a missing key
 }

@@ -1,7 +1,7 @@
-//! Bad-corpus fixture: every engine-scoped rule must fire on this file.
-//! Never compiled — only lexed by `tests/self_test.rs`.
+//! Fixture: FTL001 and FTL003 cases in the engine crate. Never compiled —
+//! only lexed by `tests/self_test.rs`.
 
-use std::sync::Mutex; // FTL002: Mutex named outside epoch.rs
+use std::collections::BTreeMap;
 
 // ftl-analyzer: hot-path
 pub fn hot_kernel(xs: &[u64]) -> Vec<u64> {
@@ -21,24 +21,32 @@ fn untouched(xs: &[u64]) -> Vec<u64> {
     xs.to_vec() // cold-alloc-site
 }
 
-pub fn locked(m: &Mutex<u64>) -> u64 {
-    *m.lock().unwrap() // FTL002: .lock(); FTL003: .unwrap()
+pub fn lookup(map: &BTreeMap<u64, u64>, k: u64) -> u64 {
+    map[&k] // FTL003: map index panics on a missing key
 }
 
-pub fn serves(xs: &[u64], i: usize) -> u64 {
-    if xs.is_empty() {
-        panic!("empty"); // FTL003: panic!
+pub fn lookup_through_try(map: Option<&BTreeMap<u64, u64>>, k: u64) -> Option<u64> {
+    Some(map?[&k]) // FTL003: `?` yields the map
+}
+
+pub fn not_map_indexing(xs: &[u64], t: (Vec<u64>,), i: usize) -> u64 {
+    // None of these fire: slice indexing is clippy's indexing_slicing,
+    // and array literals/patterns of references are not index expressions.
+    let refs = [&xs[i], &t.0[i]]; // slice-index-site
+    let v = vec![&refs];
+    if let [&a, ..] = refs {
+        return a + v.len() as u64;
     }
-    xs[i] // FTL003: slice index without get
+    0
 }
 
-// ftl-analyzer: allow(panic-free) fixture: blessed deliberate panic
-pub fn blessed_panic() {
-    unreachable!("never") // exempted by the fn-level allow above
+// ftl-analyzer: allow(panic-free) fixture: blessed lookup of a key inserted above
+pub fn blessed_lookup(map: &BTreeMap<u64, u64>) -> u64 {
+    map[&0] // exempted by the fn-level allow above
 }
 
 pub fn hidden_in_strings() -> &'static str {
     // None of these fire: banned names live in comments and literals only.
-    // .unwrap() panic! Mutex vec![] — just a comment
-    "Mutex .lock() .unwrap() panic! vec![Vec::new()]"
+    // map[&k] vec![] Vec::new() — just a comment
+    "map[&k] .to_vec() vec![Vec::new()]"
 }

@@ -1,35 +1,19 @@
-//! Bad-corpus fixture for the labels-scoped rules (FTL003 + FTL004).
+//! Fixture: FTL003 in the labels crate, and its test-region exemption.
 //! Never compiled — only lexed by `tests/self_test.rs`.
 
-use std::collections::HashMap; // FTL004: default-hasher map in label code
-use std::collections::HashSet; // FTL004
+use ftl_seeded::DetHashMap;
 
-pub fn build(keys: &[u64]) -> usize {
-    let mut seen: HashSet<u64> = HashSet::new(); // FTL004 (x2 on this line)
-    for &k in keys {
-        seen.insert(k);
-    }
-    seen.len()
-}
-
-pub fn lookup(map: &HashMap<u64, u64>, k: u64) -> u64 {
-    // FTL004 above; FTL003 below.
-    *map.get(&k).expect("present")
-}
-
-// ftl-analyzer: allow(det-hash) fixture: blessed non-deterministic scratch map
-pub fn blessed(map: &HashMap<u64, u64>) -> usize {
-    map.len()
+pub fn offset_of(index: &DetHashMap<u64, usize>, key: u64) -> usize {
+    index[&key] // FTL003: map index panics on a missing key
 }
 
 #[cfg(test)]
 mod tests {
-    // Test code is out of scope for every rule.
+    // Test code is out of scope.
     #[test]
-    fn unwrap_is_fine_here() {
-        let v: Option<u32> = Some(1);
-        v.unwrap();
-        let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        assert_eq!(m.len(), 0);
+    fn indexing_is_fine_here() {
+        let mut m = ftl_seeded::DetHashMap::default();
+        m.insert(1u64, 2usize);
+        assert_eq!(m[&1], 2);
     }
 }

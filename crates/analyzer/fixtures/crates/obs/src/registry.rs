@@ -1,22 +1,6 @@
-//! Bad-corpus fixture for the obs-scoped rules (FTL002 wide-trigger
-//! variant with no blessed side, FTL003, FTL004). Never compiled — only
-//! lexed by `tests/self_test.rs`.
+//! Fixture: FTL003 covers ftl-obs. Never compiled — only lexed by
+//! `tests/self_test.rs`.
 
-use std::collections::HashMap; // FTL004: default-hasher map in obs code
-use std::sync::RwLock; // FTL002: RwLock named in the lock-free crate
-
-pub fn guarded(slot: &RwLock<u64>) -> u64 {
-    *slot.read().unwrap() // FTL002: .read(); FTL003: .unwrap()
+pub fn by_name(series: &std::collections::BTreeMap<&str, u64>, name: &str) -> u64 {
+    series[&name] // FTL003: map index panics on a missing key
 }
-
-pub fn bucket_of(counts: &[u64], i: usize) -> u64 {
-    counts[i] // FTL003: slice index without get
-}
-
-pub fn by_name(series: &HashMap<String, u64>) -> usize {
-    series.len() // FTL004 fired on the signature's HashMap mention
-}
-
-// No allow(lock-free) escape hatch here on purpose: unlike engine/server,
-// ftl-obs has no blessed writer side, so the fixture carries no blessed
-// example — every lock mention above must fire.

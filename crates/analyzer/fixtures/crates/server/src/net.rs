@@ -1,31 +1,6 @@
-//! Bad-corpus fixture for the server-scoped rules (FTL002 narrow-trigger
-//! variant, FTL003, FTL004). Never compiled — only lexed by
+//! Fixture: FTL003 covers ftl-server. Never compiled — only lexed by
 //! `tests/self_test.rs`.
 
-use std::collections::HashMap; // FTL004: default-hasher map in server code
-use std::sync::Mutex; // FTL002: Mutex named outside the Slot wrapper
-
-pub fn held(m: &Mutex<u64>) -> u64 {
-    *m.lock().expect("poisoned") // FTL002: .lock(); FTL003: .expect()
-}
-
-pub fn socket_io(stream: &mut std::net::TcpStream, buf: &mut [u8]) -> usize {
-    // Neither of these fires: in ftl-server `.read()`/`.write()` are
-    // Read/Write trait calls on sockets, not lock acquisition.
-    let n = stream.read(buf).unwrap_or(0); // socket-read-site
-    let _ = stream.write(buf); // socket-write-site
-    n
-}
-
-pub fn demux(answers: &[bool], i: usize) -> bool {
-    answers[i] // FTL003: slice index without get
-}
-
-pub fn tenants(map: &HashMap<u32, u64>) -> usize {
-    map.len() // FTL004 fired on the signature's HashMap mention
-}
-
-// ftl-analyzer: allow(lock-free) fixture: blessed slot-style wrapper
-pub fn blessed_lock(m: &Mutex<u64>) -> u64 {
-    m.lock().map(|g| *g).unwrap_or(0) // exempted by the fn-level allow
+pub fn route(conns: &std::collections::BTreeMap<u32, u64>, id: u32) -> u64 {
+    conns[&id] // FTL003: map index panics on a missing key
 }

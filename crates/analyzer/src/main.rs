@@ -1,32 +1,21 @@
 //! The `ftl-analyzer` CLI.
 //!
 //! ```text
-//! cargo run -p ftl-analyzer -- --check            # enforce all rules (CI)
-//! cargo run -p ftl-analyzer -- --check-baseline   # fail if the ratchet is stale
-//! cargo run -p ftl-analyzer -- --write-baseline   # regenerate analyzer-baseline.toml
+//! cargo run -p ftl-analyzer -- --check            # enforce both rules (CI)
 //! cargo run -p ftl-analyzer -- --explain FTL003   # long-form rule documentation
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings/stale baseline, `2` usage or I/O
-//! error. Diagnostics print as `path:line: FTL00x: message`, one per line,
-//! so CI logs and editors can jump straight to the site.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! Diagnostics print as `path:line: FTL00x: message`, one per line, so CI
+//! logs and editors can jump straight to the site.
 
 use ftl_analyzer::model::RuleId;
-use ftl_analyzer::{baseline, rules};
+use ftl_analyzer::rules;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Check,
-    CheckBaseline,
-    WriteBaseline,
-}
-
 struct Args {
-    mode: Mode,
     root: PathBuf,
-    baseline_path: Option<PathBuf>,
     explain: Option<String>,
 }
 
@@ -37,31 +26,23 @@ USAGE:
     cargo run -p ftl-analyzer -- [MODE] [OPTIONS]
 
 MODES (default: --check):
-    --check             run all rules; fail on findings above the baseline
-    --check-baseline    fail when the ratchet baseline is stale (counts must shrink)
-    --write-baseline    regenerate the baseline from current findings
+    --check             run all rules; fail on any finding
     --explain FTL00x    print the long-form documentation for one rule
 
 OPTIONS:
     --root PATH         workspace root (default: nearest ancestor with crates/)
-    --baseline PATH     baseline file (default: <root>/analyzer-baseline.toml)
 
 RULES:
-    FTL001  no-alloc hot path       FTL003  panic-free serving
-    FTL002  lock-free read path     FTL004  deterministic hashing
+    FTL001  no-alloc hot path       FTL003  panic-free map lookups
 ";
 
 fn parse_args() -> Result<Args, String> {
-    let mut mode = Mode::Check;
     let mut root = None;
-    let mut baseline_path = None;
     let mut explain = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => mode = Mode::Check,
-            "--check-baseline" => mode = Mode::CheckBaseline,
-            "--write-baseline" => mode = Mode::WriteBaseline,
+            "--check" => {}
             "--explain" => {
                 explain = Some(
                     it.next()
@@ -73,12 +54,6 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or_else(|| "--root needs a path".to_string())?,
                 ));
             }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--baseline needs a path".to_string())?,
-                ));
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -87,12 +62,7 @@ fn parse_args() -> Result<Args, String> {
         Some(r) => r,
         None => discover_root()?,
     };
-    Ok(Args {
-        mode,
-        root,
-        baseline_path,
-        explain,
-    })
+    Ok(Args { root, explain })
 }
 
 /// Walks up from the current directory to the nearest ancestor containing
@@ -137,16 +107,11 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("error: unknown rule `{code}` (expected FTL001..FTL004)");
+                eprintln!("error: unknown rule `{code}` (expected FTL001 or FTL003)");
                 ExitCode::from(2)
             }
         };
     }
-
-    let baseline_path = args
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| args.root.join("analyzer-baseline.toml"));
 
     let files = match ftl_analyzer::walk_workspace(&args.root) {
         Ok(f) => f,
@@ -156,80 +121,18 @@ fn main() -> ExitCode {
         }
     };
     let findings = rules::run_all(&files);
-
-    match args.mode {
-        Mode::WriteBaseline => {
-            let entries = baseline::from_findings(&findings);
-            let text = baseline::render(&entries);
-            if let Err(e) = std::fs::write(&baseline_path, text) {
-                eprintln!("error: writing {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "wrote {} ({} entr{})",
-                baseline_path.display(),
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" }
-            );
-            ExitCode::SUCCESS
-        }
-        Mode::Check => {
-            let entries = match load_baseline(&baseline_path) {
-                Ok(e) => e,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
-            let applied = baseline::apply(&findings, &entries);
-            for f in &applied.violations {
-                println!("{}", f.render());
-            }
-            println!(
-                "ftl-analyzer: {} file(s), {} finding(s) above baseline, {} baselined",
-                files.len(),
-                applied.violations.len(),
-                applied.absorbed
-            );
-            if applied.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                println!("run `cargo run -p ftl-analyzer -- --explain <rule>` for the invariant");
-                ExitCode::FAILURE
-            }
-        }
-        Mode::CheckBaseline => {
-            let entries = match load_baseline(&baseline_path) {
-                Ok(e) => e,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
-            let problems = baseline::staleness(&findings, &entries);
-            for p in &problems {
-                println!("{p}");
-            }
-            if problems.is_empty() {
-                println!(
-                    "ftl-analyzer: baseline fresh ({} entr{})",
-                    entries.len(),
-                    if entries.len() == 1 { "y" } else { "ies" }
-                );
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    for f in &findings {
+        println!("{}", f.render());
     }
-}
-
-/// A missing baseline file is an empty baseline (zero allowances), not an
-/// error — fresh checkouts before the first `--write-baseline` still work.
-fn load_baseline(path: &Path) -> Result<Vec<baseline::Entry>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => baseline::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("reading {}: {e}", path.display())),
+    println!(
+        "ftl-analyzer: {} file(s), {} finding(s)",
+        files.len(),
+        findings.len()
+    );
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        println!("run `cargo run -p ftl-analyzer -- --explain <rule>` for the invariant");
+        ExitCode::FAILURE
     }
 }

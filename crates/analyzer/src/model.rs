@@ -32,12 +32,8 @@ pub struct Function {
 pub enum RuleId {
     /// FTL001 — no-alloc hot path.
     HotAlloc,
-    /// FTL002 — lock-free read path.
-    LockFree,
-    /// FTL003 — panic-free serving.
+    /// FTL003 — panic-free map lookups.
     PanicFree,
-    /// FTL004 — deterministic hashing.
-    DetHash,
 }
 
 impl RuleId {
@@ -45,9 +41,7 @@ impl RuleId {
     pub fn code(self) -> &'static str {
         match self {
             RuleId::HotAlloc => "FTL001",
-            RuleId::LockFree => "FTL002",
             RuleId::PanicFree => "FTL003",
-            RuleId::DetHash => "FTL004",
         }
     }
 
@@ -55,9 +49,7 @@ impl RuleId {
     pub fn key(self) -> &'static str {
         match self {
             RuleId::HotAlloc => "hot-alloc",
-            RuleId::LockFree => "lock-free",
             RuleId::PanicFree => "panic-free",
-            RuleId::DetHash => "det-hash",
         }
     }
 
@@ -65,20 +57,13 @@ impl RuleId {
     pub fn from_key(key: &str) -> Option<RuleId> {
         match key {
             "hot-alloc" => Some(RuleId::HotAlloc),
-            "lock-free" => Some(RuleId::LockFree),
             "panic-free" => Some(RuleId::PanicFree),
-            "det-hash" => Some(RuleId::DetHash),
             _ => None,
         }
     }
 
     /// All rules, in code order.
-    pub const ALL: [RuleId; 4] = [
-        RuleId::HotAlloc,
-        RuleId::LockFree,
-        RuleId::PanicFree,
-        RuleId::DetHash,
-    ];
+    pub const ALL: [RuleId; 2] = [RuleId::HotAlloc, RuleId::PanicFree];
 
     /// Parses an `FTL00x` code.
     pub fn from_code(code: &str) -> Option<RuleId> {
@@ -195,7 +180,7 @@ impl SourceFile {
                         c.line,
                         format!(
                             "unknown rule `{key}` in allow (expected one of: \
-                             hot-alloc, lock-free, panic-free, det-hash)"
+                             hot-alloc, panic-free)"
                         ),
                     ));
                     continue;
@@ -492,7 +477,7 @@ fn other() {}
         let m = model(src);
         assert!(m.is_allowed(RuleId::PanicFree, 4), "whole fn exempted");
         assert!(!m.is_allowed(RuleId::PanicFree, 6));
-        assert!(!m.is_allowed(RuleId::LockFree, 4), "only the named rule");
+        assert!(!m.is_allowed(RuleId::HotAlloc, 4), "only the named rule");
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The rule engine: four repo invariants over the modeled source tree.
+//! The rule engine: two repo invariants clippy cannot express.
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | FTL001 | functions annotated `// ftl-analyzer: hot-path`, and every workspace function they transitively call, perform no heap allocation (`Vec::new`, `vec!`, `to_vec`, `collect`, `.clone()`, `Box::new`, `format!`, `String::from`) |
-//! | FTL002 | `ftl-engine` holds no lock on the read path (`Mutex`/`RwLock`/`.lock()`/`.read()`/`.write()`) — only `epoch.rs`'s annotated writer side may; `ftl-server` and `ftl-chaos` locking (`Mutex`/`RwLock`/`.lock()`) is confined to annotated sites (`.read()`/`.write()` there are socket I/O); `ftl-obs` is lock-free outright (atomics only, wide trigger set, no blessed side) |
-//! | FTL003 | `ftl-engine`/`ftl-labels`/`ftl-server`/`ftl-obs`/`ftl-chaos` non-test code never panics (`unwrap`/`expect`/`panic!`/`unreachable!`/slice-index-without-get) |
-//! | FTL004 | label/store code hashes deterministically (no default-hasher `HashMap`/`HashSet`/`RandomState`; use `ftl_seeded::DetHashMap`) |
+//! | FTL003 | `ftl-engine`/`ftl-labels`/`ftl-server`/`ftl-obs`/`ftl-chaos` non-test code never indexes a map (`map[&k]`, which panics on a missing key) |
 //!
-//! Every check runs on lexed tokens (never raw text) and honors
-//! `// ftl-analyzer: allow(<rule>)` exemptions recorded in the model.
-//! Rule FTL003 carries a committed ratchet baseline for pre-existing debt;
-//! the others hold at zero.
+//! Every other serving-path invariant (no unwrap/expect/panic, no slice or
+//! string indexing, no locks, deterministic hashing) is a clippy lint; see
+//! `docs/static-analysis.md`. Every check runs on lexed tokens (never raw
+//! text) and honors `// ftl-analyzer: allow(<rule>)` exemptions recorded in
+//! the model.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use crate::model::{Function, RuleId, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -67,69 +66,22 @@ pub fn explain(rule: RuleId) -> &'static str {
              The runtime twin is the counting-allocator test\n\
              crates/engine/tests/alloc_free.rs."
         }
-        RuleId::LockFree => {
-            "FTL002 · lock-free read path\n\
-             \n\
-             ftl-engine must not name Mutex or RwLock, nor call .lock()/.read()\n\
-             /.write(), anywhere outside the annotated writer side of epoch.rs.\n\
-             Store reads are `&self` over frozen shards and epoch pinning is one\n\
-             Arc clone; a lock on the serving path would let a slow writer stall\n\
-             every reader.\n\
-             \n\
-             ftl-server is also in scope, with a narrower trigger set:\n\
-             `Mutex`/`RwLock` mentions and `.lock()` calls (`.read()`/\n\
-             `.write()` there are socket I/O, not locks). Its locking is\n\
-             deliberate but concentrated: the poison-recovering `Slot`\n\
-             wrapper in locked.rs, the batcher's window mutex/condvar, and\n\
-             the per-connection writer slots, all annotated.\n\
-             \n\
-             ftl-chaos shares the server's narrow trigger set (its pumps\n\
-             are socket `.read()`/`.write()` all over) with no blessed\n\
-             side at all: the proxy coordinates through atomics, so any\n\
-             `Mutex`/`RwLock`/`.lock()` mention there is a finding.\n\
-             \n\
-             ftl-obs gets the engine's wide trigger set with *no* blessed\n\
-             side: the metrics record path is relaxed atomics only, so any\n\
-             lock mention in crates/obs is a finding.\n\
-             \n\
-             The blessed exemptions carry\n\
-             `// ftl-analyzer: allow(lock-free) why` — today that is the\n\
-             EpochStore publication slot in crates/engine/src/epoch.rs plus\n\
-             ftl-server's locked.rs/batcher.rs."
-        }
         RuleId::PanicFree => {
-            "FTL003 · panic-free serving\n\
+            "FTL003 · panic-free map lookups\n\
              \n\
-             Non-test code in ftl-engine, ftl-labels, ftl-server,\n\
-             ftl-obs, and ftl-chaos must not\n\
-             call .unwrap() or .expect(), must not invoke panic! or\n\
-             unreachable!, and is\n\
-             flagged for slice indexing (`x[i]`, `x[a..b]`) which panics out of\n\
-             bounds — use .get()/.get_mut() or a match. Typed errors\n\
-             (StoreError, WireError, EngineError, LiveStoreError) are the\n\
-             serving-path alternative.\n\
+             Non-test code in ftl-engine, ftl-labels, ftl-server, ftl-obs and\n\
+             ftl-chaos must not index a map: `map[&k]` panics when the key is\n\
+             missing. Use .get(&k) and handle the miss. The rule fires on an\n\
+             index expression whose bracket opens with `&` (slices never take\n\
+             `&` indices).\n\
              \n\
-             Pre-existing debt is ratcheted: analyzer-baseline.toml records the\n\
-             allowed per-file finding counts; --check fails only above the\n\
-             baseline, and --check-baseline fails when the baseline is stale\n\
-             (actual < allowed), so the debt can only shrink. Deliberate\n\
-             panics (the chaos-injection hook) carry\n\
-             `// ftl-analyzer: allow(panic-free) why`."
-        }
-        RuleId::DetHash => {
-            "FTL004 · deterministic hashing\n\
+             The rest of panic-free serving is clippy's: unwrap_used,\n\
+             expect_used, panic, unreachable, indexing_slicing, string_slice\n\
+             and panic_in_result_fn are denied in those five crates' manifests.\n\
+             No clippy lint sees std map indexing, so this clause stays here.\n\
              \n\
-             Label/store code (ftl-labels, ftl-cycle-space, ftl-sketch,\n\
-             ftl-server, ftl-obs, ftl-chaos, and the\n\
-             engine's store.rs/cache.rs) must not use std's default-hasher\n\
-             HashMap/HashSet (RandomState is keyed per process, so iteration\n\
-             order — and anything derived from it, like build order or\n\
-             eviction order — varies run to run). Use ftl_seeded::DetHashMap/\n\
-             DetHashSet, which wrap the same SplitMix64 mixing fault-set\n\
-             hashing already relies on, behind a fixed key.\n\
-             \n\
-             clippy.toml's disallowed-types mirrors this workspace-wide for\n\
-             explicit RandomState/Mutex/RwLock mentions."
+             Exempt a deliberate site with\n\
+             `// ftl-analyzer: allow(panic-free) why` on the line above."
         }
     }
 }
@@ -151,9 +103,7 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     findings.extend(rule_hot_alloc(files));
-    findings.extend(rule_lock_free(files));
     findings.extend(rule_panic_free(files));
-    findings.extend(rule_det_hash(files));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
@@ -320,68 +270,6 @@ fn path_head(toks: &[Token], k: usize) -> &str {
     toks[k - 3].ident().unwrap_or("?")
 }
 
-// ---------------------------------------------------------------- FTL002
-
-fn rule_lock_free(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let scoped = files
-        .iter()
-        .filter(|f| matches!(f.crate_name.as_str(), "engine" | "server" | "obs" | "chaos"));
-    for f in scoped {
-        // `.read()`/`.write()` only count inside the engine and ftl-obs:
-        // in ftl-server and ftl-chaos those are socket I/O (`Read`/`Write`
-        // trait calls), not lock acquisition, so only `Mutex`/`RwLock` and
-        // `.lock()` fire there. ftl-obs gets the wide trigger set — the
-        // metrics record path is atomics-only by contract, with no
-        // blessed writer side at all.
-        let engine = matches!(f.crate_name.as_str(), "engine" | "obs");
-        for (k, t) in f.tokens.iter().enumerate() {
-            let Some(name) = t.ident() else { continue };
-            if f.in_test_region(t.line) || f.is_allowed(RuleId::LockFree, t.line) {
-                continue;
-            }
-            let is_method_call = || {
-                let prev = k.checked_sub(1).and_then(|i| f.tokens.get(i));
-                let next = f.tokens.get(k + 1);
-                prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('('))
-            };
-            let hit = match name {
-                "Mutex" | "RwLock" => Some(format!("`{name}`")),
-                "lock" if is_method_call() => Some(format!("`.{name}()`")),
-                "read" | "write" if engine && is_method_call() => Some(format!("`.{name}()`")),
-                _ => None,
-            };
-            if let Some(what) = hit {
-                let message = match f.crate_name.as_str() {
-                    "engine" => format!(
-                        "{what} on the engine read path — only epoch.rs's annotated \
-                         writer side may hold a lock"
-                    ),
-                    "obs" => format!(
-                        "{what} in ftl-obs — the metrics record path is atomics-only, \
-                         with no blessed locking anywhere in the crate"
-                    ),
-                    "chaos" => format!(
-                        "{what} in ftl-chaos — the proxy's pumps coordinate through \
-                         atomics only, with no blessed locking anywhere in the crate"
-                    ),
-                    _ => format!(
-                        "{what} in ftl-server outside the annotated `Slot` wrapper — \
-                         concentrate locking in locked.rs and the batcher window"
-                    ),
-                };
-                out.push(Finding {
-                    rule: RuleId::LockFree,
-                    file: f.path.clone(),
-                    line: t.line,
-                    message,
-                });
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------- FTL003
 
 fn rule_panic_free(files: &[SourceFile]) -> Vec<Finding> {
@@ -394,91 +282,33 @@ fn rule_panic_free(files: &[SourceFile]) -> Vec<Finding> {
     });
     for f in scoped {
         for (k, t) in f.tokens.iter().enumerate() {
-            if f.in_test_region(t.line) || f.is_allowed(RuleId::PanicFree, t.line) {
+            if !t.is_punct('[')
+                || f.in_test_region(t.line)
+                || f.is_allowed(RuleId::PanicFree, t.line)
+            {
                 continue;
             }
+            // An index expression is `[` directly after a value
+            // (identifier, `)`, `]`, or a `?` that unwraps one); `vec![`,
+            // `#[attr]`, array literals and type positions don't match.
+            // Only a map takes a `&` index, so `x[&k]` is a map lookup
+            // that panics on a missing key.
             let prev = k.checked_sub(1).and_then(|i| f.tokens.get(i));
-            let next = f.tokens.get(k + 1);
-            let hit = match &t.kind {
-                TokenKind::Ident(name) => match name.as_str() {
-                    "unwrap" | "expect"
-                        if prev.is_some_and(|p| p.is_punct('.'))
-                            && next.is_some_and(|n| n.is_punct('(')) =>
-                    {
-                        Some(format!("`.{name}()` can panic — return a typed error"))
-                    }
-                    "panic" | "unreachable" if next.is_some_and(|n| n.is_punct('!')) => {
-                        Some(format!("`{name}!` on the serving path"))
-                    }
-                    _ => None,
-                },
-                TokenKind::Punct('[') => {
-                    // Slice-index heuristic: `[` directly after a value
-                    // (identifier, `)`, or `]`) is an index expression,
-                    // which panics out of bounds. `vec![`, `#[attr]`, and
-                    // type positions don't match.
-                    let indexes = prev.is_some_and(|p| {
-                        matches!(p.kind, TokenKind::Ident(_))
-                            && p.ident().is_none_or(|s| !NON_CALL_IDENTS.contains(&s))
-                            || p.is_punct(')')
-                            || p.is_punct(']')
-                    });
-                    if indexes {
-                        Some("slice index can panic — prefer `.get()`".to_string())
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            if let Some(message) = hit {
+            let indexes = prev.is_some_and(|p| {
+                p.ident().is_some_and(|s| !NON_CALL_IDENTS.contains(&s))
+                    || p.is_punct(')')
+                    || p.is_punct(']')
+                    || p.is_punct('?')
+            });
+            if indexes && f.tokens.get(k + 1).is_some_and(|n| n.is_punct('&')) {
                 out.push(Finding {
                     rule: RuleId::PanicFree,
                     file: f.path.clone(),
                     line: t.line,
-                    message,
+                    message: "map index `[&k]` panics on a missing key — use `.get(&k)`"
+                        .to_string(),
                 });
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- FTL004
-
-/// Whether FTL004 (deterministic hashing) covers this file: all label
-/// crates, the server (per-tenant stats keyed by id), the obs registry
-/// (a stray map there would sit under the same serving path), the chaos
-/// proxy (a map in plan drawing would make storms unreplayable), plus
-/// the engine's store and cache.
-fn det_hash_scope(f: &SourceFile) -> bool {
-    match f.crate_name.as_str() {
-        "labels" | "cycle-space" | "sketch" | "server" | "obs" | "chaos" => true,
-        "engine" => f.path.ends_with("store.rs") || f.path.ends_with("cache.rs"),
-        _ => false,
-    }
-}
-
-fn rule_det_hash(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files.iter().filter(|f| det_hash_scope(f)) {
-        for t in &f.tokens {
-            let Some(name) = t.ident() else { continue };
-            if !matches!(name, "HashMap" | "HashSet" | "RandomState") {
-                continue;
-            }
-            if f.in_test_region(t.line) || f.is_allowed(RuleId::DetHash, t.line) {
-                continue;
-            }
-            out.push(Finding {
-                rule: RuleId::DetHash,
-                file: f.path.clone(),
-                line: t.line,
-                message: format!(
-                    "default-hasher `{name}` in label/store code — iteration order \
-                     must be deterministic; use ftl_seeded::DetHashMap/DetHashSet"
-                ),
-            });
         }
     }
     out

@@ -1,10 +1,9 @@
-//! Analyzer self-tests: every rule fires on the bad-corpus fixtures, the
-//! exemptions hold, and the real workspace tree is clean modulo the
-//! committed ratchet baseline.
+//! Analyzer self-tests: both rules fire on the bad-corpus fixtures, the
+//! exemptions hold, and the real workspace tree is clean.
 
 use ftl_analyzer::model::RuleId;
 use ftl_analyzer::rules::Finding;
-use ftl_analyzer::{baseline, rules, walk_workspace};
+use ftl_analyzer::{rules, walk_workspace};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -40,7 +39,7 @@ fn has(findings: &[Finding], rule: RuleId, file_suffix: &str, line: u32) -> bool
 #[test]
 fn ftl001_fires_on_hot_fn_and_transitive_callee_only() {
     let findings = fixture_findings();
-    let direct = line_of("crates/engine/src/lib.rs", "Vec::new()");
+    let direct = line_of("crates/engine/src/lib.rs", "Vec::new(); // FTL001");
     let transitive = line_of("crates/engine/src/lib.rs", "let copy = xs.to_vec()");
     let cold = line_of("crates/engine/src/lib.rs", "cold-alloc-site");
     assert!(has(
@@ -66,293 +65,70 @@ fn ftl001_fires_on_hot_fn_and_transitive_callee_only() {
 }
 
 #[test]
-fn ftl002_fires_on_mutex_and_lock_calls_in_engine_and_server() {
+fn ftl003_fires_on_map_index_in_every_serving_crate_but_honors_allow_and_tests() {
     let findings = fixture_findings();
-    let use_line = line_of("crates/engine/src/lib.rs", "use std::sync::Mutex");
-    let lock_line = line_of("crates/engine/src/lib.rs", "m.lock()");
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "engine/src/lib.rs",
-        use_line
-    ));
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "engine/src/lib.rs",
-        lock_line
-    ));
-    assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == RuleId::LockFree && f.file.contains("labels")),
-        "FTL002 never covers labels"
-    );
-}
-
-#[test]
-fn ftl002_server_scope_flags_locks_but_not_socket_read_write() {
-    let findings = fixture_findings();
-    let use_line = line_of("crates/server/src/net.rs", "use std::sync::Mutex");
-    let lock_line = line_of("crates/server/src/net.rs", "m.lock().expect");
-    let read_line = line_of("crates/server/src/net.rs", "socket-read-site");
-    let write_line = line_of("crates/server/src/net.rs", "socket-write-site");
-    let blessed = line_of("crates/server/src/net.rs", "m.lock().map");
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "server/src/net.rs",
-        use_line
-    ));
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "server/src/net.rs",
-        lock_line
-    ));
-    assert!(
-        !has(&findings, RuleId::LockFree, "server/src/net.rs", read_line),
-        "`.read()` in ftl-server is socket I/O, not a lock"
-    );
-    assert!(
-        !has(&findings, RuleId::LockFree, "server/src/net.rs", write_line),
-        "`.write()` in ftl-server is socket I/O, not a lock"
-    );
-    assert!(
-        !has(&findings, RuleId::LockFree, "server/src/net.rs", blessed),
-        "fn-level allow(lock-free) exempts the slot-style wrapper"
-    );
-}
-
-#[test]
-fn chaos_scope_gets_narrow_lock_triggers_and_panic_and_hash_rules() {
-    let findings = fixture_findings();
-    let use_lock = line_of("crates/chaos/src/net.rs", "use std::sync::Mutex");
-    let lock_line = line_of("crates/chaos/src/net.rs", "m.lock().expect");
-    let read_line = line_of("crates/chaos/src/net.rs", "pump-read-site");
-    let write_line = line_of("crates/chaos/src/net.rs", "pump-write-site");
-    let index_line = line_of("crates/chaos/src/net.rs", "garbage[i]");
-    let use_map = line_of("crates/chaos/src/net.rs", "use std::collections::HashMap");
-    // FTL002 with the server's narrow trigger set, and the chaos-specific
-    // no-blessed-side message.
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "chaos/src/net.rs",
-        use_lock
-    ));
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "chaos/src/net.rs",
-        lock_line
-    ));
-    assert!(
-        !has(&findings, RuleId::LockFree, "chaos/src/net.rs", read_line),
-        "`.read()` in ftl-chaos is pump socket I/O, not a lock"
-    );
-    assert!(
-        !has(&findings, RuleId::LockFree, "chaos/src/net.rs", write_line),
-        "`.write()` in ftl-chaos is pump socket I/O, not a lock"
-    );
-    let lock_msg = findings
-        .iter()
-        .find(|f| f.rule == RuleId::LockFree && f.file.contains("chaos/src/net.rs"))
-        .unwrap();
-    assert!(
-        lock_msg.message.contains("ftl-chaos"),
-        "{}",
-        lock_msg.message
-    );
-    // FTL003 and FTL004 cover the crate like the other serving crates.
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "chaos/src/net.rs",
-        lock_line
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "chaos/src/net.rs",
-        index_line
-    ));
-    assert!(has(&findings, RuleId::DetHash, "chaos/src/net.rs", use_map));
-}
-
-#[test]
-fn ftl003_fires_on_unwrap_panic_and_index_but_honors_allow_and_tests() {
-    let findings = fixture_findings();
-    let unwrap = line_of("crates/engine/src/lib.rs", "m.lock().unwrap()");
-    let panic = line_of("crates/engine/src/lib.rs", "panic!(\"empty\")");
-    let index = line_of("crates/engine/src/lib.rs", "xs[i]");
-    let blessed = line_of("crates/engine/src/lib.rs", "unreachable!(\"never\")");
-    let expect = line_of("crates/labels/src/store.rs", ".expect(\"present\")");
-    let test_unwrap = line_of("crates/labels/src/store.rs", "v.unwrap()");
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "engine/src/lib.rs",
-        unwrap
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "engine/src/lib.rs",
-        panic
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "engine/src/lib.rs",
-        index
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "labels/src/store.rs",
-        expect
-    ));
+    for (file, needle) in [
+        ("crates/engine/src/lib.rs", "map[&k]"),
+        ("crates/engine/src/lib.rs", "map?[&k]"),
+        ("crates/labels/src/store.rs", "index[&key]"),
+        ("crates/server/src/net.rs", "conns[&id]"),
+        ("crates/chaos/src/net.rs", "conns[&id]"),
+        ("crates/obs/src/registry.rs", "series[&name]"),
+    ] {
+        let line = line_of(file, needle);
+        let suffix = file.trim_start_matches("crates/");
+        assert!(
+            has(&findings, RuleId::PanicFree, suffix, line),
+            "{file}:{line} `{needle}` must fire"
+        );
+    }
+    let blessed = line_of("crates/engine/src/lib.rs", "map[&0]");
     assert!(
         !has(&findings, RuleId::PanicFree, "engine/src/lib.rs", blessed),
         "fn-level allow(panic-free) exempts the whole body"
     );
+    let test_index = line_of("crates/labels/src/store.rs", "m[&1]");
     assert!(
         !has(
             &findings,
             RuleId::PanicFree,
             "labels/src/store.rs",
-            test_unwrap
+            test_index
         ),
         "cfg(test) regions are out of scope"
     );
-    // The server crate is in FTL003 scope too.
-    let server_expect = line_of("crates/server/src/net.rs", "m.lock().expect");
-    let server_index = line_of("crates/server/src/net.rs", "answers[i]");
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "server/src/net.rs",
-        server_expect
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "server/src/net.rs",
-        server_index
-    ));
-}
-
-#[test]
-fn ftl004_fires_on_default_hasher_maps_and_honors_allow() {
-    let findings = fixture_findings();
-    let use_map = line_of(
-        "crates/labels/src/store.rs",
-        "use std::collections::HashMap",
-    );
-    let set_line = line_of("crates/labels/src/store.rs", "HashSet::new()");
-    let blessed = line_of("crates/labels/src/store.rs", "pub fn blessed");
-    assert!(has(
-        &findings,
-        RuleId::DetHash,
-        "labels/src/store.rs",
-        use_map
-    ));
-    assert!(has(
-        &findings,
-        RuleId::DetHash,
-        "labels/src/store.rs",
-        set_line
-    ));
-    assert_eq!(
-        findings
-            .iter()
-            .filter(|f| f.rule == RuleId::DetHash && f.line == set_line)
-            .count(),
-        2,
-        "both HashSet mentions on the line fire"
-    );
+    let out_of_scope = line_of("crates/graph/src/lib.rs", "out-of-scope-site");
     assert!(
-        !has(&findings, RuleId::DetHash, "labels/src/store.rs", blessed),
-        "allow(det-hash) exempts the fn"
-    );
-    // FTL004 never fires in the engine fixture (lib.rs is not store/cache).
-    assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == RuleId::DetHash && f.file.contains("engine")),
-        "FTL004 scope excludes engine files other than store.rs/cache.rs"
-    );
-    // The server crate (per-tenant stats keyed by id) is in scope.
-    let server_map = line_of("crates/server/src/net.rs", "use std::collections::HashMap");
-    assert!(has(
-        &findings,
-        RuleId::DetHash,
-        "server/src/net.rs",
-        server_map
-    ));
-}
-
-#[test]
-fn obs_scope_gets_wide_lock_triggers_and_panic_and_hash_rules() {
-    let findings = fixture_findings();
-    let use_lock = line_of("crates/obs/src/registry.rs", "use std::sync::RwLock");
-    let read_line = line_of("crates/obs/src/registry.rs", "slot.read().unwrap()");
-    let index_line = line_of("crates/obs/src/registry.rs", "counts[i]");
-    let use_map = line_of(
-        "crates/obs/src/registry.rs",
-        "use std::collections::HashMap",
-    );
-    // FTL002 with the engine's wide trigger set: both the `RwLock`
-    // mention and the `.read()` call fire (in ftl-server `.read()` would
-    // be socket I/O and stay silent).
-    assert!(has(
-        &findings,
-        RuleId::LockFree,
-        "obs/src/registry.rs",
-        use_lock
-    ));
-    assert!(
-        has(
+        !has(
             &findings,
-            RuleId::LockFree,
-            "obs/src/registry.rs",
-            read_line
+            RuleId::PanicFree,
+            "graph/src/lib.rs",
+            out_of_scope
         ),
-        "`.read()` fires in ftl-obs — wide triggers, no blessed side"
+        "FTL003 covers only the five serving crates"
     );
-    let lock_msg = findings
-        .iter()
-        .find(|f| f.rule == RuleId::LockFree && f.file.contains("obs/src/registry.rs"))
-        .unwrap();
-    assert!(
-        lock_msg.message.contains("atomics-only"),
-        "{}",
-        lock_msg.message
-    );
-    // FTL003 and FTL004 cover the crate like the other serving crates.
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "obs/src/registry.rs",
-        read_line
-    ));
-    assert!(has(
-        &findings,
-        RuleId::PanicFree,
-        "obs/src/registry.rs",
-        index_line
-    ));
-    assert!(has(
-        &findings,
-        RuleId::DetHash,
-        "obs/src/registry.rs",
-        use_map
-    ));
 }
 
 #[test]
-fn annotation_errors_fire_and_cannot_be_baselined() {
+fn ftl003_leaves_slice_indexing_and_reference_arrays_to_clippy() {
+    // Slice and tuple-field indexing is clippy's `indexing_slicing`; an
+    // array literal or slice pattern of references is no index at all.
+    let findings = fixture_findings();
+    let start = line_of("crates/engine/src/lib.rs", "pub fn not_map_indexing");
+    let end = line_of(
+        "crates/engine/src/lib.rs",
+        "// ftl-analyzer: allow(panic-free)",
+    );
+    let inside: Vec<String> = findings
+        .iter()
+        .filter(|f| f.file.ends_with("engine/src/lib.rs") && (start..end).contains(&f.line))
+        .map(Finding::render)
+        .collect();
+    assert!(inside.is_empty(), "{inside:?}");
+}
+
+#[test]
+fn annotation_errors_fire() {
     let findings = fixture_findings();
     let typo = line_of("crates/engine/src/typo.rs", "allow(hot-allok)");
     let dangling = line_of("crates/engine/src/typo.rs", "ftl-analyzer: hot-path");
@@ -366,24 +142,13 @@ fn annotation_errors_fire_and_cannot_be_baselined() {
     assert!(errors
         .iter()
         .any(|f| f.line == dangling && f.message.contains("dangling")));
-    // Even an absurdly generous baseline does not absorb them.
-    let generous = vec![baseline::Entry {
-        rule: RuleId::HotAlloc,
-        file: errors[0].file.clone(),
-        count: 1000,
-    }];
-    let applied = baseline::apply(&findings, &generous);
-    assert!(applied
-        .violations
-        .iter()
-        .any(|f| f.file.ends_with("typo.rs")));
 }
 
 #[test]
 fn banned_names_in_strings_and_comments_never_fire() {
     let findings = fixture_findings();
     let line = line_of("crates/engine/src/lib.rs", "just a comment");
-    let lit = line_of("crates/engine/src/lib.rs", "\"Mutex .lock()");
+    let lit = line_of("crates/engine/src/lib.rs", "\"map[&k] .to_vec()");
     assert!(findings
         .iter()
         .filter(|f| f.file.ends_with("engine/src/lib.rs"))
@@ -391,7 +156,53 @@ fn banned_names_in_strings_and_comments_never_fire() {
 }
 
 #[test]
-fn real_tree_is_clean_modulo_committed_baseline() {
+fn clippy_wall_carries_the_retired_rules() {
+    // FTL002 (locks), FTL004 (default hashers) and FTL003's unwrap/panic/
+    // slice-index clauses are clippy's now: losing one of these entries
+    // would silently weaken the wall, so the config itself is under test.
+    let root = repo_root();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("readable");
+    let clippy = read("clippy.toml");
+    for path in [
+        "std::sync::Mutex",
+        "std::sync::RwLock",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::collections::hash_map::RandomState",
+        "std::sync::Mutex::lock",
+        "std::sync::Mutex::try_lock",
+        "std::sync::RwLock::read",
+        "std::sync::RwLock::write",
+        "std::sync::RwLock::try_read",
+        "std::sync::RwLock::try_write",
+    ] {
+        assert!(
+            clippy.contains(&format!("path = \"{path}\"")),
+            "clippy.toml no longer disallows {path}"
+        );
+    }
+    for krate in ["engine", "labels", "server", "obs", "chaos"] {
+        let manifest = read(&format!("crates/{krate}/Cargo.toml"));
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "unreachable",
+            "indexing_slicing",
+            "string_slice",
+            "panic_in_result_fn",
+        ] {
+            let deny = format!("{lint} = \"deny\"");
+            assert!(
+                manifest.lines().any(|l| l.trim() == deny),
+                "crates/{krate}/Cargo.toml no longer denies clippy::{lint}"
+            );
+        }
+    }
+}
+
+#[test]
+fn real_tree_is_clean() {
     let root = repo_root();
     let files = walk_workspace(&root).expect("workspace walks");
     assert!(
@@ -400,19 +211,12 @@ fn real_tree_is_clean_modulo_committed_baseline() {
         files.len()
     );
     let findings = rules::run_all(&files);
-    let text = std::fs::read_to_string(root.join("analyzer-baseline.toml"))
-        .expect("committed baseline exists");
-    let entries = baseline::parse(&text).expect("baseline parses");
-    let applied = baseline::apply(&findings, &entries);
-    let rendered: Vec<String> = applied.violations.iter().map(Finding::render).collect();
+    let rendered: Vec<String> = findings.iter().map(Finding::render).collect();
     assert!(
-        applied.violations.is_empty(),
-        "real tree has findings above baseline:\n{}",
+        findings.is_empty(),
+        "real tree has findings:\n{}",
         rendered.join("\n")
     );
-    // And the ratchet is fresh: no over-generous entries.
-    let stale = baseline::staleness(&findings, &entries);
-    assert!(stale.is_empty(), "stale baseline:\n{}", stale.join("\n"));
 }
 
 #[test]

@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftl_graph::generators;
 use ftl_routing::{FtRoutingScheme, RoutingParams};
-use ftl_seeded::Seed;
-use std::collections::HashSet;
+use ftl_seeded::{DetHashSet, Seed};
 
 fn bench_routing(c: &mut Criterion) {
     let mut rng = ftl_bench::rng(4);
@@ -13,7 +12,7 @@ fn bench_routing(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing");
     for f in [1usize, 2] {
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, f), Seed::new(5));
-        let faults: HashSet<_> = ftl_bench::sample_faults(&g, f, &mut rng)
+        let faults: DetHashSet<_> = ftl_bench::sample_faults(&g, f, &mut rng)
             .into_iter()
             .collect();
         let s = ftl_bench::sample_vertex(&g, &mut rng);

@@ -25,7 +25,7 @@ fn main() {
     let mut forb = (0usize, 0.0f64, 0.0f64);
     let mut base = (0usize, 0.0f64, 0.0f64);
     for _ in 0..trials {
-        let faults: std::collections::HashSet<_> = ftl_bench::sample_faults(&g, f, &mut rng)
+        let faults: ftl_seeded::DetHashSet<_> = ftl_bench::sample_faults(&g, f, &mut rng)
             .into_iter()
             .collect();
         let s = ftl_bench::sample_vertex(&g, &mut rng);

@@ -23,7 +23,7 @@ fn main() {
                 let mut sum = 0.0;
                 let mut max_header = 0usize;
                 for _ in 0..trials {
-                    let faults: std::collections::HashSet<_> =
+                    let faults: ftl_seeded::DetHashSet<_> =
                         ftl_bench::sample_faults(g, f, &mut rng)
                             .into_iter()
                             .collect();

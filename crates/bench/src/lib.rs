@@ -68,11 +68,11 @@ pub fn scale_suite(rng: &mut StdRng) -> Vec<Workload> {
 
 /// Samples `f` distinct random faulty edges.
 ///
-/// Distinctness is tracked through a `HashSet`, so sampling is expected
+/// Distinctness is tracked through a `DetHashSet`, so sampling is expected
 /// `O(f)` rather than the `O(f·n)` of a linear rescan per draw.
 pub fn sample_faults(g: &Graph, f: usize, rng: &mut StdRng) -> Vec<EdgeId> {
     let want = f.min(g.num_edges());
-    let mut seen = std::collections::HashSet::with_capacity(want);
+    let mut seen = ftl_seeded::DetHashSet::with_capacity_and_hasher(want, Default::default());
     let mut faults = Vec::with_capacity(want);
     while faults.len() < want {
         let e = EdgeId::new(rng.gen_range(0..g.num_edges()));
@@ -146,7 +146,7 @@ mod tests {
         let mut r = rng(2);
         let g = generators::grid(4, 4);
         let f = sample_faults(&g, 5, &mut r);
-        let set: std::collections::HashSet<_> = f.iter().collect();
+        let set: ftl_seeded::DetHashSet<_> = f.iter().collect();
         assert_eq!(set.len(), f.len());
     }
 

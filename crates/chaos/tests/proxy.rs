@@ -3,7 +3,12 @@
 
 // Test-only crate: the crate-level panic-free wall targets the proxy's
 // pump threads, not assertions.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use ftl_chaos::{ChaosProxy, PlanConfig};
 use std::io::{ErrorKind, Read, Write};

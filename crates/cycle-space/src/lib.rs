@@ -42,8 +42,8 @@
 //!
 //! See `README.md` at the repo root for where this scheme sits in the
 //! full pipeline (labeling → freeze → engine → server), and
-//! `docs/static-analysis.md` for the determinism rules (FTL004) this
-//! crate is held to.
+//! `docs/static-analysis.md` for the determinism rule this crate is
+//! held to.
 
 #![forbid(unsafe_code)]
 

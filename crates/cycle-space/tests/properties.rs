@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn vertex_labels_distinct((g, _faults, _s, _t, seed) in scenario()) {
         let scheme = CycleSpaceScheme::label_with_bits(&g, 48, Seed::new(seed)).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = ftl_seeded::DetHashSet::default();
         for v in g.vertices() {
             prop_assert!(seen.insert(scheme.vertex_label(v).anc));
         }

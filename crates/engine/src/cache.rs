@@ -22,8 +22,8 @@ struct Node<V> {
 #[derive(Debug)]
 pub struct LruCache<V> {
     capacity: usize,
-    // Deterministically hashed (FTL004): eviction order must not vary with
-    // std's per-process hasher key.
+    // Deterministically hashed: eviction order must not vary with std's
+    // per-process hasher key.
     map: DetHashMap<u64, usize>,
     nodes: Vec<Node<V>>,
     head: usize,
@@ -72,29 +72,45 @@ impl<V> LruCache<V> {
         self.misses
     }
 
+    // Slot indices come from `map` and the list links, so every lookup
+    // below finds its node; `NIL` (usize::MAX) is never a valid index, so
+    // `nodes.get(NIL)` is the list's end.
     fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
+        let Some(node) = self.nodes.get(i) else {
+            return;
+        };
+        let (prev, next) = (node.prev, node.next);
+        match self.nodes.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
         }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
+        match self.nodes.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
         }
     }
 
     fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
+        let head = self.head;
+        let Some(node) = self.nodes.get_mut(i) else {
+            return;
+        };
+        node.prev = NIL;
+        node.next = head;
+        if let Some(h) = self.nodes.get_mut(head) {
+            h.prev = i;
         }
         self.head = i;
         if self.tail == NIL {
             self.tail = i;
+        }
+    }
+
+    /// Moves slot `i` to the most-recently-used end.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
         }
     }
 
@@ -107,11 +123,8 @@ impl<V> LruCache<V> {
             }
             Some(i) => {
                 self.hits += 1;
-                if self.head != i {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                Some(&self.nodes[i].value)
+                self.touch(i);
+                self.nodes.get(i).map(|n| &n.value)
             }
         }
     }
@@ -123,19 +136,21 @@ impl<V> LruCache<V> {
             return;
         }
         if let Some(&i) = self.map.get(&key) {
-            self.nodes[i].value = value;
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
+            if let Some(node) = self.nodes.get_mut(i) {
+                node.value = value;
             }
+            self.touch(i);
             return;
         }
         let slot = if self.map.len() == self.capacity {
             let victim = self.tail;
             self.unlink(victim);
-            self.map.remove(&self.nodes[victim].key);
-            self.nodes[victim].key = key;
-            self.nodes[victim].value = value;
+            let Some(node) = self.nodes.get_mut(victim) else {
+                return;
+            };
+            self.map.remove(&node.key);
+            node.key = key;
+            node.value = value;
             victim
         } else {
             self.nodes.push(Node {
@@ -154,6 +169,7 @@ impl<V> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Keys from most- to least-recently used, by walking the list.
     fn order<V>(c: &LruCache<V>) -> Vec<u64> {
@@ -239,6 +255,84 @@ mod tests {
         for &k in &keys {
             let v = *c.get(k).unwrap();
             assert_eq!(v % 13, k);
+        }
+    }
+
+    /// The obviously-correct reference: a `Vec` of `(key, value)` pairs
+    /// ordered from most- to least-recently used.
+    struct ModelLru {
+        capacity: usize,
+        entries: Vec<(u64, u32)>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ModelLru {
+        fn get(&mut self, key: u64) -> Option<u32> {
+            match self.entries.iter().position(|&(k, _)| k == key) {
+                None => {
+                    self.misses += 1;
+                    None
+                }
+                Some(i) => {
+                    self.hits += 1;
+                    let entry = self.entries.remove(i);
+                    self.entries.insert(0, entry);
+                    Some(entry.1)
+                }
+            }
+        }
+
+        /// Returns the evicted key, if any.
+        fn insert(&mut self, key: u64, value: u32) -> Option<u64> {
+            if self.capacity == 0 {
+                return None;
+            }
+            if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
+                self.entries.remove(i);
+                self.entries.insert(0, (key, value));
+                return None;
+            }
+            let evicted = (self.entries.len() == self.capacity)
+                .then(|| self.entries.pop().map(|(k, _)| k))
+                .flatten();
+            self.entries.insert(0, (key, value));
+            evicted
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random `get`/`insert` sequences over a small key space (so hits,
+        /// replacements and evictions all occur) agree with the model on
+        /// every returned value, `len`, the counters and the eviction
+        /// order, at capacities 0, 1, 2 and 64.
+        #[test]
+        fn matches_a_naive_vec_lru(
+            cap_pick in 0usize..4,
+            ops in proptest::collection::vec((any::<bool>(), 0u64..80, any::<u32>()), 0usize..400),
+        ) {
+            let capacity = [0, 1, 2, 64][cap_pick];
+            let mut lru = LruCache::new(capacity);
+            let mut model = ModelLru { capacity, entries: Vec::new(), hits: 0, misses: 0 };
+            for (is_get, key, value) in ops {
+                if is_get {
+                    prop_assert_eq!(lru.get(key).copied(), model.get(key));
+                } else {
+                    let before = order(&lru);
+                    let evicted = model.insert(key, value);
+                    lru.insert(key, value);
+                    let after = order(&lru);
+                    let gone: Vec<u64> = before.into_iter().filter(|k| !after.contains(k)).collect();
+                    prop_assert_eq!(gone, evicted.into_iter().collect::<Vec<_>>());
+                }
+                let model_order: Vec<u64> = model.entries.iter().map(|&(k, _)| k).collect();
+                prop_assert_eq!(order(&lru), model_order);
+                prop_assert_eq!(lru.len(), model.entries.len());
+                prop_assert_eq!(lru.hits(), model.hits);
+                prop_assert_eq!(lru.misses(), model.misses);
+            }
         }
     }
 }

@@ -253,17 +253,7 @@ impl EngineCore {
         self.ids_scratch.dedup();
         if let Some(chaos) = self.config.chaos_panic_edge {
             if self.ids_scratch.contains(&chaos) {
-                // The whole point of this hook is to panic: it exercises
-                // the per-group catch_unwind containment. Never set in
-                // production configs.
-                #[allow(clippy::panic)]
-                {
-                    // ftl-analyzer: allow(panic-free) deliberate chaos-injection hook
-                    panic!(
-                        "chaos: injected panic resolving fault set containing edge {}",
-                        chaos.index()
-                    );
-                }
+                chaos_panic(chaos);
             }
         }
         // The store uid is folded into the hash so entries from different
@@ -566,6 +556,19 @@ impl Engine {
             stats: resp.stats,
         })
     }
+}
+
+/// The chaos-injection hook: the whole point is to panic, exercising the
+/// per-group catch_unwind containment. Never reached in production
+/// configs. A fn of its own so the `panic` allow covers this one site and
+/// `panic_in_result_fn` still guards the `Result` fn that calls it.
+#[cold]
+#[allow(clippy::panic)]
+fn chaos_panic(edge: EdgeId) -> ! {
+    panic!(
+        "chaos: injected panic resolving fault set containing edge {}",
+        edge.index()
+    );
 }
 
 /// A contained panic as a typed error, keeping the payload text when there

@@ -30,7 +30,7 @@ use ftl_cycle_space::{LiveCycleSpace, LiveDelta, LiveError};
 use ftl_graph::{EdgeId, Graph, VertexId};
 use ftl_seeded::Seed;
 use std::fmt;
-// ftl-analyzer: allow(lock-free) the epoch writer side is the one blessed lock in ftl-engine
+// The epoch writer side is the one blessed lock in ftl-engine.
 #[allow(clippy::disallowed_types)]
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -99,7 +99,6 @@ impl Epoch {
 pub struct EpochStore {
     // The one blessed lock in ftl-engine: held for exactly one Arc clone
     // (readers) or one pointer assignment (the single writer).
-    // ftl-analyzer: allow(lock-free) writer-side publication point
     #[allow(clippy::disallowed_types)]
     current: RwLock<Arc<Epoch>>,
 }
@@ -110,7 +109,6 @@ impl EpochStore {
     pub fn new(store: Arc<LabelStore>) -> Self {
         ftl_obs::global().epoch.published.set(1);
         EpochStore {
-            // ftl-analyzer: allow(lock-free) writer-side construction of the publication slot
             current: RwLock::new(Arc::new(Epoch { number: 1, store })),
         }
     }
@@ -121,14 +119,16 @@ impl EpochStore {
     pub fn current(&self) -> Arc<Epoch> {
         // A poisoned lock only means a publisher panicked *between*
         // pointer writes, which cannot happen (the swap is a single
-        // assignment) — recover rather than propagate.
-        // ftl-analyzer: allow(lock-free) one Arc clone under the read guard, never across a query
+        // assignment) — recover rather than propagate. The guard lives for
+        // one Arc clone, never across a query.
+        #[allow(clippy::disallowed_methods)]
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Publishes `store` as the next epoch and returns its number.
     pub fn publish(&self, store: Arc<LabelStore>) -> u64 {
-        // ftl-analyzer: allow(lock-free) single-writer publication swap
+        // Single-writer publication swap.
+        #[allow(clippy::disallowed_methods)]
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
         let number = slot.number + 1;
         *slot = Arc::new(Epoch { number, store });

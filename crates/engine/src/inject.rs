@@ -25,7 +25,9 @@ pub fn flip_random_bits(bytes: &mut [u8], count: usize, seed: Seed) {
     let mut rng = seed.stream();
     for _ in 0..count {
         let bit = (rng() % (bytes.len() as u64 * 8)) as usize;
-        bytes[bit / 8] ^= 1 << (bit % 8);
+        if let Some(b) = bytes.get_mut(bit / 8) {
+            *b ^= 1 << (bit % 8);
+        }
     }
 }
 
@@ -37,7 +39,10 @@ pub fn corrupt_random_bytes(bytes: &mut [u8], count: usize, seed: Seed) {
     let mut rng = seed.stream();
     for _ in 0..count {
         let i = (rng() % bytes.len() as u64) as usize;
-        bytes[i] = rng() as u8;
+        let value = rng() as u8;
+        if let Some(b) = bytes.get_mut(i) {
+            *b = value;
+        }
     }
 }
 
@@ -51,12 +56,13 @@ pub fn truncate_record(bytes: &mut Vec<u8>, keep: usize) {
 /// lies" corruption. Returns false (and does nothing) if the record is too
 /// short to even hold a header.
 pub fn oversize_declared_bits(bytes: &mut [u8], extra_bits: u32) -> bool {
-    if bytes.len() < HEADER_BYTES {
+    let Some((header, _)) = bytes.split_first_chunk_mut::<HEADER_BYTES>() else {
         return false;
-    }
-    let declared = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let inflated = declared.saturating_add(extra_bits);
-    bytes[4..8].copy_from_slice(&inflated.to_le_bytes());
+    };
+    let [_, _, _, _, len_field @ ..] = header;
+    *len_field = u32::from_le_bytes(*len_field)
+        .saturating_add(extra_bits)
+        .to_le_bytes();
     true
 }
 

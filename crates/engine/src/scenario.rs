@@ -27,7 +27,25 @@ pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let rank = (p * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted
+        .get(rank.clamp(1, sorted.len()) - 1)
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// A uniformly drawn element of `xs`; `None` only when `xs` is empty.
+fn pick<T: Copy>(xs: &[T], rng: &mut impl FnMut() -> u64) -> Option<T> {
+    let i = rng() % (xs.len() as u64).max(1);
+    xs.get(i as usize).copied()
+}
+
+/// Marks (or clears) every edge of `fs` in a forbidden-edge mask.
+fn set_mask(mask: &mut [bool], fs: &[EdgeId], forbidden: bool) {
+    for e in fs {
+        if let Some(m) = mask.get_mut(e.index()) {
+            *m = forbidden;
+        }
+    }
 }
 
 /// Shape of a live-churn scenario: structural removals (not just fault
@@ -192,18 +210,19 @@ pub fn run_churn_scenario(
         for v in 0..cfg.fault_sets_per_round {
             let mut fs = Vec::with_capacity(cfg.f);
             while fs.len() < cfg.f.min(alive_edges.len()) {
-                let e = alive_edges[(rng() % alive_edges.len() as u64) as usize];
-                if !fs.contains(&e) {
-                    fs.push(e);
+                if let Some(e) = pick(&alive_edges, &mut rng) {
+                    if !fs.contains(&e) {
+                        fs.push(e);
+                    }
                 }
             }
             fault_sets.push(fs);
             for _ in 0..cfg.queries_per_fault_set {
-                queries.push(ConnQuery {
-                    s: alive_vertices[(rng() % alive_vertices.len() as u64) as usize],
-                    t: alive_vertices[(rng() % alive_vertices.len() as u64) as usize],
-                    fault_set: v,
-                });
+                let s = pick(&alive_vertices, &mut rng);
+                let t = pick(&alive_vertices, &mut rng);
+                if let (Some(s), Some(t)) = (s, t) {
+                    queries.push(ConnQuery { s, t, fault_set: v });
+                }
             }
         }
         let req = BatchRequest {
@@ -219,9 +238,7 @@ pub fn run_churn_scenario(
         let mut reachable = 0usize;
         let mut mask = live.forbidden_base();
         for (fi, fs) in req.fault_sets.iter().enumerate() {
-            for &e in fs {
-                mask[e.index()] = true;
-            }
+            set_mask(&mut mask, fs, true);
             for (q, r) in req
                 .queries
                 .iter()
@@ -235,9 +252,7 @@ pub fn run_churn_scenario(
                     round_mismatches += 1;
                 }
             }
-            for &e in fs {
-                mask[e.index()] = false;
-            }
+            set_mask(&mut mask, fs, false);
         }
         total_queries += resp.results.len();
         mismatches_total += round_mismatches;

@@ -7,6 +7,7 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
+    clippy::indexing_slicing,
     clippy::print_stdout
 )]
 use ftl_cycle_space::{CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme};

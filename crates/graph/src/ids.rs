@@ -117,7 +117,9 @@ impl From<usize> for EdgeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::BTreeSet;
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn vertex_id_roundtrip() {
@@ -139,11 +141,17 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         set.insert(VertexId::new(1));
         set.insert(VertexId::new(1));
         set.insert(VertexId::new(2));
         assert_eq!(set.len(), 2);
+        let hash = |v: VertexId| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(VertexId::new(1)), hash(VertexId::new(1)));
         assert!(VertexId::new(1) < VertexId::new(2));
         assert!(EdgeId::new(3) > EdgeId::new(0));
     }

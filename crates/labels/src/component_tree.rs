@@ -125,22 +125,26 @@ impl ComponentTree {
         // Scan: on seeing (DFS1(v_i), v_i, 1), the previous tuple decides the
         // parent (proof in Claim 3.14).
         let mut parent: Vec<Option<ComponentId>> = vec![None; k];
-        for t in 1..tuples.len() {
-            let (_, c, kind) = tuples[t];
+        for pair in tuples.windows(2) {
+            let &[(_, u, b), (_, c, kind)] = pair else {
+                continue;
+            };
             if kind != 1 {
                 continue;
             }
-            let (_, u, b) = tuples[t - 1];
-            parent[c] = if b == 1 {
+            let p = if b == 1 {
                 Some(ComponentId(u))
             } else {
-                parent[u]
+                parent.get(u).copied().flatten()
             };
+            if let Some(slot) = parent.get_mut(c) {
+                *slot = p;
+            }
         }
         let mut children: Vec<Vec<ComponentId>> = vec![Vec::new(); k];
-        for (c, par) in parent.iter().enumerate().take(k) {
-            if let Some(p) = par {
-                children[p.index()].push(ComponentId(c));
+        for (c, par) in parent.iter().enumerate() {
+            if let Some(siblings) = par.and_then(|p| children.get_mut(p.index())) {
+                siblings.push(ComponentId(c));
             }
         }
         ComponentTree {
@@ -163,25 +167,27 @@ impl ComponentTree {
     }
 
     /// Representative (highest vertex) label of a component. For the root
-    /// component this is the synthetic `(1, M)` label.
-    pub fn rep(&self, c: ComponentId) -> AncestryLabel {
-        self.reps[c.index()]
+    /// component this is the synthetic `(1, M)` label; `None` for an id
+    /// outside this tree.
+    pub fn rep(&self, c: ComponentId) -> Option<AncestryLabel> {
+        self.reps.get(c.index()).copied()
     }
 
-    /// Parent component in the component tree.
+    /// Parent component in the component tree (`None` for the root and
+    /// for an id outside this tree).
     pub fn parent(&self, c: ComponentId) -> Option<ComponentId> {
-        self.parent[c.index()]
+        self.parent.get(c.index()).copied().flatten()
     }
 
-    /// Children components.
+    /// Children components (empty for an id outside this tree).
     pub fn children(&self, c: ComponentId) -> &[ComponentId] {
-        &self.children[c.index()]
+        self.children.get(c.index()).map_or(&[], Vec::as_slice)
     }
 
     /// For a non-root component, the index of the fault edge (in the
     /// constructor's list) connecting it to its parent component.
     pub fn edge_to_parent(&self, c: ComponentId) -> Option<usize> {
-        self.edge_to_parent[c.index()]
+        self.edge_to_parent.get(c.index()).copied().flatten()
     }
 
     /// Iterator over all component ids.
@@ -194,8 +200,11 @@ impl ComponentTree {
     pub fn component_of(&self, v: AncestryLabel) -> ComponentId {
         // Find the last tuple with value <= DFS1(v).
         let pos = self.tuples.partition_point(|&(val, _, _)| val <= v.pre);
-        assert!(pos > 0, "DFS times start at 1, root tuple is (1, ., 1)");
-        let (val, u, b) = self.tuples[pos - 1];
+        // DFS times start at 1 and the root tuple is (1, 0, 1), so only a
+        // label outside the tree finds no tuple; it lands in the root's.
+        let Some(&(val, u, b)) = pos.checked_sub(1).and_then(|i| self.tuples.get(i)) else {
+            return self.root();
+        };
         if val == v.pre {
             // v is a component representative itself.
             return ComponentId(u);
@@ -206,7 +215,7 @@ impl ComponentTree {
             // The exit tuple of a non-last component always records a
             // parent; degrade to the component itself rather than panic
             // if the tree were ever corrupt.
-            self.parent[u].unwrap_or(ComponentId(u))
+            self.parent(ComponentId(u)).unwrap_or(ComponentId(u))
         }
     }
 
@@ -214,9 +223,8 @@ impl ComponentTree {
     pub fn topological_order(&self) -> Vec<ComponentId> {
         let mut order = vec![self.root()];
         let mut i = 0;
-        while i < order.len() {
-            let c = order[i];
-            order.extend(self.children(c).iter().copied());
+        while let Some(&c) = order.get(i) {
+            order.extend_from_slice(self.children(c));
             i += 1;
         }
         order

@@ -109,6 +109,8 @@ pub enum WireError {
     TrailingBits,
     /// A field held a value the decoder cannot represent.
     Malformed(&'static str),
+    /// A single read asked for more than 64 bits.
+    ReadTooWide(usize),
 }
 
 impl fmt::Display for WireError {
@@ -126,6 +128,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "payload truncated"),
             WireError::TrailingBits => write!(f, "payload has trailing bits"),
             WireError::Malformed(what) => write!(f, "malformed field: {what}"),
+            WireError::ReadTooWide(n) => write!(f, "read of {n} bits exceeds one 64-bit word"),
         }
     }
 }
@@ -167,8 +170,8 @@ impl WireWriter {
         }
         let offset = self.bits % 64;
         // `offset > 0` implies a last word exists; spelled as if-let so the
-        // serving path stays panic-free by construction (FTL003), with a
-        // push fallback that keeps the written bits correct regardless.
+        // serving path stays panic-free by construction, with a push
+        // fallback that keeps the written bits correct regardless.
         match self.words.last_mut() {
             Some(last) if offset != 0 => {
                 *last |= word << offset;
@@ -212,10 +215,8 @@ impl WireWriter {
         out.push(WIRE_VERSION);
         out.push(kind as u8);
         out.extend_from_slice(&(self.bits as u32).to_le_bytes());
-        for i in 0..payload_bytes {
-            let w = self.words[i / 8];
-            out.push((w >> ((i % 8) * 8)) as u8);
-        }
+        let bytes = self.words.iter().flat_map(|w| w.to_le_bytes());
+        out.extend(bytes.take(payload_bytes));
         out
     }
 }
@@ -243,36 +244,34 @@ impl WireReader {
     /// consistency, and returns the named kind plus a reader positioned at
     /// the start of the payload.
     pub fn open(bytes: &[u8]) -> Result<(LabelKind, WireReader), WireError> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(WireError::TooShort);
-        }
-        if bytes[0..2] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        if bytes[2] != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(bytes[2]));
-        }
-        let kind = LabelKind::from_u8(bytes[3]).ok_or(WireError::UnknownKind(bytes[3]))?;
-        // The length check above guarantees 4 bytes; a corrupted-slice
-        // surprise still degrades to an error, never a panic (FTL003).
-        let Ok(len_bytes) = bytes[4..8].try_into() else {
+        let Some((header, payload)) = bytes.split_first_chunk::<HEADER_BYTES>() else {
             return Err(WireError::TooShort);
         };
-        let bits = u32::from_le_bytes(len_bytes) as usize;
-        let payload = &bytes[HEADER_BYTES..];
+        let [m0, m1, version, kind, l0, l1, l2, l3] = *header;
+        if [m0, m1] != WIRE_MAGIC {
+            return Err(WireError::BadMagic);
+        }
+        if version != WIRE_VERSION {
+            return Err(WireError::UnsupportedVersion(version));
+        }
+        let kind = LabelKind::from_u8(kind).ok_or(WireError::UnknownKind(kind))?;
+        let bits = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if payload.len() != bits.div_ceil(8) {
             return Err(WireError::LengthMismatch);
         }
-        if !bits.is_multiple_of(8) {
-            let padding = payload[payload.len() - 1] >> (bits % 8);
-            if padding != 0 {
+        if let Some(&last) = payload.last() {
+            if !bits.is_multiple_of(8) && last >> (bits % 8) != 0 {
                 return Err(WireError::DirtyPadding);
             }
         }
-        let mut words = vec![0u64; payload.len().div_ceil(8)];
-        for (i, &b) in payload.iter().enumerate() {
-            words[i / 8] |= (b as u64) << ((i % 8) * 8);
-        }
+        let words = payload
+            .chunks(8)
+            .map(|chunk| {
+                let mut le = [0u8; 8];
+                le.iter_mut().zip(chunk).for_each(|(d, &b)| *d = b);
+                u64::from_le_bytes(le)
+            })
+            .collect();
         Ok((
             kind,
             WireReader {
@@ -288,9 +287,13 @@ impl WireReader {
         self.bits - self.pos
     }
 
-    /// Reads `n` bits (`n <= 64`) as a word.
+    /// Reads `n` bits (`n <= 64`) as a word. A wider read is a typed
+    /// [`WireError::ReadTooWide`]; a failed read leaves the position
+    /// unchanged.
     pub fn read_word(&mut self, n: usize) -> Result<u64, WireError> {
-        assert!(n <= 64, "at most 64 bits per read");
+        if n > 64 {
+            return Err(WireError::ReadTooWide(n));
+        }
         if self.pos + n > self.bits {
             return Err(WireError::Truncated);
         }
@@ -299,9 +302,12 @@ impl WireReader {
         }
         let word = self.pos / 64;
         let offset = self.pos % 64;
-        let mut w = self.words[word] >> offset;
+        // `pos + n <= bits` and `words` covers `bits`, so every word the
+        // read spans exists; a missing one would read as zero bits.
+        let at = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        let mut w = at(word) >> offset;
         if offset + n > 64 {
-            w |= self.words[word + 1] << (64 - offset);
+            w |= at(word + 1) << (64 - offset);
         }
         self.pos += n;
         Ok(w & mask(n))
@@ -559,5 +565,19 @@ mod tests {
         assert_eq!(r.read_word(4), Err(WireError::Truncated));
         assert_eq!(r.read_word(3).unwrap(), 7);
         assert_eq!(r.read_word(1), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn read_wider_than_a_word_is_a_typed_error_that_consumes_nothing() {
+        let mut w = WireWriter::new();
+        w.write_word(u64::MAX, 64);
+        w.write_word(0b1011, 4);
+        let bytes = w.finish(LabelKind::Ancestry);
+        let (_, mut r) = WireReader::open(&bytes).unwrap();
+        assert_eq!(r.read_word(65), Err(WireError::ReadTooWide(65)));
+        assert_eq!(r.remaining(), 68, "a rejected read leaves the position");
+        assert_eq!(r.read_word(64).unwrap(), u64::MAX);
+        assert_eq!(r.read_word(4).unwrap(), 0b1011);
+        r.close().unwrap();
     }
 }

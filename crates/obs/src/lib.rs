@@ -20,10 +20,10 @@
 //!
 //! # Disciplines
 //!
-//! Recording is hot-path-safe by construction: atomics only (no locks —
-//! FTL002), zero allocation (FTL001, proven by the engine's
-//! counting-allocator test running with instrumentation enabled), no
-//! panicking constructs (FTL003). The whole record side compiles to
+//! Recording is hot-path-safe by construction: atomics only (clippy's
+//! lock wall), zero allocation (`ftl-analyzer` FTL001, proven by the
+//! engine's counting-allocator test running with instrumentation
+//! enabled), no panicking constructs (clippy's panic-free set). The whole record side compiles to
 //! empty inline stubs under the `no-obs` feature (forwarded by the
 //! consuming crates), so the uninstrumented bench baseline is
 //! recoverable from the same sources.

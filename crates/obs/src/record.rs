@@ -2,8 +2,8 @@
 //! histograms, and stage spans.
 //!
 //! Everything here sits on the serving hot path, so the record side is
-//! held to three invariants (enforced twice: clippy lints and
-//! `ftl-analyzer` FTL001/FTL002/FTL003):
+//! held to three invariants (enforced by clippy lints and `ftl-analyzer`
+//! FTL001):
 //!
 //! - **zero allocation** — a record is at most two `fetch_add`s; the
 //!   histogram storage is a fixed array baked into the static registry.

@@ -14,7 +14,7 @@ use crate::network::{Cursor, RoutingOutcome};
 use ftl_graph::shortest_path::{dijkstra, distance_avoiding};
 use ftl_graph::traversal::forbidden_mask;
 use ftl_graph::{EdgeId, Graph, VertexId};
-use std::collections::HashSet;
+use ftl_seeded::DetHashSet;
 
 /// Full-information adaptive routing: at every vertex, recompute the
 /// shortest path to `t` avoiding all faults *learned so far* (faults are
@@ -23,7 +23,7 @@ pub fn route_full_information(
     graph: &Graph,
     s: VertexId,
     t: VertexId,
-    faults: &HashSet<EdgeId>,
+    faults: &DetHashSet<EdgeId>,
 ) -> RoutingOutcome {
     let fault_vec: Vec<EdgeId> = faults.iter().copied().collect();
     let mask = forbidden_mask(graph, &fault_vec);
@@ -173,7 +173,7 @@ mod tests {
         for _ in 0..50 {
             let s = VertexId::new(rng.gen_range(0..16));
             let t = VertexId::new(rng.gen_range(0..16));
-            let mut faults = HashSet::new();
+            let mut faults = DetHashSet::default();
             while faults.len() < 3 {
                 faults.insert(EdgeId::new(rng.gen_range(0..g.num_edges())));
             }
@@ -194,7 +194,12 @@ mod tests {
     #[test]
     fn full_info_zero_faults_is_optimal() {
         let g = generators::grid(3, 5);
-        let out = route_full_information(&g, VertexId::new(0), VertexId::new(14), &HashSet::new());
+        let out = route_full_information(
+            &g,
+            VertexId::new(0),
+            VertexId::new(14),
+            &DetHashSet::default(),
+        );
         assert!(out.delivered);
         assert_eq!(Some(out.weight), out.optimal);
         assert_eq!(out.stretch(), Some(1.0));
@@ -204,7 +209,7 @@ mod tests {
     fn gadget_forces_backtracking() {
         let (g, s, t, last) = generators::lower_bound_gadget(2, 6);
         // Fail all but the last path's final edge.
-        let faults: HashSet<EdgeId> = last[..2].iter().copied().collect();
+        let faults: DetHashSet<EdgeId> = last[..2].iter().copied().collect();
         let out = route_full_information(&g, s, t, &faults);
         assert!(out.delivered);
         // It must have paid for at least one wrong path + return.

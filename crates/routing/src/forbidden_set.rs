@@ -12,8 +12,8 @@ use crate::network::{Cursor, RoutingOutcome};
 use ftl_graph::shortest_path::distance_avoiding;
 use ftl_graph::traversal::forbidden_mask;
 use ftl_graph::{EdgeId, Graph, VertexId};
+use ftl_seeded::DetHashSet;
 use ftl_sketch::SketchEdgeLabel;
-use std::collections::HashSet;
 
 impl FtRoutingScheme {
     /// The worst-case forbidden-set stretch `(8k−2)(f+1)` of Theorem 5.3.
@@ -28,7 +28,7 @@ impl FtRoutingScheme {
         graph: &Graph,
         s: VertexId,
         t: VertexId,
-        faults: &HashSet<EdgeId>,
+        faults: &DetHashSet<EdgeId>,
     ) -> RoutingOutcome {
         let fault_vec: Vec<EdgeId> = faults.iter().copied().collect();
         let mask = forbidden_mask(graph, &fault_vec);
@@ -100,8 +100,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_fault_set(g: &Graph, f: usize, rng: &mut StdRng) -> HashSet<EdgeId> {
-        let mut faults = HashSet::new();
+    fn random_fault_set(g: &Graph, f: usize, rng: &mut StdRng) -> DetHashSet<EdgeId> {
+        let mut faults = DetHashSet::default();
         while faults.len() < f.min(g.num_edges()) {
             faults.insert(EdgeId::new(rng.gen_range(0..g.num_edges())));
         }
@@ -161,8 +161,12 @@ mod tests {
     fn no_faults_direct_delivery() {
         let g = generators::grid(3, 3);
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 1), Seed::new(3));
-        let out =
-            scheme.route_forbidden_set(&g, VertexId::new(0), VertexId::new(8), &HashSet::new());
+        let out = scheme.route_forbidden_set(
+            &g,
+            VertexId::new(0),
+            VertexId::new(8),
+            &DetHashSet::default(),
+        );
         assert!(out.delivered);
         assert!(out.stretch().unwrap() <= scheme.forbidden_set_stretch_bound(0) as f64);
     }
@@ -171,8 +175,12 @@ mod tests {
     fn self_route_is_free() {
         let g = generators::path(4);
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 1), Seed::new(4));
-        let out =
-            scheme.route_forbidden_set(&g, VertexId::new(2), VertexId::new(2), &HashSet::new());
+        let out = scheme.route_forbidden_set(
+            &g,
+            VertexId::new(2),
+            VertexId::new(2),
+            &DetHashSet::default(),
+        );
         assert!(out.delivered);
         assert_eq!(out.weight, 0);
     }

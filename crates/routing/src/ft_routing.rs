@@ -23,13 +23,12 @@ use crate::tree_routing::{LabelCodec, NextHop, TreeRouting};
 use ftl_graph::shortest_path::distance_avoiding;
 use ftl_graph::traversal::forbidden_mask;
 use ftl_graph::{EdgeId, Graph, VertexId};
-use ftl_seeded::Seed;
+use ftl_seeded::{DetHashSet, Seed};
 use ftl_sketch::{
     PathSegment, SketchEdgeLabel, SketchParams, SketchScheme, SketchVertexLabel, SuccinctPath,
     VertexAux,
 };
 use ftl_tree_cover::TreeCover;
-use std::collections::HashSet;
 
 /// Parameters of the routing scheme.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -244,7 +243,7 @@ impl FtRoutingScheme {
         graph: &Graph,
         s: VertexId,
         t: VertexId,
-        faults: &HashSet<EdgeId>,
+        faults: &DetHashSet<EdgeId>,
     ) -> RoutingOutcome {
         let fault_vec: Vec<EdgeId> = faults.iter().copied().collect();
         let mask = forbidden_mask(graph, &fault_vec);
@@ -265,7 +264,7 @@ impl FtRoutingScheme {
         }
         let t_label = self.route_label(t);
         let mut cursor = Cursor::new(graph, faults, s);
-        let mut discovered_global: HashSet<EdgeId> = HashSet::new();
+        let mut discovered_global: DetHashSet<EdgeId> = DetHashSet::default();
         for (i, sc) in self.scales.iter().enumerate() {
             // Phase i uses the destination's home tree G_{i, i*(t)}.
             let (j, local_t_label) = t_label.per_scale[i].clone();
@@ -481,8 +480,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_fault_set(g: &Graph, f: usize, rng: &mut StdRng) -> HashSet<EdgeId> {
-        let mut faults = HashSet::new();
+    fn random_fault_set(g: &Graph, f: usize, rng: &mut StdRng) -> DetHashSet<EdgeId> {
+        let mut faults = DetHashSet::default();
         while faults.len() < f.min(g.num_edges()) {
             faults.insert(EdgeId::new(rng.gen_range(0..g.num_edges())));
         }
@@ -553,7 +552,12 @@ mod tests {
     fn zero_faults_cheap_delivery() {
         let g = generators::grid(3, 3);
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 1), Seed::new(5));
-        let out = scheme.route(&g, VertexId::new(0), VertexId::new(8), &HashSet::new());
+        let out = scheme.route(
+            &g,
+            VertexId::new(0),
+            VertexId::new(8),
+            &DetHashSet::default(),
+        );
         assert!(out.delivered);
         assert_eq!(out.faults_discovered, 0);
         assert!(out.iterations >= 1);
@@ -566,7 +570,7 @@ mod tests {
         // a genuine cut; on the same side routing succeeds.
         let g = generators::path(8);
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 1), Seed::new(6));
-        let faults: HashSet<EdgeId> = [EdgeId::new(3)].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [EdgeId::new(3)].into_iter().collect();
         let cut = scheme.route(&g, VertexId::new(0), VertexId::new(7), &faults);
         assert!(!cut.delivered);
         let same_side = scheme.route(&g, VertexId::new(0), VertexId::new(3), &faults);
@@ -591,9 +595,14 @@ mod tests {
     fn header_bits_grow_with_discoveries() {
         let g = generators::cycle(10);
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 2), Seed::new(8));
-        let clean = scheme.route(&g, VertexId::new(0), VertexId::new(5), &HashSet::new());
+        let clean = scheme.route(
+            &g,
+            VertexId::new(0),
+            VertexId::new(5),
+            &DetHashSet::default(),
+        );
         // Put a fault right on the tree path between 0 and 5.
-        let faults: HashSet<EdgeId> = [EdgeId::new(2)].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [EdgeId::new(2)].into_iter().collect();
         let dirty = scheme.route(&g, VertexId::new(0), VertexId::new(5), &faults);
         assert!(dirty.delivered);
         if dirty.faults_discovered > 0 {
@@ -615,10 +624,10 @@ mod tests {
         let bridge = b.add_unit_edge(0, 3);
         let g = b.build();
         let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 2), Seed::new(9));
-        let faults: HashSet<EdgeId> = [EdgeId::new(0)].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [EdgeId::new(0)].into_iter().collect();
         let out = scheme.route(&g, VertexId::new(1), VertexId::new(4), &faults);
         assert!(out.delivered);
-        let faults: HashSet<EdgeId> = [bridge].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [bridge].into_iter().collect();
         let out = scheme.route(&g, VertexId::new(1), VertexId::new(4), &faults);
         assert!(!out.delivered);
     }

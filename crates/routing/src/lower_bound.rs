@@ -14,8 +14,8 @@
 //! proof of Theorem 1.6.
 
 use ftl_graph::{EdgeId, Graph, VertexId};
+use ftl_seeded::DetHashSet;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// One trial outcome on the gadget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +43,7 @@ pub fn run_gadget_trial(
 ) -> GadgetTrial {
     let paths = last_edges.len();
     let survivor = rng.gen_range(0..paths);
-    let faults: HashSet<EdgeId> = last_edges
+    let faults: DetHashSet<EdgeId> = last_edges
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != survivor)

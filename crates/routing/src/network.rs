@@ -2,7 +2,7 @@
 //! discovery on contact, header-size tracking.
 
 use ftl_graph::{EdgeId, Graph, VertexId};
-use std::collections::HashSet;
+use ftl_seeded::DetHashSet;
 
 /// Outcome of routing one message.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +45,7 @@ impl RoutingOutcome {
 #[derive(Debug)]
 pub struct Cursor<'a> {
     graph: &'a Graph,
-    faults: &'a HashSet<EdgeId>,
+    faults: &'a DetHashSet<EdgeId>,
     /// Current position.
     pub at: VertexId,
     /// Accumulated traversal weight.
@@ -56,7 +56,7 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Starts a cursor at `s`.
-    pub fn new(graph: &'a Graph, faults: &'a HashSet<EdgeId>, s: VertexId) -> Self {
+    pub fn new(graph: &'a Graph, faults: &'a DetHashSet<EdgeId>, s: VertexId) -> Self {
         Cursor {
             graph,
             faults,
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn cursor_crosses_and_charges() {
         let g = generators::path(4);
-        let faults = HashSet::new();
+        let faults = DetHashSet::default();
         let mut c = Cursor::new(&g, &faults, VertexId::new(0));
         c.cross(EdgeId::new(0));
         c.cross(EdgeId::new(1));
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn probe_detects_faults_at_endpoint() {
         let g = generators::path(3);
-        let faults: HashSet<EdgeId> = [EdgeId::new(1)].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [EdgeId::new(1)].into_iter().collect();
         let c = Cursor::new(&g, &faults, VertexId::new(1));
         assert!(!c.probe(EdgeId::new(0)));
         assert!(c.probe(EdgeId::new(1)));
@@ -151,7 +151,7 @@ mod tests {
     #[should_panic]
     fn probe_from_afar_panics() {
         let g = generators::path(4);
-        let faults = HashSet::new();
+        let faults = DetHashSet::default();
         let c = Cursor::new(&g, &faults, VertexId::new(0));
         c.probe(EdgeId::new(2));
     }
@@ -160,7 +160,7 @@ mod tests {
     #[should_panic]
     fn crossing_fault_panics() {
         let g = generators::path(3);
-        let faults: HashSet<EdgeId> = [EdgeId::new(0)].into_iter().collect();
+        let faults: DetHashSet<EdgeId> = [EdgeId::new(0)].into_iter().collect();
         let mut c = Cursor::new(&g, &faults, VertexId::new(0));
         c.cross(EdgeId::new(0));
     }
@@ -170,7 +170,7 @@ mod tests {
         let mut b = ftl_graph::GraphBuilder::new(2);
         b.add_edge(0, 1, 5);
         let g = b.build();
-        let faults = HashSet::new();
+        let faults = DetHashSet::default();
         let mut c = Cursor::new(&g, &faults, VertexId::new(0));
         c.round_trip(EdgeId::new(0));
         assert_eq!(c.at, VertexId::new(0));
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn retreat_returns_and_charges() {
         let g = generators::path(4);
-        let faults = HashSet::new();
+        let faults = DetHashSet::default();
         let mut c = Cursor::new(&g, &faults, VertexId::new(0));
         c.cross(EdgeId::new(0));
         c.cross(EdgeId::new(1));

@@ -578,7 +578,7 @@ mod tests {
         let tree = SpanningTree::bfs_tree(&g, VertexId::new(0)).unwrap();
         let tr = TreeRouting::new(&g, &tree, 1);
         let codec = tr.codec();
-        let widths: std::collections::HashSet<usize> = g
+        let widths: ftl_seeded::DetHashSet<usize> = g
             .vertices()
             .map(|v| codec.encode(tr.label(v)).len())
             .collect();

@@ -3,9 +3,8 @@
 use ftl_graph::{EdgeId, Graph, GraphBuilder, SpanningTree, VertexId};
 use ftl_routing::baselines::route_full_information;
 use ftl_routing::{FtRoutingScheme, NextHop, RoutingParams, TreeRouting};
-use ftl_seeded::Seed;
+use ftl_seeded::{DetHashSet, Seed};
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 fn graph_strategy(max_n: usize) -> impl Strategy<Value = Graph> {
     (
@@ -97,7 +96,7 @@ proptest! {
     ) {
         let n = g.num_vertices();
         let (s, t) = (VertexId::new(a % n), VertexId::new(b % n));
-        let mut faults = HashSet::new();
+        let mut faults = DetHashSet::default();
         for p in &fpicks {
             faults.insert(EdgeId::new(p % g.num_edges()));
         }

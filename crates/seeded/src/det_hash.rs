@@ -2,16 +2,16 @@
 //!
 //! `std`'s default `HashMap`/`HashSet` hasher is randomly keyed per
 //! process, so iteration order — and therefore anything derived from it
-//! (build order, cache eviction order, debug dumps) — varies run to run. Label and store code is required to be reproducible end to end
+//! (build order, cache eviction order, debug dumps) — varies run to run.
+//! Label and store code is required to be reproducible end to end
 //! (the whole construction re-derives randomness from explicit [`Seed`]s),
 //! so collections there use [`DetHashMap`]/[`DetHashSet`] instead: the
 //! same SplitMix64 mixing fault-set hashing already relies on, with a
 //! fixed key.
 //!
-//! This is enforced two ways: rule `FTL004` of `ftl-analyzer` flags
-//! default-hasher collections in label/store code, and `clippy.toml`
-//! disallows the bare types workspace-wide (blessed uses carry an
-//! `allow`).
+//! `clippy.toml` enforces this: it disallows `std::collections::HashMap`,
+//! `HashSet` and `RandomState` workspace-wide, and this module carries
+//! the one `allow`.
 //!
 //! Determinism, not DoS resistance: keys here are internal ids, never
 //! attacker-controlled strings, so a keyed-but-fixed hasher is the right
@@ -19,7 +19,7 @@
 //!
 //! [`Seed`]: crate::Seed
 
-// The one blessed spelling of std's hash collections in label/store code:
+// The one blessed spelling of std's hash collections in the workspace:
 // this module wraps them behind a deterministic hasher.
 #![allow(clippy::disallowed_types)]
 

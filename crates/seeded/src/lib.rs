@@ -15,9 +15,9 @@
 //! * [`uid`]: unique edge identifiers with the XOR-validity test of
 //!   Lemma 3.10 (substitution S1 in DESIGN.md).
 //!
-//! Why determinism is load-bearing here — and the analyzer rule (FTL004)
-//! that enforces it — is covered in `docs/static-analysis.md`; the crate
-//! map is in `README.md`.
+//! Why determinism is load-bearing here — and the clippy
+//! `disallowed-types` wall that enforces it — is covered in
+//! `docs/static-analysis.md`; the crate map is in `README.md`.
 
 #![forbid(unsafe_code)]
 

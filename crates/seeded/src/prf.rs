@@ -74,7 +74,7 @@ fn mix2(key: u64, x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::DetHashSet;
 
     #[test]
     fn deterministic() {
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_outputs() {
         let s = Seed::new(1);
-        let outs: HashSet<u64> = (0..10_000).map(|i| s.prf1(i)).collect();
+        let outs: DetHashSet<u64> = (0..10_000).map(|i| s.prf1(i)).collect();
         assert_eq!(outs.len(), 10_000, "no collisions expected at this scale");
     }
 
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn derive_separates_domains() {
         let s = Seed::new(0);
-        let tags: HashSet<u64> = (0..1000).map(|t| s.derive(t).value()).collect();
+        let tags: DetHashSet<u64> = (0..1000).map(|t| s.derive(t).value()).collect();
         assert_eq!(tags.len(), 1000);
         // derived seeds give different streams
         assert_ne!(s.derive(0).prf1(1), s.derive(1).prf1(1));

@@ -59,7 +59,7 @@ impl UidSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::DetHashSet;
 
     #[test]
     fn symmetric_in_endpoints() {
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn uids_are_distinct_at_scale() {
         let s = UidSpace::new(Seed::new(7));
-        let mut seen = HashSet::new();
+        let mut seen = DetHashSet::default();
         for u in 0..200u32 {
             for v in (u + 1)..200u32 {
                 assert!(seen.insert(s.uid(u, v, 0)), "collision at ({u},{v})");

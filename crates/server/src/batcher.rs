@@ -36,7 +36,7 @@
 use ftl_graph::{EdgeId, VertexId};
 use std::time::{Duration, Instant};
 
-// ftl-analyzer: allow(lock-free) the batcher's window condvar; front-end queueing, not the read path
+// The batcher's window condvar: front-end queueing, not the read path.
 #[allow(clippy::disallowed_types)]
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -104,7 +104,7 @@ struct State {
 /// The shared accumulation window.
 #[derive(Debug)]
 pub struct Batcher {
-    // ftl-analyzer: allow(lock-free) window state + condvar; see module docs
+    // Window state + condvar; see module docs.
     #[allow(clippy::disallowed_types)]
     state: Mutex<State>,
     cv: Condvar,
@@ -115,7 +115,6 @@ pub struct Batcher {
 impl Batcher {
     /// A new, open batcher with the given pending-query budget and
     /// accumulation window.
-    // ftl-analyzer: allow(lock-free) constructing the window state
     #[allow(clippy::disallowed_types)]
     pub fn new(budget: usize, window: Duration) -> Self {
         Batcher {
@@ -130,7 +129,8 @@ impl Batcher {
         }
     }
 
-    // ftl-analyzer: allow(lock-free) the batcher's own lock acquisition
+    // The batcher's own lock acquisition.
+    #[allow(clippy::disallowed_methods)]
     fn locked(&self) -> MutexGuard<'_, State> {
         match self.state.lock() {
             Ok(g) => g,
@@ -205,7 +205,6 @@ impl Batcher {
     /// Never returns an empty window: when two executors wake on the same
     /// first submit and both hold a window open, the first to time out
     /// takes everything and the second goes back to waiting for work.
-    // ftl-analyzer: allow(lock-free) condvar waits for the accumulation window
     pub fn next_window(&self) -> Option<Vec<Pending>> {
         let mut g = self.locked();
         loop {

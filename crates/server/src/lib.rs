@@ -41,10 +41,10 @@
 //!   `er:1024:8`) that lets `ftl-serve` and `ftl-loadgen` agree on a
 //!   topology from the command line.
 //!
-//! Like `ftl-engine`, the crate is panic-free on the serving path
-//! (analyzer rule FTL003), holds no lock outside the annotated sites in
-//! `locked.rs` and the batcher (FTL002), and hashes deterministically
-//! (FTL004).
+//! Like `ftl-engine`, the crate is panic-free on the serving path, holds
+//! no lock outside the allowed sites in `locked.rs` and the batcher, and
+//! hashes deterministically — all enforced by clippy (see
+//! `docs/static-analysis.md`).
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,9 @@
 //! The one place in `ftl-server` allowed to name a lock.
 //!
 //! Everything mutable-and-shared in the front end (connection writers,
-//! registry shards, tenant counters) funnels through [`Slot`], so the
-//! analyzer's lock audit (FTL002) and clippy's `disallowed_types` wall
-//! have exactly one module to bless. The serving *data* path — store
+//! registry shards, tenant counters) funnels through [`Slot`], so
+//! clippy's `disallowed_types`/`disallowed_methods` lock wall has exactly
+//! one module to bless. The serving *data* path — store
 //! reads, elimination, query answering — never touches this module; locks
 //! here guard front-end plumbing only, and every hold is a short critical
 //! section around a closure (no I/O-free guarantee is claimed: a
@@ -15,21 +15,19 @@
 //! must not wedge every other connection, so [`Slot::with`] takes the
 //! inner value out of a poisoned lock and carries on.
 
-// ftl-analyzer: allow(lock-free) the blessed front-end lock wrapper; see module docs
+// The blessed front-end lock wrapper; see module docs.
 #[allow(clippy::disallowed_types)]
 use std::sync::Mutex;
 
 /// A mutex the rest of the crate can use without naming one.
 #[derive(Debug, Default)]
 pub(crate) struct Slot<T> {
-    // ftl-analyzer: allow(lock-free) the blessed front-end lock wrapper
     #[allow(clippy::disallowed_types)]
     inner: Mutex<T>,
 }
 
 impl<T> Slot<T> {
     /// Wraps a value.
-    // ftl-analyzer: allow(lock-free) constructor of the blessed wrapper
     #[allow(clippy::disallowed_types)]
     pub fn new(value: T) -> Self {
         Slot {
@@ -38,7 +36,8 @@ impl<T> Slot<T> {
     }
 
     /// Runs `f` with the value locked, recovering from poisoning.
-    // ftl-analyzer: allow(lock-free) the one lock acquisition in the front end
+    // The one lock acquisition in the front end outside the batcher.
+    #[allow(clippy::disallowed_methods)]
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut guard = match self.inner.lock() {
             Ok(g) => g,

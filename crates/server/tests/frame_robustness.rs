@@ -3,7 +3,12 @@
 //! never a panic, never a silent misparse, never a hang.
 
 // Test code: panicking asserts are the point.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::wire::WireLabel;

@@ -144,8 +144,8 @@ impl SketchScheme {
             ftl_par::par_map_indexed(n, |i| AncestryLabel::of(tree, VertexId::new(i)));
         // Parallel-edge copy discriminators, in edge-id order (endpoint
         // pairs packed into one u64 key to halve the hashing work). The
-        // fixed-key hasher keeps copy assignment identical across runs
-        // (FTL004): eid derivation feeds the wire format.
+        // fixed-key hasher keeps copy assignment identical across runs:
+        // eid derivation feeds the wire format.
         let mut mult: ftl_seeded::DetHashMap<u64, u32> =
             ftl_seeded::DetHashMap::with_hasher(ftl_seeded::DetBuildHasher);
         let copy_of: Vec<u32> = graph

@@ -47,7 +47,7 @@
 //!
 //! See `README.md` at the repo root for how this scheme compares to the
 //! cycle-space one, and `docs/static-analysis.md` for the determinism
-//! rules (FTL004) its hashing is held to.
+//! rule its hashing is held to.
 
 #![forbid(unsafe_code)]
 

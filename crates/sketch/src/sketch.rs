@@ -30,7 +30,7 @@ impl SketchParams {
     pub fn for_graph(graph: &Graph) -> Self {
         let n = graph.num_vertices().max(2) as u64;
         let m = graph.num_edges().max(2) as u64;
-        // Deterministic hasher (FTL004): max_copies feeds the level count,
+        // Deterministic hasher: max_copies feeds the level count,
         // which is part of the serialized sketch shape.
         let mut mult = ftl_seeded::DetHashMap::with_hasher(ftl_seeded::DetBuildHasher);
         let mut max_copies = 1u32;

@@ -6,10 +6,9 @@
 use ftl_graph::{generators, EdgeId, VertexId};
 use ftl_routing::baselines::{full_information_table_bits, route_full_information};
 use ftl_routing::{FtRoutingScheme, RoutingParams};
-use ftl_seeded::Seed;
+use ftl_seeded::{DetHashSet, Seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 fn main() {
     let (pods, tors, hosts, cores) = (3, 2, 2, 2);
@@ -47,7 +46,7 @@ fn main() {
         // Random host pair + random link failures.
         let s = VertexId::new(h0 + rng.gen_range(0..num_hosts));
         let t = VertexId::new(h0 + rng.gen_range(0..num_hosts));
-        let mut faults: HashSet<EdgeId> = HashSet::new();
+        let mut faults: DetHashSet<EdgeId> = DetHashSet::default();
         while faults.len() < f {
             faults.insert(EdgeId::new(rng.gen_range(0..g.num_edges())));
         }

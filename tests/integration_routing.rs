@@ -5,13 +5,12 @@
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
 use ftl_routing::baselines::route_full_information;
 use ftl_routing::{FtRoutingScheme, RoutingParams};
-use ftl_seeded::Seed;
+use ftl_seeded::{DetHashSet, Seed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
-fn random_faults(g: &Graph, f: usize, rng: &mut StdRng) -> HashSet<EdgeId> {
-    let mut faults = HashSet::new();
+fn random_faults(g: &Graph, f: usize, rng: &mut StdRng) -> DetHashSet<EdgeId> {
+    let mut faults = DetHashSet::default();
     while faults.len() < f.min(g.num_edges()) {
         faults.insert(EdgeId::new(rng.gen_range(0..g.num_edges())));
     }
@@ -73,8 +72,18 @@ fn phases_track_distance_scales() {
     // Nearby destinations should be reached in early phases.
     let g = generators::path(32);
     let scheme = FtRoutingScheme::new(&g, RoutingParams::new(2, 1), Seed::new(35));
-    let near = scheme.route(&g, VertexId::new(0), VertexId::new(1), &HashSet::new());
-    let far = scheme.route(&g, VertexId::new(0), VertexId::new(31), &HashSet::new());
+    let near = scheme.route(
+        &g,
+        VertexId::new(0),
+        VertexId::new(1),
+        &DetHashSet::default(),
+    );
+    let far = scheme.route(
+        &g,
+        VertexId::new(0),
+        VertexId::new(31),
+        &DetHashSet::default(),
+    );
     assert!(near.delivered && far.delivered);
     assert!(near.phases <= far.phases);
 }
