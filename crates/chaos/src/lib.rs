@@ -31,10 +31,9 @@
 //!
 //! Faults *fired* (not merely planned — a reset planned at byte 200 on a
 //! 40-byte conversation never fires) are counted in the handle's
-//! [`ChaosReport`] and mirrored into [`ftl_obs::global`]'s `ftl_chaos_*`
-//! families, so a metrics scrape of a co-resident server accounts for
-//! every injected fault. The chaos acceptance scenario
-//! (`crates/server/tests/chaos_e2e.rs`) asserts that accounting.
+//! [`ChaosReport`], the one place a run's injected faults are read from.
+//! The chaos acceptance scenario (`crates/server/tests/chaos_e2e.rs`)
+//! reconciles it against the client side's retry accounting.
 //!
 //! ```no_run
 //! use ftl_chaos::{ChaosProxy, PlanConfig};

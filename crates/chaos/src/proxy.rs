@@ -17,17 +17,14 @@
 //! Both pumps poll short read timeouts so they observe the proxy's stop
 //! flag and their connection's shared kill flag; a mid-stream reset in
 //! either direction tears both down. Fault *events* (not plans) are
-//! counted into a per-proxy [`ChaosStats`] and mirrored into the
-//! process-wide [`ftl_obs::global`] registry, so a metrics scrape of a
-//! co-resident server shows `ftl_chaos_*` families that account for every
-//! fault actually fired — the accounting the chaos acceptance scenario
-//! asserts against.
+//! counted into the proxy's own [`ChaosStats`], which
+//! [`ChaosHandle::shutdown`] returns as a [`ChaosReport`] — the accounting
+//! the chaos acceptance scenario asserts against.
 
 use crate::plan::{ConnFault, ConnPlan, Direction, PlanConfig, TAG_GARBAGE_BYTES};
-use ftl_obs::Counter;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -38,19 +35,19 @@ const POLL: Duration = Duration::from_millis(5);
 /// How long a handler waits for its upstream connect.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Fault events fired by one proxy instance (relaxed atomics, mirrored
-/// into [`ftl_obs::global`]'s `chaos` family so scrapes see them).
+/// Fault events fired by one proxy instance (relaxed atomics, read out as
+/// a [`ChaosReport`]).
 #[derive(Debug, Default)]
 pub struct ChaosStats {
-    connections: Counter,
-    passed: Counter,
-    resets_immediate: Counter,
-    resets_midstream: Counter,
-    blackholes: Counter,
-    garbage_injections: Counter,
-    shaped: Counter,
-    bytes_to_server: Counter,
-    bytes_to_client: Counter,
+    connections: AtomicU64,
+    passed: AtomicU64,
+    resets_immediate: AtomicU64,
+    resets_midstream: AtomicU64,
+    blackholes: AtomicU64,
+    garbage_injections: AtomicU64,
+    shaped: AtomicU64,
+    bytes_to_server: AtomicU64,
+    bytes_to_client: AtomicU64,
 }
 
 /// A point-in-time view of a proxy's fault accounting.
@@ -84,18 +81,24 @@ impl ChaosReport {
     }
 }
 
+/// Adds `n` to one of a proxy's counters.
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
 impl ChaosStats {
     fn snapshot(&self) -> ChaosReport {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ChaosReport {
-            connections: self.connections.get(),
-            passed: self.passed.get(),
-            resets_immediate: self.resets_immediate.get(),
-            resets_midstream: self.resets_midstream.get(),
-            blackholes: self.blackholes.get(),
-            garbage_injections: self.garbage_injections.get(),
-            shaped: self.shaped.get(),
-            bytes_to_server: self.bytes_to_server.get(),
-            bytes_to_client: self.bytes_to_client.get(),
+            connections: get(&self.connections),
+            passed: get(&self.passed),
+            resets_immediate: get(&self.resets_immediate),
+            resets_midstream: get(&self.resets_midstream),
+            blackholes: get(&self.blackholes),
+            garbage_injections: get(&self.garbage_injections),
+            shaped: get(&self.shaped),
+            bytes_to_server: get(&self.bytes_to_server),
+            bytes_to_client: get(&self.bytes_to_client),
         }
     }
 }
@@ -187,14 +190,12 @@ fn accept_loop(
                 let plan = config.plan_for(index);
                 let garbage_seed = config.conn_seed(index).derive(TAG_GARBAGE_BYTES);
                 index += 1;
-                stats.connections.inc();
-                ftl_obs::global().chaos.connections.inc();
+                bump(&stats.connections, 1);
                 if plan.shaping.is_active() {
-                    stats.shaped.inc();
-                    ftl_obs::global().chaos.shaped.inc();
+                    bump(&stats.shaped, 1);
                 }
                 if matches!(plan.fault, ConnFault::Pass) {
-                    stats.passed.inc();
+                    bump(&stats.passed, 1);
                 }
                 let stop = Arc::clone(stop);
                 let stats = Arc::clone(stats);
@@ -227,13 +228,11 @@ fn handle_conn(
     let _ = client.set_nodelay(true);
     match plan.fault {
         ConnFault::ResetImmediate => {
-            stats.resets_immediate.inc();
-            ftl_obs::global().chaos.resets.inc();
+            bump(&stats.resets_immediate, 1);
             let _ = client.shutdown(Shutdown::Both);
         }
         ConnFault::Blackhole => {
-            stats.blackholes.inc();
-            ftl_obs::global().chaos.blackholes.inc();
+            bump(&stats.blackholes, 1);
             blackhole(client, stop);
         }
         _ => {
@@ -378,8 +377,7 @@ fn pump(
         }
         forwarded += chunk.len() as u64;
         if reset_now {
-            stats.resets_midstream.inc();
-            ftl_obs::global().chaos.resets.inc();
+            bump(&stats.resets_midstream, 1);
             kill.store(true, Ordering::Relaxed);
             let _ = src.shutdown(Shutdown::Both);
             let _ = dst.shutdown(Shutdown::Both);
@@ -402,8 +400,7 @@ fn pump(
                     let _ = src.shutdown(Shutdown::Both);
                     return;
                 }
-                stats.garbage_injections.inc();
-                ftl_obs::global().chaos.garbage.inc();
+                bump(&stats.garbage_injections, 1);
             }
         }
     }
@@ -443,8 +440,8 @@ fn forward(
         }
     }
     match dir {
-        Direction::ToServer => stats.bytes_to_server.add(bytes.len() as u64),
-        Direction::ToClient => stats.bytes_to_client.add(bytes.len() as u64),
+        Direction::ToServer => bump(&stats.bytes_to_server, bytes.len() as u64),
+        Direction::ToClient => bump(&stats.bytes_to_client, bytes.len() as u64),
     }
     Ok(())
 }

@@ -639,7 +639,6 @@ impl LiveCycleSpace {
     /// and a fresh circulation bank. Sets `all_dirty`.
     fn relabel_from_scratch(&mut self) {
         self.relabels += 1;
-        ftl_obs::global().live.relabels.inc();
         let seed = self.seed.derive(0x11FE).derive(self.relabels);
         let root = self
             .alive_vertices()

@@ -144,6 +144,9 @@ pub struct BatchStats {
     pub eliminations: usize,
     /// Fault sets served from the cache.
     pub cache_hits: usize,
+    /// Wall-clock nanoseconds spent in those eliminations (cache hits
+    /// cost none). The caller records them: the engine keeps no metrics.
+    pub elimination_ns: u64,
     /// The epoch this call was served against — 0 for engines over a
     /// fixed store, the [`crate::Epoch`] number for engines built with
     /// [`Engine::over_epochs`] (pinned for the whole call).
@@ -274,13 +277,10 @@ impl EngineCore {
         }
         let ids = self.ids_scratch.clone();
         // Time the elimination itself (cold path: cache hits returned
-        // above) into the process-wide Elimination stage histogram.
+        // above) into the call's stats.
         let eliminate_t0 = std::time::Instant::now();
         let efs = EliminatedFaultSet::eliminate_with(ids, store, &mut self.elimination)?;
-        ftl_obs::global().stages.record(
-            ftl_obs::Stage::Elimination,
-            eliminate_t0.elapsed().as_nanos() as u64,
-        );
+        stats.elimination_ns += eliminate_t0.elapsed().as_nanos() as u64;
         let efs = Arc::new(efs);
         stats.eliminations += 1;
         self.cache.insert(hash, (uid, Arc::clone(&efs)));
@@ -397,7 +397,6 @@ impl Engine {
         if let Some(epochs) = &self.epochs {
             let current = epochs.current();
             self.epoch = current.number();
-            ftl_obs::global().epoch.pinned.set(self.epoch);
             if !Arc::ptr_eq(&self.store, current.store()) {
                 self.store = Arc::clone(current.store());
             }
@@ -502,7 +501,6 @@ impl Engine {
                 }
             };
         }
-        record_obs_batch(stats);
     }
 
     /// [`Engine::execute_grouped_into`] into a fresh response.
@@ -582,19 +580,6 @@ fn panicked(payload: &(dyn std::any::Any + Send)) -> EngineError {
         "non-string panic payload".to_string()
     };
     EngineError::Panicked { message }
-}
-
-/// Folds one call's counters into the process-wide engine metrics —
-/// three relaxed atomic adds per *call* (not per query), off the
-/// per-query hot loop.
-// ftl-analyzer: hot-path
-#[inline]
-fn record_obs_batch(stats: &BatchStats) {
-    ftl_obs::global().engine.record_batch(
-        stats.queries as u64,
-        stats.eliminations as u64,
-        stats.cache_hits as u64,
-    );
 }
 
 /// Freezes every label of a cycle-space scheme into a store of at most

@@ -18,7 +18,8 @@
 //!   sharing every other shard with the previous epoch — or a full
 //!   rebuild when the live scheme had to relabel from scratch. Which path
 //!   ran, and how long the whole mutate-and-publish took, is reported per
-//!   swap in a [`SwapReport`].
+//!   swap in a [`SwapReport`] and accumulated in the epoch store's
+//!   [`SwapMetrics`].
 //!
 //! Readers built with [`Engine::over_epochs`](crate::Engine::over_epochs)
 //! refresh their pinned snapshot at call boundaries, so a swap becomes
@@ -28,6 +29,7 @@ use crate::engine::EngineConfig;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
 use ftl_cycle_space::{LiveCycleSpace, LiveDelta, LiveError};
 use ftl_graph::{EdgeId, Graph, VertexId};
+use ftl_obs::{Counter, Gauge, Histogram};
 use ftl_seeded::Seed;
 use std::fmt;
 // The epoch writer side is the one blessed lock in ftl-engine.
@@ -101,15 +103,16 @@ pub struct EpochStore {
     // (readers) or one pointer assignment (the single writer).
     #[allow(clippy::disallowed_types)]
     current: RwLock<Arc<Epoch>>,
+    metrics: SwapMetrics,
 }
 
 impl EpochStore {
     /// Wraps an initial store as epoch 1.
     #[allow(clippy::disallowed_types)]
     pub fn new(store: Arc<LabelStore>) -> Self {
-        ftl_obs::global().epoch.published.set(1);
         EpochStore {
             current: RwLock::new(Arc::new(Epoch { number: 1, store })),
+            metrics: SwapMetrics::default(),
         }
     }
 
@@ -132,8 +135,43 @@ impl EpochStore {
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
         let number = slot.number + 1;
         *slot = Arc::new(Epoch { number, store });
-        ftl_obs::global().epoch.published.set(number);
         number
+    }
+
+    /// What the swaps published here cost and which path they took.
+    pub fn metrics(&self) -> &SwapMetrics {
+        &self.metrics
+    }
+}
+
+/// The swap metrics of one [`EpochStore`], recorded by the [`LiveStore`]
+/// publishing into it. Held by the store, not the process, so a server
+/// reports the swaps of the store it serves and nothing else.
+#[derive(Debug, Default)]
+pub struct SwapMetrics {
+    /// Wall-clock nanoseconds per published swap (mutation batch →
+    /// published epoch), whichever path built it. No-op publishes (an
+    /// empty delta) never record.
+    pub swap_ns: Histogram,
+    /// Published swaps that took the incremental delta-freeze path.
+    pub delta_swaps: Counter,
+    /// Published swaps that fell back to a full label rebuild.
+    pub full_rebuilds: Counter,
+    /// From-scratch relabels of the live labeling behind this store, as
+    /// of its latest swap ([`LiveCycleSpace::relabels`]).
+    pub relabels: Gauge,
+}
+
+impl SwapMetrics {
+    /// Folds in one published swap. Cold path: a swap is a whole-store
+    /// event, not a per-query one.
+    fn record(&self, report: &SwapReport, relabels: u64) {
+        self.swap_ns.record(report.elapsed_ns);
+        match report.path {
+            SwapPath::Delta { .. } => self.delta_swaps.inc(),
+            SwapPath::FullRebuild => self.full_rebuilds.inc(),
+        }
+        self.relabels.set(relabels);
     }
 }
 
@@ -305,7 +343,7 @@ impl LiveStore {
             path: SwapPath::FullRebuild,
             elapsed_ns: t0.elapsed().as_nanos() as u64,
         };
-        record_obs_swap(&report);
+        self.epochs.metrics.record(&report, self.live.relabels());
         Ok(report)
     }
 
@@ -359,20 +397,8 @@ impl LiveStore {
             path,
             elapsed_ns: t0.elapsed().as_nanos() as u64,
         };
-        record_obs_swap(&report);
+        self.epochs.metrics.record(&report, self.live.relabels());
         Ok(report)
-    }
-}
-
-/// Folds one *published* swap into the process-wide epoch metrics (no-op
-/// publishes — an empty delta — never reach this). Cold path: a swap is
-/// a whole-store event, not a per-query one.
-fn record_obs_swap(report: &SwapReport) {
-    let epoch = &ftl_obs::global().epoch;
-    epoch.swap_ns.record(report.elapsed_ns);
-    match report.path {
-        SwapPath::Delta { .. } => epoch.delta_swaps.inc(),
-        SwapPath::FullRebuild => epoch.full_rebuilds.inc(),
     }
 }
 

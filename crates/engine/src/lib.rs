@@ -45,7 +45,7 @@ pub use engine::{
     store_from_cycle_space, BatchRequest, BatchResponse, BatchStats, Engine, EngineConfig,
     EngineError, FaultSetBatch, GroupQueryResult, GroupResult, GroupedResponse, QueryResult,
 };
-pub use epoch::{full_store_of, Epoch, EpochStore, LiveStore, SwapPath, SwapReport};
+pub use epoch::{full_store_of, Epoch, EpochStore, LiveStore, SwapMetrics, SwapPath, SwapReport};
 pub use inject::{
     corrupt_random_bytes, flip_random_bits, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, truncate_record, RemovalModel,

@@ -7,9 +7,11 @@
 //! test says the whole serving path *does not*.
 //!
 //! The measured loop runs with `ftl-obs` instrumentation **enabled** (the
-//! default feature set) and records into it explicitly — counters, stage
-//! histograms, and a live [`ftl_obs::Span`] — so the zero-allocation
-//! claim covers the observability layer, not just the engine.
+//! default feature set) and does what a server executor does after each
+//! call: it records into a local registry — a live [`ftl_obs::Span`],
+//! stage histograms, the engine counters and the pinned-epoch gauge — so
+//! the zero-allocation claim covers the observability layer, not just
+//! the engine.
 //!
 //! A cache *miss* must allocate too, but only its result: the engine keeps
 //! the elimination kernel's scratch, so a warmed cold miss allocates a
@@ -124,19 +126,24 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let expected = resp.groups.clone();
 
     // The measured calls: cache-hot, sidecar-served, response reused —
-    // and instrumented. `execute_grouped_into` itself records batch
-    // counters and the pinned-epoch gauge into the global registry; on top
-    // of that the loop records a span, a histogram sample, and a counter
-    // bump per call to pin down that the obs record path is
-    // allocation-free too.
-    let obs = ftl_obs::global();
+    // and instrumented. The engine records nothing itself; like a server
+    // executor, the loop folds each call's stats into a registry (engine
+    // counters, elimination samples, the pinned epoch) under a live span,
+    // to pin down that the obs record path is allocation-free too.
+    let stages = ftl_obs::StageSet::new();
+    let (queries, hits) = (ftl_obs::Counter::new(), ftl_obs::Counter::new());
+    let pinned = ftl_obs::Gauge::new();
     let before = alloc_count();
     for _ in 0..10 {
-        let _span = ftl_obs::Span::enter(&obs.stages, ftl_obs::Stage::Answer);
+        let _span = ftl_obs::Span::enter(&stages, ftl_obs::Stage::Answer);
         engine.execute_grouped_into(&groups, &mut resp);
-        obs.engine.queries.add(resp.stats.queries as u64);
-        obs.stages
-            .record(ftl_obs::Stage::ResponseWrite, resp.stats.queries as u64);
+        queries.add(resp.stats.queries as u64);
+        hits.add(resp.stats.cache_hits as u64);
+        for _ in 0..resp.stats.eliminations {
+            stages.record(ftl_obs::Stage::Elimination, resp.stats.elimination_ns);
+        }
+        pinned.set(resp.stats.epoch);
+        stages.record(ftl_obs::Stage::ResponseWrite, resp.stats.queries as u64);
     }
     let delta = alloc_count() - before;
     assert_eq!(
@@ -146,6 +153,11 @@ fn warmed_sidecar_batch_allocates_nothing() {
          `cargo run -p ftl-analyzer -- --check` for the static view)"
     );
     assert_eq!(resp.groups, expected, "reused response must stay correct");
+    // The records landed: the loop really exercised the obs primitives.
+    assert_eq!(queries.get(), 240);
+    assert_eq!(hits.get(), 10 * groups.len() as u64);
+    assert_eq!(stages.get(ftl_obs::Stage::Answer).count(), 10);
+    assert_eq!(pinned.get(), resp.stats.epoch);
 }
 
 /// A sorted fault set of `f` edges of `g`: every edge around one vertex

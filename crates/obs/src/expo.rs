@@ -9,7 +9,7 @@
 //! parse. Label values are trusted identifiers (stage names, tenant
 //! ids), so no escaping is performed.
 
-use crate::{Histogram, Registry, Stage};
+use crate::{Histogram, Stage, StageSet};
 use std::fmt::Write;
 
 /// The quantiles every histogram family exposes.
@@ -42,6 +42,20 @@ pub fn counter(out: &mut String, name: &str, value: u64) {
 pub fn gauge(out: &mut String, name: &str, value: u64) {
     type_line(out, name, "gauge");
     sample(out, name, &[], value);
+}
+
+/// Appends the `ftl_stage_ns` summary family: one label set per stage,
+/// in pipeline order.
+pub fn stages(out: &mut String, stages: &StageSet) {
+    type_line(out, "ftl_stage_ns", "summary");
+    for stage in Stage::ALL {
+        histogram(
+            out,
+            "ftl_stage_ns",
+            &[("stage", stage.name())],
+            stages.get(stage),
+        );
+    }
 }
 
 /// Appends one histogram's summary samples (quantiles, `_count`, `_sum`)
@@ -87,98 +101,5 @@ fn push_extra_label(out: &mut String, had_none: bool, k: &str, v: &str) {
     } else if out.ends_with('}') {
         out.pop();
         let _ = write!(out, ",{k}=\"{v}\"}}");
-    }
-}
-
-impl Registry {
-    /// Appends every pipeline-side series to `out`: the per-stage latency
-    /// summaries, the engine's query and cache counters (plus the
-    /// derived hit ratio), the epoch gauges and swap-latency summary, and
-    /// the live-labeling relabel count. `ftl-server` appends its own
-    /// `ftl_server_*` families after this to form a complete scrape.
-    pub fn render_into(&self, out: &mut String) {
-        type_line(out, "ftl_stage_ns", "summary");
-        for stage in Stage::ALL {
-            histogram(
-                out,
-                "ftl_stage_ns",
-                &[("stage", stage.name())],
-                self.stages.get(stage),
-            );
-        }
-
-        counter(out, "ftl_engine_queries_total", self.engine.queries.get());
-        counter(
-            out,
-            "ftl_engine_eliminations_total",
-            self.engine.eliminations.get(),
-        );
-        counter(
-            out,
-            "ftl_engine_cache_hits_total",
-            self.engine.cache_hits.get(),
-        );
-        type_line(out, "ftl_engine_cache_hit_ratio", "gauge");
-        let hits = self.engine.cache_hits.get();
-        let lookups = hits + self.engine.eliminations.get();
-        let ratio = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
-        sample_f64(out, "ftl_engine_cache_hit_ratio", &[], ratio);
-
-        gauge(out, "ftl_epoch_published", self.epoch.published.get());
-        gauge(out, "ftl_epoch_pinned", self.epoch.pinned.get());
-        gauge(out, "ftl_epoch_lag", self.epoch.lag());
-        counter(
-            out,
-            "ftl_epoch_delta_swaps_total",
-            self.epoch.delta_swaps.get(),
-        );
-        counter(
-            out,
-            "ftl_epoch_full_rebuilds_total",
-            self.epoch.full_rebuilds.get(),
-        );
-        type_line(out, "ftl_epoch_swap_ns", "summary");
-        histogram(out, "ftl_epoch_swap_ns", &[], &self.epoch.swap_ns);
-
-        counter(out, "ftl_live_relabels_total", self.live.relabels.get());
-
-        counter(
-            out,
-            "ftl_chaos_connections_total",
-            self.chaos.connections.get(),
-        );
-        counter(out, "ftl_chaos_resets_total", self.chaos.resets.get());
-        counter(
-            out,
-            "ftl_chaos_blackholes_total",
-            self.chaos.blackholes.get(),
-        );
-        counter(out, "ftl_chaos_garbage_total", self.chaos.garbage.get());
-        counter(out, "ftl_chaos_shaped_total", self.chaos.shaped.get());
-
-        counter(out, "ftl_client_retries_total", self.client.retries.get());
-        counter(
-            out,
-            "ftl_client_reconnects_total",
-            self.client.reconnects.get(),
-        );
-        counter(out, "ftl_client_backoffs_total", self.client.backoffs.get());
-        counter(
-            out,
-            "ftl_client_deadline_exceeded_total",
-            self.client.deadline_exceeded.get(),
-        );
-        counter(out, "ftl_client_giveups_total", self.client.giveups.get());
-    }
-
-    /// [`render_into`](Registry::render_into) as a fresh string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }

@@ -1,9 +1,8 @@
 //! `ftl-obs` — zero-allocation metrics and stage tracing for the serving
 //! pipeline.
 //!
-//! A dependency-free observability layer shared by `ftl-cycle-space`,
-//! `ftl-engine`, and `ftl-server` (full catalog and stage model in
-//! `docs/observability.md`):
+//! A dependency-free set of recording primitives (full catalog and stage
+//! model in `docs/observability.md`):
 //!
 //! - [`Counter`] / [`Gauge`] — relaxed `AtomicU64`s.
 //! - [`Histogram`] — fixed-bucket log-scale (8 sub-buckets per power of
@@ -12,11 +11,15 @@
 //! - [`Stage`] / [`StageSet`] / [`Span`] — RAII wall-clock spans over the
 //!   serving pipeline's stages (frame read → window wait → admission →
 //!   elimination → answer → response write).
-//! - [`Registry`] — the static metric catalog. [`global()`] is the
-//!   process-wide instance every pipeline layer records into;
-//!   `Registry::new()` builds isolated instances for tests.
 //! - [`expo`] — Prometheus-style text exposition (the cold read side,
 //!   served over the wire as `MetricsResponse 0x51`).
+//!
+//! The crate holds no metric state of its own. Each owner keeps the
+//! metrics it records: a server's `ftl_server::stats::ServerStats` (its
+//! stages, engine counters and request totals) and an
+//! `ftl_engine::EpochStore` (its swap cost and counts). A scrape renders
+//! the server's registry and the epoch store it serves, so co-resident
+//! servers never see each other's traffic.
 //!
 //! # Disciplines
 //!
@@ -24,9 +27,9 @@
 //! lock wall), zero allocation (`ftl-analyzer` FTL001, proven by the
 //! engine's counting-allocator test running with instrumentation
 //! enabled), no panicking constructs (clippy's panic-free set). The whole record side compiles to
-//! empty inline stubs under the `no-obs` feature (forwarded by the
-//! consuming crates), so the uninstrumented bench baseline is
-//! recoverable from the same sources.
+//! empty inline stubs under the `no-obs` feature (which `ftl-server`
+//! forwards), so the uninstrumented bench baseline is recoverable from the
+//! same sources.
 
 #![forbid(unsafe_code)]
 
@@ -42,10 +45,11 @@ pub use record_noop::{Counter, Gauge, Histogram, Span, StageSet};
 
 /// The pipeline stages whose wall-clock is attributed by [`Span`]s.
 ///
-/// The first and last stages bracket a request's life inside the server;
-/// `Elimination` is recorded by the engine itself (per Gaussian
-/// elimination, i.e. per fault-set cache miss), the rest by the server's
-/// reader and executor threads.
+/// The first and last stages bracket a request's life inside the server.
+/// All are recorded by the server's reader and executor threads;
+/// `Elimination` samples are the engine's own timings (one per Gaussian
+/// elimination, i.e. per fault-set cache miss), folded in after each
+/// engine call.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Blocking read of one request frame off the socket (includes the
@@ -108,226 +112,23 @@ impl Stage {
     }
 }
 
-/// Engine-side counters: answered queries and cache effectiveness.
-#[derive(Debug, Default)]
-pub struct EngineMetrics {
-    /// Queries answered (all batches, all engines in the process).
-    pub queries: Counter,
-    /// Fault-set Gaussian eliminations performed (= cache misses).
-    pub eliminations: Counter,
-    /// Fault sets served from the elimination cache.
-    pub cache_hits: Counter,
-}
-
-impl EngineMetrics {
-    /// Zeroed counters (const: usable in statics).
-    pub const fn new() -> Self {
-        EngineMetrics {
-            queries: Counter::new(),
-            eliminations: Counter::new(),
-            cache_hits: Counter::new(),
-        }
-    }
-
-    /// Folds one executed batch's stats in (three relaxed adds).
-    #[inline]
-    pub fn record_batch(&self, queries: u64, eliminations: u64, cache_hits: u64) {
-        self.queries.add(queries);
-        self.eliminations.add(eliminations);
-        self.cache_hits.add(cache_hits);
-    }
-}
-
-/// Epoch-store metrics: publication progress, engine lag, and swap cost.
-#[derive(Debug, Default)]
-pub struct EpochMetrics {
-    /// Latest epoch number published by the `EpochStore`.
-    pub published: Gauge,
-    /// Latest epoch number an engine pinned for a batch.
-    pub pinned: Gauge,
-    /// Wall-clock nanoseconds per `LiveStore` swap (mutation batch →
-    /// published epoch), whichever path built it.
-    pub swap_ns: Histogram,
-    /// Swaps that took the incremental delta-freeze path.
-    pub delta_swaps: Counter,
-    /// Swaps that fell back to a full label rebuild.
-    pub full_rebuilds: Counter,
-}
-
-impl EpochMetrics {
-    /// Zeroed metrics (const: usable in statics).
-    pub const fn new() -> Self {
-        EpochMetrics {
-            published: Gauge::new(),
-            pinned: Gauge::new(),
-            swap_ns: Histogram::new(),
-            delta_swaps: Counter::new(),
-            full_rebuilds: Counter::new(),
-        }
-    }
-
-    /// How far the most recently pinned engine trails publication
-    /// (0 until both sides have reported).
-    pub fn lag(&self) -> u64 {
-        let pinned = self.pinned.get();
-        if pinned == 0 {
-            return 0;
-        }
-        self.published.get().saturating_sub(pinned)
-    }
-}
-
-/// Live-labeling (dynamic cycle-space) metrics.
-#[derive(Debug, Default)]
-pub struct LiveMetrics {
-    /// Full relabel-from-scratch fallbacks (seed-pool exhaustion or
-    /// non-incremental mutations) across every `LiveCycleSpace`.
-    pub relabels: Counter,
-}
-
-impl LiveMetrics {
-    /// Zeroed counters (const: usable in statics).
-    pub const fn new() -> Self {
-        LiveMetrics {
-            relabels: Counter::new(),
-        }
-    }
-}
-
-/// Chaos-proxy fault counters (`ftl-chaos`): events *fired*, not merely
-/// planned, so a scrape accounts for exactly the faults a run injected.
-#[derive(Debug, Default)]
-pub struct ChaosMetrics {
-    /// Connections accepted by any chaos proxy in the process.
-    pub connections: Counter,
-    /// Connection resets fired (immediate + mid-stream).
-    pub resets: Counter,
-    /// Black holes engaged (accepted, never forwarded).
-    pub blackholes: Counter,
-    /// Garbage-byte splices fired.
-    pub garbage: Counter,
-    /// Connections run under split/throttle shaping.
-    pub shaped: Counter,
-}
-
-impl ChaosMetrics {
-    /// Zeroed counters (const: usable in statics).
-    pub const fn new() -> Self {
-        ChaosMetrics {
-            connections: Counter::new(),
-            resets: Counter::new(),
-            blackholes: Counter::new(),
-            garbage: Counter::new(),
-            shaped: Counter::new(),
-        }
-    }
-}
-
-/// Resilient-client counters (`ftl_server::client`): the retry loop's
-/// externally visible decisions.
-#[derive(Debug, Default)]
-pub struct ClientMetrics {
-    /// Request attempts retried after an I/O error, timeout, or
-    /// retryable status.
-    pub retries: Counter,
-    /// Reconnects performed (a retry that had to re-dial).
-    pub reconnects: Counter,
-    /// Backoff sleeps taken before a retry.
-    pub backoffs: Counter,
-    /// `DeadlineExceeded` responses received.
-    pub deadline_exceeded: Counter,
-    /// Requests abandoned after exhausting every attempt.
-    pub giveups: Counter,
-}
-
-impl ClientMetrics {
-    /// Zeroed counters (const: usable in statics).
-    pub const fn new() -> Self {
-        ClientMetrics {
-            retries: Counter::new(),
-            reconnects: Counter::new(),
-            backoffs: Counter::new(),
-            deadline_exceeded: Counter::new(),
-            giveups: Counter::new(),
-        }
-    }
-}
-
-/// The metric catalog: per-stage latency histograms plus the engine,
-/// epoch, and live-labeling families.
-///
-/// [`global()`] returns the static process-wide registry that the
-/// instrumented pipeline records into; isolated instances
-/// (`Registry::new()`) exist so tests can assert exact sums without
-/// cross-test interference. Server-side counters (`ftl_server_*`) are
-/// per-server-instance and live in `ftl_server::ServerStats`, built from
-/// the same primitives; its scrape renders them after
-/// [`Registry::render_into`].
-#[derive(Debug, Default)]
-pub struct Registry {
-    /// Per-stage wall-clock histograms.
-    pub stages: StageSet,
-    /// Engine query and cache counters.
-    pub engine: EngineMetrics,
-    /// Epoch publication and swap metrics.
-    pub epoch: EpochMetrics,
-    /// Live-labeling counters.
-    pub live: LiveMetrics,
-    /// Chaos-proxy fault counters.
-    pub chaos: ChaosMetrics,
-    /// Resilient-client retry counters.
-    pub client: ClientMetrics,
-}
-
-impl Registry {
-    /// A zeroed registry (const: usable in statics).
-    pub const fn new() -> Self {
-        Registry {
-            stages: StageSet::new(),
-            engine: EngineMetrics::new(),
-            epoch: EpochMetrics::new(),
-            live: LiveMetrics::new(),
-            chaos: ChaosMetrics::new(),
-            client: ClientMetrics::new(),
-        }
-    }
-}
-
-static GLOBAL: Registry = Registry::new();
-
-/// The process-wide registry every instrumented pipeline layer records
-/// into.
-// ftl-analyzer: hot-path
-#[inline]
-pub fn global() -> &'static Registry {
-    &GLOBAL
-}
-
 #[cfg(all(test, not(feature = "no-obs")))]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_and_gauges_read_back() {
-        let r = Registry::new();
-        r.engine.record_batch(10, 2, 8);
-        r.engine.record_batch(5, 0, 5);
-        assert_eq!(r.engine.queries.get(), 15);
-        assert_eq!(r.engine.eliminations.get(), 2);
-        assert_eq!(r.engine.cache_hits.get(), 13);
-        r.epoch.published.set(7);
-        assert_eq!(r.epoch.published.get(), 7);
-    }
-
-    #[test]
-    fn epoch_lag_needs_both_sides() {
-        let r = Registry::new();
-        r.epoch.published.set(9);
-        assert_eq!(r.epoch.lag(), 0, "no engine pinned yet: lag undefined");
-        r.epoch.pinned.set(6);
-        assert_eq!(r.epoch.lag(), 3);
-        r.epoch.pinned.set(12);
-        assert_eq!(r.epoch.lag(), 0, "pinned ahead of a stale read saturates");
+        let c = Counter::new();
+        c.add(10);
+        c.inc();
+        c.add(4);
+        assert_eq!(c.get(), 15);
+        assert_eq!(Counter::default().get(), 0);
+        let g = Gauge::new();
+        g.set(7);
+        assert_eq!(g.get(), 7);
+        g.set(3);
+        assert_eq!(g.get(), 3, "a gauge is last-writer-wins, not a max");
     }
 
     #[test]
@@ -392,8 +193,15 @@ mod tests {
 
     #[test]
     fn hammered_registry_sums_are_exact() {
-        // The concurrency contract: N threads × M records lose nothing.
-        let r = std::sync::Arc::new(Registry::new());
+        // The concurrency contract: N threads × M records into one
+        // registry built from the primitives lose nothing.
+        #[derive(Default)]
+        struct Registry {
+            queries: Counter,
+            relabels: Counter,
+            stages: StageSet,
+        }
+        let r = std::sync::Arc::new(Registry::default());
         let threads = 8u64;
         let per_thread = 50_000u64;
         let handles: Vec<_> = (0..threads)
@@ -401,9 +209,9 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
-                        r.engine.queries.inc();
+                        r.queries.inc();
                         r.stages.record(Stage::Answer, t * per_thread + i);
-                        r.live.relabels.add(2);
+                        r.relabels.add(2);
                     }
                 })
             })
@@ -412,8 +220,8 @@ mod tests {
             h.join().unwrap();
         }
         let total = threads * per_thread;
-        assert_eq!(r.engine.queries.get(), total);
-        assert_eq!(r.live.relabels.get(), 2 * total);
+        assert_eq!(r.queries.get(), total);
+        assert_eq!(r.relabels.get(), 2 * total);
         let h = r.stages.get(Stage::Answer);
         assert_eq!(h.count(), total);
         // Sum of 0..threads*per_thread, exactly — no sample dropped.
@@ -422,25 +230,31 @@ mod tests {
 
     #[test]
     fn exposition_renders_every_family_and_parses() {
-        let r = Registry::new();
-        r.engine.record_batch(4, 1, 3);
-        r.epoch.published.set(2);
-        r.epoch.pinned.set(2);
-        r.epoch.swap_ns.record(1_000);
-        r.epoch.delta_swaps.inc();
-        r.stages.record(Stage::WindowWait, 500);
-        let text = r.render();
+        let h = Histogram::new();
+        h.record(1_000);
+        let mut text = String::new();
+        expo::counter(&mut text, "ftl_engine_queries_total", 4);
+        expo::gauge(&mut text, "ftl_epoch_published", 2);
+        expo::type_line(&mut text, "ftl_engine_cache_hit_ratio", "gauge");
+        expo::sample_f64(&mut text, "ftl_engine_cache_hit_ratio", &[], 0.75);
+        expo::type_line(&mut text, "ftl_epoch_swap_ns", "summary");
+        expo::histogram(&mut text, "ftl_epoch_swap_ns", &[], &h);
+        expo::type_line(&mut text, "ftl_stage_ns", "summary");
+        expo::histogram(
+            &mut text,
+            "ftl_stage_ns",
+            &[("stage", Stage::WindowWait.name())],
+            &h,
+        );
         for series in [
-            "ftl_stage_ns{stage=\"frame_read\",quantile=\"0.5\"}",
-            "ftl_stage_ns_count{stage=\"window_wait\"} 1",
-            "ftl_engine_queries_total 4",
-            "ftl_engine_cache_hits_total 3",
+            "# TYPE ftl_engine_queries_total counter\nftl_engine_queries_total 4\n",
+            "# TYPE ftl_epoch_published gauge\nftl_epoch_published 2\n",
             "ftl_engine_cache_hit_ratio 0.750000",
-            "ftl_epoch_published 2",
-            "ftl_epoch_lag 0",
+            "ftl_epoch_swap_ns{quantile=\"0.5\"} 1023",
             "ftl_epoch_swap_ns_count 1",
-            "ftl_epoch_delta_swaps_total 1",
-            "ftl_live_relabels_total 0",
+            "ftl_epoch_swap_ns_sum 1000",
+            "ftl_stage_ns{stage=\"window_wait\",quantile=\"0.99\"} 1023",
+            "ftl_stage_ns_count{stage=\"window_wait\"} 1",
         ] {
             assert!(text.contains(series), "missing `{series}` in:\n{text}");
         }

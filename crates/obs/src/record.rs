@@ -6,7 +6,7 @@
 //! FTL001):
 //!
 //! - **zero allocation** — a record is at most two `fetch_add`s; the
-//!   histogram storage is a fixed array baked into the static registry.
+//!   histogram storage is a fixed array inside whichever struct owns it.
 //! - **lock-free** — relaxed atomics only; readers race recorders and
 //!   see a slightly stale but internally monotone view.
 //! - **panic-free** — no indexing, no unwraps; an (impossible)

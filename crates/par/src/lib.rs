@@ -34,20 +34,6 @@
 /// [`par_map_indexed_with_min`] or [`par_map_indexed_coarse`].
 pub const MIN_PARALLEL_LEN: usize = 4096;
 
-#[cfg(feature = "parallel")]
-static FORCE_SERIAL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Runtime escape hatch: forces every sweep onto the calling thread even
-/// when the `parallel` feature is compiled in. Used by the benchmark
-/// harness to measure serial-vs-parallel construction from one binary, and
-/// handy under profilers.
-pub fn force_serial(on: bool) {
-    #[cfg(feature = "parallel")]
-    FORCE_SERIAL.store(on, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "parallel"))]
-    let _ = on;
-}
-
 /// Order-preserving parallel map over `0..n`: returns
 /// `vec![f(0), f(1), .., f(n-1)]`.
 ///
@@ -88,10 +74,7 @@ where
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1);
-        if n >= min_len.max(2)
-            && threads > 1
-            && !FORCE_SERIAL.load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if n >= min_len.max(2) && threads > 1 {
             return par_map_chunked(n, threads, &f);
         }
     }
@@ -139,10 +122,7 @@ where
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1);
-        if n_items >= min_items.max(2)
-            && threads > 1
-            && !FORCE_SERIAL.load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if n_items >= min_items.max(2) && threads > 1 {
             let per_chunk = n_items.div_ceil(threads.min(n_items));
             let f = &f; // shared by reference: F: Sync makes &F Send
             std::thread::scope(|scope| {

@@ -23,10 +23,10 @@
 //! the same seed yields the same retry cadence — while jitter still
 //! decorrelates real fleets (each client derives its own seed).
 //!
-//! Every retry, reconnect, backoff sleep, and deadline rejection is
-//! counted in the process-wide [`ftl_obs`] registry (`ftl_client_*`
-//! families), so a chaos run can account for every injected fault from
-//! the outside.
+//! Every attempt, reconnect, `ServerBusy` and `DeadlineExceeded` answer
+//! is counted in the request's [`AttemptLog`] (summed per run by
+//! `run_loadgen` into its `LoadgenReport`), so a chaos run can account
+//! for every injected fault from the caller's side.
 
 use crate::frame::{
     read_frame_deadline, write_frame, FrameError, QueryRequestFrame, QueryResponseFrame,
@@ -256,9 +256,6 @@ impl ResilientClient {
             // Short socket timeout so `read_frame_deadline` can observe
             // its wall-clock deadline promptly.
             stream.set_read_timeout(Some(Duration::from_millis(5)))?;
-            if self.ever_connected {
-                ftl_obs::global().client.reconnects.inc();
-            }
             self.ever_connected = true;
             self.conn = Some(stream);
         }
@@ -388,14 +385,12 @@ impl ResilientClient {
                     ..
                 }) => {
                     log.deadline_exceeded += 1;
-                    ftl_obs::global().client.deadline_exceeded.inc();
                     AttemptError::DeadlineExceeded
                 }
                 Ok(QueryResponseFrame {
                     status: ResponseStatus::EngineFailed,
                     ..
                 }) => {
-                    ftl_obs::global().client.giveups.inc();
                     return Err(QueryError {
                         last: AttemptError::EngineFailed,
                         log,
@@ -405,7 +400,6 @@ impl ResilientClient {
                     status: ResponseStatus::ShuttingDown,
                     ..
                 }) => {
-                    ftl_obs::global().client.giveups.inc();
                     return Err(QueryError {
                         last: AttemptError::ShuttingDown,
                         log,
@@ -417,17 +411,13 @@ impl ResilientClient {
                 }
             };
             if log.attempts >= max_attempts {
-                ftl_obs::global().client.giveups.inc();
                 return Err(QueryError { last, log });
             }
             if give_up.is_some_and(|hard| Instant::now() >= hard) {
                 // The caller's hard bound passed mid-request: stop here
                 // rather than burn more attempts nobody is waiting for.
-                ftl_obs::global().client.giveups.inc();
                 return Err(QueryError { last, log });
             }
-            ftl_obs::global().client.retries.inc();
-            ftl_obs::global().client.backoffs.inc();
             std::thread::sleep(self.backoff.delay(log.attempts - 1));
         }
     }

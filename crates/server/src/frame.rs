@@ -501,9 +501,10 @@ impl WireLabel for QueryResponseFrame {
 }
 
 /// Most bytes a metrics exposition may carry on the wire. Generously
-/// above any real catalog (a full scrape is a few KiB) yet within the
-/// default frame ceiling, so a scrape never needs a bespoke
-/// `max_frame_bytes`.
+/// above any real catalog (a scrape is a few KiB plus under 1 KiB per
+/// tracked tenant, and a server tracks at most
+/// [`MAX_TENANTS`](crate::stats::MAX_TENANTS)) yet within the default
+/// frame ceiling, so a scrape never needs a bespoke `max_frame_bytes`.
 pub const MAX_METRICS_BYTES: usize = 1 << 19;
 
 /// An admin-plane metrics scrape (kind `0x50`). Carries only a

@@ -133,7 +133,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let batcher = Arc::new(Batcher::new(config.pending_budget, config.window));
         let registry = Arc::new(Registry::new());
-        let stats = Arc::new(ServerStats::new());
+        let stats = Arc::new(ServerStats::new(Arc::clone(&epochs)));
 
         let mut executors = Vec::with_capacity(config.executors.max(1));
         for i in 0..config.executors.max(1) {
@@ -221,8 +221,8 @@ impl ServerHandle {
     }
 
     /// The full metrics exposition, exactly as a `MetricsRequest 0x50`
-    /// scrape over the wire would serve it: the process-wide pipeline
-    /// families plus this server's `ftl_server_*` counters.
+    /// scrape over the wire would serve it: this server's registry and the
+    /// swap metrics of the epoch store it serves.
     pub fn metrics_text(&self) -> String {
         self.stats.render_text()
     }
@@ -325,7 +325,6 @@ fn serve_connection(
     // responses still need this connection's writer. Registry teardown is
     // the handle's problem, not the reader's.
     let mut keep_registered = false;
-    let obs = ftl_obs::global();
     let mut reader = FrameReader::new(config.max_frame_bytes);
     let mut admit = Admit {
         batch: Vec::new(),
@@ -344,7 +343,7 @@ fn serve_connection(
             // One sample per frame: a frame already buffered costs no
             // syscall; the one that needs a read includes the wait for
             // the client's next bytes — see docs/observability.md.
-            let _span = Span::enter(&obs.stages, Stage::FrameRead);
+            let _span = Span::enter(&stats.stages, Stage::FrameRead);
             reader.next_frame(&mut stream, stop).map(decode_request)
         };
         match frame {
@@ -440,9 +439,8 @@ impl Admit<'_> {
         // Admission stage: one sample per request, the lock hold
         // amortized over the requests it admitted.
         let per_request = t0.elapsed().as_nanos() as u64 / n;
-        let stages = &ftl_obs::global().stages;
         for _ in 0..n {
-            stages.record(Stage::Admission, per_request);
+            self.stats.stages.record(Stage::Admission, per_request);
         }
         let (mut written, mut draining) = (true, false);
         for r in self.refused.drain(..) {
@@ -487,10 +485,10 @@ fn execute_window(
     flush_after: Duration,
 ) {
     let stats = sink.stats;
-    let obs = ftl_obs::global();
     // Window-wait stage: admission to the executor picking the window up.
     for p in window {
-        obs.stages
+        stats
+            .stages
             .record(Stage::WindowWait, p.enqueued.elapsed().as_nanos() as u64);
     }
     // Expired requests are answered *before* grouping: a request whose
@@ -540,6 +538,7 @@ fn execute_window(
         let engine_t0 = Instant::now();
         engine.execute_grouped_into(std::slice::from_ref(group), resp);
         engine_ns += engine_t0.elapsed().as_nanos() as u64;
+        stats.record_engine(&resp.stats);
         let (epoch, result) = (resp.stats.epoch, resp.groups.first());
         let mut cursor = 0usize;
         for &wi in member_idxs {
@@ -575,7 +574,7 @@ fn execute_window(
     // window (per-query clock reads would dominate the ~16 ns answers).
     let total_queries: u64 = groups.iter().map(|g| g.queries.len() as u64).sum();
     if let Some(per_query) = engine_ns.checked_div(total_queries) {
-        obs.stages.record(Stage::Answer, per_query);
+        stats.stages.record(Stage::Answer, per_query);
     }
     stats.record_batch(groups.len());
 }
@@ -678,7 +677,7 @@ impl Outbox {
                     push_frame(bytes, &r.record);
                 }
                 let sent = {
-                    let _span = Span::enter(&ftl_obs::global().stages, Stage::ResponseWrite);
+                    let _span = Span::enter(&sink.stats.stages, Stage::ResponseWrite);
                     writer.send_framed(bytes)
                 };
                 if sent.is_err() {
@@ -755,7 +754,7 @@ fn watchdog_loop(
             };
             // One frame at a time; a vanished connection just drops it.
             if let Some(writer) = registry.get(p.conn) {
-                let _span = Span::enter(&ftl_obs::global().stages, Stage::ResponseWrite);
+                let _span = Span::enter(&stats.stages, Stage::ResponseWrite);
                 if writer.send(&frame.to_wire()).is_err() {
                     sink.forfeit(p.conn, &writer);
                 }

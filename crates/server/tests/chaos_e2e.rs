@@ -3,12 +3,13 @@
 //! and mid-frame), black holes, garbage splices, split writes, byte-rate
 //! throttling — against a live server with request TTLs and a batcher
 //! watchdog. The run must complete (no hangs), audit perfectly against
-//! BFS ground truth (no mismatches), and every fault the proxy fired
-//! must be visible in a wire scrape of the co-resident obs registry,
-//! with the client's retry machinery demonstrably engaged.
+//! BFS ground truth (no mismatches), and the proxy's fault accounting
+//! must show faults fired, with the client's retry machinery
+//! demonstrably engaged. The proxy's and the client's counts live in
+//! their own reports, never in the server's scrape.
 
-// The scenario reconciles injected faults against scraped counters;
-// under `no-obs` every series reads zero by design.
+// The scenario asserts real counter values; under `no-obs` every series
+// reads zero by design.
 #![cfg(not(feature = "no-obs"))]
 // Test code: panicking asserts are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -30,17 +31,6 @@ fn spawn_server(g: &ftl_graph::Graph, config: ServerConfig) -> ServerHandle {
     let store = store_from_cycle_space(&scheme, 8).unwrap();
     let epochs = Arc::new(EpochStore::new(Arc::new(store)));
     Server::spawn(epochs, EngineConfig::default(), config, "127.0.0.1:0").unwrap()
-}
-
-/// Pulls one counter's value out of a text exposition.
-fn scraped(text: &str, family: &str) -> u64 {
-    let prefix = format!("{family} ");
-    text.lines()
-        .find_map(|l| l.strip_prefix(&prefix))
-        .unwrap_or_else(|| panic!("scrape is missing `{family}`:\n{text}"))
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("`{family}` is not an integer counter"))
 }
 
 /// A storm with every fault class enabled. ~37% of connections draw a
@@ -150,32 +140,18 @@ fn loadgen_through_seeded_chaos_completes_clean_and_accounts_every_fault() {
         "faults fired but the client never re-dialed"
     );
 
-    // 5. Every fired fault is accounted for in the obs registry as seen
-    //    through a *wire scrape* of the co-resident server — proxy-side
-    //    truth and scraped counters must agree exactly.
+    // 5. The server's scrape describes the server alone: the proxy's
+    //    faults and the client's retries are counted in `chaos` and
+    //    `report` above, and no chaos or client family leaks into it.
     let text = scrape_metrics(handle.local_addr()).expect("scrape a live server");
-    assert_eq!(
-        scraped(&text, "ftl_chaos_connections_total"),
-        chaos.connections
-    );
-    assert_eq!(
-        scraped(&text, "ftl_chaos_resets_total"),
-        chaos.resets_immediate + chaos.resets_midstream
-    );
-    assert_eq!(
-        scraped(&text, "ftl_chaos_blackholes_total"),
-        chaos.blackholes
-    );
-    assert_eq!(
-        scraped(&text, "ftl_chaos_garbage_total"),
-        chaos.garbage_injections
-    );
-    assert_eq!(scraped(&text, "ftl_chaos_shaped_total"), chaos.shaped);
-    assert_eq!(scraped(&text, "ftl_client_retries_total"), report.retries);
-    assert_eq!(
-        scraped(&text, "ftl_client_reconnects_total"),
-        report.reconnects
-    );
+    assert!(text.contains("ftl_server_requests_total "), "{text}");
+    for line in text.lines() {
+        let family = line.strip_prefix("# TYPE ").unwrap_or(line);
+        assert!(
+            !family.starts_with("ftl_chaos_") && !family.starts_with("ftl_client_"),
+            "the server scrape carries a chaos or client series: `{line}`"
+        );
+    }
 
     handle.shutdown();
 }
