@@ -4,6 +4,7 @@ use crate::circulation::assign_circulation_labels;
 use ftl_gf2::BitVec;
 use ftl_graph::{EdgeId, Graph, GraphError, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
+use ftl_par::MIN_PARALLEL_LEN;
 use ftl_seeded::Seed;
 
 /// Default slack constant `c` in `b = f + c·log₂ n` (DESIGN.md S4).
@@ -101,12 +102,13 @@ impl CycleSpaceScheme {
         }
         let phi = assign_circulation_labels(graph, tree, b, seed.derive(0xC1C));
         // Per-vertex and per-edge label assembly is embarrassingly parallel
-        // (`parallel` feature; see `ftl-par`).
-        let vertex_labels =
-            ftl_par::par_map_indexed(graph.num_vertices(), |i| CycleSpaceVertexLabel {
+        // (see `ftl-par`).
+        let vertex_labels = ftl_par::par_map_indexed(graph.num_vertices(), MIN_PARALLEL_LEN, |i| {
+            CycleSpaceVertexLabel {
                 anc: AncestryLabel::of(tree, VertexId::new(i)),
-            });
-        let edge_labels = ftl_par::par_map_indexed(graph.num_edges(), |i| {
+            }
+        });
+        let edge_labels = ftl_par::par_map_indexed(graph.num_edges(), MIN_PARALLEL_LEN, |i| {
             let id = EdgeId::new(i);
             let e = graph.edge(id);
             CycleSpaceEdgeLabel {

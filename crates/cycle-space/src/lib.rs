@@ -15,11 +15,8 @@
 //! The scheme assumes a **connected** input graph; `ftl-core` wraps it with
 //! per-component application for general graphs, as prescribed in the paper.
 //!
-//! # Features
-//!
-//! * `parallel` (default) — build per-vertex/per-edge label material on all
-//!   cores via [`ftl_par`]; disable (`--no-default-features`) for a strictly
-//!   single-threaded build. Results are identical either way.
+//! Per-vertex and per-edge label material is built on all cores via
+//! [`ftl_par`]; the labels do not depend on the core count.
 //!
 //! # Example
 //!

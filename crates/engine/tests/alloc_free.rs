@@ -127,23 +127,28 @@ fn warmed_sidecar_batch_allocates_nothing() {
 
     // The measured calls: cache-hot, sidecar-served, response reused —
     // and instrumented. The engine records nothing itself; like a server
-    // executor, the loop folds each call's stats into a registry (engine
-    // counters, elimination samples, the pinned epoch) under a live span,
-    // to pin down that the obs record path is allocation-free too.
+    // executor, the loop times each call and folds its stats into a
+    // registry (engine counters, weighted elimination and answer samples,
+    // the pinned epoch) under a live span, to pin down that the obs record
+    // path is allocation-free too.
     let stages = ftl_obs::StageSet::new();
     let (queries, hits) = (ftl_obs::Counter::new(), ftl_obs::Counter::new());
     let pinned = ftl_obs::Gauge::new();
     let before = alloc_count();
     for _ in 0..10 {
-        let _span = ftl_obs::Span::enter(&stages, ftl_obs::Stage::Answer);
+        let _span = ftl_obs::Span::enter(&stages, ftl_obs::Stage::ResponseWrite);
+        let t0 = std::time::Instant::now();
         engine.execute_grouped_into(&groups, &mut resp);
-        queries.add(resp.stats.queries as u64);
+        let call_ns = t0.elapsed().as_nanos() as u64;
+        let (n, elims) = (resp.stats.queries as u64, resp.stats.eliminations as u64);
+        queries.add(n);
         hits.add(resp.stats.cache_hits as u64);
-        for _ in 0..resp.stats.eliminations {
-            stages.record(ftl_obs::Stage::Elimination, resp.stats.elimination_ns);
+        if let Some(each) = resp.stats.elimination_ns.checked_div(elims) {
+            stages.record_n(ftl_obs::Stage::Elimination, each, elims);
         }
+        let answer_ns = call_ns.saturating_sub(resp.stats.elimination_ns);
+        stages.record_n(ftl_obs::Stage::Answer, answer_ns / n, n);
         pinned.set(resp.stats.epoch);
-        stages.record(ftl_obs::Stage::ResponseWrite, resp.stats.queries as u64);
     }
     let delta = alloc_count() - before;
     assert_eq!(
@@ -156,7 +161,8 @@ fn warmed_sidecar_batch_allocates_nothing() {
     // The records landed: the loop really exercised the obs primitives.
     assert_eq!(queries.get(), 240);
     assert_eq!(hits.get(), 10 * groups.len() as u64);
-    assert_eq!(stages.get(ftl_obs::Stage::Answer).count(), 10);
+    assert_eq!(stages.get(ftl_obs::Stage::Answer).count(), 240);
+    assert_eq!(stages.get(ftl_obs::Stage::ResponseWrite).count(), 10);
     assert_eq!(pinned.get(), resp.stats.epoch);
 }
 

@@ -9,7 +9,7 @@
 //!   two, ≤ 12.5 % bucketization error) with nearest-rank percentile
 //!   readout matching `ftl_engine::percentile_nearest_rank` semantics.
 //! - [`Stage`] / [`StageSet`] / [`Span`] — RAII wall-clock spans over the
-//!   serving pipeline's stages (frame read → window wait → admission →
+//!   serving pipeline's stages (frame read → admission → window wait →
 //!   elimination → answer → response write).
 //! - [`expo`] — Prometheus-style text exposition (the cold read side,
 //!   served over the wire as `MetricsResponse 0x51`).
@@ -55,8 +55,9 @@ pub enum Stage {
     /// Blocking read of one request frame off the socket (includes the
     /// wait for the client to send it).
     FrameRead,
-    /// Admission (`Batcher::submit`): the window-lock hold that charges
-    /// the budget and joins the window.
+    /// Admission (`Batcher::submit_all`): the window-lock hold that
+    /// charges the budget and joins the window, shared evenly by the
+    /// requests one read delivered.
     Admission,
     /// From successful admission to the executor taking the request's
     /// window (the accumulation-window wait).
@@ -64,8 +65,10 @@ pub enum Stage {
     /// One Gaussian elimination of a fault set (cache misses only; hits
     /// skip this stage entirely).
     Elimination,
-    /// Per-query answer time: an executed window's engine time divided by
-    /// its query count (recorded once per window).
+    /// Per-query answer time: one engine call's wall time minus the
+    /// eliminations it ran, divided by the queries it answered. Recorded
+    /// once per fault-set group, weighted by that group's query count
+    /// (one sample per query), so it excludes what `Elimination` counts.
     Answer,
     /// Writing one response frame through the connection's writer slot.
     ResponseWrite,
@@ -160,6 +163,13 @@ mod tests {
         assert_eq!(h.percentile(0.5), 3);
         assert_eq!(h.percentile(1.0), 15);
         assert_eq!(Histogram::new().percentile(0.5), 0, "empty reads 0");
+        // A weighted record is that many plain ones.
+        let w = Histogram::new();
+        w.record_n(9, 3);
+        w.record_n(2, 0);
+        w.record(1);
+        assert_eq!((w.count(), w.sum()), (4, 28));
+        assert_eq!((w.percentile(0.25), w.percentile(0.5)), (1, 9));
     }
 
     #[test]

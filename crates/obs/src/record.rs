@@ -161,11 +161,19 @@ impl Histogram {
     // ftl-analyzer: hot-path
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v` — the same histogram as `n` calls
+    /// of [`record`](Histogram::record), for two atomics.
+    // ftl-analyzer: hot-path
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
         // ftl-analyzer: allow(hot-alloc) bounded array lookup of an atomic bucket — no allocation
         if let Some(c) = self.counts.get(bucket_index(v)) {
-            c.fetch_add(1, Ordering::Relaxed);
+            c.fetch_add(n, Ordering::Relaxed);
         }
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
     }
 
     /// Samples recorded so far.
@@ -229,9 +237,17 @@ impl StageSet {
     // ftl-analyzer: hot-path
     #[inline]
     pub fn record(&self, stage: Stage, ns: u64) {
+        self.record_n(stage, ns, 1);
+    }
+
+    /// Records `n` samples of `ns` against `stage`: a cost measured once
+    /// and shared evenly by `n` items (queries, eliminations).
+    // ftl-analyzer: hot-path
+    #[inline]
+    pub fn record_n(&self, stage: Stage, ns: u64, n: u64) {
         // ftl-analyzer: allow(hot-alloc) bounded array lookup of a per-stage histogram — no allocation
         if let Some(h) = self.hists.get(stage.index()) {
-            h.record(ns);
+            h.record_n(ns, n);
         }
     }
 

@@ -67,6 +67,10 @@ impl Histogram {
     #[inline]
     pub fn record(&self, _v: u64) {}
 
+    /// Records `n` samples of one value (no-op).
+    #[inline]
+    pub fn record_n(&self, _v: u64, _n: u64) {}
+
     /// Samples recorded so far (always 0).
     pub fn count(&self) -> u64 {
         0
@@ -98,6 +102,10 @@ impl StageSet {
     /// Records a wall-clock delta against `stage` (no-op).
     #[inline]
     pub fn record(&self, _stage: Stage, _ns: u64) {}
+
+    /// Records `n` samples of one delta against `stage` (no-op).
+    #[inline]
+    pub fn record_n(&self, _stage: Stage, _ns: u64, _n: u64) {}
 
     /// The histogram backing `stage` (always empty).
     pub fn get(&self, _stage: Stage) -> &Histogram {

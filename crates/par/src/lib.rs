@@ -7,80 +7,52 @@
 //! stays dependency-free (the build environment has no crates registry, so
 //! rayon itself is unavailable).
 //!
-//! # The `parallel` feature
-//!
-//! The `parallel` feature (**default on**, forwarded by every consuming
-//! crate as its own `parallel` feature) chooses the implementation:
-//!
-//! * enabled — work is split into contiguous chunks across
-//!   `std::thread::available_parallelism()` scoped threads;
-//! * disabled (`--no-default-features`) — the same API degrades to a plain
-//!   sequential loop, for deterministic single-threaded profiling or
-//!   platforms without threads.
-//!
-//! Results are bit-identical either way: every closure is pure in its index
-//! and chunk results are spliced back in order.
+//! Work is split into contiguous chunks across
+//! `std::thread::available_parallelism()` scoped threads. A sweep shorter
+//! than its caller's threshold, or a host that reports one core (or no
+//! thread support at all), runs as a plain loop on the calling thread.
+//! Results are bit-identical either way: every closure is pure in its
+//! index and chunk results are spliced back in order.
 //!
 //! `README.md` at the repo root shows where the fork-join sweeps sit in
 //! the build pipeline; threaded failure modes are in `docs/robustness.md`.
 
 #![forbid(unsafe_code)]
 
-/// Default minimum sweep size before threads are spawned. Each
-/// `std::thread::scope` worker costs tens of µs to spawn (there is no
-/// pool), so fine-grained sweeps — items of tens to hundreds of ns, like
-/// label assembly — only win well into the thousands of items. Call sites
-/// with heavier items pick a lower threshold via
-/// [`par_map_indexed_with_min`] or [`par_map_indexed_coarse`].
+/// Minimum sweep size before threads are spawned, for fine-grained items.
+/// Each `std::thread::scope` worker costs tens of µs to spawn (there is no
+/// pool), so sweeps whose items take tens to hundreds of ns, like label
+/// assembly, only win well into the thousands of items. Call sites with
+/// heavier items pass a lower `min_len` to [`par_map_indexed`].
 pub const MIN_PARALLEL_LEN: usize = 4096;
 
 /// Order-preserving parallel map over `0..n`: returns
 /// `vec![f(0), f(1), .., f(n-1)]`.
 ///
-/// `f` must be pure in its index argument — chunks execute concurrently in
-/// unspecified relative order. Sweeps shorter than [`MIN_PARALLEL_LEN`]
-/// run serially; for coarse-grained items (milliseconds each) use
-/// [`par_map_indexed_coarse`], which parallelizes from 2 items up.
-pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
+/// `f` must be pure in its index argument: chunks execute concurrently in
+/// unspecified relative order. The sweep stays serial below `min_len`
+/// items (and always below two). Pick roughly `(threads × spawn cost) /
+/// per-item cost`: [`MIN_PARALLEL_LEN`] for items of tens of ns, `2` for
+/// items of milliseconds.
+pub fn par_map_indexed<U, F>(n: usize, min_len: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_map_indexed_with_min(n, MIN_PARALLEL_LEN, f)
-}
-
-/// [`par_map_indexed`] for coarse-grained items: parallelizes whenever
-/// there are at least two items, so per-item work that dwarfs thread spawn
-/// cost (e.g. building a whole cover tree's routing material per item)
-/// uses all cores even for short work lists.
-pub fn par_map_indexed_coarse<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_map_indexed_with_min(n, 2, f)
-}
-
-/// [`par_map_indexed`] with an explicit parallelization threshold: the
-/// sweep stays serial below `min_len` items. Pick roughly
-/// `(threads × spawn cost) / per-item cost`; see [`MIN_PARALLEL_LEN`].
-pub fn par_map_indexed_with_min<U, F>(n: usize, min_len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        if n >= min_len.max(2) && threads > 1 {
-            return par_map_chunked(n, threads, &f);
-        }
+    match sweep_threads(n, min_len) {
+        1 => (0..n).map(f).collect(),
+        threads => par_map_chunked(n, threads, &f),
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = min_len;
-    (0..n).map(f).collect()
+}
+
+/// Threads to split a sweep of `n` items over. 1, which selects the
+/// serial loop, below `min_len` (or two) items, on a one-core host, and
+/// where the platform cannot say (for instance, one without threads).
+fn sweep_threads(n: usize, min_len: usize) -> usize {
+    if n < min_len.max(2) {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |t| t.get())
 }
 
 /// Chunked parallel for-each over a mutable slice of `n_items` equal-stride
@@ -117,51 +89,33 @@ where
         f(0, data);
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        if n_items >= min_items.max(2) && threads > 1 {
-            let per_chunk = n_items.div_ceil(threads.min(n_items));
-            let f = &f; // shared by reference: F: Sync makes &F Send
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut rest = data;
-                let mut first = 0usize;
-                while !rest.is_empty() {
-                    let take = (per_chunk * stride).min(rest.len());
-                    let (chunk, tail) = rest.split_at_mut(take);
-                    let start = first;
-                    handles.push(scope.spawn(move || f(start, chunk)));
-                    first += take / stride;
-                    rest = tail;
-                }
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-            return;
-        }
+    let threads = sweep_threads(n_items, min_items);
+    if threads == 1 {
+        f(0, data);
+        return;
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = min_items;
-    f(0, data);
+    let per_chunk = n_items.div_ceil(threads.min(n_items));
+    let f = &f; // shared by reference: F: Sync makes &F Send
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        let mut rest = data;
+        let mut first = 0usize;
+        while !rest.is_empty() {
+            let take = (per_chunk * stride).min(rest.len());
+            let (chunk, tail) = rest.split_at_mut(take);
+            let start = first;
+            handles.push(scope.spawn(move || f(start, chunk)));
+            first += take / stride;
+            rest = tail;
+        }
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
-/// Order-preserving parallel map over a slice.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-#[cfg(feature = "parallel")]
 fn par_map_chunked<U, F>(n: usize, threads: usize, f: &F) -> Vec<U>
 where
     U: Send,
@@ -198,7 +152,11 @@ mod tests {
     fn matches_sequential_map_small_and_large() {
         for n in [0, 1, MIN_PARALLEL_LEN - 1, MIN_PARALLEL_LEN, 1000] {
             let expect: Vec<usize> = (0..n).map(|i| i * i).collect();
-            assert_eq!(par_map_indexed(n, |i| i * i), expect, "n = {n}");
+            assert_eq!(
+                par_map_indexed(n, MIN_PARALLEL_LEN, |i| i * i),
+                expect,
+                "n = {n}"
+            );
         }
     }
 
@@ -206,14 +164,14 @@ mod tests {
     fn coarse_map_matches_sequential_below_min_len() {
         for n in [0usize, 1, 2, 3, MIN_PARALLEL_LEN] {
             let expect: Vec<usize> = (0..n).map(|i| i + 7).collect();
-            assert_eq!(par_map_indexed_coarse(n, |i| i + 7), expect, "n = {n}");
+            assert_eq!(par_map_indexed(n, 2, |i| i + 7), expect, "n = {n}");
         }
     }
 
     #[test]
     fn worker_panic_keeps_its_message() {
         let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(1000, |i| {
+            par_map_indexed(1000, 2, |i| {
                 assert!(i != 900, "original assertion message");
                 i
             })
@@ -259,16 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_map_preserves_order() {
-        let items: Vec<String> = (0..500).map(|i| format!("x{i}")).collect();
-        let lens = par_map(&items, |s| s.len());
-        let expect: Vec<usize> = items.iter().map(|s| s.len()).collect();
-        assert_eq!(lens, expect);
-    }
-
-    #[test]
     fn heavy_closure_results_spliced_in_order() {
-        let out = par_map_indexed(300, |i| {
+        let out = par_map_indexed(300, 2, |i| {
             // Unequal per-item work to exercise chunk imbalance.
             (0..(i % 7) * 100).fold(i as u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64))
         });

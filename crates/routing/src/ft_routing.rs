@@ -110,10 +110,9 @@ impl FtRoutingScheme {
             let cover = TreeCover::build(graph, &heavy, radius, params.k);
             // Per-source preprocessing: every cover tree builds its routing
             // tables and `f + 1` sketch copies independently, so the sweep
-            // runs one tree per core (`parallel` feature; see `ftl-par`).
-            // Coarse variant: each item is milliseconds of work, so
-            // parallelize even when the cover has only a handful of trees.
-            let trees: Vec<RTree> = ftl_par::par_map_indexed_coarse(cover.trees.len(), |j| {
+            // runs one tree per core (see `ftl-par`). Each item is
+            // milliseconds of work, so parallelize from two trees up.
+            let trees: Vec<RTree> = ftl_par::par_map_indexed(cover.trees.len(), 2, |j| {
                 let ct = &cover.trees[j];
                 let local = ct.sub.graph();
                 let routing = TreeRouting::new(local, &ct.tree, params.f);

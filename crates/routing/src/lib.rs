@@ -26,12 +26,9 @@
 //! changes no size bound by more than the `O(log n)` bits ports already
 //! cost.
 //!
-//! # Features
-//!
-//! * `parallel` (default) — preprocess cover trees (routing tables plus
-//!   `f + 1` sketch copies each) one tree per core via [`ftl_par`]; disable
-//!   (`--no-default-features`) for a strictly single-threaded build.
-//!   Results are identical either way.
+//! Cover trees (routing tables plus `f + 1` sketch copies each) are
+//! preprocessed one tree per core via [`ftl_par`]; the tables do not depend
+//! on the core count.
 //!
 //! See `README.md` at the repo root for the crate map and for which
 //! experiments (`EXPERIMENTS.md`) exercise the routing schemes.

@@ -169,9 +169,8 @@ impl TreeRouting {
                 })
                 .collect()
         };
-        // Tables — independent per vertex, built in parallel (`parallel`
-        // feature; see `ftl-par`).
-        let tables: Vec<TreeTable> = ftl_par::par_map_indexed_with_min(n, 512, |i| {
+        // Tables — independent per vertex, built in parallel (see `ftl-par`).
+        let tables: Vec<TreeTable> = ftl_par::par_map_indexed(n, 512, |i| {
             let v = VertexId::new(i);
             let parent_port = tree
                 .parent(v)

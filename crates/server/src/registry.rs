@@ -10,9 +10,9 @@
 //! A [`ConnWriter`] holds the write half (a `try_clone` of the stream)
 //! behind a poison-recovering slot (`locked::Slot`), because two executors
 //! can finish windows carrying responses for the *same* connection
-//! concurrently — the slot makes each write atomic on the stream, whether
-//! it carries one frame ([`send`](ConnWriter::send)) or a window's whole
-//! run of them ([`send_framed`](ConnWriter::send_framed)).
+//! concurrently — the slot makes each write
+//! ([`send_framed`](ConnWriter::send_framed), one run of frames) atomic on
+//! the stream.
 //!
 //! Frame atomicity survives *failure*, too: a write that errors mid-frame
 //! (a timeout against a stalled reader, a reset) may have left a torn
@@ -21,7 +21,6 @@
 //! torn frame is therefore the last bytes the client can ever observe — no
 //! complete-looking frame can follow garbage.
 
-use crate::frame::write_frame;
 use crate::locked::Slot;
 use ftl_seeded::DetHashMap;
 use std::io::Write;
@@ -76,28 +75,18 @@ pub struct ConnWriter {
 }
 
 impl ConnWriter {
-    /// Writes one length-prefixed frame; concurrent senders serialize on
-    /// the slot so frames never interleave.
+    /// Writes a run of frames already length-prefixed back to back (see
+    /// [`push_frame`](crate::frame::push_frame)) with one write — how an
+    /// executor answers all of one connection's requests in a window, and
+    /// how a reader sends its own answers. Concurrent senders serialize on
+    /// the slot, so runs never interleave.
     ///
     /// The write half carries the registration's write timeout, so a
     /// client that stopped reading its responses makes this return a
-    /// timeout error instead of blocking the calling executor forever.
-    /// A timed-out write may have sent a partial frame — the stream is
+    /// timeout error instead of blocking the calling thread forever. A
+    /// timed-out write may have sent a partial frame — the stream is
     /// unrecoverable afterwards, so this writer refuses every subsequent
     /// send (`BrokenPipe`) and the caller must drop the connection.
-    pub fn send(&self, record: &[u8]) -> std::io::Result<()> {
-        self.state
-            .with(|s| send_locked(s, |w| write_frame(w, record)))
-    }
-
-    /// Writes a run of frames already length-prefixed back to back (see
-    /// [`push_frame`](crate::frame::push_frame)) with one write — how an
-    /// executor answers all of one connection's requests in a window.
-    ///
-    /// Same contract as [`send`](ConnWriter::send): the run is atomic
-    /// against other senders, bounded by the write timeout, and a failure
-    /// anywhere in it poisons the writer, so a torn run is the last thing
-    /// the client can observe.
     pub fn send_framed(&self, framed: &[u8]) -> std::io::Result<()> {
         self.state
             .with(|s| send_locked(s, |w| write_framed(w, framed)))
@@ -140,7 +129,7 @@ impl Registry {
     }
 
     /// Registers a connection's write half, returning its id and writer
-    /// handle. `write_timeout` bounds every [`ConnWriter::send`] on this
+    /// handle. `write_timeout` bounds every [`ConnWriter::send_framed`] on this
     /// connection (`None` = block indefinitely — test-only; the server
     /// always passes a bound so a stalled reader cannot park an
     /// executor).
@@ -191,7 +180,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::push_frame;
+    use crate::frame::{push_frame, write_frame};
 
     /// A sink that accepts exactly `budget` bytes and then fails every
     /// write with `TimedOut` — the shape of a response write dying

@@ -329,6 +329,7 @@ fn serve_connection(
     let mut admit = Admit {
         batch: Vec::new(),
         refused: Vec::new(),
+        out: Vec::new(),
         batcher,
         writer: &writer,
         stats,
@@ -336,7 +337,7 @@ fn serve_connection(
     loop {
         // Every frame the last read delivered is decoded: admit them
         // before the next read can block.
-        if !reader.has_buffered_frame() && !admit.flush() {
+        if !reader.has_buffered_frame() && !admit.flush(None) {
             break;
         }
         let frame = {
@@ -369,14 +370,11 @@ fn serve_connection(
             // after the requests read before it, so inline answers keep
             // arrival order.
             Ok(Ok(Request::Metrics(req))) => {
-                if !admit.flush() {
-                    break;
-                }
                 let frame = MetricsResponseFrame {
                     request_id: req.request_id,
                     text: stats.render_text(),
                 };
-                if writer.send(&frame.to_wire()).is_err() {
+                if !admit.flush(Some(&frame.to_wire())) {
                     break;
                 }
             }
@@ -387,7 +385,7 @@ fn serve_connection(
             }
             Ok(Err(_)) | Err(_) => {
                 stats.record_frame_error();
-                admit.flush();
+                admit.flush(None);
                 break;
             }
         }
@@ -412,37 +410,38 @@ fn decode_request(record: &[u8]) -> Result<Request, WireError> {
 }
 
 /// A reader's decoded-but-not-yet-admitted requests, and where to answer
-/// the ones admission refuses. Both buffers are reused across reads.
+/// the ones admission refuses. The buffers are reused across reads.
 struct Admit<'a> {
     batch: Vec<Pending>,
     refused: Vec<Refused>,
+    /// The reader's own answers, framed back to back for one write.
+    out: Vec<u8>,
     batcher: &'a Batcher,
     writer: &'a ConnWriter,
     stats: &'a ServerStats,
 }
 
 impl Admit<'_> {
-    /// Admits the batch under one batcher lock and answers each refused
-    /// request inline, in arrival order. Returns whether the connection
-    /// stays open: not after a failed write or once the server drains.
-    fn flush(&mut self) -> bool {
-        let n = self.batch.len() as u64;
-        if n == 0 {
-            return true;
+    /// Admits the batch under one batcher lock, then answers each refused
+    /// request and, if given, the `inline` record read after them (a
+    /// metrics response), in arrival order and with one write. Returns
+    /// whether the connection stays open: not after a failed write or
+    /// once the server drains.
+    fn flush(&mut self, inline: Option<&[u8]>) -> bool {
+        if !self.batch.is_empty() {
+            // Service latency starts at admission, as for a lone request.
+            let t0 = Instant::now();
+            for p in &mut self.batch {
+                p.enqueued = t0;
+            }
+            let n = self.batch.len() as u64;
+            self.batcher.submit_all(&mut self.batch, &mut self.refused);
+            // Admission stage: one sample per request, the lock hold
+            // amortized over the requests it admitted.
+            let per_request = t0.elapsed().as_nanos() as u64 / n;
+            self.stats.stages.record_n(Stage::Admission, per_request, n);
         }
-        // Service latency starts at admission, as for a lone request.
-        let t0 = Instant::now();
-        for p in &mut self.batch {
-            p.enqueued = t0;
-        }
-        self.batcher.submit_all(&mut self.batch, &mut self.refused);
-        // Admission stage: one sample per request, the lock hold
-        // amortized over the requests it admitted.
-        let per_request = t0.elapsed().as_nanos() as u64 / n;
-        for _ in 0..n {
-            self.stats.stages.record(Stage::Admission, per_request);
-        }
-        let (mut written, mut draining) = (true, false);
+        let mut draining = false;
         for r in self.refused.drain(..) {
             let status = match r.error {
                 SubmitError::Busy { pending, budget } => {
@@ -459,8 +458,13 @@ impl Admit<'_> {
                 epoch: 0,
                 status,
             };
-            written = written && self.writer.send(&frame.to_wire()).is_ok();
+            push_frame(&mut self.out, &frame.to_wire());
         }
+        if let Some(record) = inline {
+            push_frame(&mut self.out, record);
+        }
+        let written = self.out.is_empty() || self.writer.send_framed(&self.out).is_ok();
+        clear_and_trim(&mut self.out);
         written && !draining
     }
 }
@@ -530,15 +534,13 @@ fn execute_window(
         return;
     }
 
-    let mut engine_ns = 0u64;
     let mut last_flush = Instant::now();
     for (group, member_idxs) in groups.iter().zip(&members) {
         // One group per call: each group's answers come back on the epoch
         // that call pinned, stamped in its responses.
-        let engine_t0 = Instant::now();
+        let call_t0 = Instant::now();
         engine.execute_grouped_into(std::slice::from_ref(group), resp);
-        engine_ns += engine_t0.elapsed().as_nanos() as u64;
-        stats.record_engine(&resp.stats);
+        stats.record_engine(&resp.stats, call_t0.elapsed().as_nanos() as u64);
         let (epoch, result) = (resp.stats.epoch, resp.groups.first());
         let mut cursor = 0usize;
         for &wi in member_idxs {
@@ -570,17 +572,12 @@ fn execute_window(
             last_flush = Instant::now();
         }
     }
-    // Answer stage: engine time amortized per query, recorded once per
-    // window (per-query clock reads would dominate the ~16 ns answers).
-    let total_queries: u64 = groups.iter().map(|g| g.queries.len() as u64).sum();
-    if let Some(per_query) = engine_ns.checked_div(total_queries) {
-        stats.stages.record(Stage::Answer, per_query);
-    }
     stats.record_batch(groups.len());
 }
 
-/// Bytes of encoded responses an executor keeps allocated between windows;
-/// a larger window's buffer is released after its writes.
+/// Bytes of encoded responses a write buffer (an executor's outbox, a
+/// reader's inline answers) keeps allocated between writes; a larger
+/// buffer is released after its write.
 const OUTBOX_KEEP_BYTES: usize = 256 << 10;
 
 /// Where answers go: the connections' writers, the budget their charge
@@ -690,11 +687,15 @@ impl Outbox {
             }
         }
         replies.clear();
-        if bytes.capacity() > OUTBOX_KEEP_BYTES {
-            bytes.clear();
-            bytes.shrink_to(OUTBOX_KEEP_BYTES);
-        }
+        clear_and_trim(bytes);
     }
+}
+
+/// Empties a reused write buffer, releasing what a large write grew it to
+/// beyond [`OUTBOX_KEEP_BYTES`].
+fn clear_and_trim(bytes: &mut Vec<u8>) {
+    bytes.clear();
+    bytes.shrink_to(OUTBOX_KEEP_BYTES);
 }
 
 /// The batcher watchdog: force-releases requests stuck in the queue
@@ -707,9 +708,10 @@ impl Outbox {
 /// of them stack). Stuck requests are answered directly from this thread:
 /// `DeadlineExceeded` when the request's TTL has expired, `ServerBusy`
 /// otherwise (the honest signal that the server could not schedule it —
-/// retryable, and both are retried by the resilient client). As in the
-/// executor flow, their budget charge goes back once their answers are
-/// decided, before the writes.
+/// retryable, and both are retried by the resilient client). They go out
+/// through an [`Outbox`], as an executor's answers do: the charge goes
+/// back before the writes, each connection gets one write, and a failed
+/// write forfeits its connection.
 fn watchdog_loop(
     stop: &AtomicBool,
     batcher: &Batcher,
@@ -727,6 +729,7 @@ fn watchdog_loop(
         .saturating_mul(config.watchdog_factor)
         .max(Duration::from_millis(1));
     let poll = (max_age / 2).max(Duration::from_millis(1));
+    let mut outbox = Outbox::default();
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(poll);
         let stale = batcher.take_stale(max_age);
@@ -735,7 +738,6 @@ fn watchdog_loop(
         }
         let now = Instant::now();
         let pending = batcher.pending_queries() as u32;
-        batcher.release(stale.iter().map(Batcher::charge).sum());
         for p in &stale {
             stats.record_watchdog_fire();
             let status = if p.expired_at(now) {
@@ -747,19 +749,9 @@ fn watchdog_loop(
                     budget: config.pending_budget as u32,
                 }
             };
-            let frame = QueryResponseFrame {
-                request_id: p.request_id,
-                epoch: 0,
-                status,
-            };
-            // One frame at a time; a vanished connection just drops it.
-            if let Some(writer) = registry.get(p.conn) {
-                let _span = Span::enter(&stats.stages, Stage::ResponseWrite);
-                if writer.send(&frame.to_wire()).is_err() {
-                    sink.forfeit(p.conn, &writer);
-                }
-            }
+            outbox.reply(p, 0, status);
         }
+        outbox.flush(&sink);
     }
 }
 

@@ -214,19 +214,24 @@ impl ServerStats {
         self.groups.add(groups as u64);
     }
 
-    /// Folds in what one engine call did: its query and cache counters,
-    /// one `elimination` stage sample per elimination (the call's
-    /// elimination time split evenly; the executor runs one group per
-    /// call, so there is at most one), and the epoch it pinned.
+    /// Folds in what one engine call did, given its wall time `call_ns`:
+    /// its query and cache counters, one `elimination` stage sample per
+    /// elimination (the call's elimination time split evenly; the
+    /// executor runs one group per call, so there is at most one), one
+    /// `answer` sample per answered query (the rest of the call's time
+    /// split evenly), and the epoch it pinned.
     // ftl-analyzer: hot-path
-    pub fn record_engine(&self, call: &BatchStats) {
-        self.engine_queries.add(call.queries as u64);
-        self.engine_eliminations.add(call.eliminations as u64);
+    pub fn record_engine(&self, call: &BatchStats, call_ns: u64) {
+        let (queries, eliminations) = (call.queries as u64, call.eliminations as u64);
+        self.engine_queries.add(queries);
+        self.engine_eliminations.add(eliminations);
         self.engine_cache_hits.add(call.cache_hits as u64);
-        if let Some(each) = call.elimination_ns.checked_div(call.eliminations as u64) {
-            for _ in 0..call.eliminations {
-                self.stages.record(Stage::Elimination, each);
-            }
+        if let Some(each) = call.elimination_ns.checked_div(eliminations) {
+            self.stages.record_n(Stage::Elimination, each, eliminations);
+        }
+        let answer_ns = call_ns.saturating_sub(call.elimination_ns);
+        if let Some(each) = answer_ns.checked_div(queries) {
+            self.stages.record_n(Stage::Answer, each, queries);
         }
         self.epoch_pinned.set(call.epoch);
     }
@@ -462,14 +467,19 @@ mod tests {
         let s = stats();
         s.record_ok(2, 8, 2_000_000);
         s.record_connection();
-        s.record_engine(&BatchStats {
-            queries: 8,
-            fault_sets: 1,
-            eliminations: 1,
-            cache_hits: 0,
-            elimination_ns: 40_000,
-            epoch: 1,
-        });
+        // A 40.8 µs call: 40 µs of elimination, 100 ns for each of its
+        // 8 answers.
+        s.record_engine(
+            &BatchStats {
+                queries: 8,
+                fault_sets: 1,
+                eliminations: 1,
+                cache_hits: 0,
+                elimination_ns: 40_000,
+                epoch: 1,
+            },
+            40_800,
+        );
         let text = s.render_text();
         for series in [
             // Pipeline side: this registry's stages and engine counters,
@@ -477,6 +487,8 @@ mod tests {
             "# TYPE ftl_stage_ns summary",
             "ftl_stage_ns_count{stage=\"elimination\"} 1\n",
             "ftl_stage_ns_sum{stage=\"elimination\"} 40000\n",
+            "ftl_stage_ns_count{stage=\"answer\"} 8\n",
+            "ftl_stage_ns_sum{stage=\"answer\"} 800\n",
             "ftl_engine_queries_total 8\n",
             "ftl_engine_eliminations_total 1\n",
             "ftl_engine_cache_hit_ratio 0.000000",

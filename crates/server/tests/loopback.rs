@@ -726,10 +726,11 @@ fn stalled_reader_write_times_out_instead_of_blocking() {
         .unwrap();
     // 64 KiB frames overwhelm any sane socket buffering within a few
     // hundred sends; the peer reads nothing, so an error MUST arrive.
-    let record = vec![0xA5u8; 1 << 16];
+    let mut framed = Vec::new();
+    frame::push_frame(&mut framed, &vec![0xA5u8; 1 << 16]);
     let mut timed_out = false;
     for _ in 0..10_000 {
-        if writer.send(&record).is_err() {
+        if writer.send_framed(&framed).is_err() {
             timed_out = true;
             break;
         }

@@ -338,3 +338,56 @@ fn scrape_reports_the_swaps_of_the_store_it_serves() {
     assert!(live.live().relabels() >= 1);
     handle.shutdown();
 }
+
+#[test]
+fn answer_stage_counts_one_sample_per_answered_query() {
+    let g = generators::grid(8, 8);
+    // A window long enough that requests naming different fault sets
+    // share it: each window then runs several engine calls, one per group.
+    let handle = spawn_server(
+        &g,
+        ServerConfig {
+            executors: 1,
+            window: Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
+    );
+    let sets = derive_fault_sets(&g, 8, 4, 21);
+    let report = run_loadgen(
+        handle.local_addr(),
+        &g,
+        &sets,
+        LoadgenConfig {
+            clients: 8,
+            requests_per_client: 16,
+            queries_per_request: 4,
+            seed: 23,
+            ..LoadgenConfig::default()
+        },
+    );
+    assert_eq!(report.mismatches, 0);
+    assert_eq!(report.requests_ok, 8 * 16);
+    // A request is counted once its answer is written: wait for the last.
+    for _ in 0..500 {
+        if handle.stats().requests == report.requests_ok {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let text = handle.metrics_text();
+    let (windows, groups) = (
+        scraped(&text, "ftl_server_batches_total"),
+        scraped(&text, "ftl_server_groups_total"),
+    );
+    assert!(groups > windows, "no window held several groups:\n{text}");
+    // One `answer` sample per query the engine answered, not one per
+    // window (or per group).
+    let queries = scraped(&text, "ftl_engine_queries_total");
+    assert_eq!(queries, handle.stats().queries);
+    let answer = stage_counts(&text)
+        .into_iter()
+        .find(|(stage, _)| stage == "answer")
+        .map(|(_, count)| count);
+    assert_eq!(answer, Some(queries), "{text}");
+    handle.shutdown();
+}

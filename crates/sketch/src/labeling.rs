@@ -5,6 +5,7 @@ use crate::sketch::{Sketch, SketchParams};
 use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{EdgeId, Graph, GraphError, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
+use ftl_par::MIN_PARALLEL_LEN;
 use ftl_seeded::{Seed, UidSpace};
 
 /// Per-vertex auxiliary payloads (tree-routing labels in the routing
@@ -140,8 +141,9 @@ impl SketchScheme {
         // Ancestry labels once per vertex; the eid sweep and the vertex
         // label sweep both read from this table instead of re-deriving
         // per-edge-endpoint.
-        let anc_of: Vec<AncestryLabel> =
-            ftl_par::par_map_indexed(n, |i| AncestryLabel::of(tree, VertexId::new(i)));
+        let anc_of: Vec<AncestryLabel> = ftl_par::par_map_indexed(n, MIN_PARALLEL_LEN, |i| {
+            AncestryLabel::of(tree, VertexId::new(i))
+        });
         // Parallel-edge copy discriminators, in edge-id order (endpoint
         // pairs packed into one u64 key to halve the hashing work). The
         // fixed-key hasher keeps copy assignment identical across runs:
@@ -185,8 +187,8 @@ impl SketchScheme {
                 .unwrap_or_else(|| empty_aux.clone())
         };
         // Extended identifiers — one independent record per edge, built in
-        // parallel (`parallel` feature; see `ftl-par`).
-        let eids: Vec<Eid> = ftl_par::par_map_indexed(graph.num_edges(), |i| {
+        // parallel (see `ftl-par`).
+        let eids: Vec<Eid> = ftl_par::par_map_indexed(graph.num_edges(), MIN_PARALLEL_LEN, |i| {
             let id = EdgeId::new(i);
             let e = graph.edge(id);
             let (u, v) = (e.u(), e.v());
@@ -233,7 +235,7 @@ impl SketchScheme {
             );
         }
         let levels = params.levels_for_keys(sh, &keys);
-        let vertex_sketch: Vec<Sketch> = ftl_par::par_map_indexed_with_min(n, 256, |i| {
+        let vertex_sketch: Vec<Sketch> = ftl_par::par_map_indexed(n, 256, |i| {
             let v = VertexId::new(i);
             let mut sketch = Sketch::zero(*params);
             sketch.toggle_edges_from_bank(
@@ -269,7 +271,7 @@ impl SketchScheme {
                 });
             }
         }
-        let vertex_labels = ftl_par::par_map_indexed(n, |i| {
+        let vertex_labels = ftl_par::par_map_indexed(n, MIN_PARALLEL_LEN, |i| {
             let v = VertexId::new(i);
             SketchVertexLabel {
                 id: v.raw(),

@@ -21,12 +21,8 @@
 //! The scheme assumes a connected input graph; `ftl-core` handles general
 //! graphs component-wise.
 //!
-//! # Features
-//!
-//! * `parallel` (default) — build extended identifiers, per-vertex sketches,
-//!   and vertex labels on all cores via [`ftl_par`]; disable
-//!   (`--no-default-features`) for a strictly single-threaded build.
-//!   Results are identical either way.
+//! Extended identifiers, per-vertex sketches and vertex labels are built on
+//! all cores via [`ftl_par`]; the labels do not depend on the core count.
 //!
 //! # Example
 //!

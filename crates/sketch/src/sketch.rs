@@ -100,7 +100,7 @@ impl SketchParams {
         // Parallelising pays off once the per-unit stream is long enough to
         // dwarf thread spawn cost; below that the serial sweep wins.
         let min_units = if keys.len() >= 4096 { 2 } else { usize::MAX };
-        let per_unit: Vec<Vec<u8>> = ftl_par::par_map_indexed_with_min(units, min_units, |i| {
+        let per_unit: Vec<Vec<u8>> = ftl_par::par_map_indexed(units, min_units, |i| {
             let h = self.unit_hash(sh, i);
             let cap = self.levels - 1;
             keys.iter().map(|&k| h.level(k).min(cap) as u8).collect()
