@@ -57,9 +57,9 @@ pub fn explain(rule: RuleId) -> &'static str {
              The seeded hot set: Engine::execute_grouped_into (the one serving\n\
              entry point) and its per-group loop execute_group, the store\n\
              query path (answer, vertex_anc, the LabelStore column accessors),\n\
-             EliminatedFaultSet's per-query checks, ftl-gf2's\n\
-             xor_into/count_ones_and/express_with, and the sketch toggle\n\
-             kernels.\n\
+             the per-query parity test (EliminatedFaultSet and ftl-cycle-space's\n\
+             EliminatedFaults::separating_generator), ftl-gf2's\n\
+             xor_into/count_ones_and, and the sketch toggle kernels.\n\
              \n\
              Exempt one call site with `// ftl-analyzer: allow(hot-alloc) why`\n\
              on the line above; that also stops call-graph traversal through it.\n\

@@ -598,7 +598,12 @@ fn hot_set_is_nonempty_on_the_real_tree() {
         "expected the seeded hot set (gf2 kernels, sketch toggles, store \
          accessors), found only: {hot:?}"
     );
-    for expected in ["xor_into", "count_ones_and", "express_with", "vertex_anc"] {
+    for expected in [
+        "xor_into",
+        "count_ones_and",
+        "separating_generator",
+        "vertex_anc",
+    ] {
         assert!(
             hot.iter().any(|n| n == expected),
             "missing hot fn {expected}"

@@ -1,8 +1,7 @@
-//! Criterion: substrate microbenchmarks — component tree (Claim 3.14),
-//! GF(2) solving (Lemma 3.5), sketch recovery (Lemma 3.13), tree covers.
+//! Criterion: substrate microbenchmarks — component tree (Claim 3.14) and
+//! tree covers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftl_gf2::BitVec;
 use ftl_graph::{generators, SpanningTree, VertexId};
 use ftl_labels::{AncestryLabel, ComponentTree, FaultTreeEdge};
 use ftl_tree_cover::TreeCover;
@@ -28,29 +27,6 @@ fn bench_substrates(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("component_tree", f), &fte, |b, fte| {
             b.iter(|| ComponentTree::new(fte, tree.max_time()))
-        });
-    }
-    // GF(2) solve.
-    for f in [16usize, 64] {
-        let dim = f + 40;
-        let mut state = 99u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let cols: Vec<BitVec> = (0..f)
-            .map(|_| {
-                let mut v = BitVec::zeros(dim);
-                v.randomize(&mut next);
-                v
-            })
-            .collect();
-        let mut tgt = BitVec::zeros(dim);
-        tgt.randomize(&mut next);
-        group.bench_with_input(BenchmarkId::new("gf2_solve", f), &cols, |b, cols| {
-            b.iter(|| ftl_gf2::solve(cols, &tgt))
         });
     }
     // Tree cover construction.

@@ -16,7 +16,6 @@ fn main() {
             let scheme = CycleSpaceScheme::label(&g, f, Seed::new(n as u64)).unwrap();
             let trials = 200;
             let mut errors = 0usize;
-            let t0 = Instant::now();
             let mut decode_time = 0u128;
             for _ in 0..trials {
                 let faults = ftl_bench::sample_faults(&g, f, &mut rng);
@@ -31,7 +30,6 @@ fn main() {
                     errors += 1;
                 }
             }
-            let _ = t0;
             rows.push(vec![
                 n.to_string(),
                 f.to_string(),

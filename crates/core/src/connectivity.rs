@@ -185,15 +185,14 @@ impl ConnectivityLabeling {
         }
         match (&s.inner, &t.inner) {
             (InnerVertexLabel::CycleSpace(ls), InnerVertexLabel::CycleSpace(lt)) => {
-                let fl: Vec<CycleSpaceEdgeLabel> = faults
+                let fl = faults
                     .iter()
                     .filter(|f| f.component == s.component)
                     .filter_map(|f| match &f.inner {
-                        InnerEdgeLabel::CycleSpace(l) => Some(l.clone()),
+                        InnerEdgeLabel::CycleSpace(l) => Some(l),
                         InnerEdgeLabel::Sketch(_) => None,
-                    })
-                    .collect();
-                ftl_cycle_space::decode(ls, lt, &fl)
+                    });
+                ftl_cycle_space::decode(ls, lt, fl)
             }
             (InnerVertexLabel::Sketch(ls), InnerVertexLabel::Sketch(lt)) => {
                 let fl: Vec<SketchEdgeLabel> = faults

@@ -1,139 +1,39 @@
 //! Decoding algorithms for the cycle-space scheme (Sections 3.1.2–3.1.3).
 
+use crate::batch::EliminationScratch;
 use crate::labeling::{CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
-use ftl_gf2::{Basis, BitVec, DecodeScratch};
+use ftl_gf2::BitVec;
 
-/// A reusable decoder for the cycle-space scheme: owns the elimination
-/// [`Basis`], the augmented-column buffers and the reduction scratch, so a
-/// serving loop that decodes many `⟨s, t, F⟩` queries allocates nothing per
-/// query once the buffers have grown to the workload's shape (`b + 2` bits,
-/// `f` columns).
+/// Fast decoder (Lemma 3.5), in the null-space form of [`crate::batch`]:
+/// the faults are eliminated once into their null-space generators and the
+/// query is a parity test per generator, as in the serving engine.
 ///
-/// The one-shot free functions [`decode`] / [`decode_with_certificate`]
-/// construct a fresh decoder per call; long-lived callers (the `ftl-engine`
-/// batch path, benchmark loops) should hold one `CycleSpaceDecoder` instead.
-#[derive(Debug, Default)]
-pub struct CycleSpaceDecoder {
-    basis: Basis,
-    scratch: DecodeScratch,
-    cols: Vec<BitVec>,
-    w: BitVec,
-}
-
-impl CycleSpaceDecoder {
-    /// A decoder with empty scratch buffers (grown on first use).
-    pub fn new() -> Self {
-        CycleSpaceDecoder::default()
-    }
-
-    /// Builds the augmented vector `φ′(e)` of Section 3.1.3 into `out`:
-    /// two prefix bits recording whether `e` lies on the root–`s` (but not
-    /// root–`t`) path, respectively root–`t` (but not root–`s`), followed
-    /// by `φ(e)`.
-    fn augmented_vector_into(
-        e: &CycleSpaceEdgeLabel,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        out: &mut BitVec,
-    ) {
-        let on_s = e.on_root_path_of(&s.anc);
-        let on_t = e.on_root_path_of(&t.anc);
-        out.reset_zeroed(e.phi.len() + 2);
-        if on_s && !on_t {
-            out.set(0, true); // "10" case
-        } else if on_t && !on_s {
-            out.set(1, true); // "01" case
-        }
-        out.or_shifted(&e.phi, 2);
-    }
-
-    /// Runs the elimination and reports whether a separating combination
-    /// exists, leaving it in the scratch `combo` — the allocation-free core
-    /// shared by [`CycleSpaceDecoder::decode`] (which never materializes
-    /// the certificate) and
-    /// [`CycleSpaceDecoder::decode_with_certificate`] (which collects it
-    /// only on separation).
-    fn find_separating_combo(
-        &mut self,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        faults: &[CycleSpaceEdgeLabel],
-    ) -> bool {
-        if s.anc == t.anc {
-            return false; // s == t: always connected
-        }
-        if faults.is_empty() {
-            return false; // the base graph is connected
-        }
-        let b = faults[0].phi.len();
-        if self.cols.len() < faults.len() {
-            self.cols.resize(faults.len(), BitVec::default());
-        }
-        self.basis.reset(b + 2, faults.len());
-        for (i, e) in faults.iter().enumerate() {
-            Self::augmented_vector_into(e, s, t, &mut self.cols[i]);
-            self.basis.insert_with(&self.cols[i], &mut self.scratch);
-        }
-        for wbit in [0usize, 1] {
-            self.w.reset_zeroed(b + 2);
-            self.w.set(wbit, true);
-            if self.basis.express_with(&self.w, &mut self.scratch) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// [`decode_with_certificate`], reusing this decoder's buffers. Only the
-    /// returned certificate allocates, and only on separation.
-    pub fn decode_with_certificate(
-        &mut self,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        faults: &[CycleSpaceEdgeLabel],
-    ) -> Option<Vec<usize>> {
-        self.find_separating_combo(s, t, faults)
-            .then(|| self.scratch.combo().ones().collect())
-    }
-
-    /// [`decode`], reusing this decoder's buffers; fully allocation-free
-    /// after warm-up (unlike the certificate form, separated pairs allocate
-    /// nothing either).
-    pub fn decode(
-        &mut self,
-        s: &CycleSpaceVertexLabel,
-        t: &CycleSpaceVertexLabel,
-        faults: &[CycleSpaceEdgeLabel],
-    ) -> bool {
-        !self.find_separating_combo(s, t, faults)
-    }
-}
-
-/// Fast decoder (Lemma 3.5): `s` and `t` are disconnected by `F` iff one of
-/// the GF(2) systems `A·x = w₁ / A·x = w₂` is solvable, where the columns of
-/// `A` are the augmented vectors `φ′(e)`.
-///
-/// The columns are eliminated **once** into an incremental [`ftl_gf2::Basis`]
-/// (batched, word-parallel) and both targets are answered from it — halving
-/// the elimination work of the naive solve-per-target formulation.
-///
-/// Returns `Some(subset)` — the indices into `faults` of a disconnecting
+/// Returns `Some(subset)` — the positions in `faults` of a disconnecting
 /// induced edge cut `F′` — when `s` and `t` are separated, `None` when they
 /// remain connected (w.h.p.).
-pub fn decode_with_certificate(
+pub fn decode_with_certificate<'a>(
     s: &CycleSpaceVertexLabel,
     t: &CycleSpaceVertexLabel,
-    faults: &[CycleSpaceEdgeLabel],
+    faults: impl IntoIterator<Item = &'a CycleSpaceEdgeLabel>,
 ) -> Option<Vec<usize>> {
-    CycleSpaceDecoder::new().decode_with_certificate(s, t, faults)
+    let mut faults = faults.into_iter().peekable();
+    let width = faults.peek().map_or(0, |e| e.phi.len());
+    let mut scratch = EliminationScratch::default();
+    scratch.reset(width, faults.size_hint().0);
+    for e in faults {
+        scratch.push_fault(e.phi.words(), e.tree_child_interval());
+    }
+    let eliminated = scratch.eliminate();
+    let gen = eliminated.separating_generator(&s.anc, &t.anc, &mut BitVec::zeros(0))?;
+    eliminated.fault_positions(gen).map(Iterator::collect)
 }
 
 /// Fast decoder, boolean form: `true` iff `s` and `t` are **connected** in
 /// `G \ F` (w.h.p.).
-pub fn decode(
+pub fn decode<'a>(
     s: &CycleSpaceVertexLabel,
     t: &CycleSpaceVertexLabel,
-    faults: &[CycleSpaceEdgeLabel],
+    faults: impl IntoIterator<Item = &'a CycleSpaceEdgeLabel>,
 ) -> bool {
     decode_with_certificate(s, t, faults).is_none()
 }
@@ -278,7 +178,7 @@ mod tests {
 
     #[test]
     fn reused_decoder_matches_one_shot_decode() {
-        // One CycleSpaceDecoder across many queries of different shapes
+        // One EliminationScratch across many queries of different shapes
         // (varying f and b) must agree with the fresh-per-call functions.
         let g = generators::grid(3, 4);
         let mut state = 0x77AAu64;
@@ -288,7 +188,8 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut decoder = CycleSpaceDecoder::new();
+        let mut scratch = EliminationScratch::default();
+        let mut diff = BitVec::zeros(0);
         for trial in 0..20 {
             let scheme =
                 CycleSpaceScheme::label(&g, 1 + trial % 7, Seed::new(trial as u64)).unwrap();
@@ -301,11 +202,19 @@ mod tests {
                 }
             }
             let flabels: Vec<_> = faults.iter().map(|&e| scheme.edge_label(e)).collect();
+            scratch.reset(scheme.bits_b(), flabels.len());
+            for e in &flabels {
+                scratch.push_fault(e.phi.words(), e.tree_child_interval());
+            }
+            let eliminated = scratch.eliminate();
             for _ in 0..6 {
                 let s = scheme.vertex_label(VertexId::new((next() as usize) % g.num_vertices()));
                 let t = scheme.vertex_label(VertexId::new((next() as usize) % g.num_vertices()));
+                let reused = eliminated
+                    .separating_generator(&s.anc, &t.anc, &mut diff)
+                    .and_then(|gen| eliminated.fault_positions(gen).map(Iterator::collect));
                 assert_eq!(
-                    decoder.decode_with_certificate(&s, &t, &flabels),
+                    reused,
                     decode_with_certificate(&s, &t, &flabels),
                     "trial {trial}"
                 );

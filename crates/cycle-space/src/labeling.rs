@@ -43,6 +43,27 @@ impl CycleSpaceEdgeLabel {
     pub fn on_root_path_of(&self, x: &AncestryLabel) -> bool {
         self.is_tree && self.anc_u.is_ancestor_of(x) && self.anc_v.is_ancestor_of(x)
     }
+
+    /// The ancestry interval of the *deeper* endpoint of a tree edge: all
+    /// a fault contributes to a query. A tree edge lies on the root–`x`
+    /// path iff **both** endpoints are ancestors of `x`, and the endpoint
+    /// intervals of a tree edge nest, so [`Self::on_root_path_of`]
+    /// collapses to one containment test against the child's interval.
+    /// Non-tree edges (and the impossible case of disjoint endpoint
+    /// intervals, which no genuine tree edge produces) yield `None`,
+    /// matching `on_root_path_of` returning `false` everywhere.
+    pub fn tree_child_interval(&self) -> Option<(u32, u32)> {
+        if !self.is_tree {
+            return None;
+        }
+        if self.anc_u.is_ancestor_of(&self.anc_v) {
+            Some((self.anc_v.pre, self.anc_v.post))
+        } else if self.anc_v.is_ancestor_of(&self.anc_u) {
+            Some((self.anc_u.pre, self.anc_u.post))
+        } else {
+            None
+        }
+    }
 }
 
 /// The labeling side of the cycle-space scheme: holds every vertex/edge
@@ -213,6 +234,25 @@ mod tests {
         let e23 = scheme.edge_label(EdgeId::new(2));
         assert!(e23.on_root_path_of(&t3));
         assert!(!e23.on_root_path_of(&t1));
+    }
+
+    /// The child interval reproduces `on_root_path_of` for every edge and
+    /// every vertex.
+    #[test]
+    fn tree_child_interval_reproduces_on_root_path_of() {
+        let g = generators::grid(4, 4);
+        let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(5)).unwrap();
+        for (e, _) in g.edge_ids() {
+            let label = scheme.edge_label(e);
+            assert_eq!(label.tree_child_interval().is_some(), label.is_tree);
+            for x in g.vertices() {
+                let anc = scheme.vertex_label(x).anc;
+                let by_interval = label
+                    .tree_child_interval()
+                    .is_some_and(|(pre, post)| pre <= anc.pre && anc.post <= post);
+                assert_eq!(by_interval, label.on_root_path_of(&anc), "{e:?} vs {x:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! Decoding (given the labels of `s`, `t` and `F` and *nothing else*) checks
 //! whether some `F′ ⊆ F` is an induced edge cut separating `s` from `t`
-//! (Corollary 3.4), either by enumerating subsets (Section 3.1.2) or by
-//! solving two GF(2) linear systems (Section 3.1.3 / Lemma 3.5).
+//! (Corollary 3.4). [`decode()`] answers Lemma 3.5's question through one
+//! null-space elimination of the `φ` columns per fault set and a parity
+//! test per query ([`batch`]); the serving engine runs the same
+//! [`EliminatedFaults`]. [`decode_brute_force`] enumerates subsets
+//! (Section 3.1.2) and is kept as the differential oracle.
 //!
 //! The scheme assumes a **connected** input graph; `ftl-core` wraps it with
 //! per-component application for general graphs, as prescribed in the paper.
@@ -44,12 +47,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod circulation;
 pub mod decode;
 pub mod labeling;
 pub mod live;
 pub mod wire;
 
-pub use decode::{decode, decode_brute_force, decode_with_certificate, CycleSpaceDecoder};
+pub use batch::{EliminatedFaults, EliminationScratch};
+pub use decode::{decode, decode_brute_force, decode_with_certificate};
 pub use labeling::{CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel};
 pub use live::{LiveCycleSpace, LiveDelta, LiveError};

@@ -97,3 +97,72 @@ proptest! {
         }
     }
 }
+
+/// SplitMix64 draw below `below`.
+fn draw(state: &mut u64, below: usize) -> usize {
+    *state = ftl_seeded::splitmix64(*state);
+    (*state % below as u64) as usize
+}
+
+/// The fast decoder equals the subset oracle where the labels are too
+/// short to be right. With `b = f + slack` bits for slack 1–4, non-cut
+/// fault subsets XOR to zero by chance (Lemma 1.7), so some answers are
+/// wrong; both decoders must be wrong on exactly the same queries, and
+/// every wrong answer must be a false "disconnected" — a real cut's `φ`
+/// values always XOR to zero, so a disconnected pair is never reported
+/// connected.
+#[test]
+fn fast_decoder_matches_subset_oracle_in_error_regime() {
+    let mut state = 0x00E2_2023u64;
+    let (mut queries, mut wrong) = (0, 0);
+    for trial in 0..240u64 {
+        let n = 6 + draw(&mut state, 19);
+        let mut b = GraphBuilder::new(n);
+        for i in 1..n {
+            b.add_unit_edge(draw(&mut state, i), i);
+        }
+        for _ in 0..n {
+            let (u, v) = (draw(&mut state, n), draw(&mut state, n));
+            if u != v {
+                b.add_unit_edge(u, v);
+            }
+        }
+        let g = b.build();
+        let f = (1 + draw(&mut state, 10)).min(g.num_edges());
+        let slack = 1 + (trial % 4) as usize;
+        let scheme = CycleSpaceScheme::label_with_bits(&g, f + slack, Seed::new(trial)).unwrap();
+        let mut faults: Vec<EdgeId> = Vec::new();
+        while faults.len() < f {
+            let e = EdgeId::new(draw(&mut state, g.num_edges()));
+            if !faults.contains(&e) {
+                faults.push(e);
+            }
+        }
+        let fl: Vec<_> = faults.iter().map(|&e| scheme.edge_label(e)).collect();
+        let mask = forbidden_mask(&g, &faults);
+        for _ in 0..12 {
+            let s = VertexId::new(draw(&mut state, n));
+            let t = VertexId::new(draw(&mut state, n));
+            let (sl, tl) = (scheme.vertex_label(s), scheme.vertex_label(t));
+            let fast = decode(&sl, &tl, &fl);
+            assert_eq!(
+                fast,
+                decode_brute_force(&sl, &tl, &fl),
+                "trial {trial}: ({s:?}, {t:?}), f = {f}, b = f + {slack}"
+            );
+            let truth = connected_avoiding(&g, s, t, &mask);
+            if fast != truth {
+                assert!(
+                    truth,
+                    "trial {trial}: false \"connected\" for ({s:?}, {t:?})"
+                );
+                wrong += 1;
+            }
+            queries += 1;
+        }
+    }
+    assert!(
+        wrong > 0,
+        "no wrong answer in {queries} queries: the error regime went unexercised"
+    );
+}

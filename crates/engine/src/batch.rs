@@ -1,40 +1,17 @@
 //! Batched fault-set decoding: one GF(2) elimination per fault set, a
 //! cheap parity test per query.
 //!
-//! # The null-space reformulation
-//!
-//! The per-query decoder (Lemma 3.5) eliminates the augmented columns
-//! `φ′(e) = (p_s(e), p_t(e), φ(e))` for every query, because the two prefix
-//! bits depend on `(s, t)`. But only those two bits do — the `φ(e)` part is
-//! query-independent. Rearranging:
-//!
-//! `s, t` are separated iff some `F′ ⊆ F` has `⊕_{e∈F′} φ(e) = 0` and
-//! `|F′ ∩ D(s,t)|` odd, where `D(s,t)` is the set of faults `e` with
-//! `on_s(e) ≠ on_t(e)` (exactly one endpoint of the query below the tree
-//! edge). The subsets with `⊕φ = 0` form the **null space** of the `φ`
-//! columns, and the parity `|F′ ∩ D|` is linear over GF(2) — so it is odd
-//! for *some* null-space element iff it is odd for some **generator**.
-//!
-//! Hence one elimination per fault set produces `f − rank` null-space
-//! generators, and every query against that fault set is `f` ancestry
-//! checks plus one AND-popcount per generator — `O(f²/64)` words instead
-//! of a fresh `O(f²·(f+log n)/64)` elimination. A separating generator is
-//! itself the disconnecting cut certificate `F′`.
-//!
-//! # The elimination
-//!
-//! [`ftl_gf2::NullSpace`] computes the generators: it transposes the `f`
-//! `φ` columns into one contiguous word run per 64 faults, reduces them to
-//! echelon form with branch-free masked sweeps, and reads each dependent
-//! column's generator off by back-substitution. Generator `k` is the `k`-th
-//! dependent fault (in canonical order) together with the unique set of
-//! earlier independent faults whose `φ` XOR equals its own, so answers and
-//! certificates are a function of the fault set alone. Each engine keeps
-//! one [`EliminationScratch`], so a cold elimination allocates only its
-//! result.
+//! The decoder itself — the null-space reformulation of Lemma 3.5 and its
+//! elimination — is [`ftl_cycle_space::batch`]. This module adds what is
+//! the engine's own: the fault columns come from the [`LabelStore`] (a
+//! missing edge is [`StoreError::Missing`]), fault sets are keyed by their
+//! canonical (sorted) edge ids, and certificates are mapped from fault
+//! positions back to [`EdgeId`]s. Each engine keeps one
+//! [`EliminationScratch`], so a cold elimination allocates only its result.
 
 use crate::store::{LabelStore, StoreError, StoreKey};
-use ftl_gf2::{BitVec, NullSpace};
+use ftl_cycle_space::{EliminatedFaults, EliminationScratch};
+use ftl_gf2::BitVec;
 use ftl_graph::EdgeId;
 use ftl_labels::AncestryLabel;
 
@@ -49,32 +26,15 @@ pub struct ConnQuery {
     pub fault_set: usize,
 }
 
-/// A fault set after its one-time elimination: the null-space generators of
-/// its `φ` columns plus, for each **tree** fault, the precomputed child
-/// ancestry interval. Everything queries need; nothing per-query remains to
-/// eliminate or decode.
+/// A fault set after its one-time elimination: its canonical edge ids and
+/// the [`EliminatedFaults`] of their columns, whose fault positions index
+/// the ids.
 #[derive(Debug, Clone)]
 pub struct EliminatedFaultSet {
     /// Fault edge ids, sorted ascending (the canonical order).
     edge_ids: Vec<EdgeId>,
-    /// `(position in edge_ids, child pre, child post)` of the tree faults —
-    /// see `tree_child_interval_of` in [`crate::store`] for why one child
-    /// interval captures the whole `on_root_path_of` test.
-    tree_intervals: Vec<(u32, u32, u32)>,
-    /// Null-space generators over positions in `edge_ids`.
-    null_gens: Vec<BitVec>,
-    /// Rank of the `φ` columns.
-    rank: usize,
-}
-
-/// Reusable scratch for [`EliminatedFaultSet::eliminate_with`]: the
-/// null-space kernel and the staging buffer for tree intervals. After it
-/// has grown to the largest fault set it has seen, an elimination allocates
-/// only the [`EliminatedFaultSet`] it returns.
-#[derive(Debug, Clone, Default)]
-pub struct EliminationScratch {
-    kernel: NullSpace,
-    tree_intervals: Vec<(u32, u32, u32)>,
+    /// The eliminated columns, in `edge_ids` order.
+    faults: EliminatedFaults,
 }
 
 impl EliminatedFaultSet {
@@ -110,27 +70,16 @@ impl EliminatedFaultSet {
         scratch: &mut EliminationScratch,
     ) -> Result<Self, StoreError> {
         debug_assert!(edge_ids.is_sorted_by(|a, b| a < b), "ids not canonical");
-        let EliminationScratch {
-            kernel,
-            tree_intervals,
-        } = scratch;
-        kernel.reset(store.phi_width(), edge_ids.len());
-        tree_intervals.clear();
-        for (i, &e) in edge_ids.iter().enumerate() {
+        scratch.reset(store.phi_width(), edge_ids.len());
+        for &e in &edge_ids {
             let column = store
                 .fault_column(e)
                 .ok_or(StoreError::Missing(StoreKey::edge(e)))?;
-            kernel.push_column(column.phi);
-            if let Some((pre, post)) = column.tree_interval {
-                tree_intervals.push((i as u32, pre, post));
-            }
+            scratch.push_fault(column.phi, column.tree_interval);
         }
-        let rank = kernel.eliminate();
         Ok(EliminatedFaultSet {
             edge_ids,
-            tree_intervals: tree_intervals.clone(),
-            null_gens: kernel.generators(),
-            rank,
+            faults: scratch.eliminate(),
         })
     }
 
@@ -141,12 +90,12 @@ impl EliminatedFaultSet {
 
     /// Rank of the eliminated `φ` columns.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.faults.rank()
     }
 
     /// Number of null-space generators (`num_faults − rank`).
     pub fn num_null_generators(&self) -> usize {
-        self.null_gens.len()
+        self.faults.generators().len()
     }
 
     /// The canonical (sorted) fault edge ids.
@@ -154,51 +103,33 @@ impl EliminatedFaultSet {
         &self.edge_ids
     }
 
-    /// Resident size in bytes (for cache accounting): each generator's
-    /// `⌈f/64⌉` words plus its `BitVec` header, the fault ids and the tree
-    /// intervals.
+    /// Resident size in bytes (for cache accounting): the eliminated
+    /// columns' [`EliminatedFaults::resident_bytes`] plus the fault ids.
     pub fn resident_bytes(&self) -> usize {
-        let f = self.edge_ids.len();
-        self.null_gens.len() * (f.div_ceil(64) * 8 + size_of::<BitVec>())
-            + size_of_val(self.edge_ids.as_slice())
-            + size_of_val(self.tree_intervals.as_slice())
+        self.faults.resident_bytes() + size_of_val(self.edge_ids.as_slice())
     }
 
-    /// Answers one query on the ancestry intervals of `s` and `t`: returns
-    /// the index of a separating null-space generator, or `None` when they
-    /// stay connected (w.h.p.). One containment test per **tree** fault
-    /// (non-tree faults were dropped at elimination time) and one
-    /// AND-popcount per generator; `diff` is caller-owned scratch for the
-    /// `D(s, t)` membership vector, so the test allocates nothing.
+    /// Answers one query on the ancestry intervals of `s` and `t`: the
+    /// index of a separating null-space generator, or `None` when they stay
+    /// connected (w.h.p.). See [`EliminatedFaults::separating_generator`];
+    /// `diff` is caller-owned scratch, so the test allocates nothing.
     // ftl-analyzer: hot-path
+    #[inline]
     pub fn separating_generator_anc(
         &self,
         s: &AncestryLabel,
         t: &AncestryLabel,
         diff: &mut BitVec,
     ) -> Option<usize> {
-        if s == t || self.null_gens.is_empty() {
-            return None;
-        }
-        diff.reset_zeroed(self.edge_ids.len());
-        for &(i, pre, post) in &self.tree_intervals {
-            let on_s = pre <= s.pre && s.post <= post;
-            let on_t = pre <= t.pre && t.post <= post;
-            if on_s != on_t {
-                diff.set(i as usize, true);
-            }
-        }
-        self.null_gens
-            .iter()
-            .position(|g| g.count_ones_and(diff) % 2 == 1)
+        self.faults.separating_generator(s, t, diff)
     }
 
     /// The disconnecting cut `F′` witnessed by generator `gen`, as edge
     /// ids; `None` when there is no generator `gen`.
     pub fn certificate(&self, gen: usize) -> Option<Vec<EdgeId>> {
-        let g = self.null_gens.get(gen)?;
+        let positions = self.faults.fault_positions(gen)?;
         Some(
-            g.ones()
+            positions
                 .filter_map(|i| self.edge_ids.get(i).copied())
                 .collect(),
         )
@@ -234,8 +165,8 @@ mod tests {
         EliminatedFaultSet::eliminate_from_sidecar(ids, &store).unwrap()
     }
 
-    /// The batched parity decoder must agree with the per-query eliminator
-    /// on every pair, and its certificates must be genuine cuts.
+    /// The batched parity decoder must agree with the subset-enumerating
+    /// oracle on every pair, and its certificates must be genuine cuts.
     fn check_all_pairs(g: &Graph, faults: &[EdgeId], seed: u64) {
         let scheme = CycleSpaceScheme::label(g, faults.len(), Seed::new(seed)).unwrap();
         let efs = eliminate_for(&scheme, faults);
@@ -248,10 +179,13 @@ mod tests {
                 let sl = scheme.vertex_label(s);
                 let tl = scheme.vertex_label(t);
                 let truth = connected_avoiding(g, s, t, &mask);
-                let eager = ftl_cycle_space::decode(&sl, &tl, &flabels);
+                let oracle = ftl_cycle_space::decode_brute_force(&sl, &tl, &flabels);
                 let gen = efs.separating_generator_anc(&sl.anc, &tl.anc, &mut diff);
                 let batched = gen.is_none();
-                assert_eq!(batched, eager, "pair ({a},{b}) vs eager, faults {faults:?}");
+                assert_eq!(
+                    batched, oracle,
+                    "pair ({a},{b}) vs oracle, faults {faults:?}"
+                );
                 assert_eq!(batched, truth, "pair ({a},{b}) vs truth, faults {faults:?}");
                 if let Some(gen) = gen {
                     // The certificate must be a real separating cut: remove
@@ -331,29 +265,11 @@ mod tests {
         let efs = eliminate_for(&scheme, &faults);
         assert_eq!(efs.num_faults(), 4);
         assert_eq!(efs.rank() + efs.num_null_generators(), 4);
-        assert!(efs.resident_bytes() > 0);
+        assert_eq!(
+            efs.resident_bytes(),
+            efs.faults.resident_bytes() + 4 * std::mem::size_of::<EdgeId>()
+        );
         assert_eq!(efs.certificate(efs.num_null_generators()), None);
-    }
-
-    /// Each generator costs its `⌈f/64⌉` words plus a `BitVec` header, with
-    /// no flooring below one word and no dropped partial word.
-    #[test]
-    fn resident_bytes_counts_whole_generator_words() {
-        let header = std::mem::size_of::<BitVec>();
-        for (f, words) in [(4, 1), (64, 1), (65, 2)] {
-            let efs = EliminatedFaultSet {
-                edge_ids: (0..f).map(EdgeId::new).collect(),
-                tree_intervals: vec![(0, 1, 2)],
-                null_gens: vec![BitVec::zeros(f); 3],
-                rank: f - 3,
-            };
-            let ids = f * std::mem::size_of::<EdgeId>();
-            assert_eq!(
-                efs.resident_bytes(),
-                3 * (words * 8 + header) + ids + 12,
-                "f = {f}"
-            );
-        }
     }
 
     /// SplitMix64 draws for the differential test's fault sets.
@@ -406,7 +322,7 @@ mod tests {
                     }
                 }
                 assert_eq!(efs.rank(), basis.rank(), "rank, f = {f}");
-                assert_eq!(efs.null_gens, witnesses, "generators, f = {f}");
+                assert_eq!(efs.faults.generators(), witnesses, "generators, f = {f}");
                 assert!(!witnesses.is_empty(), "a planted cut is a generator");
                 total_gens += witnesses.len();
 

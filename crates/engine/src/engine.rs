@@ -32,10 +32,10 @@
 //! the unwind may have left half-updated) is rebuilt before the next group,
 //! and the caller's thread survives.
 
-use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet, EliminationScratch};
+use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
 use crate::cache::LruCache;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
-use ftl_cycle_space::CycleSpaceScheme;
+use ftl_cycle_space::{CycleSpaceScheme, EliminationScratch};
 use ftl_gf2::BitVec;
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::AncestryLabel;

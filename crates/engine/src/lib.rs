@@ -10,10 +10,12 @@
 //!   records ([`ftl_labels::wire`]) enter only through the builder's
 //!   import, which refuses what it cannot place.
 //! * [`batch`] — queries arrive grouped by fault set ([`FaultSetBatch`]).
-//!   Each distinct fault set pays **one** GF(2) elimination, which yields
-//!   the null-space generators of its `φ` columns; every query is then a
-//!   handful of ancestry checks plus one AND-popcount parity test per
-//!   generator ([`EliminatedFaultSet`]).
+//!   Each distinct fault set pays **one** elimination of its store
+//!   columns by the cycle-space decoder ([`ftl_cycle_space::batch`]), which
+//!   yields the null-space generators of its `φ` columns; every query is
+//!   then a handful of ancestry checks plus one AND-popcount parity test
+//!   per generator. [`EliminatedFaultSet`] adds the canonical edge ids
+//!   that key the cache and name the certificates.
 //! * [`cache`] — eliminated bases are kept in an [`LruCache`] keyed by the
 //!   canonical fault-set hash, so recurring fault sets (the common case:
 //!   faults change rarely, queries arrive constantly) skip elimination
@@ -39,13 +41,14 @@ pub mod inject;
 pub mod scenario;
 pub mod store;
 
-pub use batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet, EliminationScratch};
+pub use batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
 pub use cache::LruCache;
 pub use engine::{
     store_from_cycle_space, BatchRequest, BatchResponse, BatchStats, Engine, EngineConfig,
     EngineError, FaultSetBatch, GroupQueryResult, GroupResult, GroupedResponse, QueryResult,
 };
 pub use epoch::{full_store_of, Epoch, EpochStore, LiveStore, SwapMetrics, SwapPath, SwapReport};
+pub use ftl_cycle_space::EliminationScratch;
 pub use inject::{
     corrupt_random_bytes, flip_random_bits, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, truncate_record, RemovalModel,

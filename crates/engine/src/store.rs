@@ -288,7 +288,7 @@ impl LabelStoreBuilder {
                 got: label.phi.len(),
             });
         }
-        let row = match tree_child_interval_of(label) {
+        let row = match label.tree_child_interval() {
             Some((pre, post)) => EdgeRow::Tree { pre, post },
             None => EdgeRow::NonTree,
         };
@@ -487,30 +487,10 @@ impl LabelStore {
 pub struct FaultColumn<'a> {
     /// The words of `φ(e)` in the column bank.
     pub phi: &'a [u64],
-    /// For a tree edge, the ancestry interval of its deeper endpoint (see
-    /// `EliminatedFaultSet`'s per-query sweep); `None` for a non-tree edge.
+    /// For a tree edge, the ancestry interval of its deeper endpoint
+    /// ([`CycleSpaceEdgeLabel::tree_child_interval`]); `None` for a
+    /// non-tree edge.
     pub tree_interval: Option<(u32, u32)>,
-}
-
-/// The ancestry interval of the *deeper* endpoint of a tree edge — all the
-/// per-query material a fault contributes. A tree edge lies on the
-/// root–`x` path iff **both** endpoints are ancestors of `x`, and the
-/// endpoint intervals of a tree edge nest, so that collapses to one
-/// containment test against the child's interval. Non-tree edges (and the
-/// impossible case of disjoint endpoint intervals, which no genuine tree
-/// edge produces) yield `None`, matching `on_root_path_of` returning
-/// `false` everywhere.
-fn tree_child_interval_of(l: &CycleSpaceEdgeLabel) -> Option<(u32, u32)> {
-    if !l.is_tree {
-        return None;
-    }
-    if l.anc_u.is_ancestor_of(&l.anc_v) {
-        Some((l.anc_v.pre, l.anc_v.post))
-    } else if l.anc_v.is_ancestor_of(&l.anc_u) {
-        Some((l.anc_u.pre, l.anc_u.post))
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -562,7 +542,7 @@ mod tests {
             assert_eq!(phi, label.phi, "phi of edge {i}");
             let column = store.fault_column(e).unwrap();
             assert_eq!(column.phi, label.phi.words(), "phi words of edge {i}");
-            assert_eq!(column.tree_interval, tree_child_interval_of(&label));
+            assert_eq!(column.tree_interval, label.tree_child_interval());
         }
         // Past the declared ids: absent, not a panic.
         assert_eq!(store.vertex_anc(VertexId::new(1 << 20)), None);
@@ -632,8 +612,7 @@ mod tests {
     }
 
     /// Importing every label through its wire record builds the same
-    /// columns as storing the typed labels, and the child interval
-    /// reproduces `on_root_path_of` for every vertex.
+    /// columns as storing the typed labels.
     #[test]
     fn sidecar_matches_wire_decoding_for_cycle_space_store() {
         let (g, scheme) = grid_scheme();
@@ -652,18 +631,6 @@ mod tests {
         let imported = b.freeze();
         assert_eq!(imported, direct);
         assert_ne!(imported.uid(), direct.uid());
-        for i in 0..g.num_edges() {
-            let e = EdgeId::new(i);
-            let label = scheme.edge_label(e);
-            for x in 0..g.num_vertices() {
-                let anc = scheme.vertex_label(VertexId::new(x)).anc;
-                let by_interval = imported
-                    .fault_column(e)
-                    .and_then(|column| column.tree_interval)
-                    .is_some_and(|(pre, post)| pre <= anc.pre && anc.post <= post);
-                assert_eq!(by_interval, label.on_root_path_of(&anc), "edge {i} vs {x}");
-            }
-        }
     }
 
     #[test]

@@ -255,35 +255,6 @@ impl BitVec {
             .sum()
     }
 
-    /// ORs `src` into `self` starting at bit `offset` (the allocation-free
-    /// sibling of [`BitVec::concat`] for building augmented vectors in a
-    /// reused buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + src.len() > self.len()`.
-    pub fn or_shifted(&mut self, src: &BitVec, offset: usize) {
-        assert!(
-            offset + src.len() <= self.len,
-            "or_shifted out of range: {} + {} > {}",
-            offset,
-            src.len(),
-            self.len
-        );
-        let base = offset / WORD_BITS;
-        let shift = offset % WORD_BITS;
-        for (i, &w) in src.words.iter().enumerate() {
-            if shift == 0 {
-                self.words[base + i] |= w;
-            } else {
-                self.words[base + i] |= w << shift;
-                if base + i + 1 < self.words.len() {
-                    self.words[base + i + 1] |= w >> (WORD_BITS - shift);
-                }
-            }
-        }
-    }
-
     /// XORs a raw word slice (of exactly the backing width) into `self`.
     #[inline]
     pub(crate) fn xor_assign_words(&mut self, words: &[u64]) {
@@ -979,28 +950,6 @@ mod tests {
             b.randomize(&mut next);
             let direct = (0..len).filter(|&i| a.get(i) && b.get(i)).count();
             assert_eq!(a.count_ones_and(&b), direct, "len {len}");
-        }
-    }
-
-    #[test]
-    fn or_shifted_matches_concat() {
-        let mut state = 0xBEEF_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (prefix_len, src_len) in [(0usize, 5usize), (2, 64), (63, 65), (64, 10), (7, 130)] {
-            let mut prefix = BitVec::zeros(prefix_len);
-            prefix.randomize(&mut next);
-            let mut src = BitVec::zeros(src_len);
-            src.randomize(&mut next);
-            let expected = prefix.concat(&src);
-            let mut out = BitVec::zeros(prefix_len + src_len);
-            out.or_shifted(&prefix, 0);
-            out.or_shifted(&src, prefix_len);
-            assert_eq!(out, expected, "prefix {prefix_len} src {src_len}");
         }
     }
 

@@ -1,32 +1,37 @@
 //! GF(2) linear algebra for the fast cycle-space decoder (Section 3.1.3).
 //!
-//! The decoder of Lemma 3.5 reduces fault-tolerant connectivity to asking
-//! whether one of two linear systems `A·x = w₁ / A·x = w₂` over GF(2) has a
-//! solution, where the columns of `A` are the augmented cycle-space labels
-//! `φ′(e)` of the faulty edges. This crate provides:
+//! The decoder of Lemma 3.5 asks whether some subset of the faulty edges'
+//! cycle-space labels `φ(e)` XORs to zero while crossing the query's tree
+//! paths an odd number of times. Those subsets form the null space of the
+//! `φ` columns, so the decoder needs its generators. This crate provides:
 //!
-//! * [`BitVec`]: packed bit vectors with XOR composition;
-//! * [`Basis`]: an incremental GF(2) basis that tracks, for every basis
-//!   vector, *which input vectors combine to it* — so a solution certificate
-//!   (the fault subset `F′`) falls out of the elimination;
-//! * [`solve()`]: membership of a target in the span, with certificate;
+//! * [`BitVec`] / [`BitMatrix`]: packed bit vectors and row banks with
+//!   word-parallel XOR and AND-popcount;
 //! * [`NullSpace`]: the rank and null-space generators of a whole column
 //!   set at once, by branch-free elimination of the transposed matrix. The
-//!   serving engine runs it once per fault set; its generators are
-//!   bit-identical, in order, to the witnesses of `Basis`'s dependent
-//!   inserts, and `Basis` stays as its differential oracle.
+//!   cycle-space decoder runs it once per fault set;
+//! * [`Basis`]: an incremental GF(2) basis that tracks, for every basis
+//!   vector, *which input vectors combine to it*. Its dependent-insert
+//!   witnesses are, in order, exactly `NullSpace`'s generators, so it is
+//!   the kernel's differential oracle (with
+//!   [`reference::NaiveBasis`] behind it).
 //!
 //! # Example
 //!
 //! ```
-//! use ftl_gf2::{BitVec, solve};
+//! use ftl_gf2::{BitVec, NullSpace};
 //!
 //! let a = BitVec::from_bits(&[true, false, true]);
 //! let b = BitVec::from_bits(&[false, true, true]);
-//! let t = BitVec::from_bits(&[true, true, false]);
-//! // a ^ b = t, so the certificate is {0, 1}.
-//! let x = solve(&[a, b], &t).expect("solvable");
-//! assert!(x.get(0) && x.get(1));
+//! let c = BitVec::from_bits(&[true, true, false]);
+//! let mut ns = NullSpace::new();
+//! ns.reset(3, 3);
+//! for col in [&a, &b, &c] {
+//!     ns.push_column(col.words());
+//! }
+//! // a ^ b = c: rank 2, and the one generator is {0, 1, 2}.
+//! assert_eq!(ns.eliminate(), 2);
+//! assert_eq!(ns.generators(), vec![BitVec::from_bits(&[true, true, true])]);
 //! ```
 //!
 //! `README.md` at the repo root maps these kernels into the full decode
@@ -43,4 +48,4 @@ pub mod solve;
 
 pub use bitvec::{BitMatrix, BitVec};
 pub use nullspace::NullSpace;
-pub use solve::{solve, solve_brute_force, Basis, DecodeScratch};
+pub use solve::{Basis, DecodeScratch};

@@ -4,8 +4,7 @@
 //! per-row `Vec` allocations, an `O(rank)` linear scan to find the row with
 //! a given pivot, and a full `sort_by_key` after every insertion. The
 //! property tests (`tests/properties.rs`) assert the pivot-indexed basis
-//! matches it bit for bit and that [`crate::solve()`] agrees with
-//! [`solve_naive`].
+//! and the [`crate::NullSpace`] kernel match it bit for bit.
 
 use crate::bitvec::BitVec;
 
@@ -102,16 +101,6 @@ impl NaiveBasis {
     }
 }
 
-/// Scan-based solver over [`NaiveBasis`]; the "before" baseline for
-/// [`crate::solve()`].
-pub fn solve_naive(columns: &[BitVec], target: &BitVec) -> Option<BitVec> {
-    let mut basis = NaiveBasis::new(target.len(), columns.len().max(1));
-    for c in columns {
-        basis.insert(c);
-    }
-    basis.express(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,12 +110,17 @@ mod tests {
         let a = BitVec::from_bits(&[true, true, false]);
         let b = BitVec::from_bits(&[false, true, true]);
         let t = BitVec::from_bits(&[true, false, true]);
-        let x = solve_naive(&[a.clone(), b.clone()], &t).expect("solvable");
+        let mut basis = NaiveBasis::new(3, 2);
+        basis.insert(&a);
+        basis.insert(&b);
+        let x = basis.express(&t).expect("solvable");
         let mut acc = BitVec::zeros(3);
         for i in x.ones() {
             acc.xor_assign([&a, &b][i]);
         }
         assert_eq!(acc, t);
-        assert!(solve_naive(&[a], &BitVec::from_bits(&[false, false, true])).is_none());
+        assert!(basis
+            .express(&BitVec::from_bits(&[false, false, true]))
+            .is_none());
     }
 }

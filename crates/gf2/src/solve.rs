@@ -1,7 +1,11 @@
-//! Incremental GF(2) basis and linear solving with certificates.
+//! Incremental GF(2) basis with certificates.
 //!
-//! The elimination kernel here is the decoder's hot path (Lemma 3.5 /
-//! Theorem 3.6), so the basis is engineered for speed:
+//! [`Basis`] eliminates one vector at a time and tracks, for every basis
+//! row, which inserted vectors combine to it. The decoder eliminates with
+//! [`crate::NullSpace`]; `Basis`'s dependent-insert witnesses define the
+//! generators that kernel must reproduce bit for bit, so `Basis` is its
+//! differential oracle (and `perfbench`'s `gf2.basis_insert_ns`). It is
+//! engineered for speed:
 //!
 //! * **Pivot-indexed layout** — `pivot_rows[p]` maps a pivot position to
 //!   its basis row in O(1), replacing the `O(rank)` scan of the naive
@@ -18,7 +22,7 @@ use crate::bitvec::{BitMatrix, BitVec};
 
 /// Reusable scratch space for basis insertions and reductions.
 ///
-/// A decoder that answers many queries keeps one `DecodeScratch` alive and
+/// A caller that reduces many vectors keeps one `DecodeScratch` alive and
 /// threads it through [`Basis::insert_with`] / [`Basis::express_with`]; after
 /// warm-up no call allocates. The scratch also doubles as the certificate
 /// carrier: after a *dependent* `insert_with` (returned `false`) or a
@@ -52,8 +56,7 @@ impl DecodeScratch {
 /// Every stored basis vector is paired with a *combination*: the subset of
 /// inserted vectors whose XOR equals it. Reducing a target through the basis
 /// therefore yields not only membership in the span but the witnessing
-/// subset — which the cycle-space decoder converts into the disconnecting
-/// fault set `F′` (proof of Lemma 3.5).
+/// subset, and a dependent insert yields a null-space element.
 #[derive(Debug, Clone)]
 pub struct Basis {
     dim: usize,
@@ -154,9 +157,8 @@ impl Basis {
     ///
     /// When the vector is **dependent** (`false` is returned),
     /// `scratch.combo()` holds the null-space witness: the subset of inserted
-    /// vectors — this one included — whose XOR is zero. A batch decoder
-    /// collects those witnesses to answer arbitrarily many targets from one
-    /// elimination.
+    /// vectors — this one included — whose XOR is zero. These witnesses, in
+    /// insertion order, are the generators [`crate::NullSpace`] computes.
     ///
     /// # Panics
     ///
@@ -172,7 +174,6 @@ impl Basis {
     /// # Panics
     ///
     /// Panics if `target` has the wrong dimension.
-    // ftl-analyzer: hot-path
     pub fn express_with(&self, target: &BitVec, scratch: &mut DecodeScratch) -> bool {
         assert_eq!(target.len(), self.dim, "dimension mismatch");
         scratch.work.copy_from(target);
@@ -237,54 +238,34 @@ impl Basis {
     }
 }
 
-/// Solves `A·x = target` over GF(2) where `columns` are the columns of `A`.
-///
-/// Returns the certificate `x` (bit `i` set means column `i` participates)
-/// or `None` when the system is inconsistent. Runs in
-/// `O(f² · dim / 64)` word operations for `f` columns — the
-/// `O((f + log n)·f²)` decoder cost of Theorem 3.6.
-pub fn solve(columns: &[BitVec], target: &BitVec) -> Option<BitVec> {
-    let mut basis = Basis::new(target.len(), columns.len().max(1));
-    basis.insert_all(columns);
-    basis.express(target)
-}
-
-/// Brute-force solver enumerating all `2^f` subsets; the differential-test
-/// oracle for [`solve`] and the "simple approach" of Section 3.1.2.
-///
-/// # Panics
-///
-/// Panics if more than 25 columns are supplied (the enumeration would be
-/// too large; use [`solve`]).
-pub fn solve_brute_force(columns: &[BitVec], target: &BitVec) -> Option<BitVec> {
-    assert!(columns.len() <= 25, "too many columns for brute force");
-    let f = columns.len();
-    for mask in 0u64..(1u64 << f) {
-        let mut acc = BitVec::zeros(target.len());
-        for (i, c) in columns.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                acc.xor_assign(c);
-            }
-        }
-        if &acc == target {
-            let mut x = BitVec::zeros(f.max(1));
-            for i in 0..f {
-                if (mask >> i) & 1 == 1 {
-                    x.set(i, true);
-                }
-            }
-            return Some(x);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn bv(bits: &[u8]) -> BitVec {
         BitVec::from_bits(&bits.iter().map(|&b| b == 1).collect::<Vec<_>>())
+    }
+
+    /// `A·x = target` over GF(2), `columns` the columns of `A`: the
+    /// certificate `x` from a fresh basis, or `None` when inconsistent.
+    fn solve(columns: &[BitVec], target: &BitVec) -> Option<BitVec> {
+        let mut basis = Basis::new(target.len(), columns.len().max(1));
+        basis.insert_all(columns);
+        basis.express(target)
+    }
+
+    /// Whether some subset of `columns` XORs to `target`, by enumerating
+    /// all `2^f` subsets.
+    fn in_span_brute_force(columns: &[BitVec], target: &BitVec) -> bool {
+        (0u64..1 << columns.len()).any(|mask| {
+            let mut acc = BitVec::zeros(target.len());
+            for (i, c) in columns.iter().enumerate() {
+                if (mask >> i) & 1 == 1 {
+                    acc.xor_assign(c);
+                }
+            }
+            &acc == target
+        })
     }
 
     #[test]
@@ -367,8 +348,8 @@ mod tests {
             bv(&[1, 0, 1]),
         ] {
             let fast = solve(&cols, &tgt);
-            let slow = solve_brute_force(&cols, &tgt);
-            assert_eq!(fast.is_some(), slow.is_some(), "target {tgt:?}");
+            let slow = in_span_brute_force(&cols, &tgt);
+            assert_eq!(fast.is_some(), slow, "target {tgt:?}");
             if let Some(x) = fast {
                 let mut acc = BitVec::zeros(3);
                 for i in x.ones() {
@@ -402,8 +383,8 @@ mod tests {
             let mut tgt = BitVec::zeros(dim);
             tgt.randomize(&mut next);
             let fast = solve(&cols, &tgt);
-            let slow = solve_brute_force(&cols, &tgt);
-            assert_eq!(fast.is_some(), slow.is_some(), "trial {trial}");
+            let slow = in_span_brute_force(&cols, &tgt);
+            assert_eq!(fast.is_some(), slow, "trial {trial}");
             if let Some(x) = fast {
                 let mut acc = BitVec::zeros(dim);
                 for i in x.ones() {

@@ -133,8 +133,8 @@ impl Eid {
     }
 }
 
-/// ORs `src`'s bits into `out` starting at bit `offset` — the raw-slice
-/// sibling of `BitVec::or_shifted`, for serializing into arena windows.
+/// ORs `src`'s bits into `out` starting at bit `offset`, for serializing
+/// into arena windows.
 /// `src`'s tail bits (past its logical length) must be zero, which
 /// `BitVec::words` guarantees.
 fn or_shifted_words(out: &mut [u64], src: &[u64], offset: usize) {
