@@ -208,7 +208,7 @@ fn call_sites(file: &SourceFile, fun: &Function, rule: RuleId) -> BTreeSet<Strin
             continue;
         }
         // Calls qualified through a *type* path (`Arc::clone(..)`,
-        // `QueryResult::new(..)`) don't traverse by bare name: generic
+        // `BitVec::zeros(..)`) don't traverse by bare name: generic
         // constructor names like `new` would otherwise pull every
         // workspace `fn new` into the hot closure. `Self::helper(..)` and
         // lowercase module paths (`gf2::xor_into(..)`) still traverse, as

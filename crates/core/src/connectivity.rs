@@ -195,15 +195,14 @@ impl ConnectivityLabeling {
                 ftl_cycle_space::decode(ls, lt, fl)
             }
             (InnerVertexLabel::Sketch(ls), InnerVertexLabel::Sketch(lt)) => {
-                let fl: Vec<SketchEdgeLabel> = faults
+                let fl = faults
                     .iter()
                     .filter(|f| f.component == s.component)
                     .filter_map(|f| match &f.inner {
-                        InnerEdgeLabel::Sketch(l) => Some(l.clone()),
+                        InnerEdgeLabel::Sketch(l) => Some(l),
                         InnerEdgeLabel::CycleSpace(_) => None,
-                    })
-                    .collect();
-                ftl_sketch::decode(ls, lt, &fl).connected
+                    });
+                ftl_sketch::decode(ls, lt, fl).connected
             }
             _ => panic!("mixed labels from different scheme kinds"),
         }

@@ -10,6 +10,16 @@ use ftl_seeded::Seed;
 /// Default slack constant `c` in `b = f + c·log₂ n` (DESIGN.md S4).
 pub const DEFAULT_SLACK: usize = 4;
 
+/// The `φ` width `b = f + max(16, DEFAULT_SLACK·⌈log₂ n⌉)` for an
+/// `n`-vertex graph against up to `f` faults — the one formula behind
+/// [`CycleSpaceScheme::label`] and [`crate::LiveCycleSpace::new`]. The
+/// slack is floored at 16 bits so the per-query failure probability stays
+/// below 2^-16 even on tiny graphs.
+pub(crate) fn default_bits(n: usize, f: usize) -> usize {
+    let n = n.max(2);
+    f + (DEFAULT_SLACK * (usize::BITS - (n - 1).leading_zeros()) as usize).max(16)
+}
+
 /// Label of a vertex: its ancestry label in the spanning tree
 /// (`O(log n)` bits).
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -87,11 +97,7 @@ impl CycleSpaceScheme {
     ///
     /// Returns [`GraphError::Disconnected`] if `graph` is not connected.
     pub fn label(graph: &Graph, f: usize, seed: Seed) -> Result<Self, GraphError> {
-        let n = graph.num_vertices().max(2);
-        // Floor the slack at 16 bits so the per-query failure probability
-        // stays below 2^-16 even on tiny graphs.
-        let slack = (DEFAULT_SLACK * (usize::BITS - (n - 1).leading_zeros()) as usize).max(16);
-        Self::label_with_bits(graph, f + slack, seed)
+        Self::label_with_bits(graph, default_bits(graph.num_vertices(), f), seed)
     }
 
     /// Labels with an explicit bit budget `b` (Lemma 1.7's parameter).

@@ -41,7 +41,7 @@ use ftl_graph::{traversal, EdgeId, Graph, VertexId};
 use ftl_labels::AncestryLabel;
 use ftl_seeded::Seed;
 
-use crate::labeling::{CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
+use crate::labeling::{default_bits, CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
 
 /// Errors surfaced by live mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,9 +147,7 @@ impl LiveCycleSpace {
     /// Builds the live scheme against up to `f` faults, with the same
     /// `b = f + slack` width the static scheme would pick for this graph.
     pub fn new(graph: &Graph, f: usize, seed: Seed) -> Result<Self, LiveError> {
-        let n = graph.num_vertices().max(2);
-        let slack = (4 * (usize::BITS - (n - 1).leading_zeros()) as usize).max(16);
-        Self::with_bits(graph, f + slack, seed)
+        Self::with_bits(graph, default_bits(graph.num_vertices(), f), seed)
     }
 
     /// Builds the live scheme with an explicit `φ` width `b`.
@@ -820,6 +818,25 @@ mod tests {
     /// Ground truth: s-t connectivity on the alive graph.
     fn alive_connected(live: &LiveCycleSpace, s: VertexId, t: VertexId) -> bool {
         traversal::connected_avoiding(live.graph(), s, t, &live.forbidden_base())
+    }
+
+    /// The live and the static scheme pick the same `φ` width, on both
+    /// sides of the power-of-two steps of `⌈log₂ n⌉` and at the 16-bit
+    /// floor.
+    #[test]
+    fn live_and_static_schemes_pick_the_same_width() {
+        for n in [2, 3, 1023, 1024, 1025] {
+            let g = generators::path(n);
+            for f in [0, 4] {
+                let live = LiveCycleSpace::new(&g, f, Seed::new(1)).unwrap();
+                let scheme = crate::CycleSpaceScheme::label(&g, f, Seed::new(1)).unwrap();
+                assert_eq!(live.bits(), scheme.bits_b(), "n = {n}, f = {f}");
+                assert_eq!(live.bits(), default_bits(n, f), "n = {n}, f = {f}");
+            }
+        }
+        assert_eq!(default_bits(2, 0), 16);
+        assert_eq!(default_bits(1024, 4), 4 + 40);
+        assert_eq!(default_bits(1025, 4), 4 + 44);
     }
 
     #[test]

@@ -15,17 +15,6 @@ use ftl_gf2::BitVec;
 use ftl_graph::EdgeId;
 use ftl_labels::AncestryLabel;
 
-/// One connectivity query against a registered fault set.
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub struct ConnQuery {
-    /// Source vertex.
-    pub s: ftl_graph::VertexId,
-    /// Target vertex.
-    pub t: ftl_graph::VertexId,
-    /// Index into the request's fault-set list.
-    pub fault_set: usize,
-}
-
 /// A fault set after its one-time elimination: its canonical edge ids and
 /// the [`EliminatedFaults`] of their columns, whose fault positions index
 /// the ids.

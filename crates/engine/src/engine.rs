@@ -7,14 +7,16 @@
 //! fault-set hash); each query then costs ancestry compares plus a parity
 //! test — see [`crate::batch`] for the math.
 //!
-//! # One entry point
+//! # One call, one answer
 //!
 //! [`Engine::execute_grouped_into`] is the engine: it refills a
 //! caller-owned [`GroupedResponse`], isolating failures per group and per
-//! query. [`Engine::execute_grouped`] (fresh response) and
-//! [`Engine::execute`] (an indexed [`BatchRequest`], regrouped by fault
-//! set) are thin conversions onto it. Parallelism lives above the engine:
-//! any number of engines share one store behind an `Arc`, one per thread.
+//! query; [`Engine::execute_grouped`] is the same call into a fresh
+//! response. Each query's answer is one bit, connected or not — the
+//! paper's query. A disconnecting cut `F′ ⊆ F` is read off an elimination
+//! directly ([`EliminatedFaultSet::certificate`]). Parallelism lives above
+//! the engine: any number of engines share one store behind an `Arc`, one
+//! per thread.
 //!
 //! # The zero-decode hot path
 //!
@@ -32,7 +34,7 @@
 //! the unwind may have left half-updated) is rebuilt before the next group,
 //! and the caller's thread survives.
 
-use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
+use crate::batch::{canonical_fault_hash, EliminatedFaultSet};
 use crate::cache::LruCache;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
 use ftl_cycle_space::{CycleSpaceScheme, EliminationScratch};
@@ -50,9 +52,6 @@ pub struct EngineConfig {
     pub num_shards: usize,
     /// Capacity of the eliminated-basis LRU cache (0 disables caching).
     pub cache_capacity: usize,
-    /// Whether disconnected results carry the cut certificate `F′`
-    /// (costs one small allocation per disconnected query).
-    pub collect_certificates: bool,
     /// Chaos hook: panic while resolving any fault set containing this
     /// edge. Exercises the engine's per-group panic containment
     /// (`catch_unwind` → [`EngineError::Panicked`]); `None` (the default)
@@ -65,22 +64,14 @@ impl Default for EngineConfig {
         EngineConfig {
             num_shards: 16,
             cache_capacity: 64,
-            collect_certificates: false,
             chaos_panic_edge: None,
         }
     }
 }
 
-/// Why a group (or an indexed batch) failed.
+/// Why a group, or one query of a group, failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A query named a fault set index outside the request.
-    UnknownFaultSet {
-        /// The offending index.
-        index: usize,
-        /// How many fault sets the request carried.
-        available: usize,
-    },
     /// A vertex or edge the query names is not in the store.
     Store(StoreError),
     /// Serving the group panicked. The panic was contained at the group
@@ -95,9 +86,6 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnknownFaultSet { index, available } => {
-                write!(f, "query names fault set {index}, request has {available}")
-            }
             EngineError::Store(e) => write!(f, "label store: {e}"),
             EngineError::Panicked { message } => write!(f, "engine panicked: {message}"),
         }
@@ -110,27 +98,6 @@ impl From<StoreError> for EngineError {
     fn from(e: StoreError) -> Self {
         EngineError::Store(e)
     }
-}
-
-/// A batch of connectivity queries that name their fault sets by index —
-/// the indexed form of a list of [`FaultSetBatch`]es.
-#[derive(Debug, Clone, Default)]
-pub struct BatchRequest {
-    /// The fault sets of this batch (order and duplicates within a set are
-    /// tolerated; sets are canonicalised internally).
-    pub fault_sets: Vec<Vec<EdgeId>>,
-    /// The queries, each naming its fault set by index.
-    pub queries: Vec<ConnQuery>,
-}
-
-/// One query's answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryResult {
-    /// Whether `s` and `t` are connected in `G \ F` (w.h.p.).
-    pub connected: bool,
-    /// When disconnected and certificates are enabled: the disconnecting
-    /// induced cut `F′ ⊆ F`, as edge ids.
-    pub certificate: Option<Vec<EdgeId>>,
 }
 
 /// What one engine call did.
@@ -153,22 +120,11 @@ pub struct BatchStats {
     pub epoch: u64,
 }
 
-/// An indexed batch's response: per-query results in request order, plus
-/// statistics.
-#[derive(Debug, Clone, Default)]
-pub struct BatchResponse {
-    /// `results[i]` answers `queries[i]`.
-    pub results: Vec<QueryResult>,
-    /// Batch statistics.
-    pub stats: BatchStats,
-}
-
 /// One pre-grouped unit of serving work: a fault set and the queries that
 /// share it. This is the shape a batching front end (`ftl-server`) hands
-/// the engine after grouping traffic by canonical fault-set hash — no
-/// per-query fault-set indices to validate, one elimination per group by
-/// construction. A group with no queries still resolves its fault set, so
-/// a bad set is still rejected.
+/// the engine after grouping traffic by canonical fault-set hash — one
+/// elimination per group by construction. A group with no queries still
+/// resolves its fault set, so a bad set is still rejected.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSetBatch {
     /// The (not necessarily canonicalised) fault set shared by every query
@@ -178,9 +134,10 @@ pub struct FaultSetBatch {
     pub queries: Vec<(VertexId, VertexId)>,
 }
 
-/// One query's outcome inside a group: its answer, or the error that
-/// failed *that query alone* (e.g. an out-of-range vertex id).
-pub type GroupQueryResult = Result<QueryResult, EngineError>;
+/// One query's outcome inside a group: whether `s` and `t` are connected
+/// in `G \ F` (w.h.p.), or the error that failed *that query alone* (e.g.
+/// an out-of-range vertex id).
+pub type GroupQueryResult = Result<bool, EngineError>;
 
 /// The outcome of one group: per-query outcomes in group order, or the
 /// group-level error (an unresolvable fault set, a contained panic) that
@@ -320,18 +277,12 @@ impl EngineCore {
         efs: &EliminatedFaultSet,
         s: VertexId,
         t: VertexId,
-    ) -> Result<QueryResult, EngineError> {
+    ) -> GroupQueryResult {
         let s_anc = vertex_anc(store, s)?;
         let t_anc = vertex_anc(store, t)?;
-        let gen = efs.separating_generator_anc(&s_anc, &t_anc, &mut self.diff);
-        Ok(QueryResult {
-            connected: gen.is_none(),
-            certificate: match gen {
-                // ftl-analyzer: allow(hot-alloc) certificates are opt-in and only built for disconnected queries
-                Some(g) if self.config.collect_certificates => efs.certificate(g),
-                _ => None,
-            },
-        })
+        Ok(efs
+            .separating_generator_anc(&s_anc, &t_anc, &mut self.diff)
+            .is_none())
     }
 }
 
@@ -454,7 +405,7 @@ impl Engine {
     }
 
     /// Serves pre-grouped fault-set batches into a caller-owned response —
-    /// the engine's one entry point, and the shape `ftl-server` builds
+    /// the engine's one call, and the shape `ftl-server` builds
     /// after grouping cross-connection traffic by canonical fault-set hash.
     ///
     /// Each group pays one elimination (or cache hit) and runs under
@@ -508,51 +459,6 @@ impl Engine {
         let mut out = GroupedResponse::default();
         self.execute_grouped_into(groups, &mut out);
         out
-    }
-
-    /// Serves an indexed batch: its fault sets become groups (a set no
-    /// query references becomes a zero-query group, so a bad set is still
-    /// rejected), and the answers come back in request order.
-    ///
-    /// # Errors
-    ///
-    /// Fails as a whole if a query names a fault set the request does not
-    /// carry, if any fault set fails to resolve (first in request order),
-    /// or if any query fails (first in request order).
-    pub fn execute(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
-        let available = req.fault_sets.len();
-        let unknown = |index| EngineError::UnknownFaultSet { index, available };
-        let mut groups: Vec<FaultSetBatch> = req
-            .fault_sets
-            .iter()
-            .map(|faults| FaultSetBatch {
-                faults: faults.clone(),
-                queries: Vec::new(),
-            })
-            .collect();
-        for q in &req.queries {
-            let group = groups
-                .get_mut(q.fault_set)
-                .ok_or_else(|| unknown(q.fault_set))?;
-            group.queries.push((q.s, q.t));
-        }
-        let resp = self.execute_grouped(&groups);
-        let mut answers = Vec::with_capacity(resp.groups.len());
-        for group in resp.groups {
-            answers.push(group?.into_iter());
-        }
-        let mut results = Vec::with_capacity(req.queries.len());
-        for q in &req.queries {
-            let answer = answers
-                .get_mut(q.fault_set)
-                .and_then(Iterator::next)
-                .ok_or_else(|| unknown(q.fault_set))?;
-            results.push(answer?);
-        }
-        Ok(BatchResponse {
-            results,
-            stats: resp.stats,
-        })
     }
 }
 

@@ -15,14 +15,17 @@
 //!   yields the null-space generators of its `φ` columns; every query is
 //!   then a handful of ancestry checks plus one AND-popcount parity test
 //!   per generator. [`EliminatedFaultSet`] adds the canonical edge ids
-//!   that key the cache and name the certificates.
+//!   that key the cache and name a disconnecting cut's edges
+//!   ([`EliminatedFaultSet::certificate`]).
 //! * [`cache`] — eliminated bases are kept in an [`LruCache`] keyed by the
 //!   canonical fault-set hash, so recurring fault sets (the common case:
 //!   faults change rarely, queries arrive constantly) skip elimination
 //!   entirely.
-//! * [`engine`] — one [`Engine`] per serving thread, with one entry point,
-//!   [`Engine::execute_grouped_into`]; each group runs under
-//!   `catch_unwind`, so a panic fails only its own group.
+//! * [`engine`] — one [`Engine`] per serving thread, with one call,
+//!   [`Engine::execute_grouped_into`] (and [`Engine::execute_grouped`],
+//!   the same call into a fresh response), answering one bit per query;
+//!   each group runs under `catch_unwind`, so a panic fails only its own
+//!   group.
 //! * [`scenario`] — the live-churn driver ([`run_churn_scenario`]): rounds
 //!   of structural removals through a [`LiveStore`], with every answer of
 //!   an epoch-following [`Engine`] checked against BFS ground truth.
@@ -41,11 +44,11 @@ pub mod inject;
 pub mod scenario;
 pub mod store;
 
-pub use batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
+pub use batch::{canonical_fault_hash, EliminatedFaultSet};
 pub use cache::LruCache;
 pub use engine::{
-    store_from_cycle_space, BatchRequest, BatchResponse, BatchStats, Engine, EngineConfig,
-    EngineError, FaultSetBatch, GroupQueryResult, GroupResult, GroupedResponse, QueryResult,
+    store_from_cycle_space, BatchStats, Engine, EngineConfig, EngineError, FaultSetBatch,
+    GroupQueryResult, GroupResult, GroupedResponse,
 };
 pub use epoch::{full_store_of, Epoch, EpochStore, LiveStore, SwapMetrics, SwapPath, SwapReport};
 pub use ftl_cycle_space::EliminationScratch;

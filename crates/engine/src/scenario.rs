@@ -5,14 +5,12 @@
 //! decoder. Also home to the nearest-rank percentile that `ftl-server`'s
 //! loadgen reads its p50/p99 with.
 
-use crate::batch::ConnQuery;
-use crate::engine::{BatchRequest, Engine, EngineError};
+use crate::engine::{Engine, EngineError, FaultSetBatch};
 use crate::epoch::LiveStore;
 use crate::inject::{plan_edge_removals, plan_vertex_removals, RemovalModel};
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{EdgeId, VertexId};
 use ftl_seeded::Seed;
-use std::time::Instant;
 
 /// The nearest-rank percentile of an **ascending-sorted** sample array:
 /// the smallest sample with at least `⌈p·n⌉` samples at or below it
@@ -54,8 +52,6 @@ fn set_mask(mask: &mut [bool], fs: &[EdgeId], forbidden: bool) {
 /// DRFE-R loop with real topology churn instead of rebuilt tables.
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
-    /// Scenario name (appears in reports).
-    pub name: String,
     /// Rounds of churn.
     pub rounds: usize,
     /// Edges structurally removed per round (bridges are skipped).
@@ -77,9 +73,8 @@ pub struct ChurnConfig {
 
 impl ChurnConfig {
     /// A small default shape: random removals, light per-round traffic.
-    pub fn new(name: &str, f: usize) -> Self {
+    pub fn new(f: usize) -> Self {
         ChurnConfig {
-            name: name.to_string(),
             rounds: 8,
             edge_removals_per_round: 4,
             vertex_removals_per_round: 1,
@@ -92,43 +87,20 @@ impl ChurnConfig {
     }
 }
 
-/// One churn round's observations — one output row.
+/// One churn round's observations.
 #[derive(Debug, Clone)]
 pub struct ChurnRoundReport {
-    /// Round index.
-    pub round: usize,
     /// Edges actually removed this round.
     pub removed_edges: usize,
     /// Vertices actually removed this round.
     pub removed_vertices: usize,
-    /// Planned removals skipped (bridge / cut-vertex / already dead).
-    pub skipped: usize,
-    /// Epoch published at the end of the round's removals.
-    pub epoch: u64,
-    /// Whether any swap this round fell back to a full rebuild.
-    pub full_rebuild: bool,
-    /// Records re-encoded across this round's delta swaps.
-    pub delta_upserts: usize,
-    /// Records evicted across this round's delta swaps.
-    pub delta_removals: usize,
-    /// Total mutate + freeze + publish wall time this round, nanoseconds —
-    /// the per-round rebuild latency.
-    pub swap_ns: u64,
-    /// Queries answered this round.
-    pub queries: usize,
-    /// Fraction answered "connected".
-    pub reachable_fraction: f64,
     /// Disagreements with BFS ground truth (verification is always on).
     pub mismatches: usize,
-    /// Query-serving wall time this round, nanoseconds.
-    pub elapsed_ns: u64,
 }
 
 /// Everything a churn run produced.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
-    /// Scenario name.
-    pub name: String,
     /// Per-round rows.
     pub rounds: Vec<ChurnRoundReport>,
     /// Total queries across rounds.
@@ -137,10 +109,6 @@ pub struct ChurnReport {
     pub mismatches: usize,
     /// Epoch current after the last round.
     pub final_epoch: u64,
-    /// Rounds whose swaps all stayed on the delta path.
-    pub delta_rounds: usize,
-    /// Rounds where some swap fell back to a full rebuild.
-    pub full_rebuild_rounds: usize,
 }
 
 /// Runs a live-churn scenario: every round plans removals under the
@@ -153,7 +121,7 @@ pub struct ChurnReport {
 ///
 /// # Errors
 ///
-/// Propagates any [`EngineError`] from the batches.
+/// Propagates any [`EngineError`] from the removals or the groups.
 pub fn run_churn_scenario(
     store: &mut LiveStore,
     engine: &mut Engine,
@@ -163,8 +131,6 @@ pub fn run_churn_scenario(
     let mut rounds = Vec::with_capacity(cfg.rounds);
     let mut total_queries = 0usize;
     let mut mismatches_total = 0usize;
-    let mut delta_rounds = 0usize;
-    let mut full_rebuild_rounds = 0usize;
     for round in 0..cfg.rounds {
         let round_seed = seed.derive(round as u64);
         // --- structural churn: remove victims, publish epochs ---
@@ -174,112 +140,66 @@ pub fn run_churn_scenario(
             cfg.model,
             round_seed.derive(1),
         );
-        let (edge_swap, edge_skipped) = store.remove_edges(&edge_plan)?;
+        let (_, edge_skipped) = store.remove_edges(&edge_plan)?;
         let vertex_plan = plan_vertex_removals(
             store.live(),
             cfg.vertex_removals_per_round,
             cfg.model,
             round_seed.derive(2),
         );
-        let (vertex_swap, vertex_skipped) = store.remove_vertices(&vertex_plan)?;
-        let skipped = edge_skipped.len() + vertex_skipped.len();
-        let mut full_rebuild = false;
-        let mut delta_upserts = 0usize;
-        let mut delta_removals = 0usize;
-        for swap in [&edge_swap, &vertex_swap] {
-            match swap.path {
-                crate::epoch::SwapPath::Delta { upserts, removals } => {
-                    delta_upserts += upserts;
-                    delta_removals += removals;
-                }
-                crate::epoch::SwapPath::FullRebuild => full_rebuild = true,
-            }
-        }
-        if full_rebuild {
-            full_rebuild_rounds += 1;
-        } else {
-            delta_rounds += 1;
-        }
+        let (_, vertex_skipped) = store.remove_vertices(&vertex_plan)?;
         // --- traffic over the survivors ---
         let live = store.live();
         let alive_edges: Vec<EdgeId> = live.alive_edges().collect();
         let alive_vertices: Vec<VertexId> = live.alive_vertices().collect();
         let mut rng = round_seed.derive(3).stream();
-        let mut fault_sets = Vec::with_capacity(cfg.fault_sets_per_round);
-        let mut queries = Vec::with_capacity(cfg.fault_sets_per_round * cfg.queries_per_fault_set);
-        for v in 0..cfg.fault_sets_per_round {
-            let mut fs = Vec::with_capacity(cfg.f);
-            while fs.len() < cfg.f.min(alive_edges.len()) {
+        let mut groups = Vec::with_capacity(cfg.fault_sets_per_round);
+        for _ in 0..cfg.fault_sets_per_round {
+            let mut faults = Vec::with_capacity(cfg.f);
+            while faults.len() < cfg.f.min(alive_edges.len()) {
                 if let Some(e) = pick(&alive_edges, &mut rng) {
-                    if !fs.contains(&e) {
-                        fs.push(e);
+                    if !faults.contains(&e) {
+                        faults.push(e);
                     }
                 }
             }
-            fault_sets.push(fs);
+            let mut queries = Vec::with_capacity(cfg.queries_per_fault_set);
             for _ in 0..cfg.queries_per_fault_set {
                 let s = pick(&alive_vertices, &mut rng);
                 let t = pick(&alive_vertices, &mut rng);
                 if let (Some(s), Some(t)) = (s, t) {
-                    queries.push(ConnQuery { s, t, fault_set: v });
+                    queries.push((s, t));
                 }
             }
+            groups.push(FaultSetBatch { faults, queries });
         }
-        let req = BatchRequest {
-            fault_sets,
-            queries,
-        };
-        let start = Instant::now();
-        let resp = engine.execute(&req)?;
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        let resp = engine.execute_grouped(&groups);
         // --- always-on ground truth: BFS over alive topology minus the
-        // query's transient faults; every answer must agree ---
+        // group's transient faults; every answer must agree ---
         let mut round_mismatches = 0usize;
-        let mut reachable = 0usize;
         let mut mask = live.forbidden_base();
-        for (fi, fs) in req.fault_sets.iter().enumerate() {
-            set_mask(&mut mask, fs, true);
-            for (q, r) in req
-                .queries
-                .iter()
-                .zip(&resp.results)
-                .filter(|(q, _)| q.fault_set == fi)
-            {
-                if r.connected {
-                    reachable += 1;
-                }
-                if connected_avoiding(live.graph(), q.s, q.t, &mask) != r.connected {
+        for (group, answers) in groups.iter().zip(resp.groups) {
+            set_mask(&mut mask, &group.faults, true);
+            for (&(s, t), answer) in group.queries.iter().zip(answers?) {
+                if connected_avoiding(live.graph(), s, t, &mask) != answer? {
                     round_mismatches += 1;
                 }
             }
-            set_mask(&mut mask, fs, false);
+            set_mask(&mut mask, &group.faults, false);
         }
-        total_queries += resp.results.len();
+        total_queries += resp.stats.queries;
         mismatches_total += round_mismatches;
         rounds.push(ChurnRoundReport {
-            round,
             removed_edges: edge_plan.len() - edge_skipped.len(),
             removed_vertices: vertex_plan.len() - vertex_skipped.len(),
-            skipped,
-            epoch: vertex_swap.epoch.max(edge_swap.epoch),
-            full_rebuild,
-            delta_upserts,
-            delta_removals,
-            swap_ns: edge_swap.elapsed_ns + vertex_swap.elapsed_ns,
-            queries: resp.results.len(),
-            reachable_fraction: reachable as f64 / resp.results.len().max(1) as f64,
             mismatches: round_mismatches,
-            elapsed_ns,
         });
     }
     Ok(ChurnReport {
-        name: cfg.name.clone(),
         rounds,
         total_queries,
         mismatches: mismatches_total,
         final_epoch: store.epochs().current().number(),
-        delta_rounds,
-        full_rebuild_rounds,
     })
 }
 
@@ -321,7 +241,7 @@ mod tests {
             std::sync::Arc::clone(store.epochs()),
             EngineConfig::default(),
         );
-        let mut cfg = ChurnConfig::new("grid-churn", 3);
+        let mut cfg = ChurnConfig::new(3);
         cfg.rounds = 5;
         let report = run_churn_scenario(&mut store, &mut engine, &cfg).unwrap();
         assert_eq!(report.mismatches, 0, "engine disagreed with BFS truth");
@@ -345,7 +265,7 @@ mod tests {
             std::sync::Arc::clone(store.epochs()),
             EngineConfig::default(),
         );
-        let mut cfg = ChurnConfig::new("ba-targeted-churn", 3);
+        let mut cfg = ChurnConfig::new(3);
         cfg.rounds = 4;
         cfg.model = RemovalModel::Targeted;
         cfg.edge_removals_per_round = 6;
@@ -363,7 +283,7 @@ mod tests {
         let mut store = LiveStore::new(&g, 3, Seed::new(0xC0A3), EngineConfig::default()).unwrap();
         let stale_store = std::sync::Arc::clone(store.epochs().current().store());
         let mut stale = Engine::with_shared(stale_store, EngineConfig::default());
-        let mut cfg = ChurnConfig::new("stale", 3);
+        let mut cfg = ChurnConfig::new(3);
         cfg.rounds = 4;
         cfg.edge_removals_per_round = 8;
         cfg.vertex_removals_per_round = 2;

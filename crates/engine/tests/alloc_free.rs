@@ -84,7 +84,7 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let g = generators::grid(6, 6);
     let f = 4;
     let scheme = CycleSpaceScheme::label(&g, f, Seed::new(7)).unwrap();
-    let config = EngineConfig::default(); // certificates off
+    let config = EngineConfig::default();
     let store = ftl_engine::store_from_cycle_space(&scheme, config.num_shards).unwrap();
     let epochs = std::sync::Arc::new(EpochStore::new(std::sync::Arc::new(store)));
     let mut engine = Engine::over_epochs(epochs, config);

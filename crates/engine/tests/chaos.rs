@@ -18,10 +18,9 @@
 use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
-    plan_vertex_removals, run_churn_scenario, store_from_cycle_space, truncate_record,
-    BatchRequest, ChurnConfig, ConnQuery, Engine, EngineConfig, EngineError, EpochStore,
-    FaultSetBatch, LabelStore, LabelStoreBuilder, LiveStore, RemovalModel, StoreError, StoreKey,
-    SwapPath,
+    plan_vertex_removals, run_churn_scenario, store_from_cycle_space, truncate_record, ChurnConfig,
+    Engine, EngineConfig, EngineError, EpochStore, FaultSetBatch, GroupResult, GroupedResponse,
+    LabelStore, LabelStoreBuilder, LiveStore, RemovalModel, StoreError, StoreKey, SwapPath,
 };
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
@@ -38,19 +37,29 @@ fn live_setup(g: &Graph, f: usize, seed: u64, config: EngineConfig) -> (LiveStor
     (store, engine)
 }
 
-/// One-fault-set batch helper.
-fn batch(fs: Vec<EdgeId>, pairs: &[(usize, usize)]) -> BatchRequest {
-    BatchRequest {
-        fault_sets: vec![fs],
+/// Serves one group: the `(s, t)` pairs against the fault set `fs`.
+fn serve(engine: &mut Engine, fs: Vec<EdgeId>, pairs: &[(usize, usize)]) -> GroupedResponse {
+    engine.execute_grouped(&[FaultSetBatch {
+        faults: fs,
         queries: pairs
             .iter()
-            .map(|&(s, t)| ConnQuery {
-                s: VertexId::new(s),
-                t: VertexId::new(t),
-                fault_set: 0,
-            })
+            .map(|&(s, t)| (VertexId::new(s), VertexId::new(t)))
             .collect(),
-    }
+    }])
+}
+
+/// The outcome of a one-group response.
+fn only(resp: GroupedResponse) -> GroupResult {
+    resp.groups.into_iter().next().expect("one group served")
+}
+
+/// The answers of a one-group response; any failure panics.
+fn answers(resp: GroupedResponse) -> Vec<bool> {
+    only(resp)
+        .expect("group served")
+        .into_iter()
+        .map(|q| q.expect("query answered"))
+        .collect()
 }
 
 /// A non-tree (hence removable-without-disconnect) alive edge.
@@ -127,24 +136,29 @@ fn corrupted_record_errors_cleanly_and_spares_other_queries() {
     let epochs = Arc::new(EpochStore::new(good));
     let mut engine = Engine::over_epochs(Arc::clone(&epochs), config);
     // Pre-swap: the victim serves fine.
-    let pre = engine.execute(&batch(vec![victim], &[(0, 24)])).unwrap();
-    assert_eq!(pre.results.len(), 1);
+    let pre = answers(serve(&mut engine, vec![victim], &[(0, 24)]));
+    assert_eq!(pre.len(), 1);
     epochs.publish(Arc::new(bad));
     // Post-swap: the fault set naming the refused record fails cleanly.
     assert_eq!(
-        engine
-            .execute(&batch(vec![victim], &[(0, 24)]))
-            .unwrap_err(),
-        EngineError::Store(StoreError::Missing(StoreKey::edge(victim)))
+        only(serve(&mut engine, vec![victim], &[(0, 24)])),
+        Err(EngineError::Store(StoreError::Missing(StoreKey::edge(
+            victim
+        ))))
     );
     // A sibling fault set that never touches the victim still serves
     // correctly from the same snapshot.
     let clean = EdgeId::new(20);
-    let resp = engine.execute(&batch(vec![clean], &[(0, 24)])).unwrap();
+    let resp = answers(serve(&mut engine, vec![clean], &[(0, 24)]));
     let mask = ftl_graph::traversal::forbidden_mask(&g, &[clean]);
     assert_eq!(
-        resp.results[0].connected,
-        connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask),
+        resp,
+        [connected_avoiding(
+            &g,
+            VertexId::new(0),
+            VertexId::new(24),
+            &mask
+        )],
         "clean query infected by corrupt neighbor"
     );
 }
@@ -180,10 +194,11 @@ fn truncated_and_oversized_records_error_not_panic() {
     for (i, bad_bytes) in corruptions.iter().enumerate() {
         let bad = import_refusing(&scheme, victim, bad_bytes);
         let mut engine = Engine::new(bad, config);
-        let out = engine.execute(&batch(vec![victim], &[(0, 15)]));
         assert_eq!(
-            out.unwrap_err(),
-            EngineError::Store(StoreError::Missing(StoreKey::edge(victim))),
+            only(serve(&mut engine, vec![victim], &[(0, 15)])),
+            Err(EngineError::Store(StoreError::Missing(StoreKey::edge(
+                victim
+            )))),
             "corruption #{i}"
         );
     }
@@ -331,26 +346,23 @@ fn worker_panic_is_contained_and_engine_recovers() {
     let expected = reference.execute_grouped(&groups);
     assert_eq!(resp.groups[0], expected.groups[0]);
     assert_eq!(resp.groups[2], expected.groups[2]);
-    // The indexed entry point fails as a whole with the same error kind.
+    // A group of its own fails the same way.
     assert!(matches!(
-        engine.execute(&batch(vec![chaos_edge], &[(0, 24)])),
+        only(serve(&mut engine, vec![chaos_edge], &[(0, 24)])),
         Err(EngineError::Panicked { .. })
     ));
     // The engine — same instance, core rebuilt — keeps serving batches
     // that avoid the tripwire, identical to a fresh engine.
-    let req = batch(
-        vec![EdgeId::new(9), EdgeId::new(30)],
-        &[(0, 24), (3, 21), (7, 18)],
-    );
-    let resp = engine
-        .execute(&req)
-        .expect("engine must recover after a contained panic");
-    let want = reference.execute(&req).unwrap();
-    assert_eq!(resp.results, want.results);
+    let faults = vec![EdgeId::new(9), EdgeId::new(30)];
+    let pairs = [(0, 24), (3, 21), (7, 18)];
+    let resp = only(serve(&mut engine, faults.clone(), &pairs));
+    assert!(resp.is_ok(), "engine must recover after a contained panic");
+    let want = only(serve(&mut reference, faults.clone(), &pairs));
+    assert_eq!(resp, want);
     // And the tripwire still trips — containment is repeatable, not
     // one-shot.
     assert!(engine.execute_grouped(&groups).groups[1].is_err());
-    assert_eq!(engine.execute(&req).unwrap().results, want.results);
+    assert_eq!(only(serve(&mut engine, faults, &pairs)), want);
 }
 
 // --------------------------------------------------------------- swap chaos
@@ -379,15 +391,13 @@ fn mid_swap_readers_serve_consistent_snapshots() {
                         let pairs: Vec<(usize, usize)> = (0..8)
                             .map(|_| ((rng() % n as u64) as usize, (rng() % n as u64) as usize))
                             .collect();
-                        let resp = engine
-                            .execute(&batch(Vec::new(), &pairs))
-                            .expect("reader must never fail across swaps");
-                        // No vertex is ever removed and removals skip
-                        // bridges, so every snapshot is fully connected.
-                        assert!(resp.results.iter().all(|q| q.connected));
+                        let resp = serve(&mut engine, Vec::new(), &pairs);
                         // Epochs are observed in publication order.
                         assert!(resp.stats.epoch >= last_epoch);
                         last_epoch = resp.stats.epoch;
+                        // No vertex is ever removed and removals skip
+                        // bridges, so every snapshot is fully connected.
+                        assert!(answers(resp).into_iter().all(|connected| connected));
                     }
                     last_epoch
                 })
@@ -416,8 +426,7 @@ fn epoch_numbers_are_monotone_and_stamped_into_stats() {
     let (mut store, mut engine) = live_setup(&g, 4, 41, EngineConfig::default());
     let mut seen = Vec::new();
     for _ in 0..4 {
-        let resp = engine.execute(&batch(Vec::new(), &[(0, 24)])).unwrap();
-        seen.push(resp.stats.epoch);
+        seen.push(serve(&mut engine, Vec::new(), &[(0, 24)]).stats.epoch);
         let e = non_tree_edge(&store);
         let before = store.epochs().current().number();
         let report = store.remove_edge(e).unwrap();
@@ -450,7 +459,7 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
     let config = EngineConfig::default();
     let mut store = LiveStore::new(&g, 4, Seed::new(52), config).unwrap();
     let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
-    let mut cfg = ChurnConfig::new("chaos-targeted", 4);
+    let mut cfg = ChurnConfig::new(4);
     cfg.model = RemovalModel::Targeted;
     cfg.rounds = 6;
     cfg.edge_removals_per_round = 10;
@@ -473,9 +482,10 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
             )
         })
         .collect();
-    let resp = engine.execute(&batch(Vec::new(), &pairs)).unwrap();
     assert!(
-        resp.results.iter().all(|q| q.connected),
+        answers(serve(&mut engine, Vec::new(), &pairs))
+            .into_iter()
+            .all(|connected| connected),
         "post-swap reachability below 100%"
     );
 }
@@ -483,14 +493,11 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
 /// The delta-freeze path and a from-scratch rebuild of the same surviving
 /// topology are identical: equal column for column (every surviving
 /// record, every removed key absent), equal in bytes, and equal in every
-/// query answer, certificates included.
+/// query answer.
 #[test]
 fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let g = generators::grid(7, 7);
-    let config = EngineConfig {
-        collect_certificates: true,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let mut store = LiveStore::new(&g, 4, Seed::new(61), config).unwrap();
     for round in 0..4 {
         let seed = Seed::new(62).derive(round);
@@ -505,38 +512,38 @@ fn delta_swaps_match_full_rebuild_bit_for_bit() {
     // Column-level identity over the whole id space.
     assert_eq!(*delta_built, *rebuilt);
     assert_eq!(delta_built.bytes_total(), rebuilt.bytes_total());
-    // Query-level identity, certificates included.
+    // Query-level identity.
     let alive_edges: Vec<EdgeId> = live.alive_edges().collect();
     let alive_vertices: Vec<VertexId> = live.alive_vertices().collect();
     let mut rng = Seed::new(63).stream();
-    let fault_sets: Vec<Vec<EdgeId>> = (0..4)
+    let mut groups: Vec<FaultSetBatch> = (0..4)
         .map(|_| {
-            let mut fs = Vec::new();
-            while fs.len() < 4 {
+            let mut faults = Vec::new();
+            while faults.len() < 4 {
                 let e = alive_edges[(rng() % alive_edges.len() as u64) as usize];
-                if !fs.contains(&e) {
-                    fs.push(e);
+                if !faults.contains(&e) {
+                    faults.push(e);
                 }
             }
-            fs
+            FaultSetBatch {
+                faults,
+                queries: Vec::new(),
+            }
         })
         .collect();
-    let queries: Vec<ConnQuery> = (0..120)
-        .map(|i| ConnQuery {
-            s: alive_vertices[(rng() % alive_vertices.len() as u64) as usize],
-            t: alive_vertices[(rng() % alive_vertices.len() as u64) as usize],
-            fault_set: i % fault_sets.len(),
-        })
-        .collect();
-    let req = BatchRequest {
-        fault_sets,
-        queries,
-    };
+    for i in 0..120 {
+        let s = alive_vertices[(rng() % alive_vertices.len() as u64) as usize];
+        let t = alive_vertices[(rng() % alive_vertices.len() as u64) as usize];
+        groups[i % 4].queries.push((s, t));
+    }
     let mut over_delta = Engine::with_shared(delta_built, config);
     let mut over_rebuilt = Engine::with_shared(rebuilt, config);
-    let a = over_delta.execute(&req).unwrap();
-    let b = over_rebuilt.execute(&req).unwrap();
-    assert_eq!(a.results, b.results);
+    let a = over_delta.execute_grouped(&groups);
+    assert!(a
+        .groups
+        .iter()
+        .all(|group| group.as_ref().is_ok_and(|qs| qs.iter().all(Result::is_ok))));
+    assert_eq!(a.groups, over_rebuilt.execute_grouped(&groups).groups);
 }
 
 /// The published store equals a fresh build of the live labeling column
@@ -611,8 +618,7 @@ fn elimination_cache_never_crosses_epochs() {
     };
     // Pre-churn: the cycle minus one faulted edge is still connected —
     // and this primes the cache for exactly this fault set.
-    let pre = engine.execute(&batch(vec![fault], &[(s, t)])).unwrap();
-    assert!(pre.results[0].connected);
+    assert_eq!(answers(serve(&mut engine, vec![fault], &[(s, t)])), [true]);
     // Structurally remove the other edge: the cycle becomes a path, and
     // the same transient fault now disconnects its endpoints.
     store.remove_edge(structural).unwrap();
@@ -623,9 +629,9 @@ fn elimination_cache_never_crosses_epochs() {
     };
     let truth = connected_avoiding(&g, VertexId::new(s), VertexId::new(t), &mask);
     assert!(!truth, "test graph did not discriminate");
-    let post = engine.execute(&batch(vec![fault], &[(s, t)])).unwrap();
     assert_eq!(
-        post.results[0].connected, truth,
+        answers(serve(&mut engine, vec![fault], &[(s, t)])),
+        [truth],
         "stale cached elimination served across an epoch swap"
     );
 }
@@ -728,7 +734,7 @@ fn churn_soak() {
         let config = EngineConfig::default();
         let mut store = LiveStore::new(&g, 4, Seed::new(iteration), config).unwrap();
         let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
-        let mut cfg = ChurnConfig::new("soak", 4);
+        let mut cfg = ChurnConfig::new(4);
         cfg.seed = iteration;
         cfg.rounds = 10;
         cfg.edge_removals_per_round = 8;

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: the batched path must agree with the
-//! subset-enumerating oracle and with ground-truth graph traversals,
-//! certificates must be genuine cuts, and the cache must actually amortise
-//! eliminations.
+//! subset-enumerating oracle and with ground-truth graph traversals, the
+//! cut certificates of the store's eliminations must be genuine cuts, and
+//! the cache must actually amortise eliminations.
 
 // Test code: panicking asserts and progress prints are the point here.
 #![allow(
@@ -13,9 +13,10 @@
 )]
 use ftl_cycle_space::{decode_brute_force, CycleSpaceEdgeLabel, CycleSpaceScheme};
 use ftl_engine::{
-    BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch, LabelStore,
-    LabelStoreBuilder, StoreError, StoreKey,
+    EliminatedFaultSet, Engine, EngineConfig, EngineError, FaultSetBatch, GroupedResponse,
+    LabelStore, LabelStoreBuilder, StoreError, StoreKey,
 };
+use ftl_gf2::BitVec;
 use ftl_graph::traversal::{connected_avoiding, forbidden_mask};
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
 use ftl_labels::wire::WireLabel;
@@ -65,33 +66,68 @@ fn random_fault_sets(g: &Graph, count: usize, f: usize, rng: &mut StdRng) -> Vec
         .collect()
 }
 
-/// The differential oracle: every query enumerates the subsets of its
-/// fault set (Section 3.1.2) over the scheme's own labels, sharing no code
-/// with the engine's elimination. Returns whether each query is connected.
-fn naive_answers(scheme: &CycleSpaceScheme, req: &BatchRequest) -> Vec<bool> {
-    let labels: Vec<Vec<CycleSpaceEdgeLabel>> = req
-        .fault_sets
-        .iter()
-        .map(|fs| fs.iter().map(|&e| scheme.edge_label(e)).collect())
+/// One group per fault set, and `count` queries with random endpoints,
+/// each in a random group.
+fn random_groups(
+    g: &Graph,
+    fault_sets: Vec<Vec<EdgeId>>,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<FaultSetBatch> {
+    let mut groups: Vec<FaultSetBatch> = fault_sets
+        .into_iter()
+        .map(|faults| FaultSetBatch {
+            faults,
+            queries: Vec::new(),
+        })
         .collect();
-    req.queries
+    let k = groups.len();
+    for _ in 0..count {
+        let s = VertexId::new(rng.gen_range(0..g.num_vertices()));
+        let t = VertexId::new(rng.gen_range(0..g.num_vertices()));
+        groups[rng.gen_range(0..k)].queries.push((s, t));
+    }
+    groups
+}
+
+/// Every answer of a response, group by group; any failure panics.
+fn answers(resp: &GroupedResponse) -> Vec<Vec<bool>> {
+    resp.groups
         .iter()
-        .map(|q| {
-            let s = scheme.vertex_label(q.s);
-            let t = scheme.vertex_label(q.t);
-            decode_brute_force(&s, &t, &labels[q.fault_set])
+        .map(|group| {
+            group
+                .as_ref()
+                .unwrap()
+                .iter()
+                .map(|q| *q.as_ref().unwrap())
+                .collect()
         })
         .collect()
 }
 
-fn random_queries(g: &Graph, count: usize, fault_sets: usize, rng: &mut StdRng) -> Vec<ConnQuery> {
-    (0..count)
-        .map(|_| ConnQuery {
-            s: VertexId::new(rng.gen_range(0..g.num_vertices())),
-            t: VertexId::new(rng.gen_range(0..g.num_vertices())),
-            fault_set: rng.gen_range(0..fault_sets),
+/// The differential oracle: every query enumerates the subsets of its
+/// fault set (Section 3.1.2) over the scheme's own labels, sharing no code
+/// with the engine's elimination. Returns whether each query is connected.
+fn naive_answers(scheme: &CycleSpaceScheme, groups: &[FaultSetBatch]) -> Vec<Vec<bool>> {
+    groups
+        .iter()
+        .map(|group| {
+            let labels: Vec<CycleSpaceEdgeLabel> =
+                group.faults.iter().map(|&e| scheme.edge_label(e)).collect();
+            group
+                .queries
+                .iter()
+                .map(|&(s, t)| {
+                    decode_brute_force(&scheme.vertex_label(s), &scheme.vertex_label(t), &labels)
+                })
+                .collect()
         })
         .collect()
+}
+
+/// Whether `s` and `t` are connected in `g` minus `faults`, by BFS.
+fn truth(g: &Graph, faults: &[EdgeId], s: VertexId, t: VertexId) -> bool {
+    connected_avoiding(g, s, t, &forbidden_mask(g, faults))
 }
 
 #[test]
@@ -103,94 +139,75 @@ fn batched_naive_and_truth_agree() {
         ("grid-5x5", generators::grid(5, 5)),
     ] {
         let mut rng = StdRng::seed_from_u64(0xD1FF);
-        let config = EngineConfig {
-            collect_certificates: true,
-            ..EngineConfig::default()
-        };
         let scheme = CycleSpaceScheme::label(&g, 5, Seed::new(9)).unwrap();
-        let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
+        let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
         for trial in 0..3 {
             let fault_sets = random_fault_sets(&g, 4, 5, &mut rng);
-            let queries = random_queries(&g, 120, fault_sets.len(), &mut rng);
-            let req = BatchRequest {
-                fault_sets: fault_sets.clone(),
-                queries,
-            };
-            let batched = engine.execute(&req).unwrap();
-            let naive = naive_answers(&scheme, &req);
-            assert_eq!(batched.results.len(), naive.len());
-            for (i, (b, nv)) in batched.results.iter().zip(&naive).enumerate() {
-                let q = &req.queries[i];
-                assert_eq!(
-                    b.connected, *nv,
-                    "{name} trial {trial}: query {i} batched vs naive"
-                );
-                // The certificate must be a genuine cut: inside F, and
-                // separating s from t alone.
-                assert_eq!(b.certificate.is_some(), !b.connected, "{name}: query {i}");
-                if let Some(cert) = &b.certificate {
-                    assert!(cert.iter().all(|e| fault_sets[q.fault_set].contains(e)));
-                    let mask = forbidden_mask(&g, cert);
-                    assert!(
-                        !connected_avoiding(&g, q.s, q.t, &mask),
-                        "{name}: query {i}"
+            let groups = random_groups(&g, fault_sets, 120, &mut rng);
+            let batched = engine.execute_grouped(&groups);
+            let naive = naive_answers(&scheme, &groups);
+            assert_eq!(
+                answers(&batched),
+                naive,
+                "{name} trial {trial}: batched vs naive"
+            );
+            for (group, got) in groups.iter().zip(&naive) {
+                for (i, (&(s, t), &connected)) in group.queries.iter().zip(got).enumerate() {
+                    assert_eq!(
+                        connected,
+                        truth(&g, &group.faults, s, t),
+                        "{name} trial {trial}: query {i} vs ground truth"
                     );
                 }
-                let mask = forbidden_mask(&g, &fault_sets[q.fault_set]);
-                let truth = connected_avoiding(&g, q.s, q.t, &mask);
-                assert_eq!(b.connected, truth, "{name}: query {i} vs ground truth");
             }
             // Batched ran at most one elimination per distinct fault set.
-            assert!(batched.stats.eliminations <= fault_sets.len());
+            assert_eq!(batched.stats.queries, 120);
+            assert!(batched.stats.eliminations <= groups.len());
             assert_eq!(
                 batched.stats.eliminations + batched.stats.cache_hits,
-                fault_sets.len()
+                groups.len()
             );
         }
     }
 }
 
+/// The cut certificate `F′ ⊆ F` of each disconnected answer, read off the
+/// elimination of the engine's own store: inside the fault set, and
+/// separating `s` from `t` on its own.
 #[test]
 fn certificates_are_genuine_cuts() {
     let g = generators::grid(3, 4);
     let mut rng = StdRng::seed_from_u64(0xCE57);
-    let mut engine = engine_for(
-        &g,
-        4,
-        3,
-        EngineConfig {
-            collect_certificates: true,
-            ..EngineConfig::default()
-        },
-    );
+    let mut engine = engine_for(&g, 4, 3, EngineConfig::default());
     let fault_sets = random_fault_sets(&g, 6, 4, &mut rng);
-    let queries = random_queries(&g, 200, fault_sets.len(), &mut rng);
-    let req = BatchRequest {
-        fault_sets: fault_sets.clone(),
-        queries,
-    };
-    let resp = engine.execute(&req).unwrap();
+    let groups = random_groups(&g, fault_sets, 200, &mut rng);
+    let resp = engine.execute_grouped(&groups);
+    let store = engine.store();
+    let mut diff = BitVec::zeros(0);
     let mut disconnections = 0;
-    for (q, r) in req.queries.iter().zip(&resp.results) {
-        if r.connected {
-            assert!(r.certificate.is_none());
-            continue;
+    for (group, got) in groups.iter().zip(answers(&resp)) {
+        let mut ids = group.faults.clone();
+        ids.sort();
+        ids.dedup();
+        let efs = EliminatedFaultSet::eliminate_from_sidecar(ids, store).unwrap();
+        for (&(s, t), connected) in group.queries.iter().zip(got) {
+            let (s_anc, t_anc) = (store.vertex_anc(s).unwrap(), store.vertex_anc(t).unwrap());
+            let gen = efs.separating_generator_anc(&s_anc, &t_anc, &mut diff);
+            assert_eq!(gen.is_none(), connected, "engine and elimination disagree");
+            let Some(gen) = gen else { continue };
+            disconnections += 1;
+            let cert = efs.certificate(gen).expect("disconnected carries a cut");
+            assert!(!cert.is_empty());
+            // The certificate must be a subset of the fault set…
+            for e in &cert {
+                assert!(group.faults.contains(e), "cert edge outside F");
+            }
+            // …and removing it alone must separate s from t.
+            assert!(
+                !truth(&g, &cert, s, t),
+                "certificate does not cut ({s:?}, {t:?})"
+            );
         }
-        disconnections += 1;
-        let cert = r.certificate.as_ref().expect("disconnected carries a cut");
-        assert!(!cert.is_empty());
-        // The certificate must be a subset of the fault set…
-        for e in cert {
-            assert!(fault_sets[q.fault_set].contains(e), "cert edge outside F");
-        }
-        // …and removing it alone must separate s from t.
-        let mask = forbidden_mask(&g, cert);
-        assert!(
-            !connected_avoiding(&g, q.s, q.t, &mask),
-            "certificate does not cut ({:?}, {:?})",
-            q.s,
-            q.t
-        );
     }
     assert!(disconnections > 0, "workload produced no disconnections");
 }
@@ -201,34 +218,27 @@ fn repeated_fault_sets_are_served_from_cache() {
     let mut rng = StdRng::seed_from_u64(0xCAC4E);
     let mut engine = engine_for(&g, 6, 4, EngineConfig::default());
     let fault_sets = random_fault_sets(&g, 3, 6, &mut rng);
-    let queries = random_queries(&g, 30, fault_sets.len(), &mut rng);
-    let req = BatchRequest {
-        fault_sets: fault_sets.clone(),
-        queries,
-    };
-    let first = engine.execute(&req).unwrap();
+    let groups = random_groups(&g, fault_sets, 30, &mut rng);
+    let first = engine.execute_grouped(&groups);
     assert_eq!(first.stats.eliminations, 3);
     assert_eq!(first.stats.cache_hits, 0);
-    let second = engine.execute(&req).unwrap();
+    let second = engine.execute_grouped(&groups);
     assert_eq!(second.stats.eliminations, 0);
     assert_eq!(second.stats.cache_hits, 3);
     // A permuted fault set is the same canonical set: still a hit.
-    let mut permuted = fault_sets[0].clone();
+    let mut permuted = groups[0].faults.clone();
     permuted.reverse();
-    let req2 = BatchRequest {
-        fault_sets: vec![permuted],
-        queries: vec![ConnQuery {
-            s: VertexId::new(0),
-            t: VertexId::new(15),
-            fault_set: 0,
-        }],
-    };
-    let third = engine.execute(&req2).unwrap();
+    let third = engine.execute_grouped(&[FaultSetBatch {
+        faults: permuted,
+        queries: vec![(VertexId::new(0), VertexId::new(15))],
+    }]);
     assert_eq!(third.stats.eliminations, 0);
     assert_eq!(third.stats.cache_hits, 1);
-    for (a, b) in first.results.iter().zip(&second.results) {
-        assert_eq!(a, b, "cache must not change answers");
-    }
+    assert_eq!(
+        answers(&first),
+        answers(&second),
+        "cache must not change answers"
+    );
 }
 
 #[test]
@@ -245,55 +255,29 @@ fn zero_capacity_cache_still_answers_correctly() {
         },
     );
     let fault_sets = random_fault_sets(&g, 2, 3, &mut rng);
-    let queries = random_queries(&g, 40, 2, &mut rng);
-    let req = BatchRequest {
-        fault_sets: fault_sets.clone(),
-        queries,
-    };
-    let a = engine.execute(&req).unwrap();
-    let b = engine.execute(&req).unwrap();
+    let groups = random_groups(&g, fault_sets, 40, &mut rng);
+    let a = engine.execute_grouped(&groups);
+    let b = engine.execute_grouped(&groups);
     assert_eq!(a.stats.eliminations, 2);
     assert_eq!(b.stats.eliminations, 2, "no cache, so re-eliminate");
-    for (q, r) in req.queries.iter().zip(&a.results) {
-        let mask = forbidden_mask(&g, &fault_sets[q.fault_set]);
-        assert_eq!(r.connected, connected_avoiding(&g, q.s, q.t, &mask));
+    for (group, got) in groups.iter().zip(answers(&a)) {
+        for (&(s, t), connected) in group.queries.iter().zip(got) {
+            assert_eq!(connected, truth(&g, &group.faults, s, t));
+        }
     }
-    for (x, y) in a.results.iter().zip(&b.results) {
-        assert_eq!(x, y);
-    }
-}
-
-#[test]
-fn bad_fault_set_index_is_an_error() {
-    let g = generators::path(4);
-    let mut engine = engine_for(&g, 2, 1, EngineConfig::default());
-    let req = BatchRequest {
-        fault_sets: vec![vec![EdgeId::new(0)]],
-        queries: vec![ConnQuery {
-            s: VertexId::new(0),
-            t: VertexId::new(3),
-            fault_set: 5,
-        }],
-    };
-    assert!(matches!(
-        engine.execute(&req),
-        Err(EngineError::UnknownFaultSet {
-            index: 5,
-            available: 1
-        })
-    ));
+    assert_eq!(a.groups, b.groups);
 }
 
 #[test]
 fn missing_edge_label_is_a_store_error() {
     let g = generators::path(4);
     let mut engine = engine_for(&g, 2, 1, EngineConfig::default());
-    let req = BatchRequest {
-        fault_sets: vec![vec![EdgeId::new(99)]],
+    let resp = engine.execute_grouped(&[FaultSetBatch {
+        faults: vec![EdgeId::new(99)],
         queries: vec![],
-    };
+    }]);
     assert!(matches!(
-        engine.execute(&req),
+        resp.groups[0],
         Err(EngineError::Store(StoreError::Missing(_)))
     ));
 }
@@ -310,18 +294,18 @@ proptest! {
         let f = 1 + (seed as usize) % 6;
         let mut engine = engine_for(&g, f, seed ^ 0xABC, EngineConfig::default());
         let fault_sets = random_fault_sets(&g, 3, f, &mut rng);
-        let queries = random_queries(&g, 60, 3, &mut rng);
-        let req = BatchRequest { fault_sets: fault_sets.clone(), queries };
-        let resp = engine.execute(&req).unwrap();
-        for (q, r) in req.queries.iter().zip(&resp.results) {
-            let mask = forbidden_mask(&g, &fault_sets[q.fault_set]);
-            prop_assert_eq!(r.connected, connected_avoiding(&g, q.s, q.t, &mask));
+        let groups = random_groups(&g, fault_sets, 60, &mut rng);
+        let resp = engine.execute_grouped(&groups);
+        for (group, got) in groups.iter().zip(answers(&resp)) {
+            for (&(s, t), connected) in group.queries.iter().zip(got) {
+                prop_assert_eq!(connected, truth(&g, &group.faults, s, t));
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// The decoded sidecar, shared stores, and request validation.
+// The decoded sidecar, shared stores, and fault-set validation.
 // ---------------------------------------------------------------------
 
 /// The wire format is only a transfer encoding: importing every label
@@ -382,22 +366,17 @@ fn threads_sharing_one_frozen_store_agree_with_serial() {
     let store = reference.shared_store();
     let mut rng = StdRng::seed_from_u64(0xC0C0);
     let fault_sets = random_fault_sets(&g, 4, 4, &mut rng);
-    let queries = random_queries(&g, 200, fault_sets.len(), &mut rng);
-    let req = Arc::new(BatchRequest {
-        fault_sets,
-        queries,
-    });
-    let expected = Arc::new(reference.execute(&req).unwrap().results);
+    let groups = Arc::new(random_groups(&g, fault_sets, 200, &mut rng));
+    let expected = Arc::new(answers(&reference.execute_grouped(&groups)));
     let handles: Vec<_> = (0..4)
         .map(|_| {
             let store = Arc::clone(&store);
-            let req = Arc::clone(&req);
+            let groups = Arc::clone(&groups);
             let expected = Arc::clone(&expected);
             std::thread::spawn(move || {
                 let mut engine = Engine::with_shared(store, EngineConfig::default());
                 for _ in 0..3 {
-                    let resp = engine.execute(&req).unwrap();
-                    assert_eq!(resp.results, *expected);
+                    assert_eq!(answers(&engine.execute_grouped(&groups)), *expected);
                 }
             })
         })
@@ -409,16 +388,12 @@ fn threads_sharing_one_frozen_store_agree_with_serial() {
 
 /// A store imported record by record through the wire boundary
 /// (`put_bytes`) serves identically to one built directly from the typed
-/// labels, certificates included: one store representation, whichever way
-/// the labels arrived.
+/// labels: one store representation, whichever way the labels arrived.
 #[test]
 fn wire_only_freeze_serves_identically_without_sidecar() {
     let g = generators::grid(4, 4);
     let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(6)).unwrap();
-    let config = EngineConfig {
-        collect_certificates: true,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let mut wire_engine = Engine::new(imported(&scheme), config);
     let mut direct_engine = Engine::from_cycle_space(&scheme, config).unwrap();
     assert_eq!(wire_engine.store(), direct_engine.store());
@@ -426,40 +401,26 @@ fn wire_only_freeze_serves_identically_without_sidecar() {
     let mut disconnected = 0;
     for trial in 0..4 {
         let fault_sets = random_fault_sets(&g, 2, 4, &mut rng);
-        let queries = random_queries(&g, 80, fault_sets.len(), &mut rng);
-        let req = BatchRequest {
-            fault_sets,
-            queries,
-        };
-        let wire = wire_engine.execute(&req).unwrap().results;
+        let groups = random_groups(&g, fault_sets, 80, &mut rng);
+        let wire = answers(&wire_engine.execute_grouped(&groups));
         assert_eq!(
             wire,
-            direct_engine.execute(&req).unwrap().results,
+            answers(&direct_engine.execute_grouped(&groups)),
             "trial {trial}"
         );
-        disconnected += wire.iter().filter(|r| r.certificate.is_some()).count();
+        disconnected += wire.iter().flatten().filter(|&&c| !c).count();
     }
-    assert!(disconnected > 0, "no certificate was compared");
+    assert!(disconnected > 0, "no disconnected answer was compared");
 }
 
-/// A fault set naming a missing edge is rejected by both entry points even
-/// when no query references it: the indexed call fails as a whole, and as
-/// a zero-query group it fails its own slot.
+/// A fault set naming a missing edge is rejected even when no query
+/// references it: as a zero-query group it fails its own slot, and the
+/// group beside it keeps its answer.
 #[test]
 fn unreferenced_bad_fault_set_rejected_by_both_engines() {
     let g = generators::grid(3, 3);
     let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(4)).unwrap();
-    let req = BatchRequest {
-        fault_sets: vec![vec![EdgeId::new(0)], vec![EdgeId::new(999_999)]],
-        queries: vec![ConnQuery {
-            s: VertexId::new(0),
-            t: VertexId::new(8),
-            fault_set: 0, // the bad set (index 1) is never referenced
-        }],
-    };
     let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let err = engine.execute(&req).unwrap_err();
-    assert!(matches!(err, EngineError::Store(StoreError::Missing(_))));
     let grouped = engine.execute_grouped(&[
         FaultSetBatch {
             faults: vec![EdgeId::new(0)],
@@ -470,6 +431,11 @@ fn unreferenced_bad_fault_set_rejected_by_both_engines() {
             queries: Vec::new(),
         },
     ]);
-    assert!(grouped.groups[0].is_ok());
-    assert_eq!(grouped.groups[1], Err(err));
+    assert_eq!(grouped.groups[0], Ok(vec![Ok(true)]));
+    assert_eq!(
+        grouped.groups[1],
+        Err(EngineError::Store(StoreError::Missing(StoreKey::edge(
+            EdgeId::new(999_999)
+        ))))
+    );
 }

@@ -1,15 +1,13 @@
-//! The grouped batch-submission entry point: `execute_grouped` agrees
-//! with `execute`, eliminates once per group, refills a reused response,
-//! and isolates failures — a bad fault set or a panic per group, a bad
-//! vertex per query.
+//! The engine's one call, `execute_grouped`: many groups in one call
+//! answer as one group per call does, it eliminates once per group,
+//! refills a reused response, and isolates failures — a bad fault set or
+//! a panic per group, a bad vertex per query.
 
 // Test code: panicking asserts are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{
-    BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch, GroupedResponse,
-};
+use ftl_engine::{Engine, EngineConfig, EngineError, FaultSetBatch, GroupedResponse};
 use ftl_graph::{generators, EdgeId, VertexId};
 use ftl_seeded::Seed;
 
@@ -43,42 +41,44 @@ fn groups(g: &ftl_graph::Graph) -> Vec<FaultSetBatch> {
         .collect()
 }
 
+/// One call over every group answers as one call per group does — the
+/// shape the server uses, one group per call — and either way each
+/// distinct fault set is eliminated once, then served from the cache.
 #[test]
-fn grouped_agrees_with_indexed_execute() {
+fn grouped_agrees_with_one_group_per_call() {
     let (g, scheme) = scheme();
-    let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
     let groups = groups(&g);
+    let mut per_call = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
+    let mut eliminations = 0;
+    let mut queries = 0;
+    let singles: Vec<_> = groups
+        .iter()
+        .map(|group| {
+            let resp = per_call.execute_grouped(std::slice::from_ref(group));
+            assert_eq!(resp.stats.fault_sets, 1);
+            eliminations += resp.stats.eliminations;
+            queries += resp.stats.queries;
+            resp.groups.into_iter().next().unwrap()
+        })
+        .collect();
+    assert_eq!(eliminations, 3);
+    assert_eq!(queries, 24);
 
-    // The same workload phrased as an indexed BatchRequest.
-    let req = BatchRequest {
-        fault_sets: groups.iter().map(|gr| gr.faults.clone()).collect(),
-        queries: groups
-            .iter()
-            .enumerate()
-            .flat_map(|(i, gr)| {
-                gr.queries
-                    .iter()
-                    .map(move |&(s, t)| ConnQuery { s, t, fault_set: i })
-            })
-            .collect(),
-    };
-    let indexed = engine.execute(&req).unwrap();
+    let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
     let grouped = engine.execute_grouped(&groups);
-
-    let flat: Vec<_> = grouped
+    assert_eq!(grouped.groups, singles);
+    assert!(grouped
         .groups
         .iter()
-        .flat_map(|gr| gr.as_ref().unwrap().iter())
-        .map(|q| q.as_ref().unwrap().clone())
-        .collect();
-    assert_eq!(flat, indexed.results);
-    assert_eq!(grouped.stats.queries, indexed.stats.queries);
+        .all(|gr| gr.as_ref().is_ok_and(|qs| qs.iter().all(Result::is_ok))));
+    assert_eq!(grouped.stats.queries, queries);
     assert_eq!(grouped.stats.fault_sets, 3);
-    // The indexed call eliminated each distinct set exactly once; the
-    // grouped replay found every set cached.
-    assert_eq!(indexed.stats.eliminations, 3);
-    assert_eq!(grouped.stats.eliminations, 0);
-    assert_eq!(grouped.stats.cache_hits, 3);
+    assert_eq!(grouped.stats.eliminations, 3);
+    // The replay finds every set cached.
+    let replay = engine.execute_grouped(&groups);
+    assert_eq!(replay.groups, singles);
+    assert_eq!(replay.stats.eliminations, 0);
+    assert_eq!(replay.stats.cache_hits, 3);
 }
 
 /// Several engines on their own threads over one shared store — the shape

@@ -4,7 +4,12 @@
 //! `--seed` pair, derives the shared fault-set vocabulary, precomputes
 //! BFS ground truth, and then hammers the server with `--clients`
 //! concurrent connections. Any answer disagreeing with BFS is a
-//! mismatch; the process exits non-zero if there is even one.
+//! mismatch; the process exits non-zero if there is even one, and also if
+//! any request went unanswered — an audit of nothing passes nothing.
+//!
+//! Exit codes: `0` every request answered and audited clean, `1` a
+//! mismatch, `2` bad arguments, `3` the run deadline passed, `4` some
+//! request was never answered `Ok`.
 //!
 //! ```text
 //! ftl-loadgen --addr 127.0.0.1:7411 --graph er:1024:8 --seed 1 \
@@ -90,7 +95,9 @@ fn parse_args() -> Result<Args, String> {
                      \x20            into the run and print the per-stage latency table;\n\
                      \x20            --ttl-ms: stamp request TTLs; --run-deadline-secs:\n\
                      \x20            hard wall-clock bound on the whole run, exit 3 on\n\
-                     \x20            timeout; 0 = unbounded)"
+                     \x20            timeout; 0 = unbounded)\n\
+                     exit: 0 clean, 1 mismatches, 2 bad arguments, 3 timed out,\n\
+                     \x20     4 some request not answered Ok"
                 );
                 std::process::exit(0);
             }
@@ -186,13 +193,18 @@ fn run() -> Result<Outcome, String> {
         Some(Err(e)) => eprintln!("ftl-loadgen: {e}"),
         None => {}
     }
-    if report.timed_out {
-        return Ok(Outcome::TimedOut);
-    }
-    Ok(if report.mismatches == 0 {
-        Outcome::Clean
-    } else {
+    let expected = (args.clients * args.requests) as u64;
+    Ok(if report.timed_out {
+        Outcome::TimedOut
+    } else if report.mismatches > 0 {
         Outcome::Mismatches
+    } else if report.requests_ok < expected {
+        Outcome::Unserved {
+            ok: report.requests_ok,
+            expected,
+        }
+    } else {
+        Outcome::Clean
     })
 }
 
@@ -200,6 +212,7 @@ enum Outcome {
     Clean,
     Mismatches,
     TimedOut,
+    Unserved { ok: u64, expected: u64 },
 }
 
 /// Prints the per-stage latency breakdown from a mid-run scrape.
@@ -249,6 +262,10 @@ fn main() {
         Ok(Outcome::TimedOut) => {
             eprintln!("ftl-loadgen: TIMEOUT — global run deadline passed before completion");
             std::process::exit(3);
+        }
+        Ok(Outcome::Unserved { ok, expected }) => {
+            eprintln!("ftl-loadgen: UNSERVED — {ok} of {expected} requests answered Ok");
+            std::process::exit(4);
         }
         Err(e) => {
             eprintln!("ftl-loadgen: {e}");

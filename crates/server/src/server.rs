@@ -555,11 +555,9 @@ fn execute_window(
             // requests sharing the fault set keep their answers. A failed
             // group fails all its members.
             let status = match slice {
-                Some(rs) if rs.iter().all(|r| r.is_ok()) => ResponseStatus::Ok(
-                    rs.iter()
-                        .map(|r| r.as_ref().is_ok_and(|q| q.connected))
-                        .collect(),
-                ),
+                Some(rs) if rs.iter().all(|r| r.is_ok()) => {
+                    ResponseStatus::Ok(rs.iter().map(|r| *r == Ok(true)).collect())
+                }
                 _ => {
                     stats.record_engine_error();
                     ResponseStatus::EngineFailed

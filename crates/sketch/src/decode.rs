@@ -107,10 +107,10 @@ pub struct DecodeOutcome {
 /// sketches from subtree sketches (Claim 3.15); (3) cancellation of faulty
 /// edges; (4) Borůvka phases with one fresh sketch unit each, followed by
 /// path extraction.
-pub fn decode(
+pub fn decode<'a>(
     s: &SketchVertexLabel,
     t: &SketchVertexLabel,
-    faults: &[SketchEdgeLabel],
+    faults: impl IntoIterator<Item = &'a SketchEdgeLabel>,
 ) -> DecodeOutcome {
     if s.anc == t.anc {
         return DecodeOutcome {
@@ -120,7 +120,9 @@ pub fn decode(
         };
     }
     // Split faults into tree / non-tree.
-    let tree_faults: Vec<&SketchEdgeLabel> = faults.iter().filter(|f| f.is_tree()).collect();
+    let faults: Vec<&SketchEdgeLabel> = faults.into_iter().collect();
+    let tree_faults: Vec<&SketchEdgeLabel> =
+        faults.iter().copied().filter(|f| f.is_tree()).collect();
     if tree_faults.is_empty() {
         // T \ F = T: s and t stay connected through the tree.
         return DecodeOutcome {
