@@ -16,32 +16,35 @@
 //! the subtree of `c`).
 
 use ftl_gf2::BitVec;
-use ftl_graph::{Graph, SpanningTree, VertexId};
+use ftl_graph::{EdgeId, Graph, SpanningTree, VertexId};
 use ftl_seeded::Seed;
 
 /// Assigns the `b`-bit cut-detection labels `φ(e)` of Lemma 1.7 to every
 /// edge, indexed by edge id.
 ///
+/// `dead` masks edges out of the graph, in the convention of
+/// [`traversal::bfs`](ftl_graph::traversal::bfs)'s `forbidden` (`&[]` =
+/// none): a dead edge draws no bits and gets a zero `φ`, so the labels
+/// are those of the graph without it.
+///
 /// # Panics
 ///
-/// Panics if the spanning tree does not span all vertices of `graph`.
+/// Panics if an edge that is not dead has an endpoint outside the tree.
 pub fn assign_circulation_labels(
     graph: &Graph,
     tree: &SpanningTree,
+    dead: &[bool],
     b: usize,
     seed: Seed,
 ) -> Vec<BitVec> {
-    assert_eq!(
-        tree.num_tree_vertices(),
-        graph.num_vertices(),
-        "tree must span the (connected) graph"
-    );
+    let is_dead = |id: EdgeId| dead.get(id.index()).copied().unwrap_or(false);
     let mut stream = seed.stream();
     let mut phi: Vec<BitVec> = Vec::with_capacity(graph.num_edges());
-    // Non-tree edges: uniform b-bit strings. Tree edges: zero for now.
+    // Non-tree edges: uniform b-bit strings. Tree and dead edges: zero
+    // for now.
     for (id, _) in graph.edge_ids() {
         let mut v = BitVec::zeros(b);
-        if !tree.is_tree_edge(id) {
+        if !tree.is_tree_edge(id) && !is_dead(id) {
             v.randomize(&mut stream);
         }
         phi.push(v);
@@ -49,9 +52,13 @@ pub fn assign_circulation_labels(
     // val[w] = XOR of phi over non-tree edges incident to w.
     let mut val: Vec<BitVec> = vec![BitVec::zeros(b); graph.num_vertices()];
     for (id, e) in graph.edge_ids() {
-        if tree.is_tree_edge(id) {
+        if tree.is_tree_edge(id) || is_dead(id) {
             continue;
         }
+        assert!(
+            tree.contains(e.u()) && tree.contains(e.v()),
+            "tree must span every edge that is not dead"
+        );
         if e.u() == e.v() {
             continue; // self-loops lie on no cut; leave them random
         }
@@ -129,7 +136,7 @@ mod tests {
 
     fn labels_for(g: &Graph, b: usize, seed: u64) -> (SpanningTree, Vec<BitVec>) {
         let t = SpanningTree::bfs_tree(g, VertexId::new(0)).unwrap();
-        let phi = assign_circulation_labels(g, &t, b, Seed::new(seed));
+        let phi = assign_circulation_labels(g, &t, &[], b, Seed::new(seed));
         (t, phi)
     }
 

@@ -127,7 +127,7 @@ impl CycleSpaceScheme {
         if tree.num_tree_vertices() != graph.num_vertices() {
             return Err(GraphError::Disconnected);
         }
-        let phi = assign_circulation_labels(graph, tree, b, seed.derive(0xC1C));
+        let phi = assign_circulation_labels(graph, tree, &[], b, seed.derive(0xC1C));
         // Per-vertex and per-edge label assembly is embarrassingly parallel
         // (see `ftl-par`).
         let vertex_labels = ftl_par::par_map_indexed(graph.num_vertices(), MIN_PARALLEL_LEN, |i| {

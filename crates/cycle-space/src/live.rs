@@ -37,10 +37,11 @@
 //! (repair after failure, serve during repair).
 
 use ftl_gf2::BitVec;
-use ftl_graph::{traversal, EdgeId, Graph, VertexId};
+use ftl_graph::{traversal, EdgeId, Graph, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
 use ftl_seeded::Seed;
 
+use crate::circulation::assign_circulation_labels;
 use crate::labeling::{default_bits, CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
 
 /// Errors surfaced by live mutations.
@@ -76,7 +77,7 @@ impl std::error::Error for LiveError {}
 ///
 /// `upsert` ids are alive and carry changed labels; `removed` ids are dead
 /// and must be evicted from any derived store. When `full` is set the
-/// scheme performed an internal relabel-from-scratch and *every* alive
+/// scheme performed an internal full relabel and *every* alive
 /// label changed — consumers should rebuild rather than patch.
 #[derive(Debug, Clone, Default)]
 pub struct LiveDelta {
@@ -165,7 +166,7 @@ impl LiveCycleSpace {
             root: VertexId::new(0),
             alive_vertex: vec![true; nv],
             alive_edge: vec![true; ne],
-            phi: vec![BitVec::zeros(b); ne],
+            phi: Vec::new(),
             is_tree: vec![false; ne],
             parent: vec![None; nv],
             children: vec![Vec::new(); nv],
@@ -178,7 +179,7 @@ impl LiveCycleSpace {
             removed_edges: Vec::new(),
             all_dirty: false,
         };
-        live.relabel_from_scratch();
+        live.relabel();
         Ok(live)
     }
 
@@ -316,7 +317,7 @@ impl LiveCycleSpace {
                 TreeRemove::WouldDisconnect => Err(LiveError::WouldDisconnect),
                 TreeRemove::NeedRebuild => {
                     self.kill_edge(e);
-                    self.relabel_from_scratch();
+                    self.relabel();
                     Ok(())
                 }
             }
@@ -357,7 +358,7 @@ impl LiveCycleSpace {
         if v == self.root {
             // Re-rooting is a global renumbering anyway: take the rebuild.
             self.kill_vertex_brutally(v);
-            self.relabel_from_scratch();
+            self.relabel();
             return Ok(());
         }
 
@@ -380,7 +381,7 @@ impl LiveCycleSpace {
                 TreeRemove::Done => {}
                 TreeRemove::NeedRebuild | TreeRemove::WouldDisconnect => {
                     self.kill_vertex_brutally(v);
-                    self.relabel_from_scratch();
+                    self.relabel();
                     return Ok(());
                 }
             }
@@ -405,12 +406,60 @@ impl LiveCycleSpace {
         Ok(())
     }
 
-    /// Forces a full relabel of the alive graph (fresh tree, numbering,
-    /// and `φ` bank). The next [`take_delta`](Self::take_delta) reports
+    /// Forces a full relabel of the alive graph with a freshly derived
+    /// seed. The next [`take_delta`](Self::take_delta) reports
     /// `full = true`. This is what a non-incremental consumer does every
-    /// round — exposed so benchmarks can measure that baseline honestly.
+    /// round — exposed so benchmarks can measure that baseline honestly —
+    /// and what a removal falls back to when a re-hang finds no spare
+    /// interval.
+    ///
+    /// It is the static scheme's construction over the alive graph: the
+    /// BFS spanning tree from the lowest alive id with its DFS numbering
+    /// ([`SpanningTree::from_bfs`]) and the circulation sampling of
+    /// [`assign_circulation_labels`] with the dead edges masked out. Only
+    /// the numbering is *spread*: the DFS times are multiplied by a
+    /// stride, so later re-hangs find spare values between intervals.
     pub fn relabel(&mut self) {
-        self.relabel_from_scratch();
+        self.relabels += 1;
+        let seed = self.seed.derive(0x11FE).derive(self.relabels);
+        let root = self
+            .alive_vertices()
+            .next()
+            .expect("relabel requires an alive vertex");
+        self.root = root;
+
+        let dead = self.forbidden_base();
+        let bfs = traversal::bfs(&self.graph, root, &dead);
+        debug_assert!(
+            (0..self.graph.num_vertices())
+                .filter(|&i| self.alive_vertex[i])
+                .all(|i| bfs.dist[i].is_some()),
+            "alive graph must be connected at relabel time"
+        );
+        let tree = SpanningTree::from_bfs(&self.graph, root, &bfs);
+
+        let k = self.num_alive_vertices() as u64;
+        let stride = ((u32::MAX - 2) as u64 / (2 * k + 2)) as u32;
+        for i in 0..self.graph.num_vertices() {
+            let v = VertexId::new(i);
+            self.parent[i] = tree.parent(v);
+            self.children[i].clear();
+            self.children[i].extend_from_slice(tree.children(v));
+            self.depth[i] = tree.depth(v);
+            (self.pre[i], self.post[i]) = if tree.contains(v) {
+                (tree.pre(v) * stride, tree.post(v) * stride)
+            } else {
+                (u32::MAX, u32::MAX)
+            };
+        }
+        for (id, _) in self.graph.edge_ids() {
+            self.is_tree[id.index()] = tree.is_tree_edge(id);
+        }
+        // Free the old bank before sampling the new one, so a relabel
+        // never holds two.
+        self.phi = Vec::new();
+        self.phi = assign_circulation_labels(&self.graph, &tree, &dead, self.b, seed);
+        self.all_dirty = true;
     }
 
     // ------------------------------------------------------------------
@@ -632,109 +681,6 @@ impl LiveCycleSpace {
         TreeRemove::Done
     }
 
-    /// Full relabel of the alive graph with a freshly derived seed: new
-    /// spanning tree (BFS from the lowest alive id), spread DFS numbering,
-    /// and a fresh circulation bank. Sets `all_dirty`.
-    fn relabel_from_scratch(&mut self) {
-        self.relabels += 1;
-        let seed = self.seed.derive(0x11FE).derive(self.relabels);
-        let root = self
-            .alive_vertices()
-            .next()
-            .expect("relabel requires an alive vertex");
-        self.root = root;
-
-        let forbidden = self.forbidden_base();
-        let bfs = traversal::bfs(&self.graph, root, &forbidden);
-        debug_assert!(
-            (0..self.graph.num_vertices())
-                .filter(|&i| self.alive_vertex[i])
-                .all(|i| bfs.dist[i].is_some()),
-            "alive graph must be connected at relabel time"
-        );
-
-        for v in 0..self.graph.num_vertices() {
-            self.parent[v] = None;
-            self.children[v].clear();
-            self.depth[v] = 0;
-            self.pre[v] = u32::MAX;
-            self.post[v] = u32::MAX;
-        }
-        for v in 0..self.graph.num_vertices() {
-            if !self.alive_vertex[v] {
-                continue;
-            }
-            if let Some((p, e)) = bfs.parent[v] {
-                self.parent[v] = Some((p, e));
-                self.children[p.index()].push(VertexId::new(v));
-            }
-        }
-
-        // Spread DFS numbering: raw times 1..=2k scaled by a stride so
-        // that later re-hangs find spare values between intervals.
-        let k = self.num_alive_vertices() as u64;
-        let stride = ((u32::MAX - 2) as u64 / (2 * k + 2)) as u32;
-        let mut raw = 0u32;
-        let mut stack = vec![(root, false)];
-        while let Some((w, done)) = stack.pop() {
-            if done {
-                raw += 1;
-                self.post[w.index()] = raw * stride;
-                continue;
-            }
-            raw += 1;
-            self.pre[w.index()] = raw * stride;
-            stack.push((w, true));
-            let kids: Vec<VertexId> = self.children[w.index()].clone();
-            for &ch in kids.iter().rev() {
-                self.depth[ch.index()] = self.depth[w.index()] + 1;
-                stack.push((ch, false));
-            }
-        }
-
-        // Tree membership and a fresh circulation bank.
-        for e in 0..self.graph.num_edges() {
-            self.is_tree[e] = false;
-            self.phi[e] = BitVec::zeros(self.b);
-        }
-        for v in 0..self.graph.num_vertices() {
-            if let Some((_, e)) = self.parent[v] {
-                self.is_tree[e.index()] = true;
-            }
-        }
-        let mut stream = seed.stream();
-        for e in 0..self.graph.num_edges() {
-            if self.alive_edge[e] && !self.is_tree[e] {
-                self.phi[e].randomize(&mut stream);
-            }
-        }
-        // Bottom-up aggregate: φ(parent edge of w) = XOR of φ over all
-        // non-tree alive edges with exactly one endpoint in subtree(w).
-        // Computed as in the static scheme: per-vertex XOR of incident
-        // non-tree φ (self-loops skipped), swept bottom-up in reverse
-        // preorder.
-        let mut order: Vec<VertexId> = self.alive_vertices().collect();
-        order.sort_by_key(|v| self.pre[v.index()]);
-        let mut acc: Vec<BitVec> = vec![BitVec::zeros(self.b); self.graph.num_vertices()];
-        for &w in &order {
-            for nb in self.graph.neighbors(w) {
-                if self.is_alive_edge(nb.edge) && !self.is_tree[nb.edge.index()] && nb.vertex != w {
-                    let phi = self.phi[nb.edge.index()].clone();
-                    acc[w.index()].xor_assign(&phi);
-                }
-            }
-        }
-        for &w in order.iter().rev() {
-            if let Some((p, e)) = self.parent[w.index()] {
-                self.phi[e.index()] = acc[w.index()].clone();
-                let up = acc[w.index()].clone();
-                acc[p.index()].xor_assign(&up);
-            }
-        }
-
-        self.all_dirty = true;
-    }
-
     /// Debug check: per bit, alive edges carrying a set bit have even
     /// degree at every alive vertex (XOR of incident φ is zero
     /// everywhere, self-loops excluded).
@@ -837,6 +783,32 @@ mod tests {
         assert_eq!(default_bits(2, 0), 16);
         assert_eq!(default_bits(1024, 4), 4 + 40);
         assert_eq!(default_bits(1025, 4), 4 + 44);
+    }
+
+    /// A fresh live labeling is the static scheme's construction with the
+    /// DFS times spread: every ancestry interval is the static one times
+    /// the stride (the root's static entry time is 1), and both pick the
+    /// same tree edges.
+    #[test]
+    fn fresh_live_labeling_is_the_static_scheme_spread() {
+        for g in [
+            generators::grid(6, 7),
+            generators::complete(6),
+            generators::cycle(9),
+        ] {
+            let live = LiveCycleSpace::with_bits(&g, 24, Seed::new(3)).unwrap();
+            let scheme = crate::CycleSpaceScheme::label_with_bits(&g, 24, Seed::new(3)).unwrap();
+            let stride = live.vertex_label(live.root()).anc.pre;
+            assert!(stride > 1);
+            for v in g.vertices() {
+                let (fresh, base) = (live.vertex_label(v).anc, scheme.vertex_label(v).anc);
+                assert_eq!(fresh.pre, base.pre * stride, "pre of {v:?}");
+                assert_eq!(fresh.post, base.post * stride, "post of {v:?}");
+            }
+            for (e, _) in g.edge_ids() {
+                assert_eq!(live.edge_label(e).is_tree, scheme.edge_label(e).is_tree);
+            }
+        }
     }
 
     #[test]

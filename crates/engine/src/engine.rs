@@ -354,12 +354,6 @@ impl Engine {
         }
     }
 
-    /// The epoch the engine is currently pinned to (0 for fixed-store
-    /// engines).
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Freezes every label of a cycle-space scheme into a store and serves
     /// it — the usual way to stand an engine up.
     ///
@@ -396,12 +390,6 @@ impl Engine {
     /// which rebuilds the core).
     pub fn cache_hits(&self) -> u64 {
         self.core.cache.hits()
-    }
-
-    /// Cache misses since construction (or since the last contained
-    /// panic).
-    pub fn cache_misses(&self) -> u64 {
-        self.core.cache.misses()
     }
 
     /// Serves pre-grouped fault-set batches into a caller-owned response —

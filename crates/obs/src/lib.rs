@@ -206,12 +206,12 @@ mod tests {
         // The concurrency contract: N threads × M records into one
         // registry built from the primitives lose nothing.
         #[derive(Default)]
-        struct Registry {
+        struct Metrics {
             queries: Counter,
             relabels: Counter,
             stages: StageSet,
         }
-        let r = std::sync::Arc::new(Registry::default());
+        let r = std::sync::Arc::new(Metrics::default());
         let threads = 8u64;
         let per_thread = 50_000u64;
         let handles: Vec<_> = (0..threads)

@@ -66,7 +66,6 @@ pub(crate) struct RTree {
 
 /// One distance scale.
 pub(crate) struct RScale {
-    pub(crate) radius: u64,
     pub(crate) cover: TreeCover,
     pub(crate) trees: Vec<RTree>,
 }
@@ -150,11 +149,7 @@ impl FtRoutingScheme {
                     copies,
                 }
             });
-            scales.push(RScale {
-                radius,
-                cover,
-                trees,
-            });
+            scales.push(RScale { cover, trees });
         }
         FtRoutingScheme { params, scales }
     }
@@ -167,11 +162,6 @@ impl FtRoutingScheme {
     /// Number of distance scales.
     pub fn num_scales(&self) -> usize {
         self.scales.len()
-    }
-
-    /// The covering radius `2^i` of scale `i`.
-    pub fn scale_radius(&self, i: usize) -> u64 {
-        self.scales[i].radius
     }
 
     /// The routing label of `t` (Eq. (8)).

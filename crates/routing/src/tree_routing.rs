@@ -311,11 +311,6 @@ impl TreeRouting {
         }
     }
 
-    /// Bits of the largest label under this tree's codec.
-    pub fn label_bits(&self) -> usize {
-        self.codec().bits()
-    }
-
     /// Bits of a table: interval + parent port + heavy entry with Γ ports.
     pub fn table_bits(&self) -> usize {
         64 + 33 + 1 + 96 + (2 * self.f + 1) * 32

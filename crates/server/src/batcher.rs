@@ -33,7 +33,9 @@
 //! covers plain mutation; a window needs *waiting*). Both sides recover
 //! from poisoning the same way `locked::Slot` does.
 
+use crate::conn::ConnWriter;
 use ftl_graph::{EdgeId, VertexId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // The batcher's window condvar: front-end queueing, not the read path.
@@ -43,8 +45,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// One decoded request waiting for a window.
 #[derive(Debug)]
 pub struct Pending {
-    /// Registry id of the submitting connection.
-    pub conn: u64,
+    /// The submitting connection, which the answer is written to.
+    pub conn: Arc<ConnWriter>,
     /// The client's request id, echoed in the response.
     pub request_id: u64,
     /// Accounting principal.
@@ -246,8 +248,8 @@ impl Batcher {
     }
 
     /// Removes and returns every queued request older than `max_age` (the
-    /// watchdog's view of "stuck": a window that should have been taken
-    /// within one window duration has sat for N of them).
+    /// watchdog's view of "stuck": a request that should have been taken
+    /// within about one window duration has sat far longer).
     ///
     /// The removed entries' charges stay on the budget — exactly like
     /// [`next_window`](Batcher::next_window), the caller decides their
@@ -272,7 +274,8 @@ impl Batcher {
         stale
     }
 
-    /// Drops every queued request of connection `conn` and returns their
+    /// Drops every queued request of the connection numbered `conn`
+    /// ([`ConnWriter::id`]) and returns their
     /// charge to the budget — called when the connection is forfeited
     /// (a failed response write), so its backlog, which could only be
     /// answered to nobody, stops holding budget other connections need.
@@ -283,7 +286,7 @@ impl Batcher {
         let before = g.pending.len();
         let mut freed = 0;
         g.pending.retain(|p| {
-            let keep = p.conn != conn;
+            let keep = p.conn.id() != conn;
             if !keep {
                 freed += Batcher::charge(p);
             }
@@ -305,7 +308,14 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A writer numbered `id` over a loopback socket nobody reads.
+    fn conn(id: u64) -> Arc<ConnWriter> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Arc::new(ConnWriter::new(id, &stream, None).unwrap())
+    }
 
     /// One request through `submit_all`: its refusal, if any.
     fn submit(b: &Batcher, p: Pending) -> Result<(), SubmitError> {
@@ -316,7 +326,7 @@ mod tests {
 
     fn pending(queries: usize) -> Pending {
         Pending {
-            conn: 1,
+            conn: conn(1),
             request_id: 1,
             tenant: 0,
             faults: Vec::new(),
@@ -404,13 +414,20 @@ mod tests {
     #[test]
     fn purge_drops_one_connections_backlog_and_its_charge() {
         let b = Batcher::new(100, Duration::ZERO);
-        for conn in [1, 2, 1] {
-            submit(&b, Pending { conn, ..pending(3) }).unwrap();
+        for id in [1, 2, 1] {
+            submit(
+                &b,
+                Pending {
+                    conn: conn(id),
+                    ..pending(3)
+                },
+            )
+            .unwrap();
         }
         assert_eq!(b.purge(1), 2);
         assert_eq!(b.pending_queries(), 3);
         let w = b.next_window().unwrap();
-        assert_eq!(w.iter().map(|p| p.conn).collect::<Vec<_>>(), [2]);
+        assert_eq!(w.iter().map(|p| p.conn.id()).collect::<Vec<_>>(), [2]);
         assert_eq!(b.purge(1), 0);
     }
 

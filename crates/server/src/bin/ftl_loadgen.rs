@@ -175,7 +175,7 @@ fn run() -> Result<Outcome, String> {
         report.p99_ms
     );
     println!(
-        "{} mismatches, {} busy rejects ({} unserved), {} engine failures, \
+        "{} mismatches, {} busy rejects, {} unserved, {} engine failures, \
          {} shutdown notices, {} io errors",
         report.mismatches,
         report.busy_rejects,

@@ -29,7 +29,7 @@ struct Args {
     executors: usize,
     window_us: u64,
     budget: usize,
-    watchdog_factor: u32,
+    watchdog_ms: u64,
     duration_secs: u64,
     stats_interval: u64,
 }
@@ -45,7 +45,7 @@ impl Default for Args {
             executors: 2,
             window_us: 500,
             budget: 1 << 16,
-            watchdog_factor: 16,
+            watchdog_ms: 8,
             duration_secs: 10,
             stats_interval: 0,
         }
@@ -66,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--executors" => args.executors = parse(&value("--executors")?)?,
             "--window-us" => args.window_us = parse(&value("--window-us")?)?,
             "--budget" => args.budget = parse(&value("--budget")?)?,
-            "--watchdog-factor" => args.watchdog_factor = parse(&value("--watchdog-factor")?)?,
+            "--watchdog-ms" => args.watchdog_ms = parse(&value("--watchdog-ms")?)?,
             "--duration-secs" => args.duration_secs = parse(&value("--duration-secs")?)?,
             "--stats-interval" => args.stats_interval = parse(&value("--stats-interval")?)?,
             "--help" | "-h" => {
@@ -75,8 +75,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20         [--shards N]  (most id-range shards the label store is\n\
                      \x20          split into)\n\
                      \x20         [--executors N] [--window-us N] [--budget N]\n\
-                     \x20         [--watchdog-factor N] (force-release requests stuck longer\n\
-                     \x20          than N accumulation windows; 0 = no watchdog)\n\
+                     \x20         [--watchdog-ms N] (force-release requests queued longer\n\
+                     \x20          than N ms; 0 = no watchdog)\n\
                      \x20         [--duration-secs N]   (0 = run until Enter on stdin)\n\
                      \x20         [--stats-interval S]  (dump the metrics exposition to\n\
                      \x20          stdout every S seconds while serving; 0 = off)"
@@ -121,7 +121,7 @@ fn run() -> Result<(), String> {
         executors: args.executors,
         window: Duration::from_micros(args.window_us),
         pending_budget: args.budget,
-        watchdog_factor: args.watchdog_factor,
+        watchdog_after: Duration::from_millis(args.watchdog_ms),
         ..ServerConfig::default()
     };
     let handle = Server::spawn(

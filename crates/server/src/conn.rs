@@ -1,11 +1,11 @@
-//! The sharded connection registry: who is connected, and how to write
-//! back to them.
+//! One connection's write half: how answers get back to the client that
+//! asked.
 //!
-//! Reader threads register on accept and deregister on exit; executor
-//! threads look writers up by connection id when demultiplexing
-//! responses. Ids are dense and strictly increasing, routed to a shard by
-//! low bits, so registration from many reader threads contends on
-//! different shards.
+//! The acceptor numbers each connection from a counter, and its reader
+//! thread builds the connection's [`ConnWriter`]. Every request the reader
+//! admits carries an `Arc` of that writer, so whichever thread answers the
+//! request — the reader itself, an executor, the watchdog — writes through
+//! the connection's own handle.
 //!
 //! A [`ConnWriter`] holds the write half (a `try_clone` of the stream)
 //! behind a poison-recovering slot (`locked::Slot`), because two executors
@@ -20,16 +20,17 @@
 //! slot and every later send is refused without touching the socket. The
 //! torn frame is therefore the last bytes the client can ever observe — no
 //! complete-looking frame can follow garbage.
+//!
+//! A writer is also *closed* once its connection is over for the server:
+//! the reader exited (the client closed, a frame error, a failed write) or
+//! a failed response write forfeited it. Answers still due to a closed
+//! connection are dropped without a write.
 
 use crate::locked::Slot;
-use ftl_seeded::DetHashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-const SHARDS: usize = 16;
 
 /// The write half plus its torn-frame latch, guarded as one unit so the
 /// flag can never lag the write that poisoned the stream.
@@ -68,20 +69,62 @@ fn write_framed(w: &mut impl Write, framed: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// The write half of one registered connection.
+/// The write half of one connection.
 #[derive(Debug)]
 pub struct ConnWriter {
+    id: u64,
+    /// Set once the connection is over. `Relaxed` throughout: the flag
+    /// publishes no other data, and `close`'s swap picks one closer
+    /// under any ordering.
+    closed: AtomicBool,
     state: Slot<WriteState<TcpStream>>,
 }
 
 impl ConnWriter {
+    /// The write half of `stream`, numbered `id`. `write_timeout` bounds
+    /// every [`send_framed`](ConnWriter::send_framed) on it (`None` =
+    /// block indefinitely — test-only; the server always passes a bound
+    /// so a stalled reader cannot park an executor).
+    pub fn new(
+        id: u64,
+        stream: &TcpStream,
+        write_timeout: Option<Duration>,
+    ) -> std::io::Result<Self> {
+        let write_half = stream.try_clone()?;
+        write_half.set_write_timeout(write_timeout)?;
+        Ok(ConnWriter {
+            id,
+            closed: AtomicBool::new(false),
+            state: Slot::new(WriteState {
+                stream: write_half,
+                dead: false,
+            }),
+        })
+    }
+
+    /// The connection's number, unique within one server.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Whether the connection is over: answers to it are dropped unsent.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+
+    /// Closes the writer, returning whether this call closed it — so of
+    /// several threads that see one connection fail, one handles it.
+    pub fn close(&self) -> bool {
+        !self.closed.swap(true, Ordering::Relaxed)
+    }
+
     /// Writes a run of frames already length-prefixed back to back (see
     /// [`push_frame`](crate::frame::push_frame)) with one write — how an
     /// executor answers all of one connection's requests in a window, and
     /// how a reader sends its own answers. Concurrent senders serialize on
     /// the slot, so runs never interleave.
     ///
-    /// The write half carries the registration's write timeout, so a
+    /// The write half carries the connection's write timeout, so a
     /// client that stopped reading its responses makes this return a
     /// timeout error instead of blocking the calling thread forever. A
     /// timed-out write may have sent a partial frame — the stream is
@@ -99,81 +142,6 @@ impl ConnWriter {
         self.state.with(|s| {
             let _ = s.stream.shutdown(Shutdown::Both);
         });
-    }
-}
-
-/// The registry proper.
-#[derive(Debug)]
-pub struct Registry {
-    shards: Vec<Slot<DetHashMap<u64, Arc<ConnWriter>>>>,
-    next_id: AtomicU64,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry {
-            shards: (0..SHARDS).map(|_| Slot::default()).collect(),
-            next_id: AtomicU64::new(1),
-        }
-    }
-
-    fn shard(&self, id: u64) -> Option<&Slot<DetHashMap<u64, Arc<ConnWriter>>>> {
-        self.shards.get(id as usize % SHARDS)
-    }
-
-    /// Registers a connection's write half, returning its id and writer
-    /// handle. `write_timeout` bounds every [`ConnWriter::send_framed`] on this
-    /// connection (`None` = block indefinitely — test-only; the server
-    /// always passes a bound so a stalled reader cannot park an
-    /// executor).
-    pub fn register(
-        &self,
-        stream: &TcpStream,
-        write_timeout: Option<Duration>,
-    ) -> std::io::Result<(u64, Arc<ConnWriter>)> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let write_half = stream.try_clone()?;
-        write_half.set_write_timeout(write_timeout)?;
-        let writer = Arc::new(ConnWriter {
-            state: Slot::new(WriteState {
-                stream: write_half,
-                dead: false,
-            }),
-        });
-        if let Some(shard) = self.shard(id) {
-            shard.with(|m| m.insert(id, Arc::clone(&writer)));
-        }
-        Ok((id, writer))
-    }
-
-    /// Removes a connection; responses demuxed to it afterwards are
-    /// dropped silently (the client is gone).
-    pub fn deregister(&self, id: u64) {
-        if let Some(shard) = self.shard(id) {
-            shard.with(|m| m.remove(&id));
-        }
-    }
-
-    /// Looks a live connection's writer up.
-    pub fn get(&self, id: u64) -> Option<Arc<ConnWriter>> {
-        self.shard(id)?.with(|m| m.get(&id).map(Arc::clone))
-    }
-
-    /// Live connections.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.with(|m| m.len())).sum()
-    }
-
-    /// Whether no connection is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

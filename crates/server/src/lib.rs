@@ -17,8 +17,9 @@
 //!   `QueryRequest` / `QueryResponse`), so the serving path inherits the
 //!   wire format's header versioning and corruption rejection.
 //! * [`server`] — the front end itself: a blocking accept loop (no async
-//!   runtime), one reader thread per connection, a sharded connection
-//!   registry, the accumulation-window batcher with a bounded
+//!   runtime), one reader thread per connection whose requests each
+//!   carry the connection's [`conn::ConnWriter`], the
+//!   accumulation-window batcher with a bounded
 //!   pending-query budget (admission control answers `ServerBusy` instead
 //!   of queueing unboundedly), and executor threads that pin an epoch per
 //!   fault-set group via `over_epochs` engines and answer each connection
@@ -50,10 +51,10 @@
 
 pub mod batcher;
 pub mod client;
+pub mod conn;
 pub mod frame;
 pub mod loadgen;
 mod locked;
-pub mod registry;
 pub mod server;
 pub mod spec;
 pub mod stats;

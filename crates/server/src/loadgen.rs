@@ -115,7 +115,11 @@ pub struct LoadgenReport {
     pub mismatches: u64,
     /// `ServerBusy` responses observed (each retried).
     pub busy_rejects: u64,
-    /// Requests dropped after exhausting busy retries.
+    /// Requests dropped after exhausting busy retries, plus the requests
+    /// a worker never sent because it stopped early (an I/O give-up,
+    /// `ShuttingDown`, the run deadline, or a client thread that failed
+    /// to start). So `requests_ok + unserved + engine_failures +
+    /// shutdown_notices + io_errors` is `clients × requests_per_client`.
     pub unserved: u64,
     /// `EngineFailed` responses.
     pub engine_failures: u64,
@@ -159,6 +163,20 @@ struct ClientOutcome {
     latencies_ns: Vec<u64>,
 }
 
+impl ClientOutcome {
+    /// Counts the requests this worker never sent as unserved, so its
+    /// counters add up to the `requests` asked of it.
+    fn account_unsent(mut self, requests: usize) -> Self {
+        let accounted = self.requests_ok
+            + self.unserved
+            + self.engine_failures
+            + self.shutdown_notices
+            + self.io_errors;
+        self.unserved += (requests as u64).saturating_sub(accounted);
+        self
+    }
+}
+
 /// Runs the full loadgen against `addr`, checking every answer against a
 /// fresh BFS oracle over `(g, fault_sets)`.
 pub fn run_loadgen(
@@ -188,12 +206,13 @@ pub fn run_loadgen(
     for j in joins {
         let outcome = match j.map(|h| h.join()) {
             Ok(Ok(o)) => o,
-            // A client thread failed to spawn or died; its requests count
-            // as client-side errors, not server successes.
+            // A client thread failed to spawn or died: one client-side
+            // error, and its requests were never sent.
             _ => ClientOutcome {
                 io_errors: 1,
                 ..ClientOutcome::default()
-            },
+            }
+            .account_unsent(config.requests_per_client),
         };
         report.requests_ok += outcome.requests_ok;
         report.queries_ok += outcome.queries_ok;
@@ -422,5 +441,5 @@ fn run_client(
             }
         }
     }
-    out
+    out.account_unsent(config.requests_per_client)
 }

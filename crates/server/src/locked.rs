@@ -1,7 +1,7 @@
 //! The one place in `ftl-server` allowed to name a lock.
 //!
 //! Everything mutable-and-shared in the front end (connection writers,
-//! registry shards, tenant counters) funnels through [`Slot`], so
+//! tenant counters) funnels through [`Slot`], so
 //! clippy's `disallowed_types`/`disallowed_methods` lock wall has exactly
 //! one module to bless. The serving *data* path — store
 //! reads, elimination, query answering — never touches this module; locks

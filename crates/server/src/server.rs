@@ -17,29 +17,33 @@
 //!                         │ (epoch-pinned) → outbox: one run of frames
 //!                         │ per connection
 //!                         ▼
-//!                      Registry ──▶ one write per connection per window
-//!                                   (more when the window's engine work
-//!                                   outlasts the accumulation window)
+//!                      each request's ConnWriter ──▶ one write per
+//!                                   connection per window (more when the
+//!                                   window's engine work outlasts the
+//!                                   accumulation window)
 //! ```
 //!
-//! The acceptor polls a nonblocking listener so it can observe the stop
+//! Every request carries its connection's [`ConnWriter`], so an answer
+//! is written through the handle of the connection that asked. The
+//! acceptor polls a nonblocking listener so it can observe the stop
 //! flag; readers use a short read timeout for the same reason (the frame
 //! codec keeps partial fills across timeouts, so this never corrupts a
-//! stream). Response writes are bounded the same way: every registered
-//! write half carries [`ServerConfig::write_timeout`], and a write that
-//! times out (a client that stopped reading its responses) drops that
-//! connection — deregistered, socket shut down — instead of parking the
-//! executor. Shutdown is graceful by construction: stop flag → acceptor
-//! joins every reader (no further submissions) → batcher closes →
-//! executors drain every queued window on the epochs its groups pin →
-//! handle joins the executors.
+//! stream). Response
+//! writes are bounded the same way: every write half carries
+//! [`ServerConfig::write_timeout`], and a write that times out (a client
+//! that stopped reading its responses) forfeits that connection — writer
+//! closed, socket shut down — instead of parking the executor. Shutdown
+//! is graceful by construction: stop flag → acceptor joins every reader
+//! (no further submissions) → batcher closes → executors drain every
+//! queued window on the epochs its groups pin → handle joins the
+//! executors.
 
 use crate::batcher::{Batcher, Pending, Refused, SubmitError};
+use crate::conn::ConnWriter;
 use crate::frame::{
     push_frame, FrameError, FrameReader, MetricsRequestFrame, MetricsResponseFrame,
     QueryRequestFrame, QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
 };
-use crate::registry::{ConnWriter, Registry};
 use crate::stats::{ServerStats, StatsSnapshot};
 use ftl_engine::{
     canonical_fault_hash, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
@@ -70,24 +74,26 @@ pub struct ServerConfig {
     /// Per-frame byte ceiling; larger declared lengths close the
     /// connection before any allocation.
     pub max_frame_bytes: usize,
-    /// Socket read timeout — the granularity at which an idle reader
-    /// notices shutdown.
-    pub read_timeout: Duration,
     /// Bound on any single response write. A client that stops reading
     /// its responses fills its TCP window; past this bound the write
-    /// errors out and the connection is dropped (deregistered, socket
+    /// errors out and the connection is forfeited (writer closed, socket
     /// shut down), so a stalled reader costs its own connection — never
     /// an executor thread, never co-batched connections, never shutdown.
     /// Zero disables the bound (not recommended outside tests).
     pub write_timeout: Duration,
-    /// Batcher-watchdog threshold, in multiples of
-    /// [`window`](ServerConfig::window): a queued request older than
-    /// `watchdog_factor × window` is force-released and answered
-    /// (`DeadlineExceeded` if it carried a TTL, `ServerBusy` otherwise)
-    /// instead of waiting for an executor that may be parked on a slow
-    /// client's write. Zero disables the watchdog.
-    pub watchdog_factor: u32,
+    /// Batcher-watchdog threshold: a queued request older than this is
+    /// force-released and answered (`DeadlineExceeded` if it carried a
+    /// TTL, `ServerBusy` otherwise) instead of waiting for an executor
+    /// that may be parked on a slow client's write. It is a duration of
+    /// its own, not a multiple of [`window`](ServerConfig::window), so a
+    /// zero window does not make healthy traffic look stuck. Zero
+    /// disables the watchdog.
+    pub watchdog_after: Duration,
 }
+
+/// Socket read timeout — the granularity at which an idle reader notices
+/// shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(5);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -96,9 +102,8 @@ impl Default for ServerConfig {
             window: Duration::from_micros(500),
             pending_budget: 1 << 16,
             max_frame_bytes: MAX_FRAME_BYTES_DEFAULT,
-            read_timeout: Duration::from_millis(5),
             write_timeout: Duration::from_secs(2),
-            watchdog_factor: 0,
+            watchdog_after: Duration::ZERO,
         }
     }
 }
@@ -132,14 +137,12 @@ impl Server {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let batcher = Arc::new(Batcher::new(config.pending_budget, config.window));
-        let registry = Arc::new(Registry::new());
         let stats = Arc::new(ServerStats::new(Arc::clone(&epochs)));
 
         let mut executors = Vec::with_capacity(config.executors.max(1));
         for i in 0..config.executors.max(1) {
             let epochs = Arc::clone(&epochs);
             let batcher = Arc::clone(&batcher);
-            let registry = Arc::clone(&registry);
             let stats = Arc::clone(&stats);
             let handle = std::thread::Builder::new()
                 .name(format!("ftl-exec-{i}"))
@@ -148,7 +151,6 @@ impl Server {
                     let mut resp = GroupedResponse::default();
                     let mut outbox = Outbox::default();
                     let sink = Sink {
-                        registry: &registry,
                         batcher: &batcher,
                         stats: &stats,
                     };
@@ -172,25 +174,23 @@ impl Server {
         let acceptor = {
             let stop = Arc::clone(&stop);
             let batcher = Arc::clone(&batcher);
-            let registry = Arc::clone(&registry);
             let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("ftl-accept".to_string())
                 .spawn(move || {
-                    accept_loop(&listener, &stop, &batcher, &registry, &stats, config);
+                    accept_loop(&listener, &stop, &batcher, &stats, config);
                 })?
         };
 
-        let watchdog = if config.watchdog_factor > 0 {
+        let watchdog = if !config.watchdog_after.is_zero() {
             let stop = Arc::clone(&stop);
             let batcher = Arc::clone(&batcher);
-            let registry = Arc::clone(&registry);
             let stats = Arc::clone(&stats);
             Some(
                 std::thread::Builder::new()
                     .name("ftl-watchdog".to_string())
                     .spawn(move || {
-                        watchdog_loop(&stop, &batcher, &registry, &stats, config);
+                        watchdog_loop(&stop, &batcher, &stats, config);
                     })?,
             )
         } else {
@@ -261,11 +261,11 @@ fn accept_loop(
     listener: &TcpListener,
     stop: &Arc<AtomicBool>,
     batcher: &Arc<Batcher>,
-    registry: &Arc<Registry>,
     stats: &Arc<ServerStats>,
     config: ServerConfig,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     while !stop.load(Ordering::Relaxed) {
         // Sweep handles of readers that already exited, so a long-lived
         // server holds one handle per *live* connection, not one per
@@ -274,14 +274,15 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 stats.record_connection();
+                next_id += 1;
+                let id = next_id;
                 let stop = Arc::clone(stop);
                 let batcher = Arc::clone(batcher);
-                let registry = Arc::clone(registry);
                 let stats = Arc::clone(stats);
                 let spawned = std::thread::Builder::new()
                     .name("ftl-conn".to_string())
                     .spawn(move || {
-                        serve_connection(stream, &stop, &batcher, &registry, &stats, config);
+                        serve_connection(stream, id, &stop, &batcher, &stats, config);
                     });
                 if let Ok(h) = spawned {
                     readers.push(h);
@@ -304,27 +305,28 @@ fn accept_loop(
 /// truncation, malformed payload) closes the connection — a client that
 /// desynced once can only send garbage afterwards — but only after the
 /// well-formed frames before it have been admitted.
+///
+/// When the loop ends the connection is over, and the reader closes its
+/// writer so answers still due to it are dropped unsent — except on
+/// shutdown (the stop flag): executors drain admitted windows *after*
+/// readers exit, and the drained answers still go out on this writer.
 fn serve_connection(
     mut stream: TcpStream,
+    id: u64,
     stop: &AtomicBool,
     batcher: &Batcher,
-    registry: &Registry,
     stats: &ServerStats,
     config: ServerConfig,
 ) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let write_timeout = (!config.write_timeout.is_zero()).then_some(config.write_timeout);
-    let Ok((conn, writer)) = registry.register(&stream, write_timeout) else {
+    let Ok(writer) = ConnWriter::new(id, &stream, write_timeout) else {
         return;
     };
-    // On shutdown (stop flag) the connection stays registered: executors
-    // drain admitted windows *after* readers exit, and the drained
-    // responses still need this connection's writer. Registry teardown is
-    // the handle's problem, not the reader's.
-    let mut keep_registered = false;
+    let writer = Arc::new(writer);
     let mut reader = FrameReader::new(config.max_frame_bytes);
     let mut admit = Admit {
         batch: Vec::new(),
@@ -355,7 +357,7 @@ fn serve_connection(
                 let deadline =
                     (req.ttl_ms > 0).then(|| now + Duration::from_millis(req.ttl_ms as u64));
                 admit.batch.push(Pending {
-                    conn,
+                    conn: Arc::clone(&writer),
                     request_id: req.request_id,
                     tenant: req.tenant_id,
                     faults: req.faults,
@@ -379,10 +381,7 @@ fn serve_connection(
                 }
             }
             Err(FrameError::Closed) => break,
-            Err(FrameError::Stopped) => {
-                keep_registered = true;
-                break;
-            }
+            Err(FrameError::Stopped) => return,
             Ok(Err(_)) | Err(_) => {
                 stats.record_frame_error();
                 admit.flush(None);
@@ -390,9 +389,7 @@ fn serve_connection(
             }
         }
     }
-    if !keep_registered {
-        registry.deregister(conn);
-    }
+    writer.close();
 }
 
 /// A decoded request frame.
@@ -578,10 +575,8 @@ fn execute_window(
 /// buffer is released after its write.
 const OUTBOX_KEEP_BYTES: usize = 256 << 10;
 
-/// Where answers go: the connections' writers, the budget their charge
-/// returns to, and the counters.
+/// Where answered requests' charge returns to, and the counters.
 struct Sink<'a> {
-    registry: &'a Registry,
     batcher: &'a Batcher,
     stats: &'a ServerStats,
 }
@@ -591,15 +586,17 @@ impl Sink<'_> {
     /// [`ServerConfig::write_timeout`], so a client that stopped reading
     /// its responses (full TCP window) surfaces as a timeout after at most
     /// that bound, and a timed-out write may have left a partial frame on
-    /// the stream. The connection is deregistered — answers still due to
-    /// it in other executors' windows are dropped instantly instead of
-    /// each eating another timeout — its queued backlog is purged with its
+    /// the stream. The writer is closed — answers still due to it in
+    /// other executors' windows are dropped instantly instead of each
+    /// eating another timeout — its queued backlog is purged with its
     /// charge, and the socket is shut down so the reader thread exits too.
-    fn forfeit(&self, conn: u64, writer: &ConnWriter) {
-        self.stats.record_slow_drop();
-        self.registry.deregister(conn);
-        writer.shutdown();
-        self.batcher.purge(conn);
+    /// A connection is forfeited once, however many writes to it fail.
+    fn forfeit(&self, writer: &ConnWriter) {
+        if writer.close() {
+            self.stats.record_slow_drop();
+            writer.shutdown();
+            self.batcher.purge(writer.id());
+        }
     }
 }
 
@@ -617,7 +614,7 @@ struct Outbox {
 
 /// One encoded response waiting for its connection's write.
 struct Reply {
-    conn: u64,
+    conn: Arc<ConnWriter>,
     record: Vec<u8>,
     /// `(tenant, queries, enqueued)` of a served request, for the latency
     /// recorded after the write.
@@ -636,7 +633,7 @@ impl Outbox {
             status,
         };
         self.replies.push(Reply {
-            conn: p.conn,
+            conn: Arc::clone(&p.conn),
             record: frame.to_wire(),
             served,
         });
@@ -649,8 +646,8 @@ impl Outbox {
     /// charge goes back first so a client holding an answer never finds
     /// that request still counted against the budget.
     ///
-    /// A vanished connection (already deregistered) just drops its run —
-    /// the client is gone. A *failed* write forfeits the connection (see
+    /// A closed connection just drops its run — the client is gone, or
+    /// already forfeited. A *failed* write forfeits the connection (see
     /// [`Sink::forfeit`]); the other connections in the window get their
     /// runs as usual.
     fn flush(&mut self, sink: &Sink<'_>) {
@@ -661,12 +658,12 @@ impl Outbox {
         } = self;
         sink.batcher.release(std::mem::take(charge));
         // A stable sort: each connection's run keeps reply order.
-        replies.sort_by_key(|r| r.conn);
-        for run in replies.chunk_by(|a, b| a.conn == b.conn) {
-            let Some(conn) = run.first().map(|r| r.conn) else {
+        replies.sort_by_key(|r| r.conn.id());
+        for run in replies.chunk_by(|a, b| a.conn.id() == b.conn.id()) {
+            let Some(writer) = run.first().map(|r| &r.conn) else {
                 continue;
             };
-            if let Some(writer) = sink.registry.get(conn) {
+            if !writer.is_closed() {
                 bytes.clear();
                 for r in run {
                     push_frame(bytes, &r.record);
@@ -676,7 +673,7 @@ impl Outbox {
                     writer.send_framed(bytes)
                 };
                 if sent.is_err() {
-                    sink.forfeit(conn, &writer);
+                    sink.forfeit(writer);
                 }
             }
             for &(tenant, queries, enqueued) in run.iter().filter_map(|r| r.served.as_ref()) {
@@ -697,35 +694,22 @@ fn clear_and_trim(bytes: &mut Vec<u8>) {
 }
 
 /// The batcher watchdog: force-releases requests stuck in the queue
-/// beyond `watchdog_factor ×` the accumulation window.
+/// longer than [`ServerConfig::watchdog_after`].
 ///
-/// Under healthy load an executor takes every window within one window
-/// duration, so the threshold only trips when every executor is parked —
-/// in practice on response writes against clients that stopped reading
-/// (each bounded by [`ServerConfig::write_timeout`], but a window's worth
-/// of them stack). Stuck requests are answered directly from this thread:
+/// Under healthy load an executor takes every window within about one
+/// window duration, so a threshold well above it only trips when every
+/// executor is parked — in practice on response writes against clients
+/// that stopped reading (each bounded by [`ServerConfig::write_timeout`],
+/// but a window's worth of them stack). Stuck requests are answered directly from this thread:
 /// `DeadlineExceeded` when the request's TTL has expired, `ServerBusy`
 /// otherwise (the honest signal that the server could not schedule it —
 /// retryable, and both are retried by the resilient client). They go out
 /// through an [`Outbox`], as an executor's answers do: the charge goes
 /// back before the writes, each connection gets one write, and a failed
 /// write forfeits its connection.
-fn watchdog_loop(
-    stop: &AtomicBool,
-    batcher: &Batcher,
-    registry: &Registry,
-    stats: &ServerStats,
-    config: ServerConfig,
-) {
-    let sink = Sink {
-        registry,
-        batcher,
-        stats,
-    };
-    let max_age = config
-        .window
-        .saturating_mul(config.watchdog_factor)
-        .max(Duration::from_millis(1));
+fn watchdog_loop(stop: &AtomicBool, batcher: &Batcher, stats: &ServerStats, config: ServerConfig) {
+    let sink = Sink { batcher, stats };
+    let max_age = config.watchdog_after;
     let poll = (max_age / 2).max(Duration::from_millis(1));
     let mut outbox = Outbox::default();
     while !stop.load(Ordering::Relaxed) {

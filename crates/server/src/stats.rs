@@ -123,8 +123,8 @@ pub struct StatsSnapshot {
     /// Requests answered `DeadlineExceeded` because their TTL expired
     /// before execution (window-boundary expiry plus watchdog releases).
     pub deadline_drops: u64,
-    /// Requests force-released by the batcher watchdog (stuck beyond N×
-    /// the window duration).
+    /// Requests force-released by the batcher watchdog (queued longer
+    /// than `ServerConfig::watchdog_after`).
     pub watchdog_fires: u64,
     /// Per-tenant breakdown, sorted by tenant id: the first
     /// [`MAX_TENANTS`] ids the server saw.

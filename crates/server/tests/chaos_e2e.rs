@@ -80,7 +80,7 @@ fn loadgen_through_seeded_chaos_completes_clean_and_accounts_every_fault() {
         ServerConfig {
             executors: 2,
             window: Duration::from_millis(2),
-            watchdog_factor: 8,
+            watchdog_after: Duration::from_millis(16),
             ..ServerConfig::default()
         },
     );
@@ -180,7 +180,7 @@ fn chaos_soak() {
             ServerConfig {
                 executors: 2,
                 window: Duration::from_millis(2),
-                watchdog_factor: 8,
+                watchdog_after: Duration::from_millis(16),
                 ..ServerConfig::default()
             },
         );

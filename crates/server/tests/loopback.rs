@@ -452,7 +452,7 @@ fn expired_ttl_answered_before_elimination() {
 
 /// The batcher watchdog: when the only executor is parked on a response
 /// write against a client that stopped reading, requests queued behind
-/// it sit past `watchdog_factor × window` and are force-released and
+/// it sit past `watchdog_after` and are force-released and
 /// answered `ServerBusy` by the watchdog thread instead of waiting for
 /// the executor to come back.
 ///
@@ -477,7 +477,7 @@ fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
             // so `ServerBusy` can only come from the watchdog.
             pending_budget: 1 << 20,
             write_timeout: Duration::from_secs(1),
-            watchdog_factor: 2, // stuck = older than 40ms
+            watchdog_after: Duration::from_millis(40),
             ..ServerConfig::default()
         },
     );
@@ -485,7 +485,7 @@ fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
     // The stalled client floods requests and never reads a byte back.
     // Blocking writes (no timeout): the server's reader always drains, so
     // the full flood lands. The stream is returned (not dropped) so the
-    // connection stays open — an EOF would deregister it and instantly
+    // connection stays open — an EOF would close its writer and instantly
     // unblock the executor's write.
     let addr = handle.local_addr();
     let flooder = std::thread::spawn(move || {
@@ -560,6 +560,104 @@ fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
     assert!(stats.watchdog_fires > 0);
 }
 
+/// The watchdog's threshold is a duration of its own: with a zero
+/// accumulation window and the watchdog armed, healthy cold traffic — a
+/// closed loop over distinct fault sets, every request its own
+/// elimination — is never force-released. (When the threshold was a
+/// multiple of the window, a zero window clamped it to 1 ms, and this
+/// load drew watchdog `ServerBusy` answers.)
+#[test]
+fn zero_window_watchdog_spares_healthy_cold_traffic() {
+    let g = generators::grid(16, 16);
+    let handle = spawn_server(
+        &g,
+        ServerConfig {
+            executors: 2,
+            window: Duration::ZERO,
+            // Far above any healthy queue wait, even in a debug build
+            // sharing the machine with other tests.
+            watchdog_after: Duration::from_millis(250),
+            ..ServerConfig::default()
+        },
+    );
+    let sets = derive_fault_sets(&g, 2048, 8, 17);
+    let report = run_loadgen(
+        handle.local_addr(),
+        &g,
+        &sets,
+        LoadgenConfig {
+            clients: 64,
+            requests_per_client: 40,
+            queries_per_request: 16,
+            seed: 11,
+            ..LoadgenConfig::default()
+        },
+    );
+    let stats = handle.shutdown();
+    assert_eq!(report.mismatches, 0);
+    assert_eq!(report.requests_ok, 64 * 40);
+    assert_eq!(
+        stats.watchdog_fires, 0,
+        "the watchdog fired on healthy traffic"
+    );
+    assert_eq!(report.busy_rejects, 0);
+    assert_eq!(stats.rejects, 0);
+}
+
+/// Answers due to a client that closed its sending side before its
+/// window ran are dropped unsent: the server's reader saw EOF and the
+/// connection is over. No write is attempted, so no slow-client drop is
+/// counted, and another connection keeps being served.
+#[test]
+fn answers_to_a_closed_connection_are_dropped_unsent() {
+    let g = generators::grid(8, 8);
+    let handle = spawn_server(
+        &g,
+        ServerConfig {
+            executors: 1,
+            // Long enough that the reader sees EOF well before the
+            // window holding the request runs.
+            window: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    );
+    let req = |request_id| QueryRequestFrame {
+        request_id,
+        tenant_id: 1,
+        faults: vec![EdgeId::new(0)],
+        queries: vec![(VertexId::new(0), VertexId::new(63))],
+        ttl_ms: 0,
+    };
+    let mut gone = TcpStream::connect(handle.local_addr()).unwrap();
+    send_request(&mut gone, &req(1));
+    gone.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut live = TcpStream::connect(handle.local_addr()).unwrap();
+    send_request(&mut live, &req(2));
+    let resp = read_response_within(&mut live, Duration::from_secs(10));
+    assert_eq!(resp.request_id, 2);
+    assert!(matches!(&resp.status, ResponseStatus::Ok(a) if a.len() == 1));
+
+    // The server never wrote to the closed connection: once its last
+    // answer was dropped, the socket closed without a byte.
+    gone.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut received = Vec::new();
+    gone.read_to_end(&mut received).unwrap();
+    assert!(
+        received.is_empty(),
+        "a closed connection got {} bytes",
+        received.len()
+    );
+
+    // The live connection is still served after the drop.
+    send_request(&mut live, &req(3));
+    let resp = read_response_within(&mut live, Duration::from_secs(10));
+    assert_eq!(resp.request_id, 3);
+    let stats = handle.shutdown();
+    assert_eq!(stats.slow_client_drops, 0);
+}
+
 /// The loadgen's global run deadline: a black-holed server (accepts, then
 /// never answers a byte) cannot hang a run — it ends at the bound with
 /// the typed `timed_out` marker instead of blocking forever.
@@ -609,6 +707,42 @@ fn loadgen_run_deadline_beats_a_black_holed_server() {
     assert!(
         elapsed < Duration::from_secs(8),
         "run took {elapsed:?}, the deadline did not bound it"
+    );
+}
+
+/// The loadgen's counters account for every request asked of it: against
+/// a refused port each worker gives up on its first request (an I/O
+/// error) and counts the two it never sent as unserved.
+#[test]
+fn loadgen_counters_add_up_when_the_server_is_unreachable() {
+    // A port that was just free: every connection attempt is refused.
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap()
+    };
+    let g = generators::grid(4, 4);
+    let report = run_loadgen(
+        addr,
+        &g,
+        &[vec![EdgeId::new(0)]],
+        LoadgenConfig {
+            clients: 2,
+            requests_per_client: 3,
+            queries_per_request: 2,
+            max_busy_retries: 2,
+            run_deadline: Duration::from_secs(20),
+            ..LoadgenConfig::default()
+        },
+    );
+    assert_eq!(report.requests_ok, 0);
+    assert_eq!(report.io_errors, 2, "one give-up per worker");
+    assert_eq!(
+        report.requests_ok
+            + report.unserved
+            + report.engine_failures
+            + report.shutdown_notices
+            + report.io_errors,
+        2 * 3
     );
 }
 
@@ -712,7 +846,7 @@ fn bad_vertex_isolated_within_shared_fault_set_group() {
     assert_eq!(stats.requests, 1);
 }
 
-/// Response writes are bounded: a registered writer whose peer never
+/// Response writes are bounded: a connection writer whose peer never
 /// reads must surface an error after the write timeout, not block its
 /// calling thread indefinitely.
 #[test]
@@ -720,10 +854,9 @@ fn stalled_reader_write_times_out_instead_of_blocking() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let _stalled_peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let (server_side, _) = listener.accept().unwrap();
-    let registry = ftl_server::registry::Registry::new();
-    let (_, writer) = registry
-        .register(&server_side, Some(Duration::from_millis(50)))
-        .unwrap();
+    let writer =
+        ftl_server::conn::ConnWriter::new(1, &server_side, Some(Duration::from_millis(50)))
+            .unwrap();
     // 64 KiB frames overwhelm any sane socket buffering within a few
     // hundred sends; the peer reads nothing, so an error MUST arrive.
     let mut framed = Vec::new();

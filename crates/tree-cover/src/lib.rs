@@ -153,16 +153,6 @@ impl TreeCover {
         self.trees.is_empty()
     }
 
-    /// Indices of trees whose cluster contains host vertex `v`.
-    pub fn trees_containing(&self, v: VertexId) -> Vec<usize> {
-        self.trees
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.sub.contains_vertex(v))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Maximum number of trees any vertex belongs to (property (3),
     /// measured).
     pub fn max_overlap(&self) -> usize {
