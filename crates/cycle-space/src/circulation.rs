@@ -14,13 +14,22 @@
 //! single bottom-up subtree aggregation (an edge `t = (c, parent(c))` lies
 //! on the fundamental cycle of `e = (u, v)` iff exactly one of `u, v` is in
 //! the subtree of `c`).
+//!
+//! The labels come out as one **`φ` bank**: a [`BitMatrix`] with one row
+//! per edge id, all rows in one allocation. The subtree sums live in a
+//! second bank with one row per vertex. The schemes keep the bank as it
+//! is and the label store copies its rows, so building labels for `m`
+//! edges costs a fixed number of allocations, not `m`.
 
-use ftl_gf2::BitVec;
+use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{EdgeId, Graph, SpanningTree, VertexId};
 use ftl_seeded::Seed;
 
 /// Assigns the `b`-bit cut-detection labels `φ(e)` of Lemma 1.7 to every
-/// edge, indexed by edge id.
+/// edge: row `e` of the returned `φ` bank is `φ(e)`.
+///
+/// Non-tree edges draw their rows from `seed`'s stream in edge-id order,
+/// `b.div_ceil(64)` words each.
 ///
 /// `dead` masks edges out of the graph, in the convention of
 /// [`traversal::bfs`](ftl_graph::traversal::bfs)'s `forbidden` (`&[]` =
@@ -36,25 +45,20 @@ pub fn assign_circulation_labels(
     dead: &[bool],
     b: usize,
     seed: Seed,
-) -> Vec<BitVec> {
+) -> BitMatrix {
     let is_dead = |id: EdgeId| dead.get(id.index()).copied().unwrap_or(false);
     let mut stream = seed.stream();
-    let mut phi: Vec<BitVec> = Vec::with_capacity(graph.num_edges());
     // Non-tree edges: uniform b-bit strings. Tree and dead edges: zero
     // for now.
-    for (id, _) in graph.edge_ids() {
-        let mut v = BitVec::zeros(b);
-        if !tree.is_tree_edge(id) && !is_dead(id) {
-            v.randomize(&mut stream);
-        }
-        phi.push(v);
-    }
-    // val[w] = XOR of phi over non-tree edges incident to w.
-    let mut val: Vec<BitVec> = vec![BitVec::zeros(b); graph.num_vertices()];
+    let mut phi = BitMatrix::with_rows(graph.num_edges(), b);
+    // acc[w] starts as the XOR of φ over the non-tree edges incident to w.
+    let mut acc = BitMatrix::with_rows(graph.num_vertices(), b);
     for (id, e) in graph.edge_ids() {
         if tree.is_tree_edge(id) || is_dead(id) {
             continue;
         }
+        let i = id.index();
+        phi.randomize_row(i, &mut stream);
         assert!(
             tree.contains(e.u()) && tree.contains(e.v()),
             "tree must span every edge that is not dead"
@@ -62,17 +66,16 @@ pub fn assign_circulation_labels(
         if e.u() == e.v() {
             continue; // self-loops lie on no cut; leave them random
         }
-        val[e.u().index()].xor_assign(&phi[id.index()]);
-        val[e.v().index()].xor_assign(&phi[id.index()]);
+        acc.xor_words_into_row(e.u().index(), phi.row(i));
+        acc.xor_words_into_row(e.v().index(), phi.row(i));
     }
-    // Bottom-up: acc(v) = val(v) XOR acc(children); tree edge (v, parent)
-    // gets acc(v). Reverse preorder visits children before parents.
-    let mut acc = val;
+    // Bottom-up: acc(v) = its start value XOR acc(children); tree edge
+    // (v, parent) gets acc(v). Reverse preorder visits children before
+    // parents.
     for &v in tree.preorder().iter().rev() {
         if let Some((p, e)) = tree.parent(v) {
-            let child_acc = acc[v.index()].clone();
-            phi[e.index()] = child_acc.clone();
-            acc[p.index()].xor_assign(&child_acc);
+            phi.row_mut(e.index()).copy_from_slice(acc.row(v.index()));
+            acc.xor_rows(p.index(), v.index());
         }
     }
     phi
@@ -136,7 +139,11 @@ mod tests {
 
     fn labels_for(g: &Graph, b: usize, seed: u64) -> (SpanningTree, Vec<BitVec>) {
         let t = SpanningTree::bfs_tree(g, VertexId::new(0)).unwrap();
-        let phi = assign_circulation_labels(g, &t, &[], b, Seed::new(seed));
+        let bank = assign_circulation_labels(g, &t, &[], b, Seed::new(seed));
+        assert_eq!((bank.num_rows(), bank.num_cols()), (g.num_edges(), b));
+        let phi = (0..bank.num_rows())
+            .map(|i| bank.row_to_bitvec(i))
+            .collect();
         (t, phi)
     }
 

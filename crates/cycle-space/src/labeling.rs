@@ -1,10 +1,17 @@
 //! The full cycle-space labeling scheme (Section 3.1.1, Theorem 3.6).
+//!
+//! A [`CycleSpaceScheme`] keeps what its labels are made of, not the
+//! labels: the `φ` bank of [`assign_circulation_labels`] (one row per edge
+//! id, in one allocation), the ancestry interval of every vertex, and each
+//! edge's endpoints and tree flag. It assembles a [`CycleSpaceEdgeLabel`]
+//! only when one is asked for ([`CycleSpaceScheme::edge_label`], for the
+//! decoder or the wire); the label store copies rows straight out of the
+//! bank ([`CycleSpaceScheme::phi_bank`]).
 
 use crate::circulation::assign_circulation_labels;
-use ftl_gf2::BitVec;
+use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{EdgeId, Graph, GraphError, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
-use ftl_par::MIN_PARALLEL_LEN;
 use ftl_seeded::Seed;
 
 /// Default slack constant `c` in `b = f + c·log₂ n` (DESIGN.md S4).
@@ -63,29 +70,44 @@ impl CycleSpaceEdgeLabel {
     /// intervals, which no genuine tree edge produces) yield `None`,
     /// matching `on_root_path_of` returning `false` everywhere.
     pub fn tree_child_interval(&self) -> Option<(u32, u32)> {
-        if !self.is_tree {
-            return None;
-        }
-        if self.anc_u.is_ancestor_of(&self.anc_v) {
-            Some((self.anc_v.pre, self.anc_v.post))
-        } else if self.anc_v.is_ancestor_of(&self.anc_u) {
-            Some((self.anc_u.pre, self.anc_u.post))
-        } else {
-            None
-        }
+        tree_child_interval(self.is_tree, self.anc_u, self.anc_v)
+    }
+}
+
+/// [`CycleSpaceEdgeLabel::tree_child_interval`] of an edge with tree flag
+/// `is_tree` and endpoint intervals `anc_u`, `anc_v`.
+pub(crate) fn tree_child_interval(
+    is_tree: bool,
+    anc_u: AncestryLabel,
+    anc_v: AncestryLabel,
+) -> Option<(u32, u32)> {
+    if !is_tree {
+        return None;
+    }
+    if anc_u.is_ancestor_of(&anc_v) {
+        Some((anc_v.pre, anc_v.post))
+    } else if anc_v.is_ancestor_of(&anc_u) {
+        Some((anc_u.pre, anc_u.post))
+    } else {
+        None
     }
 }
 
 /// The labeling side of the cycle-space scheme: holds every vertex/edge
-/// label of one (connected) graph.
+/// label of one (connected) graph, as the `φ` bank plus the ancestry
+/// arrays (see the module docs).
 ///
 /// Label access is by id; the decoder ([`crate::decode()`]) needs only the
 /// labels of the query triple `⟨s, t, F⟩`.
 #[derive(Debug, Clone)]
 pub struct CycleSpaceScheme {
-    vertex_labels: Vec<CycleSpaceVertexLabel>,
-    edge_labels: Vec<CycleSpaceEdgeLabel>,
-    b: usize,
+    /// `φ(e)` in row `e`.
+    phi: BitMatrix,
+    /// Ancestry interval per vertex id.
+    anc: Vec<AncestryLabel>,
+    /// Endpoints `(u, v)` per edge id, as inserted.
+    ends: Vec<(VertexId, VertexId)>,
+    is_tree: Vec<bool>,
     max_time: u32,
 }
 
@@ -127,55 +149,68 @@ impl CycleSpaceScheme {
         if tree.num_tree_vertices() != graph.num_vertices() {
             return Err(GraphError::Disconnected);
         }
-        let phi = assign_circulation_labels(graph, tree, &[], b, seed.derive(0xC1C));
-        // Per-vertex and per-edge label assembly is embarrassingly parallel
-        // (see `ftl-par`).
-        let vertex_labels = ftl_par::par_map_indexed(graph.num_vertices(), MIN_PARALLEL_LEN, |i| {
-            CycleSpaceVertexLabel {
-                anc: AncestryLabel::of(tree, VertexId::new(i)),
-            }
-        });
-        let edge_labels = ftl_par::par_map_indexed(graph.num_edges(), MIN_PARALLEL_LEN, |i| {
-            let id = EdgeId::new(i);
-            let e = graph.edge(id);
-            CycleSpaceEdgeLabel {
-                phi: phi[i].clone(),
-                anc_u: AncestryLabel::of(tree, e.u()),
-                anc_v: AncestryLabel::of(tree, e.v()),
-                is_tree: tree.is_tree_edge(id),
-            }
-        });
         Ok(CycleSpaceScheme {
-            vertex_labels,
-            edge_labels,
-            b,
+            phi: assign_circulation_labels(graph, tree, &[], b, seed.derive(0xC1C)),
+            anc: graph
+                .vertices()
+                .map(|v| AncestryLabel::of(tree, v))
+                .collect(),
+            ends: graph.edges().iter().map(|e| (e.u(), e.v())).collect(),
+            is_tree: graph
+                .edge_ids()
+                .map(|(id, _)| tree.is_tree_edge(id))
+                .collect(),
             max_time: tree.max_time(),
         })
     }
 
     /// The label of vertex `v`.
     pub fn vertex_label(&self, v: VertexId) -> CycleSpaceVertexLabel {
-        self.vertex_labels[v.index()]
+        CycleSpaceVertexLabel {
+            anc: self.anc[v.index()],
+        }
     }
 
-    /// The label of edge `e`.
+    /// The label of edge `e`, assembled from its row of the `φ` bank.
     pub fn edge_label(&self, e: EdgeId) -> CycleSpaceEdgeLabel {
-        self.edge_labels[e.index()].clone()
+        let (u, v) = self.ends[e.index()];
+        CycleSpaceEdgeLabel {
+            phi: self.phi.row_to_bitvec(e.index()),
+            anc_u: self.anc[u.index()],
+            anc_v: self.anc[v.index()],
+            is_tree: self.is_tree[e.index()],
+        }
+    }
+
+    /// The `φ` bank: row `e` is `φ(e)`, `bits_b()` bits wide.
+    pub fn phi_bank(&self) -> &BitMatrix {
+        &self.phi
+    }
+
+    /// `edge_label(e).tree_child_interval()`, without assembling the
+    /// label.
+    pub fn tree_child_interval(&self, e: EdgeId) -> Option<(u32, u32)> {
+        let (u, v) = self.ends[e.index()];
+        tree_child_interval(
+            self.is_tree[e.index()],
+            self.anc[u.index()],
+            self.anc[v.index()],
+        )
     }
 
     /// The cut-detection bit budget `b`.
     pub fn bits_b(&self) -> usize {
-        self.b
+        self.phi.num_cols()
     }
 
     /// Number of labeled vertices.
     pub fn num_vertices(&self) -> usize {
-        self.vertex_labels.len()
+        self.anc.len()
     }
 
     /// Number of labeled edges.
     pub fn num_edges(&self) -> usize {
-        self.edge_labels.len()
+        self.ends.len()
     }
 
     /// Maximum DFS time (for bit accounting).
@@ -190,13 +225,13 @@ impl CycleSpaceScheme {
     }
 
     /// Length of the longest edge label, in bits (Theorem 3.6:
-    /// `O(f + log n)`).
+    /// `O(f + log n)`). Every edge label has the same length; 0 when there
+    /// are no edges.
     pub fn edge_label_bits(&self) -> usize {
-        self.edge_labels
-            .iter()
-            .map(|l| l.bits(self.max_time))
-            .max()
-            .unwrap_or(0)
+        match self.num_edges() {
+            0 => 0,
+            _ => self.edge_label(EdgeId::new(0)).bits(self.max_time),
+        }
     }
 }
 

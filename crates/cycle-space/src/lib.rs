@@ -18,8 +18,11 @@
 //! The scheme assumes a **connected** input graph; `ftl-core` wraps it with
 //! per-component application for general graphs, as prescribed in the paper.
 //!
-//! Per-vertex and per-edge label material is built on all cores via
-//! [`ftl_par`]; the labels do not depend on the core count.
+//! Labels are built as one flat `φ` bank (a [`ftl_gf2::BitMatrix`] with
+//! one row per edge id) plus ancestry arrays, by a serial pass whose cost
+//! is a handful of allocations and `O((m + n)·b/64)` words of XOR; see
+//! [`circulation`]. Both schemes, static and live, keep the bank as it is
+//! and assemble a [`CycleSpaceEdgeLabel`] only on request.
 //!
 //! # Example
 //!

@@ -35,14 +35,24 @@
 //! scheme answers *connectivity under faults* and keeps the alive graph
 //! connected as its resting state, mirroring the DRFE-R recovery model
 //! (repair after failure, serve during repair).
+//!
+//! The state is flat: the `φ` bank of
+//! [`assign_circulation_labels`] (one row per edge id), the ancestry,
+//! parent and depth arrays, and the child lists as linked sibling lists
+//! over vertex ids. A removal XORs and zeroes bank rows in place, and a
+//! full relabel replaces the bank whole; the label store copies rows
+//! straight out of it ([`LiveCycleSpace::phi_bank`]). A
+//! [`CycleSpaceEdgeLabel`] is assembled only when one is asked for.
 
-use ftl_gf2::BitVec;
+use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{traversal, EdgeId, Graph, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
 use ftl_seeded::Seed;
 
 use crate::circulation::assign_circulation_labels;
-use crate::labeling::{default_bits, CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
+use crate::labeling::{
+    default_bits, tree_child_interval, CycleSpaceEdgeLabel, CycleSpaceVertexLabel,
+};
 
 /// Errors surfaced by live mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +85,10 @@ impl std::error::Error for LiveError {}
 
 /// Change set accumulated since the last [`LiveCycleSpace::take_delta`].
 ///
-/// `upsert` ids are alive and carry changed labels; `removed` ids are dead
-/// and must be evicted from any derived store. When `full` is set the
-/// scheme performed an internal full relabel and *every* alive
+/// `upsert` ids are alive and carry changed labels, listed in the order
+/// they were first changed (id order after a full relabel); `removed` ids
+/// are dead and must be evicted from any derived store. When `full` is
+/// set the scheme performed an internal full relabel and *every* alive
 /// label changed — consumers should rebuild rather than patch.
 #[derive(Debug, Clone, Default)]
 pub struct LiveDelta {
@@ -113,6 +124,128 @@ enum TreeRemove {
     WouldDisconnect,
 }
 
+/// No vertex, in [`Children`]' links.
+const NIL: u32 = u32::MAX;
+
+/// The child lists of the live tree as doubly linked sibling lists over
+/// vertex ids. They keep the order a `Vec` per vertex would (append at the
+/// end, unlink in place) in four flat arrays, so building them costs no
+/// allocation per vertex. A vertex is in at most one list: its parent's.
+#[derive(Debug, Clone)]
+struct Children {
+    first: Vec<u32>,
+    last: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+fn vertex(raw: u32) -> Option<VertexId> {
+    (raw != NIL).then(|| VertexId::new(raw as usize))
+}
+
+impl Children {
+    fn new(n: usize) -> Self {
+        Children {
+            first: vec![NIL; n],
+            last: vec![NIL; n],
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+        }
+    }
+
+    /// Empties every list.
+    fn clear(&mut self) {
+        for links in [
+            &mut self.first,
+            &mut self.last,
+            &mut self.next,
+            &mut self.prev,
+        ] {
+            links.fill(NIL);
+        }
+    }
+
+    fn first(&self, p: VertexId) -> Option<VertexId> {
+        vertex(self.first[p.index()])
+    }
+
+    /// Appends `c`, which is in no list, to `p`'s.
+    fn push(&mut self, p: VertexId, c: VertexId) {
+        let (p, c) = (p.index(), c.index());
+        let tail = self.last[p];
+        self.prev[c] = tail;
+        self.next[c] = NIL;
+        match tail {
+            NIL => self.first[p] = c as u32,
+            t => self.next[t as usize] = c as u32,
+        }
+        self.last[p] = c as u32;
+    }
+
+    /// Unlinks `c` from `p`'s list, which holds it.
+    fn remove(&mut self, p: VertexId, c: VertexId) {
+        let (p, c) = (p.index(), c.index());
+        let (before, after) = (self.prev[c], self.next[c]);
+        match before {
+            NIL => self.first[p] = after,
+            b => self.next[b as usize] = after,
+        }
+        match after {
+            NIL => self.last[p] = before,
+            a => self.prev[a as usize] = before,
+        }
+        self.prev[c] = NIL;
+        self.next[c] = NIL;
+    }
+
+    /// `p`'s children, first to last.
+    fn of(&self, p: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        std::iter::successors(self.first(p), |c| vertex(self.next[c.index()]))
+    }
+
+    /// `p`'s children, last to first.
+    fn of_rev(&self, p: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        std::iter::successors(vertex(self.last[p.index()]), |c| {
+            vertex(self.prev[c.index()])
+        })
+    }
+}
+
+/// Ids marked since the last drain: a flag per id plus the marked ids in
+/// marking order, so a drain costs the marks, not the id space.
+#[derive(Debug, Clone)]
+struct Marks {
+    flag: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl Marks {
+    fn new(n: usize) -> Self {
+        Marks {
+            flag: vec![false; n],
+            list: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        if !self.flag[i] {
+            self.flag[i] = true;
+            self.list.push(i);
+        }
+    }
+
+    /// Empties the set, returning the marked ids that pass `keep` in the
+    /// order they were first marked.
+    fn drain(&mut self, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut ids = std::mem::take(&mut self.list);
+        for &i in &ids {
+            self.flag[i] = false;
+        }
+        ids.retain(|&i| keep(i));
+        ids
+    }
+}
+
 /// Incrementally maintained cycle-space labeling over a fixed edge-id
 /// space with liveness masks.
 ///
@@ -130,15 +263,16 @@ pub struct LiveCycleSpace {
     root: VertexId,
     alive_vertex: Vec<bool>,
     alive_edge: Vec<bool>,
-    phi: Vec<BitVec>,
+    /// `φ(e)` in row `e`; zero rows for dead edges.
+    phi: BitMatrix,
     is_tree: Vec<bool>,
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    children: Vec<Vec<VertexId>>,
+    children: Children,
     depth: Vec<u32>,
     pre: Vec<u32>,
     post: Vec<u32>,
-    dirty_vertex: Vec<bool>,
-    dirty_edge: Vec<bool>,
+    dirty_vertex: Marks,
+    dirty_edge: Marks,
     removed_vertices: Vec<VertexId>,
     removed_edges: Vec<EdgeId>,
     all_dirty: bool,
@@ -153,7 +287,7 @@ impl LiveCycleSpace {
 
     /// Builds the live scheme with an explicit `φ` width `b`.
     pub fn with_bits(graph: &Graph, b: usize, seed: Seed) -> Result<Self, LiveError> {
-        if graph.num_vertices() == 0 || !traversal::is_connected(graph) {
+        if graph.num_vertices() == 0 {
             return Err(LiveError::Disconnected);
         }
         let nv = graph.num_vertices();
@@ -166,20 +300,23 @@ impl LiveCycleSpace {
             root: VertexId::new(0),
             alive_vertex: vec![true; nv],
             alive_edge: vec![true; ne],
-            phi: Vec::new(),
+            phi: BitMatrix::new(b),
             is_tree: vec![false; ne],
             parent: vec![None; nv],
-            children: vec![Vec::new(); nv],
+            children: Children::new(nv),
             depth: vec![0; nv],
             pre: vec![u32::MAX; nv],
             post: vec![u32::MAX; nv],
-            dirty_vertex: vec![false; nv],
-            dirty_edge: vec![false; ne],
+            dirty_vertex: Marks::new(nv),
+            dirty_edge: Marks::new(ne),
             removed_vertices: Vec::new(),
             removed_edges: Vec::new(),
             all_dirty: false,
         };
-        live.relabel();
+        // The first relabel's BFS is the connectivity check.
+        if !live.relabel_connected() {
+            return Err(LiveError::Disconnected);
+        }
         Ok(live)
     }
 
@@ -268,11 +405,29 @@ impl LiveCycleSpace {
             post: self.post[v.index()],
         };
         CycleSpaceEdgeLabel {
-            phi: self.phi[e.index()].clone(),
+            phi: self.phi.row_to_bitvec(e.index()),
             anc_u: anc_of(edge.u()),
             anc_v: anc_of(edge.v()),
             is_tree: self.is_tree[e.index()],
         }
+    }
+
+    /// The `φ` bank: row `e` is `φ(e)` for an alive edge `e`, zero for a
+    /// dead one.
+    pub fn phi_bank(&self) -> &BitMatrix {
+        &self.phi
+    }
+
+    /// `edge_label(e).tree_child_interval()` of an alive edge, without
+    /// assembling the label.
+    pub fn tree_child_interval(&self, e: EdgeId) -> Option<(u32, u32)> {
+        debug_assert!(self.is_alive_edge(e));
+        let edge = self.graph.edge(e);
+        let anc_of = |v: VertexId| AncestryLabel {
+            pre: self.pre[v.index()],
+            post: self.post[v.index()],
+        };
+        tree_child_interval(self.is_tree[e.index()], anc_of(edge.u()), anc_of(edge.v()))
     }
 
     /// Drains the accumulated change set.
@@ -283,23 +438,16 @@ impl LiveCycleSpace {
             removed_edges: std::mem::take(&mut self.removed_edges),
             ..LiveDelta::default()
         };
+        let (alive_vertex, alive_edge) = (&self.alive_vertex, &self.alive_edge);
+        let vertices = self.dirty_vertex.drain(|i| alive_vertex[i]);
+        let edges = self.dirty_edge.drain(|i| alive_edge[i]);
         if self.all_dirty {
             delta.vertex_upserts = self.alive_vertices().collect();
             delta.edge_upserts = self.alive_edges().collect();
         } else {
-            for (i, d) in self.dirty_vertex.iter().enumerate() {
-                if *d && self.alive_vertex[i] {
-                    delta.vertex_upserts.push(VertexId::new(i));
-                }
-            }
-            for (i, d) in self.dirty_edge.iter().enumerate() {
-                if *d && self.alive_edge[i] {
-                    delta.edge_upserts.push(EdgeId::new(i));
-                }
-            }
+            delta.vertex_upserts = vertices.into_iter().map(VertexId::new).collect();
+            delta.edge_upserts = edges.into_iter().map(EdgeId::new).collect();
         }
-        self.dirty_vertex.iter_mut().for_each(|d| *d = false);
-        self.dirty_edge.iter_mut().for_each(|d| *d = false);
         self.all_dirty = false;
         delta
     }
@@ -339,19 +487,7 @@ impl LiveCycleSpace {
         }
         // Connectivity pre-check: the alive graph minus v (and all its
         // incident edges) must stay connected.
-        let mut forbidden = self.forbidden_base();
-        for nb in self.graph.neighbors(v) {
-            forbidden[nb.edge.index()] = true;
-        }
-        let source = self
-            .alive_vertices()
-            .find(|&w| w != v)
-            .expect("at least two alive vertices");
-        let bfs = traversal::bfs(&self.graph, source, &forbidden);
-        let reached = (0..self.graph.num_vertices())
-            .filter(|&i| self.alive_vertex[i] && VertexId::new(i) != v)
-            .all(|i| bfs.dist[i].is_some());
-        if !reached {
+        if !self.connected_without(v) {
             return Err(LiveError::WouldDisconnect);
         }
 
@@ -375,7 +511,7 @@ impl LiveCycleSpace {
         // 2. Child tree edges: re-hang each child subtree elsewhere. The
         //    pre-check guarantees a replacement exists; a failed gap check
         //    falls back to a full relabel.
-        while let Some(&c) = self.children[v.index()].first() {
+        while let Some(c) = self.children.first(v) {
             let (_, te) = self.parent[c.index()].expect("child has parent edge");
             match self.remove_tree_edge(te) {
                 TreeRemove::Done => {}
@@ -393,11 +529,11 @@ impl LiveCycleSpace {
         //    bit at v), so dropping it preserves all circulations.
         let (p, t) = self.parent[v.index()].expect("non-root has a parent");
         debug_assert!(
-            self.phi[t.index()].is_zero(),
+            self.phi.row_is_zero(t.index()),
             "leaf parent edge must carry zero φ"
         );
         self.kill_edge(t);
-        self.children[p.index()].retain(|&w| w != v);
+        self.children.remove(p, v);
         self.parent[v.index()] = None;
 
         // 4. Kill the vertex itself.
@@ -420,31 +556,41 @@ impl LiveCycleSpace {
     /// the numbering is *spread*: the DFS times are multiplied by a
     /// stride, so later re-hangs find spare values between intervals.
     pub fn relabel(&mut self) {
-        self.relabels += 1;
-        let seed = self.seed.derive(0x11FE).derive(self.relabels);
+        let connected = self.relabel_connected();
+        debug_assert!(connected, "alive graph must be connected at relabel time");
+    }
+
+    // ------------------------------------------------------------------
+    // Internals
+    // ------------------------------------------------------------------
+
+    /// [`relabel`](Self::relabel), if its BFS from the lowest alive id
+    /// reaches every alive vertex; otherwise returns `false` and changes
+    /// nothing.
+    fn relabel_connected(&mut self) -> bool {
         let root = self
             .alive_vertices()
             .next()
             .expect("relabel requires an alive vertex");
-        self.root = root;
-
         let dead = self.forbidden_base();
         let bfs = traversal::bfs(&self.graph, root, &dead);
-        debug_assert!(
-            (0..self.graph.num_vertices())
-                .filter(|&i| self.alive_vertex[i])
-                .all(|i| bfs.dist[i].is_some()),
-            "alive graph must be connected at relabel time"
-        );
+        if (0..self.graph.num_vertices()).any(|i| self.alive_vertex[i] && bfs.dist[i].is_none()) {
+            return false;
+        }
+        self.relabels += 1;
+        let seed = self.seed.derive(0x11FE).derive(self.relabels);
+        self.root = root;
         let tree = SpanningTree::from_bfs(&self.graph, root, &bfs);
 
         let k = self.num_alive_vertices() as u64;
         let stride = ((u32::MAX - 2) as u64 / (2 * k + 2)) as u32;
+        self.children.clear();
         for i in 0..self.graph.num_vertices() {
             let v = VertexId::new(i);
             self.parent[i] = tree.parent(v);
-            self.children[i].clear();
-            self.children[i].extend_from_slice(tree.children(v));
+            for &c in tree.children(v) {
+                self.children.push(v, c);
+            }
             self.depth[i] = tree.depth(v);
             (self.pre[i], self.post[i]) = if tree.contains(v) {
                 (tree.pre(v) * stride, tree.post(v) * stride)
@@ -457,20 +603,74 @@ impl LiveCycleSpace {
         }
         // Free the old bank before sampling the new one, so a relabel
         // never holds two.
-        self.phi = Vec::new();
+        self.phi = BitMatrix::new(self.b);
         self.phi = assign_circulation_labels(&self.graph, &tree, &dead, self.b, seed);
         self.all_dirty = true;
+        true
     }
 
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
+    /// Whether the alive graph minus `v` and its incident edges is
+    /// connected.
+    ///
+    /// The search costs `v`'s subtree, not the graph. The *anchor* stays
+    /// connected through tree edges once `v` is gone: the alive vertices
+    /// outside `v`'s subtree, or, when `v` is the root, its first child's
+    /// subtree. The graph stays connected iff every other vertex below `v`
+    /// reaches the anchor, so the search is seeded at the vertices with an
+    /// alive edge into the anchor and spreads through the rest, never
+    /// entering `v`.
+    fn connected_without(&self, v: VertexId) -> bool {
+        let within = |w: VertexId, c: VertexId| {
+            self.pre[c.index()] <= self.pre[w.index()]
+                && self.pre[w.index()] <= self.post[c.index()]
+        };
+        let mut kids = self.children.of(v);
+        let root_anchor = if v == self.root { kids.next() } else { None };
+        let in_anchor = |w: VertexId| match root_anchor {
+            Some(c) => within(w, c),
+            None => !within(w, v),
+        };
+        let mut below: Vec<VertexId> = kids.collect();
+        let mut next = 0;
+        while let Some(&w) = below.get(next) {
+            next += 1;
+            below.extend(self.children.of(w));
+        }
+        let alive_neighbors = |w: VertexId| {
+            self.graph
+                .neighbors(w)
+                .iter()
+                .filter(|nb| {
+                    self.alive_edge[nb.edge.index()] && self.alive_vertex[nb.vertex.index()]
+                })
+                .map(|nb| nb.vertex)
+        };
+        let mut reached = vec![false; self.graph.num_vertices()];
+        let mut queue: Vec<VertexId> = Vec::with_capacity(below.len());
+        for &w in &below {
+            if alive_neighbors(w).any(in_anchor) {
+                reached[w.index()] = true;
+                queue.push(w);
+            }
+        }
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for x in alive_neighbors(u) {
+                if x != v && !in_anchor(x) && !reached[x.index()] {
+                    reached[x.index()] = true;
+                    queue.push(x);
+                }
+            }
+        }
+        queue.len() == below.len()
+    }
 
     /// Marks an edge dead and zeroes its φ row. Does not touch the tree.
     fn kill_edge(&mut self, e: EdgeId) {
         self.alive_edge[e.index()] = false;
         self.is_tree[e.index()] = false;
-        self.phi[e.index()] = BitVec::zeros(self.b);
+        self.phi.zero_row(e.index());
         self.removed_edges.push(e);
     }
 
@@ -494,10 +694,10 @@ impl LiveCycleSpace {
         let edge = self.graph.edge(e);
         let (u, v) = (edge.u(), edge.v());
         if u != v {
-            let cyc = self.phi[e.index()].clone();
+            // The path holds tree edges only, never `e` itself.
             for t in self.tree_path(u, v) {
-                self.phi[t.index()].xor_assign(&cyc);
-                self.dirty_edge[t.index()] = true;
+                self.phi.xor_rows(t.index(), e.index());
+                self.dirty_edge.mark(t.index());
             }
         }
         self.kill_edge(e);
@@ -534,7 +734,7 @@ impl LiveCycleSpace {
         let mut sub = vec![c];
         let mut stack = vec![c];
         while let Some(w) = stack.pop() {
-            for &ch in &self.children[w.index()] {
+            for ch in self.children.of(w) {
                 sub.push(ch);
                 stack.push(ch);
             }
@@ -586,8 +786,9 @@ impl LiveCycleSpace {
         // fresh DFS times strictly between y's deepest existing child
         // interval and post(y).
         let k = sub.len() as u64;
-        let low = self.children[y.index()]
-            .iter()
+        let low = self
+            .children
+            .of(y)
             .map(|ch| self.post[ch.index()])
             .max()
             .unwrap_or(0)
@@ -604,19 +805,23 @@ impl LiveCycleSpace {
         // φ repair: XOR φ(e) along the fundamental cycle of the
         // replacement edge (tree path x..y plus rep itself). The path
         // contains e, so φ(e) self-cancels to zero; every circulation is
-        // preserved because we added a cycle's characteristic vector.
-        let cyc = self.phi[e.index()].clone();
-        if !cyc.is_zero() {
-            for t in self.tree_path(x, y) {
-                self.phi[t.index()].xor_assign(&cyc);
-                self.dirty_edge[t.index()] = true;
+        // preserved because we added a cycle's characteristic vector. In
+        // place: row e goes into every other row of the cycle, then
+        // `kill_edge` zeroes it.
+        if !self.phi.row_is_zero(e.index()) {
+            let path = self.tree_path(x, y);
+            debug_assert!(path.contains(&e));
+            for t in path {
+                if t != e {
+                    self.phi.xor_rows(t.index(), e.index());
+                }
+                self.dirty_edge.mark(t.index());
             }
-            self.phi[rep.index()].xor_assign(&cyc);
+            self.phi.xor_rows(rep.index(), e.index());
         }
-        debug_assert!(self.phi[e.index()].is_zero());
 
         // Drop e from the tree and the alive set.
-        self.children[p.index()].retain(|&w| w != c);
+        self.children.remove(p, c);
         self.parent[c.index()] = None;
         self.kill_edge(e);
 
@@ -631,16 +836,16 @@ impl LiveCycleSpace {
             w = pw;
         }
         for i in 0..chain_edges.len() {
-            self.children[chain[i + 1].index()].retain(|&z| z != chain[i]);
+            self.children.remove(chain[i + 1], chain[i]);
         }
         for i in 0..chain_edges.len() {
             self.parent[chain[i + 1].index()] = Some((chain[i], chain_edges[i]));
-            self.children[chain[i].index()].push(chain[i + 1]);
+            self.children.push(chain[i], chain[i + 1]);
         }
         self.parent[x.index()] = Some((y, rep));
-        self.children[y.index()].push(x);
+        self.children.push(y, x);
         self.is_tree[rep.index()] = true;
-        self.dirty_edge[rep.index()] = true;
+        self.dirty_edge.mark(rep.index());
 
         // Renumber the subtree into the gap under y with stride `step`.
         let mut slot = 0u64;
@@ -658,8 +863,7 @@ impl LiveCycleSpace {
             self.pre[w.index()] = next_time();
             stack.push((w, true));
             // Push children in reverse so the DFS visits them in order.
-            let kids: Vec<VertexId> = self.children[w.index()].clone();
-            for &ch in kids.iter().rev() {
+            for ch in self.children.of_rev(w) {
                 self.depth[ch.index()] = self.depth[w.index()] + 1;
                 stack.push((ch, false));
             }
@@ -671,10 +875,10 @@ impl LiveCycleSpace {
         // every alive incident edge label (which embeds endpoint ancestry)
         // changed.
         for &w in &sub {
-            self.dirty_vertex[w.index()] = true;
+            self.dirty_vertex.mark(w.index());
             for nb in self.graph.neighbors(w) {
                 if self.is_alive_edge(nb.edge) {
-                    self.dirty_edge[nb.edge.index()] = true;
+                    self.dirty_edge.mark(nb.edge.index());
                 }
             }
         }
@@ -690,7 +894,7 @@ impl LiveCycleSpace {
             let mut x = BitVec::zeros(self.b);
             for nb in self.graph.neighbors(v) {
                 if self.is_alive_edge(nb.edge) && nb.vertex != v {
-                    x.xor_assign(&self.phi[nb.edge.index()]);
+                    self.phi.xor_row_into_bitvec(nb.edge.index(), &mut x);
                 }
             }
             if !x.is_zero() {
@@ -734,7 +938,7 @@ impl LiveCycleSpace {
                     {
                         return false;
                     }
-                    if !self.children[p.index()].contains(&v) {
+                    if !self.children.of(p).any(|w| w == v) {
                         return false;
                     }
                     if self.depth[v.index()] != self.depth[p.index()] + 1 {
@@ -1070,6 +1274,47 @@ mod tests {
         let delta = live.take_delta();
         assert_eq!(delta.removed_edges, vec![lp]);
         assert!(delta.edge_upserts.is_empty());
+    }
+
+    /// The subtree-bounded pre-check agrees with a whole-graph search of
+    /// the alive graph minus `v`, for every alive vertex (the root
+    /// included), before and after churn has re-hung subtrees.
+    #[test]
+    fn subtree_connectivity_check_matches_whole_graph_search() {
+        let mut lollipop = ftl_graph::GraphBuilder::new(12);
+        for i in 0..6 {
+            lollipop.add_unit_edge(i, (i + 1) % 6);
+        }
+        for i in 6..12 {
+            lollipop.add_unit_edge(i - 1, i);
+        }
+        for g in [
+            generators::grid(5, 6),
+            generators::star(6),
+            generators::path(7),
+            lollipop.build(),
+        ] {
+            let mut live = LiveCycleSpace::new(&g, 4, Seed::new(17)).unwrap();
+            let mut rng = Seed::new(0xC4EC).stream();
+            for round in 0..4 {
+                for v in live.alive_vertices().collect::<Vec<_>>() {
+                    let mut forbidden = live.forbidden_base();
+                    for nb in g.neighbors(v) {
+                        forbidden[nb.edge.index()] = true;
+                    }
+                    let source = live.alive_vertices().find(|&w| w != v).unwrap();
+                    let bfs = traversal::bfs(&g, source, &forbidden);
+                    let whole = live
+                        .alive_vertices()
+                        .all(|w| w == v || bfs.dist[w.index()].is_some());
+                    assert_eq!(live.connected_without(v), whole, "round {round}, {v:?}");
+                }
+                for _ in 0..3 {
+                    let alive: Vec<EdgeId> = live.alive_edges().collect();
+                    let _ = live.remove_edge(alive[(rng() % alive.len() as u64) as usize]);
+                }
+            }
+        }
     }
 
     #[test]

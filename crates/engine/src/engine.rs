@@ -477,12 +477,13 @@ fn panicked(payload: &(dyn std::any::Any + Send)) -> EngineError {
 }
 
 /// Freezes every label of a cycle-space scheme into a store of at most
-/// `num_shards` shards.
+/// `num_shards` shards, copying edge rows straight out of the scheme's `φ`
+/// bank.
 ///
 /// # Errors
 ///
-/// Never fails for a well-formed scheme; a label the builder refuses
-/// (see [`LabelStoreBuilder::put_edge`]) is returned as its error.
+/// Never fails for a well-formed scheme; a row the builder refuses
+/// (see [`LabelStoreBuilder::put_edge_row`]) is returned as its error.
 pub fn store_from_cycle_space(
     scheme: &CycleSpaceScheme,
     num_shards: usize,
@@ -499,7 +500,7 @@ pub fn store_from_cycle_space(
     }
     for i in 0..scheme.num_edges() {
         let e = EdgeId::new(i);
-        builder.put_edge(e, &scheme.edge_label(e))?;
+        builder.put_edge_row(e, scheme.phi_bank(), scheme.tree_child_interval(e))?;
     }
     Ok(builder.freeze())
 }

@@ -403,9 +403,9 @@ impl LiveStore {
 }
 
 /// Freezes the successor of `prev` that `delta` describes: the removed
-/// records dropped, the dirtied ones rewritten from `live`. Only the shards
-/// those records land in are copied; every other shard is shared with
-/// `prev`.
+/// records dropped, the dirtied ones rewritten from `live` (edge rows
+/// copied out of its `φ` bank). Only the shards whose rows change are
+/// copied; every other shard is shared with `prev`.
 fn delta_freeze(
     prev: &LabelStore,
     live: &LiveCycleSpace,
@@ -422,13 +422,14 @@ fn delta_freeze(
         b.put_vertex(v, &live.vertex_label(v))?;
     }
     for &e in &delta.edge_upserts {
-        b.put_edge(e, &live.edge_label(e))?;
+        b.put_edge_row(e, live.phi_bank(), live.tree_child_interval(e))?;
     }
     Ok(b.freeze())
 }
 
 /// Freezes the complete current state of a live labeling into a store
-/// over the graph's whole id space (dead ids stay absent).
+/// over the graph's whole id space (dead ids stay absent), copying edge
+/// rows straight out of its `φ` bank.
 ///
 /// # Errors
 ///
@@ -449,7 +450,7 @@ pub fn full_store_of(
         b.put_vertex(v, &live.vertex_label(v))?;
     }
     for e in live.alive_edges() {
-        b.put_edge(e, &live.edge_label(e))?;
+        b.put_edge_row(e, live.phi_bank(), live.tree_child_interval(e))?;
     }
     Ok(b.freeze())
 }

@@ -10,16 +10,21 @@
 //! The store follows a build-then-freeze lifecycle. A
 //! [`LabelStoreBuilder`] declares the id spaces (`n` vertices, `m` edges)
 //! and the `φ` width, takes typed cycle-space labels, and [`freeze`] seals
-//! it into an immutable [`LabelStore`]. After the freeze every read is a
-//! pure `&self` lookup: no locks, no atomics, so arbitrarily many query
-//! threads can share one store behind an `Arc`.
+//! it into an immutable [`LabelStore`]. A scheme's edges come in through
+//! [`LabelStoreBuilder::put_edge_row`], which copies a row of the scheme's
+//! `φ` bank (one row per edge id) without assembling a label, so a full
+//! freeze allocates per shard, not per edge. After the freeze every read
+//! is a pure `&self` lookup: no locks, no atomics, so arbitrarily many
+//! query threads can share one store behind an `Arc`.
 //!
 //! A successor snapshot starts from [`LabelStore::edit`]: a builder that
-//! shares every shard with the store it came from. A write copies the one
-//! shard it lands in (once) and leaves the rest shared, so a delta freeze
-//! costs the shards the delta touches. A replaced shard is freed when the
-//! last snapshot holding it is dropped, so a store reached by any chain of
-//! edits holds exactly the bytes of a fresh build of the same labels.
+//! shares every shard with the store it came from. A write that changes a
+//! row copies the one shard it lands in (once) and leaves the rest shared;
+//! a write that leaves its row as it was copies nothing. So a delta freeze
+//! costs the shards the delta really changes. A replaced shard is freed
+//! when the last snapshot holding it is dropped, so a store reached by any
+//! chain of edits holds exactly the bytes of a fresh build of the same
+//! labels.
 //!
 //! The wire format ([`ftl_labels::wire`]) is the transfer encoding, and
 //! [`LabelStoreBuilder::put_bytes`] is its one way in: a record is decoded
@@ -174,6 +179,13 @@ impl Rows {
         }
     }
 
+    /// The words of `φ` row `i`.
+    #[inline]
+    fn phi_row(&self, i: usize) -> Option<&[u64]> {
+        let wpr = self.phi.words_per_row();
+        self.phi.words().get(i * wpr..(i + 1) * wpr)
+    }
+
     fn bytes(&self) -> usize {
         size_of_val(self.anc.as_slice())
             + size_of_val(self.edges.as_slice())
@@ -186,18 +198,30 @@ impl Rows {
     }
 }
 
-/// The columns, shared by a builder and the stores it freezes.
+/// The columns, split into shards: `Arc<Rows>` in a frozen store,
+/// [`Shard`] in a builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Columns {
+struct Columns<S> {
     num_vertices: usize,
     num_edges: usize,
     phi_width: usize,
     /// Every shard holds `1 << shift` ids (the last one possibly fewer).
     shift: u32,
-    shards: Vec<Arc<Rows>>,
+    shards: Vec<S>,
 }
 
-impl Columns {
+impl<S> Columns<S> {
+    /// The same columns over shards mapped by `f`.
+    fn map_shards<T>(self, f: impl FnMut(S) -> T) -> Columns<T> {
+        Columns {
+            num_vertices: self.num_vertices,
+            num_edges: self.num_edges,
+            phi_width: self.phi_width,
+            shift: self.shift,
+            shards: self.shards.into_iter().map(f).collect(),
+        }
+    }
+
     /// The shard holding `id`'s rows, and the row index within it.
     #[inline]
     fn locate(&self, id: usize) -> (usize, usize) {
@@ -205,11 +229,48 @@ impl Columns {
     }
 }
 
+/// A builder's shard: still shared with the store it was edited from, or
+/// the builder's own, which it writes without touching a reference count.
+#[derive(Debug, Clone)]
+enum Shard {
+    Shared(Arc<Rows>),
+    Owned(Rows),
+}
+
+impl Shard {
+    fn rows(&self) -> &Rows {
+        match self {
+            Shard::Shared(rows) => rows,
+            Shard::Owned(rows) => rows,
+        }
+    }
+
+    /// The rows, made this builder's own: a shared shard is copied the
+    /// first time, and its `Arc` released.
+    fn make_owned(&mut self) -> &mut Rows {
+        if let Shard::Shared(shared) = self {
+            *self = Shard::Owned(Rows::clone(shared));
+        }
+        match self {
+            Shard::Owned(rows) => rows,
+            Shard::Shared(shared) => Arc::make_mut(shared),
+        }
+    }
+}
+
+impl PartialEq for Shard {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows()
+    }
+}
+
+impl Eq for Shard {}
+
 /// Mutable staging area for a [`LabelStore`]: a fresh one from
 /// [`LabelStoreBuilder::new`], or a successor from [`LabelStore::edit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelStoreBuilder {
-    cols: Columns,
+    cols: Columns<Shard>,
 }
 
 impl LabelStoreBuilder {
@@ -223,7 +284,7 @@ impl LabelStoreBuilder {
         let shards = (0..ids.div_ceil(per))
             .map(|s| {
                 let span = |len: usize| len.saturating_sub(s * per).min(per);
-                Arc::new(Rows {
+                Shard::Owned(Rows {
                     anc: vec![None; span(num_vertices)],
                     edges: vec![EdgeRow::Absent; span(num_edges)],
                     phi: BitMatrix::with_rows(span(num_edges), phi_width),
@@ -241,17 +302,30 @@ impl LabelStoreBuilder {
         }
     }
 
-    /// The shard holding `key`'s row, made exclusive to this builder
-    /// (copied if a frozen store still shares it), and the row index.
-    /// Refuses an id outside the declared range before copying anything.
-    fn row_mut(&mut self, key: StoreKey) -> Result<(&mut Rows, usize), StoreError> {
+    /// Applies `write` to `key`'s row (given its shard and the row index
+    /// in it) in a shard made this builder's own, copied if it is still
+    /// shared with a frozen store — unless `holds` finds the row already as
+    /// `write` would leave it, so a write that changes nothing copies
+    /// nothing. Refuses an id outside the declared range before copying
+    /// anything.
+    fn write_row(
+        &mut self,
+        key: StoreKey,
+        holds: impl FnOnce(&Rows, usize) -> bool,
+        write: impl FnOnce(&mut Rows, usize),
+    ) -> Result<(), StoreError> {
         let len = match key.ns {
             Namespace::Vertex => self.cols.num_vertices,
             Namespace::Edge => self.cols.num_edges,
         };
         let (shard, i) = self.cols.locate(key.id as usize);
         match self.cols.shards.get_mut(shard) {
-            Some(rows) if (key.id as usize) < len => Ok((Arc::make_mut(rows), i)),
+            Some(rows) if (key.id as usize) < len => {
+                if !holds(rows.rows(), i) {
+                    write(rows.make_owned(), i);
+                }
+                Ok(())
+            }
             _ => Err(StoreError::OutOfRange { key, len }),
         }
     }
@@ -267,9 +341,12 @@ impl LabelStoreBuilder {
         v: VertexId,
         label: &CycleSpaceVertexLabel,
     ) -> Result<(), StoreError> {
-        let (rows, i) = self.row_mut(StoreKey::vertex(v))?;
-        rows.set_vertex(i, Some(label.anc));
-        Ok(())
+        let anc = Some(label.anc);
+        self.write_row(
+            StoreKey::vertex(v),
+            |rows, i| rows.anc.get(i) == Some(&anc),
+            |rows, i| rows.set_vertex(i, anc),
+        )
     }
 
     /// Stores (or overwrites) an edge label.
@@ -280,21 +357,66 @@ impl LabelStoreBuilder {
     /// width, [`StoreError::OutOfRange`] for an id past the declared edge
     /// count; the builder is unchanged either way.
     pub fn put_edge(&mut self, e: EdgeId, label: &CycleSpaceEdgeLabel) -> Result<(), StoreError> {
+        self.put_phi(
+            e,
+            label.phi.len(),
+            label.phi.words(),
+            label.tree_child_interval(),
+        )
+    }
+
+    /// Stores (or overwrites) edge `e` from row `e` of a `φ` bank — the
+    /// bank of a [`CycleSpaceScheme`](ftl_cycle_space::CycleSpaceScheme)
+    /// or a [`LiveCycleSpace`](ftl_cycle_space::LiveCycleSpace), one row
+    /// per edge id — with `tree_interval` its
+    /// [`CycleSpaceEdgeLabel::tree_child_interval`]. The row is copied;
+    /// no label is assembled.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::PhiWidth`] when the bank is not the declared width,
+    /// [`StoreError::Missing`] when the bank has no row `e`,
+    /// [`StoreError::OutOfRange`] for an id past the declared edge count;
+    /// the builder is unchanged in every case.
+    pub fn put_edge_row(
+        &mut self,
+        e: EdgeId,
+        bank: &BitMatrix,
+        tree_interval: Option<(u32, u32)>,
+    ) -> Result<(), StoreError> {
+        let wpr = bank.words_per_row();
+        let phi = bank
+            .words()
+            .get(e.index() * wpr..(e.index() + 1) * wpr)
+            .ok_or(StoreError::Missing(StoreKey::edge(e)))?;
+        self.put_phi(e, bank.num_cols(), phi, tree_interval)
+    }
+
+    /// Stores edge `e` with the `width`-bit `φ` whose words are `phi`.
+    fn put_phi(
+        &mut self,
+        e: EdgeId,
+        width: usize,
+        phi: &[u64],
+        tree_interval: Option<(u32, u32)>,
+    ) -> Result<(), StoreError> {
         let key = StoreKey::edge(e);
-        if label.phi.len() != self.cols.phi_width {
+        if width != self.cols.phi_width {
             return Err(StoreError::PhiWidth {
                 key,
                 expected: self.cols.phi_width,
-                got: label.phi.len(),
+                got: width,
             });
         }
-        let row = match label.tree_child_interval() {
+        let row = match tree_interval {
             Some((pre, post)) => EdgeRow::Tree { pre, post },
             None => EdgeRow::NonTree,
         };
-        let (rows, i) = self.row_mut(key)?;
-        rows.set_edge(i, row, label.phi.words());
-        Ok(())
+        self.write_row(
+            key,
+            |rows, i| rows.edges.get(i) == Some(&row) && rows.phi_row(i) == Some(phi),
+            |rows, i| rows.set_edge(i, row, phi),
+        )
     }
 
     /// Removes the record under `key`, if there is one.
@@ -303,12 +425,19 @@ impl LabelStoreBuilder {
     ///
     /// [`StoreError::OutOfRange`] for an id past the declared range.
     pub fn remove(&mut self, key: StoreKey) -> Result<(), StoreError> {
-        let (rows, i) = self.row_mut(key)?;
         match key.ns {
-            Namespace::Vertex => rows.set_vertex(i, None),
-            Namespace::Edge => rows.set_edge(i, EdgeRow::Absent, &[]),
+            Namespace::Vertex => self.write_row(
+                key,
+                |rows, i| rows.anc.get(i) == Some(&None),
+                |rows, i| rows.set_vertex(i, None),
+            ),
+            // An absent edge's φ row is zero already.
+            Namespace::Edge => self.write_row(
+                key,
+                |rows, i| rows.edges.get(i) == Some(&EdgeRow::Absent),
+                |rows, i| rows.set_edge(i, EdgeRow::Absent, &[]),
+            ),
         }
-        Ok(())
     }
 
     /// Imports one wire record: decodes it as the cycle-space label of
@@ -338,7 +467,10 @@ impl LabelStoreBuilder {
     /// a fresh [`uid`](LabelStore::uid).
     pub fn freeze(self) -> LabelStore {
         LabelStore {
-            cols: self.cols,
+            cols: self.cols.map_shards(|shard| match shard {
+                Shard::Shared(rows) => rows,
+                Shard::Owned(rows) => Arc::new(rows),
+            }),
             uid: fresh_store_uid(),
         }
     }
@@ -349,7 +481,7 @@ impl LabelStoreBuilder {
 /// whatever their uids.
 #[derive(Debug)]
 pub struct LabelStore {
-    cols: Columns,
+    cols: Columns<Arc<Rows>>,
     /// Process-unique identity of this frozen snapshot (see
     /// [`LabelStore::uid`]).
     uid: u64,
@@ -369,7 +501,7 @@ impl LabelStore {
     /// and `self` keeps serving unchanged.
     pub fn edit(&self) -> LabelStoreBuilder {
         LabelStoreBuilder {
-            cols: self.cols.clone(),
+            cols: self.cols.clone().map_shards(Shard::Shared),
         }
     }
 
@@ -473,9 +605,8 @@ impl LabelStore {
             EdgeRow::Tree { pre, post } => Some((pre, post)),
             _ => None,
         };
-        let wpr = rows.phi.words_per_row();
         Some(FaultColumn {
-            phi: rows.phi.words().get(i * wpr..(i + 1) * wpr)?,
+            phi: rows.phi_row(i)?,
             tree_interval,
         })
     }
@@ -877,6 +1008,42 @@ mod tests {
         assert_eq!(store.vertex_anc(far), None);
         // The columns stay sized to the declared ids, not the far one.
         assert!(store.bytes_total() < 1024, "{}", store.bytes_total());
+    }
+
+    /// A bank row is refused, builder unchanged, when the bank is the
+    /// wrong width, has no row for the edge, or the edge is out of range.
+    #[test]
+    fn put_edge_row_refusals_leave_the_builder_unchanged() {
+        let (_, scheme) = grid_scheme();
+        let m = scheme.num_edges();
+        let mut b = builder_for(&scheme, 4);
+        let before = b.clone();
+        let wider = BitMatrix::with_rows(m, scheme.bits_b() + 1);
+        let e = EdgeId::new(0);
+        assert_eq!(
+            b.put_edge_row(e, &wider, None),
+            Err(StoreError::PhiWidth {
+                key: StoreKey::edge(e),
+                expected: scheme.bits_b(),
+                got: scheme.bits_b() + 1
+            })
+        );
+        let short = BitMatrix::with_rows(1, scheme.bits_b());
+        let e = EdgeId::new(1);
+        assert_eq!(
+            b.put_edge_row(e, &short, None),
+            Err(StoreError::Missing(StoreKey::edge(e)))
+        );
+        let long = BitMatrix::with_rows(m + 1, scheme.bits_b());
+        let e = EdgeId::new(m);
+        assert_eq!(
+            b.put_edge_row(e, &long, None),
+            Err(StoreError::OutOfRange {
+                key: StoreKey::edge(e),
+                len: m
+            })
+        );
+        assert_eq!(b, before);
     }
 
     #[test]

@@ -469,6 +469,33 @@ impl BitMatrix {
         &self.words[i * self.wpr..(i + 1) * self.wpr]
     }
 
+    /// The words of row `i`, mutably. Callers must keep the tail bits
+    /// (past `num_cols()`) zero.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[i * self.wpr..(i + 1) * self.wpr]
+    }
+
+    /// Fills row `i` with random bits from the supplied word source,
+    /// drawing exactly the words [`BitVec::randomize`] draws for a vector
+    /// of the same width.
+    pub fn randomize_row(&mut self, i: usize, mut next_word: impl FnMut() -> u64) {
+        let rem = self.cols % WORD_BITS;
+        let row = self.row_mut(i);
+        for w in row.iter_mut() {
+            *w = next_word();
+        }
+        if let (Some(last), true) = (row.last_mut(), rem != 0) {
+            *last &= (1u64 << rem) - 1;
+        }
+    }
+
+    /// Zeroes row `i`.
+    #[inline]
+    pub fn zero_row(&mut self, i: usize) {
+        self.row_mut(i).fill(0);
+    }
+
     /// Bit `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> bool {
@@ -545,7 +572,18 @@ impl BitMatrix {
     #[inline]
     pub fn xor_bitvec_into_row(&mut self, i: usize, v: &BitVec) {
         assert_eq!(v.len(), self.cols, "row width mismatch");
-        xor_words(&mut self.words[i * self.wpr..(i + 1) * self.wpr], v.words());
+        self.xor_words_into_row(i, v.words());
+    }
+
+    /// `row[i] ^= words` — e.g. a row of another bank of the same width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not exactly one row's worth of words.
+    #[inline]
+    pub fn xor_words_into_row(&mut self, i: usize, words: &[u64]) {
+        assert_eq!(words.len(), self.wpr, "row width mismatch");
+        xor_words(self.row_mut(i), words);
     }
 
     /// XORs one word pattern into `count` **consecutive** rows starting at
@@ -963,6 +1001,36 @@ mod tests {
         let r = m.push_row(&BitVec::from_bits(&[true; 10]));
         assert_eq!(r, 0);
         assert_eq!(m.row_to_bitvec(0).count_ones(), 10);
+    }
+
+    /// A bank row drawn by `randomize_row` is the vector `randomize`
+    /// draws from the same stream, at every width; row XOR and zeroing
+    /// touch only their row.
+    #[test]
+    fn matrix_row_writes_match_bitvec_writes() {
+        for cols in [0, 1, 44, 63, 64, 65, 128, 168] {
+            let stream = |mut s: u64| {
+                move || {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    s
+                }
+            };
+            let mut m = BitMatrix::with_rows(3, cols);
+            m.randomize_row(1, stream(cols as u64));
+            let mut v = BitVec::zeros(cols);
+            v.randomize(stream(cols as u64));
+            assert_eq!(m.row_to_bitvec(1), v, "cols {cols}");
+            assert!(m.row_is_zero(0) && m.row_is_zero(2));
+            m.xor_words_into_row(2, v.words());
+            m.xor_words_into_row(2, m.row(1).to_vec().as_slice());
+            assert!(m.row_is_zero(2));
+            m.row_mut(0).copy_from_slice(v.words());
+            m.zero_row(1);
+            assert_eq!(m.row_to_bitvec(0), v);
+            assert!(m.row_is_zero(1));
+        }
     }
 
     #[test]

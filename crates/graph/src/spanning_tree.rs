@@ -23,7 +23,10 @@ pub struct SpanningTree {
     root: VertexId,
     /// `parent[v] = Some((p, e))` for non-root tree vertices.
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    children: Vec<Vec<VertexId>>,
+    /// Children of `v` are `children[child_start[v]..child_start[v + 1]]`,
+    /// in increasing id order: one flat list, not one `Vec` per vertex.
+    child_start: Vec<usize>,
+    children: Vec<VertexId>,
     /// DFS entry time, `u32::MAX` when not in the tree. Times are unique and
     /// start at 1, matching \[KNR92\] where the interval of the root is (1, M).
     pre: Vec<u32>,
@@ -61,17 +64,29 @@ impl SpanningTree {
     ) -> Self {
         let n = graph.num_vertices();
         assert_eq!(parent.len(), n);
-        let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        // Counting sort of the vertices by parent: child lists in increasing
+        // id order, all in one allocation.
+        let mut child_start = vec![0usize; n + 1];
+        for (p, _) in parent.iter().flatten() {
+            child_start[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut children = vec![root; child_start[n]];
+        let mut fill = child_start.clone();
         for (v, par) in parent.iter().enumerate() {
             if let Some((p, _)) = par {
-                children[p.index()].push(VertexId::new(v));
+                children[fill[p.index()]] = VertexId::new(v);
+                fill[p.index()] += 1;
             }
         }
+        let kids = |u: VertexId| &children[child_start[u.index()]..child_start[u.index() + 1]];
         let mut pre = vec![u32::MAX; n];
         let mut post = vec![u32::MAX; n];
         let mut depth = vec![0u32; n];
         let mut wdepth = vec![0u64; n];
-        let mut preorder = Vec::new();
+        let mut preorder = Vec::with_capacity(n);
         let mut is_tree_edge = vec![false; graph.num_edges()];
         // Iterative DFS assigning pre/post times starting at 1.
         let mut time = 1u32;
@@ -80,8 +95,7 @@ impl SpanningTree {
         preorder.push(root);
         time += 1;
         while let Some(&mut (u, ref mut ci)) = stack.last_mut() {
-            if *ci < children[u.index()].len() {
-                let c = children[u.index()][*ci];
+            if let Some(&c) = kids(u).get(*ci) {
                 *ci += 1;
                 let (p, e) = parent[c.index()].expect("child has a parent");
                 debug_assert_eq!(p, u);
@@ -101,6 +115,7 @@ impl SpanningTree {
         SpanningTree {
             root,
             parent: parent.to_vec(),
+            child_start,
             children,
             pre,
             post,
@@ -147,10 +162,10 @@ impl SpanningTree {
         self.parent[v.index()]
     }
 
-    /// Children of `v` in the tree (insertion order).
+    /// Children of `v` in the tree, in increasing id order.
     #[inline]
     pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[v.index()]
+        &self.children[self.child_start[v.index()]..self.child_start[v.index() + 1]]
     }
 
     /// DFS entry time of `v` (unique; starts at 1).

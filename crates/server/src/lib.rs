@@ -74,4 +74,4 @@ pub use loadgen::{
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use spec::{derive_fault_sets, parse_graph_spec};
-pub use stats::{StatsSnapshot, TenantSnapshot};
+pub use stats::{DropReason, StatsSnapshot, TenantSnapshot};

@@ -44,7 +44,7 @@ use crate::frame::{
     push_frame, FrameError, FrameReader, MetricsRequestFrame, MetricsResponseFrame,
     QueryRequestFrame, QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
 };
-use crate::stats::{ServerStats, StatsSnapshot};
+use crate::stats::{DropReason, ServerStats, StatsSnapshot};
 use ftl_engine::{
     canonical_fault_hash, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
 };
@@ -649,7 +649,8 @@ impl Outbox {
     /// A closed connection just drops its run — the client is gone, or
     /// already forfeited. A *failed* write forfeits the connection (see
     /// [`Sink::forfeit`]); the other connections in the window get their
-    /// runs as usual.
+    /// runs as usual. Only a written run's requests count as served; a
+    /// dropped run is counted under its [`DropReason`].
     fn flush(&mut self, sink: &Sink<'_>) {
         let Outbox {
             replies,
@@ -663,7 +664,9 @@ impl Outbox {
             let Some(writer) = run.first().map(|r| &r.conn) else {
                 continue;
             };
-            if !writer.is_closed() {
+            let dropped = if writer.is_closed() {
+                Some(DropReason::Closed)
+            } else {
                 bytes.clear();
                 for r in run {
                     push_frame(bytes, &r.record);
@@ -672,9 +675,15 @@ impl Outbox {
                     let _span = Span::enter(&sink.stats.stages, Stage::ResponseWrite);
                     writer.send_framed(bytes)
                 };
-                if sent.is_err() {
+                sent.is_err().then(|| {
                     sink.forfeit(writer);
-                }
+                    DropReason::WriteFailed
+                })
+            };
+            // Only a written answer counts as served.
+            if let Some(reason) = dropped {
+                sink.stats.record_dropped(reason, run.len() as u64);
+                continue;
             }
             for &(tenant, queries, enqueued) in run.iter().filter_map(|r| r.served.as_ref()) {
                 sink.stats

@@ -102,9 +102,9 @@ pub struct StatsSnapshot {
     /// Fault-set groups executed across those windows (`batches <=
     /// groups <= requests` when batching is working).
     pub groups: u64,
-    /// Queries answered `Ok`, all tenants.
+    /// Queries answered `Ok` (answer written), all tenants.
     pub queries: u64,
-    /// Requests answered `Ok`, all tenants.
+    /// Requests answered `Ok` (answer written), all tenants.
     pub requests: u64,
     /// `ServerBusy` rejects, all tenants.
     pub rejects: u64,
@@ -126,6 +126,11 @@ pub struct StatsSnapshot {
     /// Requests force-released by the batcher watchdog (queued longer
     /// than `ServerConfig::watchdog_after`).
     pub watchdog_fires: u64,
+    /// Answers dropped unsent because their connection was already closed.
+    pub answers_dropped_closed: u64,
+    /// Answers dropped because their write failed (the connection is
+    /// forfeited).
+    pub answers_dropped_write_failed: u64,
     /// Per-tenant breakdown, sorted by tenant id: the first
     /// [`MAX_TENANTS`] ids the server saw.
     pub tenants: Vec<TenantSnapshot>,
@@ -133,6 +138,15 @@ pub struct StatsSnapshot {
     /// into one series (`tenant="other"` in the scrape); `None` until
     /// that happens. Its `tenant` field is 0 and names no tenant.
     pub other_tenants: Option<TenantSnapshot>,
+}
+
+/// Why an answer was dropped unsent.
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
+pub enum DropReason {
+    /// The connection was closed before the answer's run was written.
+    Closed,
+    /// The run's write failed.
+    WriteFailed,
 }
 
 /// The server's registry, shared by readers, executors, and the acceptor.
@@ -156,6 +170,8 @@ pub struct ServerStats {
     connections_accepted: Counter,
     deadline_drops: Counter,
     watchdog_fires: Counter,
+    answers_dropped_closed: Counter,
+    answers_dropped_write_failed: Counter,
     engine_queries: Counter,
     engine_eliminations: Counter,
     engine_cache_hits: Counter,
@@ -181,6 +197,8 @@ impl ServerStats {
             connections_accepted: Counter::new(),
             deadline_drops: Counter::new(),
             watchdog_fires: Counter::new(),
+            answers_dropped_closed: Counter::new(),
+            answers_dropped_write_failed: Counter::new(),
             engine_queries: Counter::new(),
             engine_eliminations: Counter::new(),
             engine_cache_hits: Counter::new(),
@@ -189,7 +207,7 @@ impl ServerStats {
         }
     }
 
-    /// Records a request answered `Ok`.
+    /// Records a request answered `Ok` whose answer was written.
     pub fn record_ok(&self, tenant: u32, queries: usize, latency_ns: u64) {
         self.requests.inc();
         self.queries.add(queries as u64);
@@ -268,6 +286,14 @@ impl ServerStats {
         self.watchdog_fires.inc();
     }
 
+    /// Records `answers` answers dropped unsent for `reason`.
+    pub fn record_dropped(&self, reason: DropReason, answers: u64) {
+        match reason {
+            DropReason::Closed => self.answers_dropped_closed.add(answers),
+            DropReason::WriteFailed => self.answers_dropped_write_failed.add(answers),
+        }
+    }
+
     /// Snapshots every counter, summarizing latencies to p50/p99.
     pub fn snapshot(&self) -> StatsSnapshot {
         let (mut tenants, other_tenants) = self.tenants.with(|t| {
@@ -287,6 +313,8 @@ impl ServerStats {
             connections_accepted: self.connections_accepted.get(),
             deadline_drops: self.deadline_drops.get(),
             watchdog_fires: self.watchdog_fires.get(),
+            answers_dropped_closed: self.answers_dropped_closed.get(),
+            answers_dropped_write_failed: self.answers_dropped_write_failed.get(),
             tenants,
             other_tenants,
         }
@@ -318,10 +346,24 @@ impl ServerStats {
             ("ftl_server_watchdog_fires_total", &self.watchdog_fires),
         ]
         .map(|(name, c)| (name, c.get()));
+        let dropped = [
+            ("closed", &self.answers_dropped_closed),
+            ("write_failed", &self.answers_dropped_write_failed),
+        ]
+        .map(|(reason, c)| (reason, c.get()));
         let mut out = String::with_capacity(8 << 10);
         self.render_pipeline(&mut out);
         for (name, value) in totals {
             expo::counter(&mut out, name, value);
+        }
+        expo::type_line(&mut out, "ftl_server_answers_dropped_total", "counter");
+        for (reason, value) in dropped {
+            expo::sample(
+                &mut out,
+                "ftl_server_answers_dropped_total",
+                &[("reason", reason)],
+                value,
+            );
         }
         self.tenants.with(|t| {
             let mut ids: Vec<u32> = t.by_id.keys().copied().collect();
@@ -467,6 +509,7 @@ mod tests {
         let s = stats();
         s.record_ok(2, 8, 2_000_000);
         s.record_connection();
+        s.record_dropped(DropReason::Closed, 3);
         // A 40.8 µs call: 40 µs of elimination, 100 ns for each of its
         // 8 answers.
         s.record_engine(
@@ -501,6 +544,9 @@ mod tests {
             "ftl_server_requests_total 1",
             "ftl_server_queries_total 8",
             "ftl_server_connections_total 1",
+            "# TYPE ftl_server_answers_dropped_total counter\n",
+            "ftl_server_answers_dropped_total{reason=\"closed\"} 3\n",
+            "ftl_server_answers_dropped_total{reason=\"write_failed\"} 0\n",
             "ftl_server_tenant_requests_total{tenant=\"2\"} 1",
             "ftl_server_tenant_latency_ns_count{tenant=\"2\"} 1",
         ] {

@@ -656,6 +656,11 @@ fn answers_to_a_closed_connection_are_dropped_unsent() {
     assert_eq!(resp.request_id, 3);
     let stats = handle.shutdown();
     assert_eq!(stats.slow_client_drops, 0);
+    // Two answers were written (requests 2 and 3); the one to the closed
+    // connection was dropped, and is not counted as served.
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.answers_dropped_closed, 1);
+    assert_eq!(stats.answers_dropped_write_failed, 0);
 }
 
 /// The loadgen's global run deadline: a black-holed server (accepts, then
