@@ -1,8 +1,9 @@
 //! Shared plumbing for the experiment harness: workload construction, fault
 //! sampling, and markdown table emission.
 //!
-//! Each experiment of `EXPERIMENTS.md` (E1–E11) is a binary in `src/bin/`;
-//! run e.g. `cargo run -p ftl-bench --bin table1 --release`.
+//! Each experiment (E1–E11, listed in the README's "Paper-figure binaries"
+//! table) is a binary in `src/bin/`; run e.g.
+//! `cargo run -p ftl-bench --bin table1 --release`.
 //!
 //! The repo-level view of what these binaries measure lives in
 //! `README.md`. The serving stack's benchmark is `perfbench/` (declared in

@@ -85,16 +85,22 @@ impl std::error::Error for LiveError {}
 
 /// Change set accumulated since the last [`LiveCycleSpace::take_delta`].
 ///
-/// `upsert` ids are alive and carry changed labels, listed in the order
-/// they were first changed (id order after a full relabel); `removed` ids
-/// are dead and must be evicted from any derived store. When `full` is
-/// set the scheme performed an internal full relabel and *every* alive
-/// label changed — consumers should rebuild rather than patch.
+/// `upsert` ids are alive and their store rows changed, listed in the
+/// order they were first changed (id order after a full relabel): a
+/// vertex's ancestry interval, or an edge's `φ` row or tree child interval
+/// ([`LiveCycleSpace::tree_child_interval`]). An edge whose row did not
+/// change is not listed even when an endpoint's interval moved, so its
+/// [`LiveCycleSpace::edge_label`], which embeds both endpoints' ancestry,
+/// may differ from the one read before. `removed` ids are dead and must be
+/// evicted from any derived store. When `full` is set the scheme performed
+/// an internal full relabel and *every* alive label changed — consumers
+/// should rebuild rather than patch.
 #[derive(Debug, Clone, Default)]
 pub struct LiveDelta {
-    /// Alive vertices whose labels changed.
+    /// Alive vertices whose labels (ancestry intervals) changed.
     pub vertex_upserts: Vec<VertexId>,
-    /// Alive edges whose labels changed.
+    /// Alive edges whose store rows (`φ` row, tree child interval)
+    /// changed.
     pub edge_upserts: Vec<EdgeId>,
     /// Vertices removed since the last delta.
     pub removed_vertices: Vec<VertexId>,
@@ -872,15 +878,12 @@ impl LiveCycleSpace {
         debug_assert!(self.post[x.index()] < high);
 
         // Dirty marking: every subtree vertex moved, so its own label and
-        // every alive incident edge label (which embeds endpoint ancestry)
-        // changed.
+        // its parent edge's tree child interval changed. The cycle path and
+        // `rep` are marked above; no other edge's `φ` or interval moved.
         for &w in &sub {
             self.dirty_vertex.mark(w.index());
-            for nb in self.graph.neighbors(w) {
-                if self.is_alive_edge(nb.edge) {
-                    self.dirty_edge.mark(nb.edge.index());
-                }
-            }
+            let (_, pe) = self.parent[w.index()].expect("re-hung vertex has parent");
+            self.dirty_edge.mark(pe.index());
         }
         TreeRemove::Done
     }
@@ -1208,29 +1211,43 @@ mod tests {
 
     #[test]
     fn dirty_tracking_is_exact_for_tree_removal() {
+        // The edge upserts are exactly the edges whose store row (`φ` row
+        // plus tree child interval) changed; the vertex upserts cover every
+        // moved ancestry interval.
         let g = generators::grid(5, 5);
-        let mut live = LiveCycleSpace::new(&g, 4, Seed::new(33)).unwrap();
-        live.take_delta();
-        let before = live.clone();
-        let te = live
-            .alive_edges()
-            .find(|&e| live.is_tree[e.index()])
-            .unwrap();
-        live.remove_edge(te).unwrap();
-        let delta = live.take_delta();
-        if delta.full {
-            return; // fallback path: everything is an upsert by definition
-        }
-        for e in live.alive_edges() {
-            if !delta.edge_upserts.contains(&e) {
-                assert_eq!(live.edge_label(e), before.edge_label(e), "edge {e:?}");
+        let fresh = LiveCycleSpace::new(&g, 4, Seed::new(33)).unwrap();
+        let row = |live: &LiveCycleSpace, e: EdgeId| {
+            (
+                live.phi_bank().row(e.index()).to_vec(),
+                live.tree_child_interval(e),
+            )
+        };
+        let mut patched = 0;
+        for te in fresh.alive_edges().filter(|&e| fresh.is_tree[e.index()]) {
+            let mut live = fresh.clone();
+            live.take_delta();
+            if live.remove_edge(te).is_err() {
+                continue; // a bridge
+            }
+            let delta = live.take_delta();
+            if delta.full {
+                continue; // fallback path: everything is an upsert by definition
+            }
+            patched += 1;
+            for e in live.alive_edges() {
+                assert_eq!(
+                    delta.edge_upserts.contains(&e),
+                    row(&live, e) != row(&fresh, e),
+                    "removing {te:?}: edge {e:?}"
+                );
+            }
+            for v in live.alive_vertices() {
+                if !delta.vertex_upserts.contains(&v) {
+                    assert_eq!(live.vertex_label(v).anc, fresh.vertex_label(v).anc);
+                }
             }
         }
-        for v in live.alive_vertices() {
-            if !delta.vertex_upserts.contains(&v) {
-                assert_eq!(live.vertex_label(v).anc, before.vertex_label(v).anc);
-            }
-        }
+        assert!(patched > 0, "no tree edge took the re-hang path");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Workload generators: the graph families used by the tests, examples, and
-//! every experiment in `EXPERIMENTS.md`.
+//! every experiment binary in `crates/bench/src/bin/` (listed in the README).
 //!
 //! All randomized generators take an explicit [`rand::Rng`] so experiments
 //! are reproducible from a seed.
@@ -7,7 +7,7 @@
 use crate::graph::{Graph, GraphBuilder};
 use crate::ids::VertexId;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Path graph `0 - 1 - ... - (n-1)` with unit weights.
 ///
@@ -120,12 +120,40 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
     b.build()
 }
 
+/// A biased coin that lands exactly as `rng.gen_bool(p)` would, from the
+/// same single draw per flip, with the range check and the float work done
+/// once. `gen_bool` tests `y · 2⁻⁵³ < p` for the top 53 bits `y` of the
+/// draw; scaling by a power of two is exact in `f64`, so for an integer
+/// `y < 2⁵³` that is `y < ⌈p · 2⁵³⌉`.
+#[derive(Debug, Clone, Copy)]
+struct Coin {
+    threshold: u64,
+}
+
+impl Coin {
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`, as `gen_bool` does.
+    fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        Coin {
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    #[inline]
+    fn flip(self, rng: &mut impl RngCore) -> bool {
+        rng.next_u64() >> 11 < self.threshold
+    }
+}
+
 /// Erdős–Rényi `G(n, p)` with unit weights (not necessarily connected).
 pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
+    let coin = Coin::new(p);
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
         for j in i + 1..n {
-            if rng.gen_bool(p) {
+            if coin.flip(rng) {
                 b.add_unit_edge(i, j);
             }
         }
@@ -138,8 +166,9 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
 /// weight is uniform in `1..=max_w`.
 pub fn connected_random(n: usize, p: f64, max_w: u64, rng: &mut impl Rng) -> Graph {
     assert!(n > 0);
+    let coin = Coin::new(p);
     let mut b = GraphBuilder::new(n);
-    let w = |rng: &mut dyn rand::RngCore| {
+    let w = |rng: &mut dyn RngCore| {
         if max_w <= 1 {
             1
         } else {
@@ -157,7 +186,7 @@ pub fn connected_random(n: usize, p: f64, max_w: u64, rng: &mut impl Rng) -> Gra
     }
     for i in 0..n {
         for j in i + 1..n {
-            if rng.gen_bool(p) {
+            if coin.flip(rng) {
                 let wt = w(rng);
                 b.add_edge(i, j, wt);
             }
@@ -360,6 +389,86 @@ mod tests {
         assert_eq!(g0.num_edges(), 0);
         let g1 = erdos_renyi(10, 1.0, &mut rng);
         assert_eq!(g1.num_edges(), 45);
+    }
+
+    /// A source that returns the same draw every time.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn coin_lands_like_gen_bool() {
+        let two53 = (1u64 << 53) as f64;
+        let probabilities = [
+            0.0,
+            1.0,
+            1.0 / two53,
+            12_345.0 / two53,
+            0.5,
+            ((1u64 << 53) - 1) as f64 / two53,
+            0.3,
+            1.0 / 3.0,
+            8.0 / 1024.0,
+            f64::MIN_POSITIVE,
+        ];
+        for p in probabilities {
+            let coin = Coin::new(p);
+            if p * two53 == (p * two53).floor() {
+                // p = k·2⁻⁵³ exactly: the threshold is k.
+                assert_eq!(coin.threshold as f64, p * two53, "p = {p}");
+            }
+            // Draws whose top 53 bits sit just either side of the
+            // threshold, with the 11 discarded low bits clear and set.
+            let t = coin.threshold as i128;
+            for y in [t - 2, t - 1, t, t + 1, 0, (1 << 53) - 1] {
+                let Ok(y) = u64::try_from(y) else { continue };
+                if y >= 1 << 53 {
+                    continue;
+                }
+                for low in [0, 0x7FF] {
+                    let draw = y << 11 | low;
+                    assert_eq!(
+                        coin.flip(&mut Fixed(draw)),
+                        Fixed(draw).gen_bool(p),
+                        "p = {p}, y = {y}"
+                    );
+                }
+            }
+        }
+        assert!(!Coin::new(0.0).flip(&mut Fixed(0)));
+        assert!(Coin::new(1.0).flip(&mut Fixed(u64::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "probability out of range")]
+    fn coin_rejects_probability_above_one() {
+        Coin::new(1.5);
+    }
+
+    #[test]
+    fn erdos_renyi_matches_per_pair_gen_bool() {
+        for (seed, p) in [(1, 0.0), (2, 0.05), (3, 1.0 / 3.0), (4, 1.0)] {
+            let g = erdos_renyi(40, p, &mut StdRng::seed_from_u64(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut want = Vec::new();
+            for i in 0..40 {
+                for j in i + 1..40 {
+                    if rng.gen_bool(p) {
+                        want.push((i, j));
+                    }
+                }
+            }
+            let got: Vec<(usize, usize)> = g
+                .edges()
+                .iter()
+                .map(|e| (e.u().index(), e.v().index()))
+                .collect();
+            assert_eq!(got, want, "p = {p}");
+        }
     }
 
     #[test]

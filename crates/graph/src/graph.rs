@@ -88,7 +88,13 @@ pub struct Neighbor {
 ///
 /// The adjacency list of a vertex `u` defines its **port numbering**: port
 /// `p` of `u` is `g.neighbors(u)[p]`. Routing tables in the paper's model
-/// emit port numbers, so ports are first-class here.
+/// emit port numbers, so ports are first-class here. Ports follow edge-id
+/// order: edge `e = {u, v}` takes the next free port of `u`, then of `v`,
+/// so a self-loop occupies two consecutive ports.
+///
+/// The adjacency is stored in compressed sparse row form: one array of the
+/// `2m` ports of all vertices, vertex by vertex, and `n + 1` offsets into
+/// it, so `u`'s ports are `adj[first[u]..first[u + 1]]`.
 ///
 /// `Graph` is immutable after construction; build one with [`GraphBuilder`].
 ///
@@ -107,7 +113,9 @@ pub struct Neighbor {
 #[derive(Debug, Clone)]
 pub struct Graph {
     edges: Vec<Edge>,
-    adj: Vec<Vec<Neighbor>>,
+    /// `first[u]..first[u + 1]` is the range of `u`'s ports in `adj`.
+    first: Vec<usize>,
+    adj: Vec<Neighbor>,
     total_weight: u128,
     max_weight: u64,
 }
@@ -116,7 +124,7 @@ impl Graph {
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.first.len() - 1
     }
 
     /// Number of edges `m` (each undirected edge counted once).
@@ -156,20 +164,21 @@ impl Graph {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn neighbors(&self, u: VertexId) -> &[Neighbor] {
-        &self.adj[u.index()]
+        &self.adj[self.first[u.index()]..self.first[u.index() + 1]]
     }
 
     /// Degree of `u` (number of incident edge endpoints; a self-loop counts
     /// twice because it occupies two ports).
     #[inline]
     pub fn degree(&self, u: VertexId) -> usize {
-        self.adj[u.index()].len()
+        self.neighbors(u).len()
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|i| self.adj[i].len())
+        self.first
+            .windows(2)
+            .map(|w| w[1] - w[0])
             .max()
             .unwrap_or(0)
     }
@@ -177,7 +186,7 @@ impl Graph {
     /// The neighbor behind port `p` of vertex `u`, if the port exists.
     #[inline]
     pub fn port(&self, u: VertexId, p: usize) -> Option<Neighbor> {
-        self.adj[u.index()].get(p).copied()
+        self.neighbors(u).get(p).copied()
     }
 
     /// The port number through which `u` reaches edge `e`, i.e. the index of
@@ -185,7 +194,7 @@ impl Graph {
     ///
     /// Returns `None` if `e` is not incident to `u`.
     pub fn port_of_edge(&self, u: VertexId, e: EdgeId) -> Option<usize> {
-        self.adj[u.index()].iter().position(|nb| nb.edge == e)
+        self.neighbors(u).iter().position(|nb| nb.edge == e)
     }
 
     /// Iterator over all vertex ids.
@@ -239,7 +248,7 @@ impl Graph {
 
     /// Returns some edge id connecting `u` and `v`, if one exists.
     pub fn find_edge(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        self.adj[u.index()]
+        self.neighbors(u)
             .iter()
             .find(|nb| nb.vertex == v)
             .map(|nb| nb.edge)
@@ -296,28 +305,43 @@ impl GraphBuilder {
         self.add_edge(u, v, 1)
     }
 
-    /// Finalizes the builder into an immutable [`Graph`].
+    /// Finalizes the builder into an immutable [`Graph`]: one pass counts
+    /// the degrees into offsets, a second fills the ports in edge-id order.
     pub fn build(self) -> Graph {
-        let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); self.n];
+        let mut first = vec![0usize; self.n + 1];
         let mut total: u128 = 0;
         let mut max_w: u64 = 0;
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId::new(i);
-            adj[e.u().index()].push(Neighbor {
-                vertex: e.v(),
-                edge: id,
-            });
-            // A self-loop still occupies two ports, matching the usual
-            // degree convention.
-            adj[e.v().index()].push(Neighbor {
-                vertex: e.u(),
-                edge: id,
-            });
+        for e in &self.edges {
+            first[e.u().index() + 1] += 1;
+            first[e.v().index() + 1] += 1;
             total += e.weight() as u128;
             max_w = max_w.max(e.weight());
         }
+        for u in 0..self.n {
+            first[u + 1] += first[u];
+        }
+        // `next[u]` is the next free port of `u`; it ends at `first[u + 1]`.
+        let mut next = first[..self.n].to_vec();
+        let placeholder = Neighbor {
+            vertex: VertexId::new(0),
+            edge: EdgeId::new(0),
+        };
+        let mut adj = vec![placeholder; first[self.n]];
+        for (i, e) in self.edges.iter().enumerate() {
+            let id = EdgeId::new(i);
+            // A self-loop still occupies two ports, matching the usual
+            // degree convention.
+            for (at, to) in [(e.u(), e.v()), (e.v(), e.u())] {
+                adj[next[at.index()]] = Neighbor {
+                    vertex: to,
+                    edge: id,
+                };
+                next[at.index()] += 1;
+            }
+        }
         Graph {
             edges: self.edges,
+            first,
             adj,
             total_weight: total,
             max_weight: max_w,
@@ -410,6 +434,31 @@ mod tests {
         b.add_edge(0, 0, 1);
         let g = b.build();
         assert_eq!(g.degree(VertexId::new(0)), 2);
+    }
+
+    #[test]
+    fn ports_follow_edge_id_order_with_self_loops() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 1);
+        b.add_edge(2, 2, 1);
+        b.add_edge(0, 0, 1);
+        b.add_edge(1, 0, 1);
+        let g = b.build();
+        let ports = |u: usize| -> Vec<(usize, usize)> {
+            g.neighbors(VertexId::new(u))
+                .iter()
+                .map(|nb| (nb.vertex.index(), nb.edge.index()))
+                .collect()
+        };
+        assert_eq!(ports(0), [(1, 0), (0, 2), (0, 2), (1, 3)]);
+        assert_eq!(ports(1), [(0, 0), (0, 3)]);
+        assert_eq!(ports(2), [(2, 1), (2, 1)]);
+        assert_eq!(g.max_degree(), 4);
+        assert_eq!(g.port_of_edge(VertexId::new(0), EdgeId::new(3)), Some(3));
+        assert_eq!(
+            g.find_edge(VertexId::new(1), VertexId::new(0)),
+            Some(EdgeId::new(0))
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`Graph`]: a weighted undirected multigraph whose adjacency lists define
 //!   **port numbers** (the routing schemes address neighbors by port, exactly
-//!   as in the paper's model).
+//!   as in the paper's model), stored as one flat port array with per-vertex
+//!   offsets.
 //! * Rooted [`SpanningTree`]s with DFS pre/post intervals and depths.
 //! * Traversals ([`traversal`]), shortest paths ([`shortest_path`]),
 //!   union-find ([`union_find::UnionFind`]), induced subgraphs

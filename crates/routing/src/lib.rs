@@ -31,7 +31,8 @@
 //! on the core count.
 //!
 //! See `README.md` at the repo root for the crate map and for which
-//! experiments (`EXPERIMENTS.md`) exercise the routing schemes.
+//! paper-figure binaries (`crates/bench/src/bin/`) exercise the routing
+//! schemes.
 
 #![forbid(unsafe_code)]
 
