@@ -1,5 +1,6 @@
-//! Ablation (DESIGN.md S4): the two "w.h.p." knobs the paper leaves as
-//! unspecified constants, swept until they visibly fail.
+//! Ablation (substitution S4 in the README's "Substitutions"): the two
+//! "w.h.p." knobs the paper leaves as unspecified constants, swept until
+//! they visibly fail.
 //!
 //! (a) Cycle-space slack: with `b = f + slack` cut-detection bits, a wrong
 //!     answer (a non-cut XOR-ing to zero) appears with probability

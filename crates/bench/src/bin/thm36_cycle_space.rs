@@ -1,5 +1,8 @@
 //! E6 / Theorem 3.6: the cycle-space connectivity labels — label bits
 //! O(f + log n), decode time poly(f, log n), empirical correctness.
+//!
+//! Exits non-zero, naming the `(n, f)` rows, when any decode at the
+//! default width disagrees with BFS.
 
 use ftl_cycle_space::{decode, CycleSpaceScheme};
 use ftl_graph::generators;
@@ -10,6 +13,7 @@ use std::time::Instant;
 fn main() {
     let mut rng = ftl_bench::rng(0xE6);
     let mut rows = Vec::new();
+    let mut wrong = Vec::new();
     for n in [64usize, 256, 1024, 4096] {
         let g = generators::connected_random(n, 8.0 / n as f64, 1, &mut rng);
         for f in [4usize, 16, 64] {
@@ -29,6 +33,9 @@ fn main() {
                 if got != connected_avoiding(&g, s, t, &mask) {
                     errors += 1;
                 }
+            }
+            if errors > 0 {
+                wrong.push(format!("(n = {n}, f = {f}): {errors}/{trials}"));
             }
             rows.push(vec![
                 n.to_string(),
@@ -52,4 +59,11 @@ fn main() {
         ],
         &rows,
     );
+    if !wrong.is_empty() {
+        eprintln!(
+            "decodes at the default width disagree with BFS at {}",
+            wrong.join(", ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -144,7 +144,6 @@ impl EliminatedFaults {
     /// (non-tree faults were dropped at elimination time) and one
     /// AND-popcount per generator; `diff` is caller-owned scratch for the
     /// `D(s, t)` membership vector, so the test allocates nothing.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn separating_generator(
         &self,

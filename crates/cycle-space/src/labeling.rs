@@ -14,7 +14,8 @@ use ftl_graph::{EdgeId, Graph, GraphError, SpanningTree, VertexId};
 use ftl_labels::AncestryLabel;
 use ftl_seeded::Seed;
 
-/// Default slack constant `c` in `b = f + c·log₂ n` (DESIGN.md S4).
+/// Default slack constant `c` in `b = f + c·log₂ n` (substitution S4 in the
+/// README's "Substitutions").
 pub const DEFAULT_SLACK: usize = 4;
 
 /// The `φ` width `b = f + max(16, DEFAULT_SLACK·⌈log₂ n⌉)` for an

@@ -102,7 +102,6 @@ impl EliminatedFaultSet {
     /// index of a separating null-space generator, or `None` when they stay
     /// connected (w.h.p.). See [`EliminatedFaults::separating_generator`];
     /// `diff` is caller-owned scratch, so the test allocates nothing.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn separating_generator_anc(
         &self,

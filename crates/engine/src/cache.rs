@@ -38,7 +38,7 @@ impl<V> LruCache<V> {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: DetHashMap::with_capacity_and_hasher(capacity, ftl_seeded::DetBuildHasher),
+            map: DetHashMap::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,

@@ -248,7 +248,6 @@ impl EngineCore {
     /// queries. Only a fault set that fails to resolve fails the group as a
     /// unit; a query that fails on its own (out-of-range vertex) carries
     /// its error in its slot without touching its neighbours.
-    // ftl-analyzer: hot-path
     fn execute_group(
         &mut self,
         store: &LabelStore,
@@ -256,7 +255,8 @@ impl EngineCore {
         out: &mut Vec<GroupQueryResult>,
         stats: &mut BatchStats,
     ) -> Result<(), EngineError> {
-        // ftl-analyzer: allow(hot-alloc) only a cache miss allocates (one elimination per new fault set); a hit is an Arc clone
+        // Only a cache miss allocates (one elimination per new fault set); a
+        // hit is an `Arc` clone.
         let efs = self.resolve_fault_set(store, &group.faults, stats)?;
         out.clear();
         for &(s, t) in &group.queries {
@@ -269,7 +269,6 @@ impl EngineCore {
     /// Answers one query against its eliminated fault set — the zero-decode
     /// kernel: two ancestry lookups, one interval compare per tree fault,
     /// one AND-popcount per generator.
-    // ftl-analyzer: hot-path
     #[inline]
     fn answer(
         &mut self,
@@ -287,7 +286,6 @@ impl EngineCore {
 }
 
 /// The ancestry interval of `v`, or [`StoreError::Missing`].
-// ftl-analyzer: hot-path
 #[inline]
 fn vertex_anc(store: &LabelStore, v: VertexId) -> Result<AncestryLabel, EngineError> {
     store
@@ -402,8 +400,7 @@ impl Engine {
     /// cleared and refilled: the per-query vectors of its `Ok` groups are
     /// reused, so a warmed, cache-hot serving loop performs zero heap
     /// allocations (asserted by the counting-allocator test
-    /// `alloc_free.rs`, and lexically by `ftl-analyzer`'s hot-path rule).
-    // ftl-analyzer: hot-path
+    /// `alloc_free.rs`).
     pub fn execute_grouped_into(&mut self, groups: &[FaultSetBatch], out: &mut GroupedResponse) {
         self.refresh_epoch();
         out.stats = BatchStats {
@@ -412,7 +409,8 @@ impl Engine {
             ..BatchStats::default()
         };
         out.groups.truncate(groups.len());
-        // ftl-analyzer: allow(hot-alloc) grows the reused response to its high-water group count
+        // Allocates only to grow the reused response to its high-water group
+        // count.
         out.groups.resize_with(groups.len(), || Ok(Vec::new()));
         let GroupedResponse {
             groups: slots,
@@ -421,7 +419,7 @@ impl Engine {
         for (group, slot) in groups.iter().zip(slots.iter_mut()) {
             let mut answers = match slot {
                 Ok(reused) => std::mem::take(reused),
-                // ftl-analyzer: allow(hot-alloc) a previously failed slot restarts empty
+                // A previously failed slot restarts empty (and allocates).
                 Err(_) => Vec::new(),
             };
             let (core, store) = (&mut self.core, &self.store);
@@ -435,7 +433,7 @@ impl Engine {
                     // The unwind may have left the cache or scratch
                     // half-updated: start the next group on a fresh core.
                     self.core = EngineCore::new(self.core.config);
-                    // ftl-analyzer: allow(hot-alloc) panic path only
+                    // Allocates, on the panic path only.
                     Err(panicked(payload.as_ref()))
                 }
             };

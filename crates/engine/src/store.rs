@@ -556,7 +556,6 @@ impl LabelStore {
     }
 
     /// The ancestry interval of vertex `v`, if it is stored.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn vertex_anc(&self, v: VertexId) -> Option<AncestryLabel> {
         let (rows, i) = self.rows(v.index())?;
@@ -583,7 +582,6 @@ impl LabelStore {
 
     /// Copies `φ(e)` out of the column bank into `out` (reusing its
     /// allocation). Returns `false` when `e` is not stored.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn read_phi_into(&self, e: EdgeId, out: &mut BitVec) -> bool {
         match self.edge(e) {
@@ -597,7 +595,6 @@ impl LabelStore {
 
     /// Everything an elimination reads of fault `e`, from one lookup.
     /// `None` when `e` is not stored.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn fault_column(&self, e: EdgeId) -> Option<FaultColumn<'_>> {
         let (rows, i, row) = self.edge(e)?;

@@ -1,17 +1,22 @@
-//! The runtime twin of ftl-analyzer's FTL001 (no-alloc hot path): a
+//! The serving path's no-allocation promise, checked at run time: a
 //! counting global allocator proves that a warmed-up serving loop — the
 //! one `ftl-server`'s executors run: an epoch-following engine, cache-hot
 //! fault sets, sidecar-served lookups, a reused [`GroupedResponse`] via
 //! [`Engine::execute_grouped_into`] — performs **zero** heap allocations
-//! per call. The static rule says the hot closure *cannot* allocate; this
-//! test says the whole serving path *does not*.
+//! per call. docs/static-analysis.md maps each function the promise
+//! covers to the test here that reaches it.
 //!
 //! The measured loop runs with `ftl-obs` instrumentation **enabled** (the
 //! default feature set) and does what a server executor does after each
-//! call: it records into a local registry — a live [`ftl_obs::Span`],
-//! stage histograms, the engine counters and the pinned-epoch gauge — so
-//! the zero-allocation claim covers the observability layer, not just
-//! the engine.
+//! call, through the server's own registry ([`ServerStats`]): it folds in
+//! the engine call's stats, the window and each group's served answers,
+//! under a live [`ftl_obs::Span`] — so the zero-allocation claim covers
+//! the observability layer and the server's recording code, not just the
+//! engine.
+//!
+//! The kernels beneath the serving loop and the labeling sweep are
+//! checked on their own: the gf2 `xor_into`/`count_ones_and` pair and
+//! the sketch toggle kernels allocate nothing once warmed.
 //!
 //! A cache *miss* must allocate too, but only its result: the engine keeps
 //! the elimination kernel's scratch, so a warmed cold miss allocates a
@@ -32,8 +37,11 @@ use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     EliminatedFaultSet, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
 };
+use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
 use ftl_seeded::{splitmix64, Seed};
+use ftl_server::stats::ServerStats;
+use ftl_sketch::{Sketch, SketchParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -87,13 +95,15 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let config = EngineConfig::default();
     let store = ftl_engine::store_from_cycle_space(&scheme, config.num_shards).unwrap();
     let epochs = std::sync::Arc::new(EpochStore::new(std::sync::Arc::new(store)));
-    let mut engine = Engine::over_epochs(epochs, config);
+    let mut engine = Engine::over_epochs(std::sync::Arc::clone(&epochs), config);
 
     // A window of groups with a spread of endpoints; two groups name the
     // same canonical fault set in different orders, as two requests may.
+    // The second cuts off corner vertex 0 (edges 0 and 1), so its
+    // null-space generator puts the per-query parity test in the loop.
     let fault_sets: Vec<Vec<EdgeId>> = vec![
         vec![EdgeId::new(0), EdgeId::new(7)],
-        vec![EdgeId::new(3), EdgeId::new(11), EdgeId::new(19)],
+        vec![EdgeId::new(0), EdgeId::new(1), EdgeId::new(19)],
         vec![EdgeId::new(7), EdgeId::new(0)],
     ];
     let groups: Vec<FaultSetBatch> = fault_sets
@@ -127,43 +137,132 @@ fn warmed_sidecar_batch_allocates_nothing() {
 
     // The measured calls: cache-hot, sidecar-served, response reused —
     // and instrumented. The engine records nothing itself; like a server
-    // executor, the loop times each call and folds its stats into a
-    // registry (engine counters, weighted elimination and answer samples,
-    // the pinned epoch) under a live span, to pin down that the obs record
-    // path is allocation-free too.
+    // executor, the loop times each call and records through the server's
+    // registry: the engine call's counters and stage samples, the window,
+    // and each group's answers as served (per-tenant counters and
+    // latency), under a live span.
+    let stats = ServerStats::new(epochs);
+    let record_window = |resp: &GroupedResponse, call_ns: u64| {
+        stats.record_engine(&resp.stats, call_ns);
+        for g in &groups {
+            stats.record_ok(0, g.queries.len(), call_ns);
+        }
+        stats.record_batch(groups.len());
+    };
     let stages = ftl_obs::StageSet::new();
-    let (queries, hits) = (ftl_obs::Counter::new(), ftl_obs::Counter::new());
-    let pinned = ftl_obs::Gauge::new();
+    // Warm up the recording too: a tenant's first request allocates its
+    // counters.
+    record_window(&resp, 0);
     let before = alloc_count();
     for _ in 0..10 {
         let _span = ftl_obs::Span::enter(&stages, ftl_obs::Stage::ResponseWrite);
         let t0 = std::time::Instant::now();
         engine.execute_grouped_into(&groups, &mut resp);
         let call_ns = t0.elapsed().as_nanos() as u64;
-        let (n, elims) = (resp.stats.queries as u64, resp.stats.eliminations as u64);
-        queries.add(n);
-        hits.add(resp.stats.cache_hits as u64);
-        if let Some(each) = resp.stats.elimination_ns.checked_div(elims) {
-            stages.record_n(ftl_obs::Stage::Elimination, each, elims);
-        }
-        let answer_ns = call_ns.saturating_sub(resp.stats.elimination_ns);
-        stages.record_n(ftl_obs::Stage::Answer, answer_ns / n, n);
-        pinned.set(resp.stats.epoch);
+        record_window(&resp, call_ns);
+        stages.record(ftl_obs::Stage::WindowWait, call_ns);
     }
     let delta = alloc_count() - before;
     assert_eq!(
         delta, 0,
         "warmed-up execute_grouped_into allocated {delta} time(s) across 10 calls — \
-         the zero-alloc serving loop regressed (run \
-         `cargo run -p ftl-analyzer -- --check` for the static view)"
+         the zero-alloc serving loop regressed"
     );
     assert_eq!(resp.groups, expected, "reused response must stay correct");
     // The records landed: the loop really exercised the obs primitives.
-    assert_eq!(queries.get(), 240);
-    assert_eq!(hits.get(), 10 * groups.len() as u64);
-    assert_eq!(stages.get(ftl_obs::Stage::Answer).count(), 240);
+    let snap = stats.snapshot();
+    assert_eq!(snap.queries, 11 * 24);
+    assert_eq!(snap.requests, 11 * groups.len() as u64);
+    assert_eq!(snap.batches, 11);
+    assert_eq!(snap.tenants.len(), 1);
     assert_eq!(stages.get(ftl_obs::Stage::ResponseWrite).count(), 10);
-    assert_eq!(pinned.get(), resp.stats.epoch);
+    assert_eq!(stages.get(ftl_obs::Stage::WindowWait).count(), 10);
+    let scrape = stats.render_text();
+    for line in [
+        "ftl_engine_queries_total 264\n".to_string(),
+        format!("ftl_engine_cache_hits_total {}\n", 11 * groups.len()),
+        format!("ftl_epoch_pinned {}\n", resp.stats.epoch),
+    ] {
+        assert!(scrape.contains(&line), "{line:?} not in:\n{scrape}");
+    }
+}
+
+#[test]
+fn warmed_gf2_kernels_allocate_nothing() {
+    let mut state = 0xB17u64;
+    let mut next = || {
+        state = splitmix64(state);
+        state
+    };
+    let (mut a, mut b) = (BitVec::zeros(300), BitVec::zeros(300));
+    a.randomize(&mut next);
+    b.randomize(&mut next);
+    let mut expected = a.clone();
+    expected.xor_assign(&b);
+
+    // Warm up: the first `xor_into` grows `out` to the operands' width.
+    let mut out = BitVec::zeros(0);
+    a.xor_into(&b, &mut out);
+    let before = alloc_count();
+    let mut parity = 0;
+    for _ in 0..10 {
+        a.xor_into(&b, &mut out);
+        parity ^= out.count_ones_and(&a) & 1;
+    }
+    let delta = alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "warmed xor_into/count_ones_and allocated {delta} time(s) across 10 calls"
+    );
+    assert_eq!(out, expected);
+    assert_eq!(parity, 0, "ten equal parities cancel");
+}
+
+#[test]
+fn warmed_sketch_toggles_allocate_nothing() {
+    let g = generators::grid(6, 6);
+    let params = SketchParams::for_graph(&g);
+    let m = g.num_edges();
+    let sh = Seed::new(5);
+    let keys: Vec<u64> = (0..m as u64).map(splitmix64).collect();
+    let levels = params.levels_for_keys(sh, &keys);
+    // One random identifier per edge, in the bank the labeling sweep reads.
+    let mut bank = BitMatrix::with_rows(m, params.cell_bits());
+    let mut state = 0x5EEDu64;
+    for e in 0..m {
+        bank.randomize_row(e, || {
+            state = splitmix64(state);
+            state
+        });
+    }
+    let eid_bits = bank.row_to_bitvec(0);
+    let mut sketch = Sketch::zero(params);
+
+    // Each pass toggles every edge twice per kernel (the per-call and the
+    // precomputed levels agree), so every pass leaves the sketch zero.
+    let pass = |sketch: &mut Sketch| {
+        for (i, &key) in keys.iter().enumerate() {
+            sketch.toggle_edge(&eid_bits, key, sh);
+            sketch.toggle_edge_batched(&eid_bits, i, &levels);
+        }
+        sketch.toggle_edges_from_bank(&bank, 0..m, &levels);
+        let toggled = !sketch.is_zero();
+        sketch.toggle_edges_from_bank(&bank, 0..m, &levels);
+        toggled
+    };
+    pass(&mut sketch);
+    let before = alloc_count();
+    let mut toggled = true;
+    for _ in 0..3 {
+        toggled &= pass(&mut sketch);
+    }
+    let delta = alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "warmed sketch toggles allocated {delta} time(s) across 3 passes"
+    );
+    assert!(toggled, "the bank toggle changed the sketch");
+    assert!(sketch.is_zero(), "every toggle was undone");
 }
 
 /// A sorted fault set of `f` edges of `g`: every edge around one vertex

@@ -206,7 +206,6 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `self` and `rhs` have different lengths.
-    // ftl-analyzer: hot-path
     pub fn xor_into(&self, rhs: &BitVec, out: &mut BitVec) {
         assert_eq!(self.len, rhs.len, "length mismatch in xor");
         out.len = self.len;
@@ -245,7 +244,6 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics on length mismatch.
-    // ftl-analyzer: hot-path
     pub fn count_ones_and(&self, other: &BitVec) -> usize {
         assert_eq!(self.len, other.len, "length mismatch in and-popcount");
         self.words

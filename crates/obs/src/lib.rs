@@ -24,9 +24,9 @@
 //! # Disciplines
 //!
 //! Recording is hot-path-safe by construction: atomics only (clippy's
-//! lock wall), zero allocation (`ftl-analyzer` FTL001, proven by the
-//! engine's counting-allocator test running with instrumentation
-//! enabled), no panicking constructs (clippy's panic-free set). The whole record side compiles to
+//! lock wall), zero allocation (proven by the engine's counting-allocator
+//! test running with instrumentation enabled), no panicking constructs
+//! (clippy's panic-free set). The whole record side compiles to
 //! empty inline stubs under the `no-obs` feature (which `ftl-server`
 //! forwards), so the uninstrumented bench baseline is recoverable from the
 //! same sources.

@@ -2,8 +2,8 @@
 //! histograms, and stage spans.
 //!
 //! Everything here sits on the serving hot path, so the record side is
-//! held to three invariants (enforced by clippy lints and `ftl-analyzer`
-//! FTL001):
+//! held to three invariants (enforced by clippy lints and the engine's
+//! counting-allocator test, `crates/engine/tests/alloc_free.rs`):
 //!
 //! - **zero allocation** — a record is at most two `fetch_add`s; the
 //!   histogram storage is a fixed array inside whichever struct owns it.
@@ -34,14 +34,12 @@ impl Counter {
     }
 
     /// Adds one.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn inc(&self) {
         self.v.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn add(&self, n: u64) {
         self.v.fetch_add(n, Ordering::Relaxed);
@@ -158,7 +156,6 @@ impl Histogram {
     }
 
     /// Records one sample.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_n(v, 1);
@@ -166,10 +163,8 @@ impl Histogram {
 
     /// Records `n` samples of value `v` — the same histogram as `n` calls
     /// of [`record`](Histogram::record), for two atomics.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn record_n(&self, v: u64, n: u64) {
-        // ftl-analyzer: allow(hot-alloc) bounded array lookup of an atomic bucket — no allocation
         if let Some(c) = self.counts.get(bucket_index(v)) {
             c.fetch_add(n, Ordering::Relaxed);
         }
@@ -234,7 +229,6 @@ impl StageSet {
     }
 
     /// Records a wall-clock delta (nanoseconds) against `stage`.
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn record(&self, stage: Stage, ns: u64) {
         self.record_n(stage, ns, 1);
@@ -242,10 +236,8 @@ impl StageSet {
 
     /// Records `n` samples of `ns` against `stage`: a cost measured once
     /// and shared evenly by `n` items (queries, eliminations).
-    // ftl-analyzer: hot-path
     #[inline]
     pub fn record_n(&self, stage: Stage, ns: u64, n: u64) {
-        // ftl-analyzer: allow(hot-alloc) bounded array lookup of a per-stage histogram — no allocation
         if let Some(h) = self.hists.get(stage.index()) {
             h.record_n(ns, n);
         }

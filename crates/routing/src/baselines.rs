@@ -6,9 +6,9 @@
 //!   per vertex; the stretch is what adaptive full knowledge buys you.
 //! * [`Table1Row`] / [`analytic_rows`] — the prior-work rows of Table 1
 //!   (\[Raj12\], \[CLPR12\], \[Che11\]) evaluated analytically at the experiment's
-//!   parameters (substitution S3 in DESIGN.md: those systems have no public
-//!   implementations; the table compares formulas, so we evaluate the
-//!   formulas).
+//!   parameters (substitution S3 in the README's "Substitutions": those
+//!   systems have no public implementations; the table compares formulas,
+//!   so we evaluate the formulas).
 
 use crate::network::{Cursor, RoutingOutcome};
 use ftl_graph::shortest_path::{dijkstra, distance_avoiding};

@@ -20,11 +20,11 @@
 //! an endpoint, every traversed edge weight is charged (including reversals
 //! and Γ-block detours), and header sizes are accounted in bits.
 //!
-//! One deliberate modeling choice (documented in DESIGN.md): port numbers
-//! are local to each cover-tree cluster (the induced subgraph's adjacency
-//! order) rather than global. This is a port *renaming* per cluster and
-//! changes no size bound by more than the `O(log n)` bits ports already
-//! cost.
+//! One deliberate modeling choice (listed in the README's "Substitutions"):
+//! port numbers are local to each cover-tree cluster (the induced
+//! subgraph's adjacency order) rather than global. This is a port
+//! *renaming* per cluster and changes no size bound by more than the
+//! `O(log n)` bits ports already cost.
 //!
 //! Cover trees (routing tables plus `f + 1` sketch copies each) are
 //! preprocessed one tree per core via [`ftl_par`]; the tables do not depend

@@ -13,6 +13,12 @@
 //! `HashSet` and `RandomState` workspace-wide, and this module carries
 //! the one `allow`.
 //!
+//! [`DetHashMap`] is also the serving path's panic-free lookup: it is a
+//! newtype without `Index`, so `map[&k]` (which panics on a missing key)
+//! does not compile and every lookup is a `get`. `DetHashSet` stays a
+//! plain alias, since `HashSet` has no `Index`. `BTreeMap`, the only other
+//! std map with `Index<&Q>`, is used nowhere in the workspace.
+//!
 //! Determinism, not DoS resistance: keys here are internal ids, never
 //! attacker-controlled strings, so a keyed-but-fixed hasher is the right
 //! trade.
@@ -24,11 +30,123 @@
 #![allow(clippy::disallowed_types)]
 
 use crate::splitmix64;
+use std::borrow::Borrow;
+use std::collections::hash_map::{self, Entry};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
-/// A `HashMap` with the deterministic SplitMix64 hasher.
-pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
+/// A `HashMap` with the deterministic SplitMix64 hasher, and no `Index`.
+///
+/// It forwards only the lookups that cannot panic. It implements neither
+/// `Index` nor `Deref` (indexing auto-derefs, so `Deref` would bring
+/// `map[&k]` back):
+///
+/// ```compile_fail,E0608
+/// let mut m = ftl_seeded::DetHashMap::default();
+/// m.insert(1u64, 2u32);
+/// let v = m[&1];
+/// ```
+#[derive(Debug, Clone)]
+pub struct DetHashMap<K, V>(HashMap<K, V, DetBuildHasher>);
+
+impl<K, V> Default for DetHashMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        DetHashMap(HashMap::default())
+    }
+}
+
+impl<K, V> DetHashMap<K, V> {
+    /// An empty map with room for `capacity` entries.
+    #[inline]
+    pub fn with_capacity(capacity: usize) -> Self {
+        DetHashMap(HashMap::with_capacity_and_hasher(capacity, DetBuildHasher))
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The entries, in the hasher's (run-independent) order.
+    #[inline]
+    pub fn iter(&self) -> hash_map::Iter<'_, K, V> {
+        self.0.iter()
+    }
+
+    /// The keys, in [`iter`](DetHashMap::iter) order.
+    #[inline]
+    pub fn keys(&self) -> hash_map::Keys<'_, K, V> {
+        self.0.keys()
+    }
+
+    /// The values, in [`iter`](DetHashMap::iter) order.
+    #[inline]
+    pub fn values(&self) -> hash_map::Values<'_, K, V> {
+        self.0.values()
+    }
+}
+
+impl<K: Eq + Hash, V> DetHashMap<K, V> {
+    /// The value under `k`, if any.
+    #[inline]
+    pub fn get<Q>(&self, k: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.get(k)
+    }
+
+    /// Whether `k` has a value.
+    #[inline]
+    pub fn contains_key<Q>(&self, k: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.contains_key(k)
+    }
+
+    /// Sets `k` to `v`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        self.0.insert(k, v)
+    }
+
+    /// Removes `k`, returning its value.
+    #[inline]
+    pub fn remove<Q>(&mut self, k: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.0.remove(k)
+    }
+
+    /// The entry of `k`, for in-place insert-or-update.
+    #[inline]
+    pub fn entry(&mut self, k: K) -> Entry<'_, K, V> {
+        self.0.entry(k)
+    }
+}
+
+impl<K, V> IntoIterator for DetHashMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = hash_map::IntoIter<K, V>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
 
 /// A `HashSet` with the deterministic SplitMix64 hasher.
 pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;

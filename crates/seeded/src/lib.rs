@@ -13,7 +13,7 @@
 //! * [`pairwise::PairwiseHash`]: a pairwise-independent hash family over the
 //!   Mersenne prime `2^61 - 1`;
 //! * [`uid`]: unique edge identifiers with the XOR-validity test of
-//!   Lemma 3.10 (substitution S1 in DESIGN.md).
+//!   Lemma 3.10 (substitution S1 in the README's "Substitutions").
 //!
 //! Why determinism is load-bearing here — and the clippy
 //! `disallowed-types` wall that enforces it — is covered in

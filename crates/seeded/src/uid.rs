@@ -3,10 +3,11 @@
 //!
 //! The paper draws `O(log n)`-bit identifiers from an ε-bias space so that
 //! the XOR of two or more identifiers is almost never itself a valid
-//! identifier. We substitute a keyed 64-bit PRF (DESIGN.md S1): the
-//! verification interface is identical — given the seed `S_ID` and the
-//! claimed endpoint ids, recompute `UID(e)` and compare — and the failure
-//! probability (2⁻⁶⁴ per check) dominates the paper's `1/n^{10}` target.
+//! identifier. We substitute a keyed 64-bit PRF (substitution S1 in the
+//! README's "Substitutions"): the verification interface is identical —
+//! given the seed `S_ID` and the claimed endpoint ids, recompute `UID(e)`
+//! and compare — and the failure probability (2⁻⁶⁴ per check) dominates
+//! the paper's `1/n^{10}` target.
 
 use crate::prf::Seed;
 

@@ -238,7 +238,6 @@ impl ServerStats {
     /// executor runs one group per call, so there is at most one), one
     /// `answer` sample per answered query (the rest of the call's time
     /// split evenly), and the epoch it pinned.
-    // ftl-analyzer: hot-path
     pub fn record_engine(&self, call: &BatchStats, call_ns: u64) {
         let (queries, eliminations) = (call.queries as u64, call.eliminations as u64);
         self.engine_queries.add(queries);

@@ -148,8 +148,7 @@ impl SketchScheme {
         // pairs packed into one u64 key to halve the hashing work). The
         // fixed-key hasher keeps copy assignment identical across runs:
         // eid derivation feeds the wire format.
-        let mut mult: ftl_seeded::DetHashMap<u64, u32> =
-            ftl_seeded::DetHashMap::with_hasher(ftl_seeded::DetBuildHasher);
+        let mut mult: ftl_seeded::DetHashMap<u64, u32> = ftl_seeded::DetHashMap::default();
         let copy_of: Vec<u32> = graph
             .edge_ids()
             .map(|(_, e)| {

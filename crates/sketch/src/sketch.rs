@@ -32,7 +32,7 @@ impl SketchParams {
         let m = graph.num_edges().max(2) as u64;
         // Deterministic hasher: max_copies feeds the level count,
         // which is part of the serialized sketch shape.
-        let mut mult = ftl_seeded::DetHashMap::with_hasher(ftl_seeded::DetBuildHasher);
+        let mut mult = ftl_seeded::DetHashMap::default();
         let mut max_copies = 1u32;
         for (_, e) in graph.edge_ids() {
             let c = mult.entry(e.endpoints()).or_insert(0u32);
@@ -201,7 +201,6 @@ impl Sketch {
     /// XORs `eid_bits` into cells `(unit, 0..=lvl)` — the shared sweep of
     /// both toggle paths. The cells of one unit are consecutive rows of the
     /// bank, so the whole run is one contiguous pattern XOR.
-    // ftl-analyzer: hot-path
     #[inline]
     fn toggle_unit(&mut self, unit: usize, lvl: u32, eid_bits: &BitVec) {
         debug_assert_eq!(eid_bits.len(), self.params.cell_bits(), "cell width");
@@ -215,7 +214,6 @@ impl Sketch {
     /// XORs one edge into every level it is sampled at, in every unit.
     /// Adding an edge twice removes it — used both to build vertex sketches
     /// and to cancel faulty edges (decoder Step 3).
-    // ftl-analyzer: hot-path
     pub fn toggle_edge(&mut self, eid_bits: &BitVec, key: u64, sh: Seed) {
         for i in 0..self.params.units {
             let lvl = self.params.level_of(sh, i, key);
@@ -232,7 +230,6 @@ impl Sketch {
     ///
     /// Panics (in debug builds) if the table covers fewer units than this
     /// sketch has.
-    // ftl-analyzer: hot-path
     pub fn toggle_edge_batched(
         &mut self,
         eid_bits: &BitVec,
@@ -261,7 +258,6 @@ impl Sketch {
     ///
     /// Panics if the bank width differs from the cell width or `levels`
     /// covers a different unit count.
-    // ftl-analyzer: hot-path
     pub fn toggle_edges_from_bank(
         &mut self,
         bank: &BitMatrix,

@@ -4,7 +4,8 @@
 //! has a tree containing its whole `ρ`-ball, (2) every tree has radius at
 //! most `(2k−1)·ρ`, and (3) every vertex appears in `Õ(k·n^{1/k})` trees.
 //!
-//! We implement a ball-growing sparse cover (substitution S2 in DESIGN.md):
+//! We implement a ball-growing sparse cover (substitution S2 in the
+//! README's "Substitutions"):
 //! repeatedly pick an unsatisfied center `v₀` and grow a radius `r` in steps
 //! of `2ρ` while the number of *unsatisfied* centers within `r + 2ρ` exceeds
 //! `n^{1/k}` times the number within `r`; emit the shortest-path tree of
