@@ -1,19 +1,34 @@
 //! E11 / Definition 4.1 + Proposition 4.2: tree-cover properties — ball
-//! coverage, radius bound (2k-1)rho, measured overlap vs k n^{1/k}.
+//! coverage, radius bound (2k-1)rho, measured overlap vs k n^{1/k}, build
+//! time.
+//!
+//! Exits non-zero, naming the `(graph, k, rho)` rows, when the max radius
+//! exceeds (2k-1)rho or a ball is uncovered.
 
 use ftl_tree_cover::TreeCover;
+use std::time::Instant;
 
 fn main() {
     let mut rng = ftl_bench::rng(0xE11);
     let suite = ftl_bench::standard_suite(&mut rng);
     let mut rows = Vec::new();
+    let mut failed = Vec::new();
     for w in &suite {
         let n = w.graph.num_vertices() as f64;
         for k in [2u32, 3, 4] {
             for rho in [2u64, 4] {
+                let b0 = Instant::now();
                 let tc = TreeCover::build(&w.graph, &[], rho, k);
+                let build_time = b0.elapsed();
                 let coverage = tc.validate_coverage(&w.graph, &[]).is_ok();
                 let radius_bound = (2 * k as u64 - 1) * rho;
+                if tc.max_tree_radius() > radius_bound || !coverage {
+                    failed.push(format!(
+                        "(graph = {}, k = {k}, rho = {rho}): max radius {} vs bound {radius_bound}, balls covered: {coverage}",
+                        w.name,
+                        tc.max_tree_radius()
+                    ));
+                }
                 rows.push(vec![
                     w.name.clone(),
                     k.to_string(),
@@ -30,6 +45,7 @@ fn main() {
                     } else {
                         "NO".to_string()
                     },
+                    format!("{:.1} us", build_time.as_secs_f64() * 1e6),
                 ]);
             }
         }
@@ -44,7 +60,9 @@ fn main() {
             "max radius",
             "max overlap",
             "balls covered",
+            "build time",
         ],
         &rows,
     );
+    ftl_bench::exit_on_failed_checks(&failed);
 }

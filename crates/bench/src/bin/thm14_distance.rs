@@ -1,16 +1,22 @@
 //! E8 / Theorem 1.4: FT approximate distance labels — measured stretch vs
-//! the (8k-2)(|F|+1) guarantee, and label-size scaling in k.
+//! the (8k-2)(|F|+1) guarantee, label-size scaling in k, and query time.
+//!
+//! Exits non-zero, naming the `(k, f)` rows, when the worst stretch
+//! exceeds the bound or a query disagrees with the truth on whether `s`
+//! and `t` are still connected.
 
 use ftl_core::distance::{DistanceLabeling, DistanceParams};
 use ftl_graph::generators;
 use ftl_graph::shortest_path::distance_avoiding;
 use ftl_graph::traversal::forbidden_mask;
 use ftl_seeded::Seed;
+use std::time::Instant;
 
 fn main() {
     let mut rng = ftl_bench::rng(0xE8);
     let g = generators::random_weighted_grid(6, 6, 8, &mut rng);
     let mut rows = Vec::new();
+    let mut failed = Vec::new();
     for k in [1u32, 2, 3, 4] {
         let dl = DistanceLabeling::new(&g, DistanceParams::new(k), Seed::new(k as u64));
         for f in [0usize, 1, 2, 3] {
@@ -19,11 +25,14 @@ fn main() {
             let mut sum = 0.0;
             let mut cnt = 0usize;
             let mut mism = 0usize;
+            let mut query_time = 0u128;
             for _ in 0..trials {
                 let faults = ftl_bench::sample_faults(&g, f, &mut rng);
                 let s = ftl_bench::sample_vertex(&g, &mut rng);
                 let t = ftl_bench::sample_vertex(&g, &mut rng);
+                let q0 = Instant::now();
                 let est = dl.query(s, t, &faults);
+                query_time += q0.elapsed().as_nanos();
                 let truth = distance_avoiding(&g, s, t, &forbidden_mask(&g, &faults));
                 match (est, truth) {
                     (Some(e), Some(d)) if d > 0 => {
@@ -36,14 +45,21 @@ fn main() {
                     _ => mism += 1,
                 }
             }
+            let bound = dl.stretch_bound(f);
+            if worst > bound as f64 || mism > 0 {
+                failed.push(format!(
+                    "(k = {k}, f = {f}): worst stretch {worst:.2} vs bound {bound}, {mism} mismatches"
+                ));
+            }
             rows.push(vec![
                 k.to_string(),
                 f.to_string(),
                 ftl_bench::f2(sum / cnt.max(1) as f64),
                 ftl_bench::f2(worst),
-                dl.stretch_bound(f).to_string(),
+                bound.to_string(),
                 ftl_bench::fmt_bits(dl.max_vertex_label_bits(&g)),
                 mism.to_string(),
+                format!("{:.1} us", query_time as f64 / trials as f64 / 1000.0),
             ]);
         }
     }
@@ -57,7 +73,9 @@ fn main() {
             "paper bound",
             "max vertex label",
             "mismatches",
+            "query time",
         ],
         &rows,
     );
+    ftl_bench::exit_on_failed_checks(&failed);
 }

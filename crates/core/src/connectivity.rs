@@ -49,14 +49,6 @@ impl VertexLabel {
     pub fn component(&self) -> usize {
         self.component
     }
-
-    /// The sketch-scheme inner label, if this labeling uses sketches.
-    pub fn as_sketch(&self) -> Option<&SketchVertexLabel> {
-        match &self.inner {
-            InnerVertexLabel::Sketch(l) => Some(l),
-            InnerVertexLabel::CycleSpace(_) => None,
-        }
-    }
 }
 
 /// An edge label of the unified scheme: component id + inner label.
@@ -70,14 +62,6 @@ impl EdgeLabel {
     /// The connected-component id carried by the label.
     pub fn component(&self) -> usize {
         self.component
-    }
-
-    /// The sketch-scheme inner label, if this labeling uses sketches.
-    pub fn as_sketch(&self) -> Option<&SketchEdgeLabel> {
-        match &self.inner {
-            InnerEdgeLabel::Sketch(l) => Some(l),
-            InnerEdgeLabel::CycleSpace(_) => None,
-        }
     }
 }
 

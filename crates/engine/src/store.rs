@@ -918,22 +918,21 @@ mod tests {
         assert!(next.has_edge(EdgeId::new(1)));
     }
 
-    /// A whole store's worth of records of a foreign label kind (the
-    /// sketch scheme's) is refused record by record with a typed
-    /// `WrongKind`; an engine over the resulting empty store fails every
-    /// group and query with a typed store error.
+    /// A whole store's worth of records of a foreign label kind (a bare
+    /// ancestry label under each vertex key, a vertex label under each
+    /// edge key) is refused record by record with a typed `WrongKind`; an
+    /// engine over the resulting empty store fails every group and query
+    /// with a typed store error.
     #[test]
     fn foreign_kind_store_stays_wire_only_and_fails_typed() {
         use crate::engine::{Engine, EngineConfig, EngineError, FaultSetBatch};
-        use ftl_sketch::{SketchParams, SketchScheme};
         let g = ftl_graph::generators::grid(3, 3);
-        let params = SketchParams::for_graph(&g);
-        let scheme = SketchScheme::label(&g, &params, Seed::new(9)).unwrap();
-        let mut b = LabelStoreBuilder::new(g.num_vertices(), g.num_edges(), 4, 2);
+        let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(9)).unwrap();
+        let mut b = builder_for(&scheme, 2);
         let empty = b.clone();
         for i in 0..g.num_vertices() {
             let v = VertexId::new(i);
-            let err = b.put_bytes(StoreKey::vertex(v), &scheme.vertex_label(v).to_wire());
+            let err = b.put_bytes(StoreKey::vertex(v), &scheme.vertex_label(v).anc.to_wire());
             assert!(
                 matches!(err, Err(StoreError::Wire(WireError::WrongKind { .. }))),
                 "{err:?}"
@@ -941,7 +940,8 @@ mod tests {
         }
         for i in 0..g.num_edges() {
             let e = EdgeId::new(i);
-            let err = b.put_bytes(StoreKey::edge(e), &scheme.edge_label(e).to_wire());
+            let u = g.edge(e).u();
+            let err = b.put_bytes(StoreKey::edge(e), &scheme.vertex_label(u).to_wire());
             assert!(
                 matches!(err, Err(StoreError::Wire(WireError::WrongKind { .. }))),
                 "{err:?}"

@@ -238,12 +238,12 @@ fn warmed_sketch_toggles_allocate_nothing() {
     let eid_bits = bank.row_to_bitvec(0);
     let mut sketch = Sketch::zero(params);
 
-    // Each pass toggles every edge twice per kernel (the per-call and the
-    // precomputed levels agree), so every pass leaves the sketch zero.
+    // Each pass toggles every edge twice per kernel, so every pass leaves
+    // the sketch zero.
     let pass = |sketch: &mut Sketch| {
-        for (i, &key) in keys.iter().enumerate() {
+        for &key in &keys {
             sketch.toggle_edge(&eid_bits, key, sh);
-            sketch.toggle_edge_batched(&eid_bits, i, &levels);
+            sketch.toggle_edge(&eid_bits, key, sh);
         }
         sketch.toggle_edges_from_bank(&bank, 0..m, &levels);
         let toggled = !sketch.is_zero();

@@ -207,11 +207,11 @@ fn truncated_and_oversized_records_error_not_panic() {
 /// The import boundary refuses every record it cannot place with a typed
 /// `StoreError` and leaves the builder unchanged: every truncation point
 /// of a real edge record, lying length fields, heavy random byte smears,
-/// records of a foreign label kind (the sketch scheme's), a `φ` of the
-/// wrong width, and ids outside the declared id spaces.
+/// records of the wrong label kind (a vertex record under an edge key and
+/// the reverse), a `φ` of the wrong width, and ids outside the declared id
+/// spaces.
 #[test]
 fn import_boundary_refuses_typed_and_never_panics() {
-    use ftl_sketch::{SketchParams, SketchScheme};
     let g = generators::grid(4, 4);
     let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
     let (n, m) = (g.num_vertices(), g.num_edges());
@@ -247,15 +247,13 @@ fn import_boundary_refuses_typed_and_never_panics() {
         assert!(matches!(err, StoreError::Wire(_)), "smear {seed}: {err:?}");
     }
 
-    let sketch = SketchScheme::label(&g, &SketchParams::for_graph(&g), Seed::new(9)).unwrap();
-    let foreign = sketch.edge_label(victim).to_wire();
+    let foreign = scheme.vertex_label(VertexId::new(0)).to_wire();
     let err = refused(&mut b, key, &foreign);
     assert!(
         matches!(err, StoreError::Wire(WireError::WrongKind { .. })),
         "{err:?}"
     );
-    let foreign = sketch.vertex_label(VertexId::new(0)).to_wire();
-    let err = refused(&mut b, StoreKey::vertex(VertexId::new(0)), &foreign);
+    let err = refused(&mut b, StoreKey::vertex(VertexId::new(0)), &wire);
     assert!(
         matches!(err, StoreError::Wire(WireError::WrongKind { .. })),
         "{err:?}"

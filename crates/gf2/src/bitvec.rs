@@ -613,17 +613,6 @@ impl BitMatrix {
         out.xor_assign_words(self.row(i));
     }
 
-    /// A new matrix holding copies of rows `first .. first + count` — e.g.
-    /// one sketch's cells out of a contiguous multi-sketch cell bank.
-    pub fn clone_row_range(&self, first: usize, count: usize) -> BitMatrix {
-        BitMatrix {
-            cols: self.cols,
-            wpr: self.wpr,
-            rows: count,
-            words: self.words[first * self.wpr..(first + count) * self.wpr].to_vec(),
-        }
-    }
-
     /// XORs another matrix of identical shape into this one, across all
     /// rows in a single word sweep.
     ///
@@ -707,21 +696,6 @@ mod tests {
         let before = a.clone();
         a.xor_pattern_into_rows(0, 0, pattern.words());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn clone_row_range_copies_rows() {
-        let mut m = BitMatrix::with_rows(6, 70);
-        for i in 0..6 {
-            m.set(i, i * 11, true);
-        }
-        let sub = m.clone_row_range(1, 3);
-        assert_eq!(sub.num_rows(), 3);
-        assert_eq!(sub.num_cols(), 70);
-        for i in 0..3 {
-            assert_eq!(sub.row_to_bitvec(i), m.row_to_bitvec(i + 1));
-        }
-        assert_eq!(m.clone_row_range(2, 0).num_rows(), 0);
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! The `ftl` wire format: a versioned header plus a bit-packed payload.
 //!
-//! Every label type that can be held in an off-struct store (the
-//! `ftl-engine` label store, files, sockets) implements [`WireLabel`]:
+//! Two kinds of record cross a wire, and only these implement
+//! [`WireLabel`]: the labels the `ftl-engine` label store imports (the
+//! cycle-space vertex and edge labels, codecs in `ftl-cycle-space`, and
+//! the ancestry label they carry, codec below), and the `ftl-server`
+//! envelopes (query and metrics frames). The sketch and routing labels
+//! never leave the process that built them, so they have no codec; the
+//! paper binaries report their length through `bits()`. Each record is
 //!
 //! ```text
 //! byte 0..2   magic  0xF7 0x4C            ("FTL")
@@ -40,12 +45,6 @@ pub enum LabelKind {
     CycleSpaceVertex = 0x10,
     /// A cycle-space edge label.
     CycleSpaceEdge = 0x11,
-    /// A sketch-scheme vertex label.
-    SketchVertex = 0x20,
-    /// A sketch-scheme edge label.
-    SketchEdge = 0x21,
-    /// A fault-tolerant routing label.
-    Route = 0x30,
     /// A serving-envelope request frame (`ftl-server`; see
     /// `docs/serving.md`). Not a label: the serving front end frames its
     /// request/response bodies as wire records so they inherit this
@@ -69,9 +68,6 @@ impl LabelKind {
             0x01 => Some(LabelKind::Ancestry),
             0x10 => Some(LabelKind::CycleSpaceVertex),
             0x11 => Some(LabelKind::CycleSpaceEdge),
-            0x20 => Some(LabelKind::SketchVertex),
-            0x21 => Some(LabelKind::SketchEdge),
-            0x30 => Some(LabelKind::Route),
             0x40 => Some(LabelKind::QueryRequest),
             0x41 => Some(LabelKind::QueryResponse),
             0x50 => Some(LabelKind::MetricsRequest),
@@ -493,7 +489,7 @@ mod tests {
     fn wrong_kind_rejected() {
         struct Other(u32);
         impl WireLabel for Other {
-            const KIND: LabelKind = LabelKind::Route;
+            const KIND: LabelKind = LabelKind::CycleSpaceVertex;
             fn encode_payload(&self, w: &mut WireWriter) {
                 w.write_word(self.0 as u64, 32);
             }
@@ -506,7 +502,7 @@ mod tests {
             AncestryLabel::from_wire(&bytes),
             Err(WireError::WrongKind {
                 expected: LabelKind::Ancestry,
-                got: LabelKind::Route,
+                got: LabelKind::CycleSpaceVertex,
             })
         );
     }
@@ -526,6 +522,18 @@ mod tests {
         assert_eq!(LabelKind::from_u8(0x31), None);
         assert_eq!(LabelKind::from_u8(0x42), None);
         assert_eq!(LabelKind::from_u8(0x52), None);
+        // The retired sketch (0x20, 0x21) and route (0x30) kinds name no
+        // label any more: a record carrying one is an unknown kind.
+        let good = AncestryLabel { pre: 1, post: 2 }.to_wire();
+        for retired in [0x20, 0x21, 0x30] {
+            assert_eq!(LabelKind::from_u8(retired), None);
+            let mut bytes = good.clone();
+            bytes[3] = retired;
+            assert_eq!(
+                AncestryLabel::from_wire(&bytes),
+                Err(WireError::UnknownKind(retired))
+            );
+        }
     }
 
     #[test]

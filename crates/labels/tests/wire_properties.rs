@@ -41,7 +41,7 @@ proptest! {
         let mut w = WireWriter::new();
         w.write_word(0, offset.min(64));
         w.write_len_bits(&v);
-        let bytes = w.finish(LabelKind::Route);
+        let bytes = w.finish(LabelKind::CycleSpaceEdge);
         let (_, mut r) = WireReader::open(&bytes).unwrap();
         r.read_word(offset.min(64)).unwrap();
         prop_assert_eq!(r.read_len_bits().unwrap(), v);

@@ -42,7 +42,6 @@ pub mod ft_routing;
 pub mod lower_bound;
 pub mod network;
 pub mod tree_routing;
-pub mod wire;
 
 pub use ft_routing::{FtRoutingScheme, RoutingParams};
 pub use network::RoutingOutcome;

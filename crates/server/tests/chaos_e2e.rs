@@ -121,8 +121,8 @@ fn loadgen_through_seeded_chaos_completes_clean_and_accounts_every_fault() {
     assert_eq!(report.engine_failures, 0);
 
     // 4. The retry machinery demonstrably engaged (the guaranteed
-    //    unconditional fault above makes this deterministic), and the
-    //    ISSUE's sum criterion holds.
+    //    unconditional fault above makes this deterministic): retries,
+    //    deadline drops and watchdog fires do not all read zero.
     let chaos = proxy.shutdown();
     assert!(chaos.connections >= CLIENTS as u64);
     assert!(chaos.faults_fired() > 0, "the storm fired nothing");

@@ -1,5 +1,5 @@
 //! End-to-end loopback tests: real sockets, real threads, BFS ground
-//! truth. The headline scenario is the PR's acceptance criterion — 64
+//! truth. The headline scenario is the front end's acceptance test — 64
 //! concurrent connections sharing 8 fault sets, every answer correct,
 //! and far fewer engine executions than requests.
 

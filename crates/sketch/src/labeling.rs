@@ -147,7 +147,8 @@ impl SketchScheme {
         // Parallel-edge copy discriminators, in edge-id order (endpoint
         // pairs packed into one u64 key to halve the hashing work). The
         // fixed-key hasher keeps copy assignment identical across runs:
-        // eid derivation feeds the wire format.
+        // eid derivation feeds every edge label, so a seeded labeling must
+        // not vary between runs.
         let mut mult: ftl_seeded::DetHashMap<u64, u32> = ftl_seeded::DetHashMap::default();
         let copy_of: Vec<u32> = graph
             .edge_ids()

@@ -51,7 +51,6 @@ pub mod decode;
 pub mod eid;
 pub mod labeling;
 pub mod sketch;
-pub mod wire;
 
 pub use decode::{decode, DecodeOutcome, PathSegment, PathVertex, SuccinctPath};
 pub use eid::Eid;

@@ -145,13 +145,6 @@ impl SampledLevels {
         self.num_keys
     }
 
-    /// The clamped sampling level of edge `key_index` in `unit`.
-    #[inline]
-    pub fn level(&self, unit: usize, key_index: usize) -> u32 {
-        debug_assert!(key_index < self.num_keys, "key index out of range");
-        self.levels[key_index * self.units + unit] as u32
-    }
-
     /// All unit levels of edge `key_index`, one byte per unit.
     #[inline]
     pub fn levels_of(&self, key_index: usize) -> &[u8] {
@@ -198,48 +191,20 @@ impl Sketch {
         self.cells.xor_assign(&other.cells);
     }
 
-    /// XORs `eid_bits` into cells `(unit, 0..=lvl)` — the shared sweep of
-    /// both toggle paths. The cells of one unit are consecutive rows of the
-    /// bank, so the whole run is one contiguous pattern XOR.
-    #[inline]
-    fn toggle_unit(&mut self, unit: usize, lvl: u32, eid_bits: &BitVec) {
-        debug_assert_eq!(eid_bits.len(), self.params.cell_bits(), "cell width");
-        self.cells.xor_pattern_into_rows(
-            unit * self.params.levels as usize,
-            lvl as usize + 1,
-            eid_bits.words(),
-        );
-    }
-
     /// XORs one edge into every level it is sampled at, in every unit.
     /// Adding an edge twice removes it — used both to build vertex sketches
-    /// and to cancel faulty edges (decoder Step 3).
+    /// and to cancel faulty edges (decoder Step 3). The cells `(i, 0..=lvl)`
+    /// of unit `i` are consecutive rows of the bank, so each unit's run is
+    /// one contiguous pattern XOR.
     pub fn toggle_edge(&mut self, eid_bits: &BitVec, key: u64, sh: Seed) {
+        debug_assert_eq!(eid_bits.len(), self.params.cell_bits(), "cell width");
         for i in 0..self.params.units {
             let lvl = self.params.level_of(sh, i, key);
-            self.toggle_unit(i, lvl, eid_bits);
-        }
-    }
-
-    /// [`Sketch::toggle_edge`] against a precomputed [`SampledLevels`]
-    /// table: no hash derivations or evaluations at toggle time, just the
-    /// XOR sweep. `key_index` is the edge's position in the key slice the
-    /// table was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the table covers fewer units than this
-    /// sketch has.
-    pub fn toggle_edge_batched(
-        &mut self,
-        eid_bits: &BitVec,
-        key_index: usize,
-        levels: &SampledLevels,
-    ) {
-        debug_assert_eq!(levels.units(), self.params.units, "unit count mismatch");
-        for i in 0..self.params.units {
-            let lvl = levels.level(i, key_index);
-            self.toggle_unit(i, lvl, eid_bits);
+            self.cells.xor_pattern_into_rows(
+                i * self.params.levels as usize,
+                lvl as usize + 1,
+                eid_bits.words(),
+            );
         }
     }
 
@@ -304,28 +269,6 @@ impl Sketch {
     /// component sketch).
     pub fn is_zero(&self) -> bool {
         self.cells.is_zero()
-    }
-
-    /// The raw cell bank (row `i * levels + j` is cell `(i, j)`); the wire
-    /// codec serializes sketches from here.
-    pub fn cells(&self) -> &BitMatrix {
-        &self.cells
-    }
-
-    /// Rebuilds a sketch from a cell bank of the exact shape
-    /// [`Sketch::cells`] exposes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shape does not match `params`.
-    pub fn from_cells(params: SketchParams, cells: BitMatrix) -> Self {
-        assert_eq!(
-            cells.num_rows(),
-            params.units * params.levels as usize,
-            "cell row count mismatch"
-        );
-        assert_eq!(cells.num_cols(), params.cell_bits(), "cell width mismatch");
-        Sketch { params, cells }
     }
 
     /// Size of this sketch in bits.
@@ -541,31 +484,11 @@ mod tests {
         let table = p.levels_for_keys(sh, &keys);
         assert_eq!(table.units(), p.units);
         assert_eq!(table.num_keys(), keys.len());
-        for i in 0..p.units {
-            for (e, &key) in keys.iter().enumerate() {
-                assert_eq!(
-                    table.level(i, e),
-                    p.level_of(sh, i, key),
-                    "unit {i} edge {e}"
-                );
+        for (e, &key) in keys.iter().enumerate() {
+            for (i, &lvl) in table.levels_of(e).iter().enumerate() {
+                assert_eq!(lvl as u32, p.level_of(sh, i, key), "unit {i} edge {e}");
             }
         }
-    }
-
-    #[test]
-    fn toggle_edge_batched_matches_toggle_edge() {
-        let sid = UidSpace::new(Seed::new(30));
-        let sh = Seed::new(31);
-        let eids: Vec<Eid> = (1..=20u32).map(|v| eid_for(&sid, 0, v)).collect();
-        let keys: Vec<u64> = eids.iter().map(|e| e.sampling_key()).collect();
-        let table = params().levels_for_keys(sh, &keys);
-        let mut direct = Sketch::zero(params());
-        let mut batched = Sketch::zero(params());
-        for (i, e) in eids.iter().enumerate() {
-            direct.toggle_edge(&e.to_bits(), e.sampling_key(), sh);
-            batched.toggle_edge_batched(&e.to_bits(), i, &table);
-        }
-        assert_eq!(direct, batched);
     }
 
     #[test]
