@@ -126,7 +126,7 @@ impl EliminatedFaultSet {
 
 /// The canonical hash of a fault set: order-insensitive (the slice must be
 /// sorted), collision-resistant enough to key the elimination cache.
-pub fn canonical_fault_hash(sorted_ids: &[EdgeId]) -> u64 {
+pub(crate) fn canonical_fault_hash(sorted_ids: &[EdgeId]) -> u64 {
     // SplitMix64 absorption: mix each id into a running state.
     let mut h: u64 = 0x243F_6A88_85A3_08D3 ^ (sorted_ids.len() as u64);
     for &e in sorted_ids {

@@ -10,13 +10,13 @@
 //! # One call, one answer
 //!
 //! [`Engine::execute_grouped_into`] is the engine: it refills a
-//! caller-owned [`GroupedResponse`], isolating failures per group and per
-//! query; [`Engine::execute_grouped`] is the same call into a fresh
-//! response. Each query's answer is one bit, connected or not — the
-//! paper's query. A disconnecting cut `F′ ⊆ F` is read off an elimination
-//! directly ([`EliminatedFaultSet::certificate`]). Parallelism lives above
-//! the engine: any number of engines share one store behind an `Arc`, one
-//! per thread.
+//! caller-owned [`GroupedResponse`], isolating failures per group;
+//! [`Engine::execute_grouped`] is the same call into a fresh response.
+//! Each query's answer is one bit, connected or not — the paper's query.
+//! A disconnecting cut `F′ ⊆ F` is read off an elimination directly
+//! ([`EliminatedFaultSet::certificate`]). Parallelism lives above the
+//! engine: any number of engines share one store behind an `Arc`, one per
+//! thread.
 //!
 //! # The zero-decode hot path
 //!
@@ -24,8 +24,7 @@
 //! never decodes: vertex lookups are array reads of ancestry intervals,
 //! and elimination (on cache miss) streams `φ` columns straight out of
 //! the store's contiguous bank. A vertex or edge the store does not hold
-//! fails only the queries or fault sets that name it, with
-//! [`StoreError::Missing`].
+//! fails the group that names it, with [`StoreError::Missing`].
 //!
 //! # Panic containment
 //!
@@ -69,7 +68,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Why a group, or one query of a group, failed.
+/// Why a group failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A vertex or edge the query names is not in the store.
@@ -103,7 +102,7 @@ impl From<StoreError> for EngineError {
 /// What one engine call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Queries answered (those of groups whose fault set resolved).
+    /// Queries answered (those of the groups that succeeded).
     pub queries: usize,
     /// Fault sets (groups) in the request.
     pub fault_sets: usize,
@@ -120,11 +119,11 @@ pub struct BatchStats {
     pub epoch: u64,
 }
 
-/// One pre-grouped unit of serving work: a fault set and the queries that
-/// share it. This is the shape a batching front end (`ftl-server`) hands
-/// the engine after grouping traffic by canonical fault-set hash — one
-/// elimination per group by construction. A group with no queries still
-/// resolves its fault set, so a bad set is still rejected.
+/// One unit of serving work: a fault set and the queries that share it —
+/// one elimination (or cache hit) for all of them. `ftl-server` sends one
+/// batch per request, refilling a kept one, and leaves the sharing of a
+/// fault set across requests to the elimination cache. A batch with no
+/// queries still resolves its fault set, so a bad set is still rejected.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSetBatch {
     /// The (not necessarily canonicalised) fault set shared by every query
@@ -134,30 +133,23 @@ pub struct FaultSetBatch {
     pub queries: Vec<(VertexId, VertexId)>,
 }
 
-/// One query's outcome inside a group: whether `s` and `t` are connected
-/// in `G \ F` (w.h.p.), or the error that failed *that query alone* (e.g.
-/// an out-of-range vertex id).
-pub type GroupQueryResult = Result<bool, EngineError>;
-
-/// The outcome of one group: per-query outcomes in group order, or the
-/// group-level error (an unresolvable fault set, a contained panic) that
-/// failed the whole group.
-pub type GroupResult = Result<Vec<GroupQueryResult>, EngineError>;
+/// The outcome of one group: whether each `(s, t)` is connected in
+/// `G \ F` (w.h.p.), in query order, or the error that failed the group —
+/// an unresolvable fault set, an out-of-range vertex id in any of its
+/// queries, or a contained panic.
+pub type GroupResult = Result<Vec<bool>, EngineError>;
 
 /// Response to a grouped execute: one [`GroupResult`] per submitted
 /// [`FaultSetBatch`], in submission order.
 ///
-/// Failures are isolated at the finest granularity the work allows. Per
-/// **group**: a group whose fault set names a missing edge (or whose
-/// serving panicked) fails alone, and every other group still gets its
-/// answers. Per **query** within a group: a query naming an out-of-range
-/// vertex fails alone ([`GroupQueryResult`]), and the group's other
-/// queries still get their answers — the property a multi-tenant front end
-/// needs, since one group can mix queries from many independent
-/// connections.
+/// Failures are isolated per group: a group whose fault set names a
+/// missing edge, whose query names a missing vertex, or whose serving
+/// panicked fails alone, and every other group still gets its answers. A
+/// front end that wants a bad request to fail alone sends it as a group of
+/// its own, as `ftl-server` does with every request.
 ///
 /// Reusable: [`Engine::execute_grouped_into`] refills an existing response
-/// and keeps the per-query vectors of its `Ok` groups, so a serving loop
+/// and keeps the answer vectors of its `Ok` groups, so a serving loop
 /// that keeps one around allocates nothing once it has warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct GroupedResponse {
@@ -245,14 +237,15 @@ impl EngineCore {
     }
 
     /// Serves one group into `out`: resolve the set once, answer its
-    /// queries. Only a fault set that fails to resolve fails the group as a
-    /// unit; a query that fails on its own (out-of-range vertex) carries
-    /// its error in its slot without touching its neighbours.
+    /// queries — two ancestry lookups, one interval compare per tree fault
+    /// and one AND-popcount per generator each. A fault set that fails to
+    /// resolve, or a query naming a vertex the store lacks, fails the
+    /// group.
     fn execute_group(
         &mut self,
         store: &LabelStore,
         group: &FaultSetBatch,
-        out: &mut Vec<GroupQueryResult>,
+        out: &mut Vec<bool>,
         stats: &mut BatchStats,
     ) -> Result<(), EngineError> {
         // Only a cache miss allocates (one elimination per new fault set); a
@@ -260,28 +253,14 @@ impl EngineCore {
         let efs = self.resolve_fault_set(store, &group.faults, stats)?;
         out.clear();
         for &(s, t) in &group.queries {
-            out.push(self.answer(store, &efs, s, t));
+            let (s_anc, t_anc) = (vertex_anc(store, s)?, vertex_anc(store, t)?);
+            out.push(
+                efs.separating_generator_anc(&s_anc, &t_anc, &mut self.diff)
+                    .is_none(),
+            );
         }
         stats.queries += group.queries.len();
         Ok(())
-    }
-
-    /// Answers one query against its eliminated fault set — the zero-decode
-    /// kernel: two ancestry lookups, one interval compare per tree fault,
-    /// one AND-popcount per generator.
-    #[inline]
-    fn answer(
-        &mut self,
-        store: &LabelStore,
-        efs: &EliminatedFaultSet,
-        s: VertexId,
-        t: VertexId,
-    ) -> GroupQueryResult {
-        let s_anc = vertex_anc(store, s)?;
-        let t_anc = vertex_anc(store, t)?;
-        Ok(efs
-            .separating_generator_anc(&s_anc, &t_anc, &mut self.diff)
-            .is_none())
     }
 }
 
@@ -390,14 +369,13 @@ impl Engine {
         self.core.cache.hits()
     }
 
-    /// Serves pre-grouped fault-set batches into a caller-owned response —
-    /// the engine's one call, and the shape `ftl-server` builds
-    /// after grouping cross-connection traffic by canonical fault-set hash.
+    /// Serves fault-set batches into a caller-owned response — the
+    /// engine's one call; `ftl-server` makes it once per request.
     ///
     /// Each group pays one elimination (or cache hit) and runs under
-    /// `catch_unwind`; failures are isolated per group and per query (see
+    /// `catch_unwind`; failures are isolated per group (see
     /// [`GroupedResponse`]), so the call itself never fails. `out` is
-    /// cleared and refilled: the per-query vectors of its `Ok` groups are
+    /// cleared and refilled: the answer vectors of its `Ok` groups are
     /// reused, so a warmed, cache-hot serving loop performs zero heap
     /// allocations (asserted by the counting-allocator test
     /// `alloc_free.rs`).

@@ -10,7 +10,7 @@
 //!   records ([`ftl_labels::wire`]) enter only through the builder's
 //!   import, which refuses what it cannot place.
 //! * [`batch`] — queries arrive grouped by fault set ([`FaultSetBatch`]).
-//!   Each distinct fault set pays **one** elimination of its store
+//!   Each fault set pays **one** elimination of its store
 //!   columns by the cycle-space decoder ([`ftl_cycle_space::batch`]), which
 //!   yields the null-space generators of its `φ` columns; every query is
 //!   then a handful of ancestry checks plus one AND-popcount parity test
@@ -32,7 +32,8 @@
 //!
 //! The failure-mode catalogue (epoch swaps mid-batch, contained panics,
 //! corrupted labels) is `docs/robustness.md`; the network front end that
-//! feeds this engine batched queries is documented in `docs/serving.md`.
+//! feeds this engine one request per call is documented in
+//! `docs/serving.md`.
 
 #![forbid(unsafe_code)]
 
@@ -44,11 +45,11 @@ pub mod inject;
 pub mod scenario;
 pub mod store;
 
-pub use batch::{canonical_fault_hash, EliminatedFaultSet};
+pub use batch::EliminatedFaultSet;
 pub use cache::LruCache;
 pub use engine::{
     store_from_cycle_space, BatchStats, Engine, EngineConfig, EngineError, FaultSetBatch,
-    GroupQueryResult, GroupResult, GroupedResponse,
+    GroupResult, GroupedResponse,
 };
 pub use epoch::{full_store_of, Epoch, EpochStore, LiveStore, SwapMetrics, SwapPath, SwapReport};
 pub use ftl_cycle_space::EliminationScratch;

@@ -974,13 +974,15 @@ mod tests {
             resp.groups[0]
         );
         // An empty fault set resolves, so the failure moves to the query:
-        // its endpoints are absent too. No answer, no panic.
-        let answers = resp.groups[1].as_ref().expect("empty fault set resolves");
-        assert_eq!(answers.len(), 1);
+        // its endpoints are absent too, which fails that group. No answer,
+        // no panic.
         assert!(
-            matches!(answers[0], Err(EngineError::Store(StoreError::Missing(_)))),
+            matches!(
+                resp.groups[1],
+                Err(EngineError::Store(StoreError::Missing(_)))
+            ),
             "{:?}",
-            answers[0]
+            resp.groups[1]
         );
     }
 

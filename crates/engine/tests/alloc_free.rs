@@ -1,15 +1,15 @@
 //! The serving path's no-allocation promise, checked at run time: a
 //! counting global allocator proves that a warmed-up serving loop — the
-//! one `ftl-server`'s executors run: an epoch-following engine, cache-hot
-//! fault sets, sidecar-served lookups, a reused [`GroupedResponse`] via
-//! [`Engine::execute_grouped_into`] — performs **zero** heap allocations
-//! per call. docs/static-analysis.md maps each function the promise
+//! one `ftl-server`'s executors run: an epoch-following engine, one
+//! [`Engine::execute_grouped_into`] call per request over a reused
+//! [`FaultSetBatch`] and [`GroupedResponse`], cache-hot fault sets,
+//! sidecar-served lookups — performs **zero** heap allocations per call. docs/static-analysis.md maps each function the promise
 //! covers to the test here that reaches it.
 //!
 //! The measured loop runs with `ftl-obs` instrumentation **enabled** (the
 //! default feature set) and does what a server executor does after each
 //! call, through the server's own registry ([`ServerStats`]): it folds in
-//! the engine call's stats, the window and each group's served answers,
+//! the engine call's stats, the request's served answers and the window,
 //! under a live [`ftl_obs::Span`] — so the zero-allocation claim covers
 //! the observability layer and the server's recording code, not just the
 //! engine.
@@ -35,7 +35,8 @@
 
 use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
-    EliminatedFaultSet, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
+    EliminatedFaultSet, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupResult,
+    GroupedResponse,
 };
 use ftl_gf2::{BitMatrix, BitVec};
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
@@ -85,6 +86,32 @@ fn alloc_count() -> usize {
     ALLOCS.with(Cell::get)
 }
 
+/// One window the way a server executor runs it: one engine call per
+/// request, over a kept `batch` refilled from the request, then the
+/// call's counters and stage samples and the request's answers as served
+/// (per-tenant counters and latency) through the server's registry, and
+/// the window once. `seen` gets each request's outcome.
+fn serve_window(
+    engine: &mut Engine,
+    batch: &mut FaultSetBatch,
+    resp: &mut GroupedResponse,
+    window: &[FaultSetBatch],
+    stats: &ServerStats,
+    seen: &mut dyn FnMut(usize, Option<&GroupResult>),
+) {
+    for (i, request) in window.iter().enumerate() {
+        batch.faults.clone_from(&request.faults);
+        batch.queries.clone_from(&request.queries);
+        let t0 = std::time::Instant::now();
+        engine.execute_grouped_into(std::slice::from_ref(batch), resp);
+        let call_ns = t0.elapsed().as_nanos() as u64;
+        stats.record_engine(&resp.stats, call_ns);
+        stats.record_ok(0, request.queries.len(), call_ns);
+        seen(i, resp.groups.first());
+    }
+    stats.record_batch();
+}
+
 #[test]
 fn warmed_sidecar_batch_allocates_nothing() {
     // A grid big enough to have interesting fault sets, small enough that
@@ -96,24 +123,25 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let store = ftl_engine::store_from_cycle_space(&scheme, config.num_shards).unwrap();
     let epochs = std::sync::Arc::new(EpochStore::new(std::sync::Arc::new(store)));
     let mut engine = Engine::over_epochs(std::sync::Arc::clone(&epochs), config);
+    let stats = ServerStats::new(epochs);
 
-    // A window of groups with a spread of endpoints; two groups name the
-    // same canonical fault set in different orders, as two requests may.
-    // The second cuts off corner vertex 0 (edges 0 and 1), so its
+    // A window of requests with a spread of endpoints; two requests name
+    // the same canonical fault set in different orders, as two clients
+    // may. The second cuts off corner vertex 0 (edges 0 and 1), so its
     // null-space generator puts the per-query parity test in the loop.
     let fault_sets: Vec<Vec<EdgeId>> = vec![
         vec![EdgeId::new(0), EdgeId::new(7)],
         vec![EdgeId::new(0), EdgeId::new(1), EdgeId::new(19)],
         vec![EdgeId::new(7), EdgeId::new(0)],
     ];
-    let groups: Vec<FaultSetBatch> = fault_sets
+    let window: Vec<FaultSetBatch> = fault_sets
         .into_iter()
         .enumerate()
-        .map(|(gi, faults)| FaultSetBatch {
+        .map(|(ri, faults)| FaultSetBatch {
             faults,
             queries: (0..8)
                 .map(|i| {
-                    let i = gi * 8 + i;
+                    let i = ri * 8 + i;
                     (
                         VertexId::new(i % g.num_vertices()),
                         VertexId::new((i * 5 + 1) % g.num_vertices()),
@@ -123,64 +151,73 @@ fn warmed_sidecar_batch_allocates_nothing() {
         })
         .collect();
 
-    // Warm up: the first call eliminates both distinct fault sets
-    // (allocates: basis vectors, cache entries), grows the response to the
-    // high-water mark, and touches every scratch arena.
-    let mut resp = GroupedResponse::default();
+    // Warm up: the first window eliminates both distinct fault sets
+    // (allocates: basis vectors, cache entries), grows the batch and the
+    // response to their high-water marks, touches every scratch arena and
+    // allocates the tenant's counters. The last warm window keeps each
+    // request's answers.
+    let (mut batch, mut resp) = (FaultSetBatch::default(), GroupedResponse::default());
+    let mut expected = vec![Vec::new(); window.len()];
     for _ in 0..3 {
-        engine.execute_grouped_into(&groups, &mut resp);
+        serve_window(
+            &mut engine,
+            &mut batch,
+            &mut resp,
+            &window,
+            &stats,
+            &mut |i, answers| expected[i] = answers.unwrap().clone().unwrap(),
+        );
     }
-    assert_eq!(resp.stats.queries, 24);
-    assert_eq!(resp.stats.cache_hits, groups.len(), "warm cache");
-    assert!(resp.groups.iter().all(|g| g.is_ok()));
-    let expected = resp.groups.clone();
+    assert_eq!(resp.stats.cache_hits, 1, "warm cache");
+    assert!(expected.iter().all(|a| a.len() == 8));
 
-    // The measured calls: cache-hot, sidecar-served, response reused —
-    // and instrumented. The engine records nothing itself; like a server
-    // executor, the loop times each call and records through the server's
-    // registry: the engine call's counters and stage samples, the window,
-    // and each group's answers as served (per-tenant counters and
-    // latency), under a live span.
-    let stats = ServerStats::new(epochs);
-    let record_window = |resp: &GroupedResponse, call_ns: u64| {
-        stats.record_engine(&resp.stats, call_ns);
-        for g in &groups {
-            stats.record_ok(0, g.queries.len(), call_ns);
-        }
-        stats.record_batch(groups.len());
-    };
+    // The measured windows: cache-hot, sidecar-served, batch and response
+    // reused — and instrumented, under a live span. The engine records
+    // nothing itself; like a server executor, the loop times each call
+    // and records through the server's registry.
     let stages = ftl_obs::StageSet::new();
-    // Warm up the recording too: a tenant's first request allocates its
-    // counters.
-    record_window(&resp, 0);
+    let mut wrong = 0;
     let before = alloc_count();
     for _ in 0..10 {
         let _span = ftl_obs::Span::enter(&stages, ftl_obs::Stage::ResponseWrite);
         let t0 = std::time::Instant::now();
-        engine.execute_grouped_into(&groups, &mut resp);
-        let call_ns = t0.elapsed().as_nanos() as u64;
-        record_window(&resp, call_ns);
-        stages.record(ftl_obs::Stage::WindowWait, call_ns);
+        serve_window(
+            &mut engine,
+            &mut batch,
+            &mut resp,
+            &window,
+            &stats,
+            &mut |i, answers| {
+                if !matches!(answers, Some(Ok(a)) if Some(a) == expected.get(i)) {
+                    wrong += 1;
+                }
+            },
+        );
+        stages.record(ftl_obs::Stage::WindowWait, t0.elapsed().as_nanos() as u64);
     }
     let delta = alloc_count() - before;
     assert_eq!(
         delta, 0,
-        "warmed-up execute_grouped_into allocated {delta} time(s) across 10 calls — \
-         the zero-alloc serving loop regressed"
+        "warmed-up per-request execute_grouped_into allocated {delta} time(s) across \
+         10 windows — the zero-alloc serving loop regressed"
     );
-    assert_eq!(resp.groups, expected, "reused response must stay correct");
+    assert_eq!(wrong, 0, "reused batch and response must stay correct");
     // The records landed: the loop really exercised the obs primitives.
+    let (windows, requests) = (13, 13 * window.len() as u64);
     let snap = stats.snapshot();
-    assert_eq!(snap.queries, 11 * 24);
-    assert_eq!(snap.requests, 11 * groups.len() as u64);
-    assert_eq!(snap.batches, 11);
+    assert_eq!(snap.queries, requests * 8);
+    assert_eq!(snap.requests, requests);
+    assert_eq!(snap.batches, windows);
+    assert_eq!(snap.groups, requests, "one fault set resolved per request");
     assert_eq!(snap.tenants.len(), 1);
     assert_eq!(stages.get(ftl_obs::Stage::ResponseWrite).count(), 10);
     assert_eq!(stages.get(ftl_obs::Stage::WindowWait).count(), 10);
     let scrape = stats.render_text();
     for line in [
-        "ftl_engine_queries_total 264\n".to_string(),
-        format!("ftl_engine_cache_hits_total {}\n", 11 * groups.len()),
+        format!("ftl_engine_queries_total {}\n", requests * 8),
+        // The set named in two orders is eliminated once, like the other.
+        "ftl_engine_eliminations_total 2\n".to_string(),
+        format!("ftl_engine_cache_hits_total {}\n", requests - 2),
         format!("ftl_epoch_pinned {}\n", resp.stats.epoch),
     ] {
         assert!(scrape.contains(&line), "{line:?} not in:\n{scrape}");

@@ -94,14 +94,7 @@ fn random_groups(
 fn answers(resp: &GroupedResponse) -> Vec<Vec<bool>> {
     resp.groups
         .iter()
-        .map(|group| {
-            group
-                .as_ref()
-                .unwrap()
-                .iter()
-                .map(|q| *q.as_ref().unwrap())
-                .collect()
-        })
+        .map(|group| group.as_ref().unwrap().clone())
         .collect()
 }
 
@@ -431,7 +424,7 @@ fn unreferenced_bad_fault_set_rejected_by_both_engines() {
             queries: Vec::new(),
         },
     ]);
-    assert_eq!(grouped.groups[0], Ok(vec![Ok(true)]));
+    assert_eq!(grouped.groups[0], Ok(vec![true]));
     assert_eq!(
         grouped.groups[1],
         Err(EngineError::Store(StoreError::Missing(StoreKey::edge(

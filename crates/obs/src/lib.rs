@@ -67,8 +67,9 @@ pub enum Stage {
     Elimination,
     /// Per-query answer time: one engine call's wall time minus the
     /// eliminations it ran, divided by the queries it answered. Recorded
-    /// once per fault-set group, weighted by that group's query count
-    /// (one sample per query), so it excludes what `Elimination` counts.
+    /// once per engine call (one per request), weighted by its query
+    /// count (one sample per query), so it excludes what `Elimination`
+    /// counts.
     Answer,
     /// Writing one response frame through the connection's writer slot.
     ResponseWrite,

@@ -122,12 +122,9 @@ impl FtRoutingScheme {
                         .map(|v| codec.encode(routing.label(v)))
                         .collect(),
                 };
-                let mut sp = SketchParams::for_graph(local)
+                let sp = SketchParams::for_graph(local)
                     .with_aux_bits(codec.bits())
                     .with_units(params.units.unwrap_or(16));
-                if let Some(u) = params.units {
-                    sp = sp.with_units(u);
-                }
                 let tree_seed = seed.derive(((i as u64) << 24) | j as u64);
                 let sid = tree_seed.derive(0x1D);
                 let copies: Vec<SketchScheme> = (0..=params.f)

@@ -21,6 +21,7 @@ use ftl_server::{
     LoadgenConfig,
 };
 use std::net::ToSocketAddrs;
+use std::time::Duration;
 
 struct Args {
     addr: String,
@@ -28,15 +29,8 @@ struct Args {
     seed: u64,
     fault_sets: usize,
     faults_per_set: usize,
-    clients: usize,
-    requests: usize,
-    queries: usize,
-    loadgen_seed: u64,
+    load: LoadgenConfig,
     scrape_delay_ms: u64,
-    ttl_ms: u32,
-    max_retries: usize,
-    request_timeout_ms: u64,
-    run_deadline_secs: u64,
 }
 
 impl Default for Args {
@@ -47,15 +41,11 @@ impl Default for Args {
             seed: 1,
             fault_sets: 8,
             faults_per_set: 4,
-            clients: 64,
-            requests: 32,
-            queries: 16,
-            loadgen_seed: 1,
+            load: LoadgenConfig {
+                clients: 64,
+                ..LoadgenConfig::default()
+            },
             scrape_delay_ms: 0,
-            ttl_ms: 0,
-            max_retries: 10_000,
-            request_timeout_ms: 10_000,
-            run_deadline_secs: 0,
         }
     }
 }
@@ -71,18 +61,20 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--fault-sets" => args.fault_sets = parse(&value("--fault-sets")?)?,
             "--faults-per-set" => args.faults_per_set = parse(&value("--faults-per-set")?)?,
-            "--clients" => args.clients = parse(&value("--clients")?)?,
-            "--requests" => args.requests = parse(&value("--requests")?)?,
-            "--queries" => args.queries = parse(&value("--queries")?)?,
-            "--loadgen-seed" => args.loadgen_seed = parse(&value("--loadgen-seed")?)?,
+            "--clients" => args.load.clients = parse(&value("--clients")?)?,
+            "--requests" => args.load.requests_per_client = parse(&value("--requests")?)?,
+            "--queries" => args.load.queries_per_request = parse(&value("--queries")?)?,
+            "--loadgen-seed" => args.load.seed = parse(&value("--loadgen-seed")?)?,
             "--scrape-delay-ms" => args.scrape_delay_ms = parse(&value("--scrape-delay-ms")?)?,
-            "--ttl-ms" => args.ttl_ms = parse(&value("--ttl-ms")?)?,
-            "--max-retries" => args.max_retries = parse(&value("--max-retries")?)?,
+            "--ttl-ms" => args.load.ttl_ms = parse(&value("--ttl-ms")?)?,
+            "--max-retries" => args.load.max_busy_retries = parse(&value("--max-retries")?)?,
             "--request-timeout-ms" => {
-                args.request_timeout_ms = parse(&value("--request-timeout-ms")?)?;
+                args.load.request_timeout =
+                    Duration::from_millis(parse(&value("--request-timeout-ms")?)?);
             }
             "--run-deadline-secs" => {
-                args.run_deadline_secs = parse(&value("--run-deadline-secs")?)?;
+                args.load.run_deadline =
+                    Duration::from_secs(parse(&value("--run-deadline-secs")?)?);
             }
             "--help" | "-h" => {
                 println!(
@@ -129,36 +121,22 @@ fn run() -> Result<Outcome, String> {
         g.num_edges(),
         sets.len(),
         args.faults_per_set,
-        args.clients,
-        args.requests,
-        args.queries
+        args.load.clients,
+        args.load.requests_per_client,
+        args.load.queries_per_request
     );
     // Mid-run scrape: a thread waits out the delay, then pulls the
     // metrics exposition over the wire while the clients are still
     // hammering — the table below is what the server looked like *under*
     // load, not after the fact.
     let scraper = (args.scrape_delay_ms > 0).then(|| {
-        let delay = std::time::Duration::from_millis(args.scrape_delay_ms);
+        let delay = Duration::from_millis(args.scrape_delay_ms);
         std::thread::spawn(move || {
             std::thread::sleep(delay);
             scrape_metrics(addr)
         })
     });
-    let report = run_loadgen(
-        addr,
-        &g,
-        &sets,
-        LoadgenConfig {
-            clients: args.clients,
-            requests_per_client: args.requests,
-            queries_per_request: args.queries,
-            seed: args.loadgen_seed,
-            ttl_ms: args.ttl_ms,
-            max_busy_retries: args.max_retries,
-            request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
-            run_deadline: std::time::Duration::from_secs(args.run_deadline_secs),
-        },
-    );
+    let report = run_loadgen(addr, &g, &sets, args.load);
     let scrape = scraper.map(|j| match j.join() {
         Ok(Ok(text)) => Ok(text),
         Ok(Err(e)) => Err(format!("scrape failed: {e}")),
@@ -193,7 +171,7 @@ fn run() -> Result<Outcome, String> {
         Some(Err(e)) => eprintln!("ftl-loadgen: {e}"),
         None => {}
     }
-    let expected = (args.clients * args.requests) as u64;
+    let expected = (args.load.clients * args.load.requests_per_client) as u64;
     Ok(if report.timed_out {
         Outcome::TimedOut
     } else if report.mismatches > 0 {

@@ -5,8 +5,8 @@
 //! language (`--graph grid:32x32 --seed 1` must match on both sides; see
 //! `ftl_server::spec`). Labels are built once at startup, frozen into a
 //! store of decoded label columns, and published as epoch 1 of an
-//! `EpochStore` — each accumulation window pins whatever epoch is current
-//! when it executes.
+//! `EpochStore` — each request's engine call pins whatever epoch is
+//! current when it runs.
 //!
 //! ```text
 //! ftl-serve --addr 127.0.0.1:7411 --graph er:1024:8 --seed 1 --duration-secs 30
@@ -25,11 +25,8 @@ struct Args {
     graph: String,
     seed: u64,
     width: usize,
-    shards: usize,
-    executors: usize,
-    window_us: u64,
-    budget: usize,
-    watchdog_ms: u64,
+    engine: EngineConfig,
+    server: ServerConfig,
     duration_secs: u64,
     stats_interval: u64,
 }
@@ -41,11 +38,16 @@ impl Default for Args {
             graph: "grid:32x32".to_string(),
             seed: 1,
             width: 8,
-            shards: 16,
-            executors: 2,
-            window_us: 500,
-            budget: 1 << 16,
-            watchdog_ms: 8,
+            engine: EngineConfig::default(),
+            server: ServerConfig {
+                // The library leaves the watchdog off, for embedders that
+                // schedule their own clients; a standalone server faces
+                // clients it does not know, and one that stops reading can
+                // park every executor, so it arms the watchdog well above
+                // any healthy queueing delay.
+                watchdog_after: Duration::from_millis(8),
+                ..ServerConfig::default()
+            },
             duration_secs: 10,
             stats_interval: 0,
         }
@@ -62,11 +64,16 @@ fn parse_args() -> Result<Args, String> {
             "--graph" => args.graph = value("--graph")?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--width" => args.width = parse(&value("--width")?)?,
-            "--shards" => args.shards = parse(&value("--shards")?)?,
-            "--executors" => args.executors = parse(&value("--executors")?)?,
-            "--window-us" => args.window_us = parse(&value("--window-us")?)?,
-            "--budget" => args.budget = parse(&value("--budget")?)?,
-            "--watchdog-ms" => args.watchdog_ms = parse(&value("--watchdog-ms")?)?,
+            "--shards" => args.engine.num_shards = parse(&value("--shards")?)?,
+            "--executors" => args.server.executors = parse(&value("--executors")?)?,
+            "--window-us" => {
+                args.server.window = Duration::from_micros(parse(&value("--window-us")?)?);
+            }
+            "--budget" => args.server.pending_budget = parse(&value("--budget")?)?,
+            "--watchdog-ms" => {
+                args.server.watchdog_after =
+                    Duration::from_millis(parse(&value("--watchdog-ms")?)?);
+            }
             "--duration-secs" => args.duration_secs = parse(&value("--duration-secs")?)?,
             "--stats-interval" => args.stats_interval = parse(&value("--stats-interval")?)?,
             "--help" | "-h" => {
@@ -106,8 +113,8 @@ fn run() -> Result<(), String> {
     let t0 = Instant::now();
     let scheme = CycleSpaceScheme::label(&g, args.width, Seed::new(args.seed))
         .map_err(|e| format!("labeling failed: {e}"))?;
-    let store =
-        store_from_cycle_space(&scheme, args.shards).map_err(|e| format!("freeze failed: {e}"))?;
+    let store = store_from_cycle_space(&scheme, args.engine.num_shards)
+        .map_err(|e| format!("freeze failed: {e}"))?;
     println!(
         "labeled + frozen in {:.1} ms ({} records, {} column bytes, {} shards)",
         t0.elapsed().as_secs_f64() * 1e3,
@@ -117,26 +124,14 @@ fn run() -> Result<(), String> {
     );
 
     let epochs = Arc::new(EpochStore::new(Arc::new(store)));
-    let server_config = ServerConfig {
-        executors: args.executors,
-        window: Duration::from_micros(args.window_us),
-        pending_budget: args.budget,
-        watchdog_after: Duration::from_millis(args.watchdog_ms),
-        ..ServerConfig::default()
-    };
-    let handle = Server::spawn(
-        epochs,
-        EngineConfig::default(),
-        server_config,
-        args.addr.as_str(),
-    )
-    .map_err(|e| format!("bind {} failed: {e}", args.addr))?;
+    let handle = Server::spawn(epochs, args.engine, args.server, args.addr.as_str())
+        .map_err(|e| format!("bind {} failed: {e}", args.addr))?;
     println!(
         "serving on {} — {} executors, {}us window, budget {}",
         handle.local_addr(),
-        args.executors,
-        args.window_us,
-        args.budget
+        args.server.executors,
+        args.server.window.as_micros(),
+        args.server.pending_budget
     );
 
     // Optional periodic metrics dump: a scoped thread prints the same
@@ -178,12 +173,11 @@ fn run() -> Result<(), String> {
     println!("draining...");
     let stats = handle.shutdown();
     println!(
-        "served {} requests / {} queries in {} windows ({} fault-set groups); \
+        "served {} requests / {} queries in {} windows; \
          {} busy rejects, {} engine errors, {} frame errors, {} connections",
         stats.requests,
         stats.queries,
         stats.batches,
-        stats.groups,
         stats.rejects,
         stats.engine_errors,
         stats.frame_errors,

@@ -417,8 +417,9 @@ pub enum ResponseStatus {
         /// The configured budget.
         budget: u32,
     },
-    /// The engine could not serve the request's group (bad fault set or a
-    /// contained worker panic). Nothing partial is returned.
+    /// The engine could not serve the request (a bad fault set, a bad
+    /// vertex id or a contained worker panic). Nothing partial is
+    /// returned.
     EngineFailed,
     /// The server is draining; no new work is accepted.
     ShuttingDown,

@@ -1,13 +1,15 @@
 //! `ftl-server` — the batched TCP serving front end.
 //!
 //! The engine answers fault-tolerant connectivity queries in batches; this
-//! crate puts a socket in front of it. The design goal is
-//! **cross-connection batching**: many clients ask about a few distinct
-//! fault sets (faults change rarely, queries arrive constantly), so the
-//! server collects queries from *all* connections in a short accumulation
-//! window, groups them by canonical fault-set hash, and executes each
-//! group once on the engine — one GF(2) elimination per distinct fault
-//! set per window, no matter how many connections share it.
+//! crate puts a socket in front of it. Many clients ask about a few
+//! distinct fault sets (faults change rarely, queries arrive constantly).
+//! The server collects requests from *all* connections in a short
+//! accumulation window and answers each with one engine call; the
+//! engine's elimination cache, keyed by the canonical fault set, makes
+//! every request after the first that names a set cost an `Arc` clone
+//! instead of a GF(2) elimination, however the set is ordered and
+//! whichever connection sent it. The window's own job is the write: each
+//! connection gets its answers in one coalesced write per window.
 //!
 //! The protocol and request lifecycle are specified in `docs/serving.md`;
 //! the failure-mode catalogue lives in `docs/robustness.md`. In short:
@@ -22,8 +24,8 @@
 //!   accumulation-window batcher with a bounded
 //!   pending-query budget (admission control answers `ServerBusy` instead
 //!   of queueing unboundedly), and executor threads that pin an epoch per
-//!   fault-set group via `over_epochs` engines and answer each connection
-//!   with one coalesced write per window. Shutdown drains in-flight
+//!   request via `over_epochs` engines and answer each connection with
+//!   one coalesced write per window. Shutdown drains in-flight
 //!   windows before the executors exit.
 //! * [`stats`] — per-tenant counters (requests, queries, rejects) with
 //!   nearest-rank p50/p99 service latency, plus server-wide batch and

@@ -5,7 +5,7 @@
 //! [`ConnectivityOracle`] — plain BFS connected components on `G \ F` —
 //! so a loadgen run is simultaneously a throughput measurement and an
 //! end-to-end correctness audit of the whole stack (framing, batching,
-//! grouping, demux, engine, labels). Each worker drives a
+//! the elimination cache, engine, labels). Each worker drives a
 //! [`ResilientClient`], so `ServerBusy` and `DeadlineExceeded` answers
 //! are retried with capped jittered backoff, I/O errors reconnect, and
 //! every retry/reconnect is counted — never silently dropped.

@@ -12,10 +12,10 @@
 //!                         │ take window
 //!                         ▼
 //!                      executor (config.executors threads)
-//!                         │ group by canonical fault-set hash
-//!                         │ Engine::execute_grouped_into per group
-//!                         │ (epoch-pinned) → outbox: one run of frames
-//!                         │ per connection
+//!                         │ Engine::execute_grouped_into per request
+//!                         │ (epoch-pinned; the engine's elimination
+//!                         │ cache shares a fault set across requests)
+//!                         │ → outbox: one run of frames per connection
 //!                         ▼
 //!                      each request's ConnWriter ──▶ one write per
 //!                                   connection per window (more when the
@@ -35,7 +35,7 @@
 //! closed, socket shut down — instead of parking the executor. Shutdown
 //! is graceful by construction: stop flag → acceptor joins every reader
 //! (no further submissions) → batcher closes → executors drain every
-//! queued window on the epochs its groups pin → handle joins the
+//! queued window on the epochs its engine calls pin → handle joins the
 //! executors.
 
 use crate::batcher::{Batcher, Pending, Refused, SubmitError};
@@ -45,12 +45,9 @@ use crate::frame::{
     QueryRequestFrame, QueryResponseFrame, ResponseStatus, MAX_FRAME_BYTES_DEFAULT,
 };
 use crate::stats::{DropReason, ServerStats, StatsSnapshot};
-use ftl_engine::{
-    canonical_fault_hash, Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse,
-};
+use ftl_engine::{Engine, EngineConfig, EpochStore, FaultSetBatch, GroupedResponse};
 use ftl_labels::wire::{LabelKind, WireError, WireLabel};
 use ftl_obs::{Span, Stage};
-use ftl_seeded::DetHashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,6 +145,7 @@ impl Server {
                 .name(format!("ftl-exec-{i}"))
                 .spawn(move || {
                     let mut engine = Engine::over_epochs(epochs, engine_config);
+                    let mut batch = FaultSetBatch::default();
                     let mut resp = GroupedResponse::default();
                     let mut outbox = Outbox::default();
                     let sink = Sink {
@@ -157,6 +155,7 @@ impl Server {
                     while let Some(window) = batcher.next_window() {
                         execute_window(
                             &mut engine,
+                            &mut batch,
                             &mut resp,
                             &mut outbox,
                             &window,
@@ -466,19 +465,21 @@ impl Admit<'_> {
     }
 }
 
-/// Executes one accumulation window: group by canonical fault-set hash,
-/// run the engine once per distinct fault set (into the executor's reused
-/// response), and answer every request into the executor's outbox, which
-/// the caller flushes — one write per connection in the window.
+/// Executes one accumulation window: one engine call per request, over
+/// the executor's `batch` refilled from the request and into its reused
+/// response, and every answer into the executor's outbox, which the caller
+/// flushes — one write per connection in the window. Requests naming the
+/// same fault set share its elimination through the engine's cache.
 ///
 /// An answer never waits behind more than `flush_after` (the accumulation
-/// window) of further engine work: when the groups take longer than that
+/// window) of further engine work: when the calls take longer than that
 /// (cold fault sets, each a full elimination), the outbox is flushed
-/// between groups. Clients then see their answers — and send their next
+/// between calls. Clients then see their answers — and send their next
 /// requests, which another executor can take — while this window is still
 /// executing, instead of all at once at its end.
 fn execute_window(
     engine: &mut Engine,
+    batch: &mut FaultSetBatch,
     resp: &mut GroupedResponse,
     outbox: &mut Outbox,
     window: &[Pending],
@@ -492,82 +493,43 @@ fn execute_window(
             .stages
             .record(Stage::WindowWait, p.enqueued.elapsed().as_nanos() as u64);
     }
-    // Expired requests are answered *before* grouping: a request whose
-    // caller stopped waiting must not cost an elimination, and must not
-    // widen a shared group's fault set for the live requests batched with
-    // it.
+    // Expired requests are answered first: a request whose caller stopped
+    // waiting must not cost an elimination.
     let now = Instant::now();
     for p in window.iter().filter(|p| p.expired_at(now)) {
         stats.record_deadline_drop();
         outbox.reply(p, 0, ResponseStatus::DeadlineExceeded);
     }
-    let mut by_hash: DetHashMap<u64, usize> = DetHashMap::default();
-    let mut groups: Vec<FaultSetBatch> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (i, p) in window.iter().enumerate() {
-        if p.expired_at(now) {
-            continue;
-        }
-        let hash = canonical_fault_hash(&p.faults);
-        // A canonical-hash collision between *different* fault sets must
-        // not merge them; such a request gets its own unregistered group.
-        let gi = match by_hash.get(&hash) {
-            Some(&gi) if groups.get(gi).is_some_and(|g| g.faults == p.faults) => gi,
-            Some(_) => fresh_group(&mut groups, &mut members, p),
-            None => {
-                let gi = fresh_group(&mut groups, &mut members, p);
-                by_hash.insert(hash, gi);
-                gi
-            }
-        };
-        if let (Some(g), Some(m)) = (groups.get_mut(gi), members.get_mut(gi)) {
-            g.queries.extend(p.queries.iter().copied());
-            m.push(i);
-        }
-    }
     // With every request expired there is nothing to execute, only the
     // expiries to send.
-    if groups.is_empty() {
+    if window.iter().all(|p| p.expired_at(now)) {
         return;
     }
 
     let mut last_flush = Instant::now();
-    for (group, member_idxs) in groups.iter().zip(&members) {
-        // One group per call: each group's answers come back on the epoch
-        // that call pinned, stamped in its responses.
+    for p in window.iter().filter(|p| !p.expired_at(now)) {
+        batch.faults.clone_from(&p.faults);
+        batch.queries.clone_from(&p.queries);
+        // One request per call: its answers come back on the epoch that
+        // call pinned, stamped in its response, and a bad vertex id or a
+        // contained panic fails this request alone.
         let call_t0 = Instant::now();
-        engine.execute_grouped_into(std::slice::from_ref(group), resp);
+        engine.execute_grouped_into(std::slice::from_ref(batch), resp);
         stats.record_engine(&resp.stats, call_t0.elapsed().as_nanos() as u64);
-        let (epoch, result) = (resp.stats.epoch, resp.groups.first());
-        let mut cursor = 0usize;
-        for &wi in member_idxs {
-            let Some(p) = window.get(wi) else { continue };
-            let n = p.queries.len();
-            let slice = result
-                .and_then(|r| r.as_ref().ok())
-                .and_then(|a| a.get(cursor..cursor + n));
-            cursor += n;
-            // Per-query isolation: a request fails alone if any of *its
-            // own* queries errored (out-of-range vertex id); co-batched
-            // requests sharing the fault set keep their answers. A failed
-            // group fails all its members.
-            let status = match slice {
-                Some(rs) if rs.iter().all(|r| r.is_ok()) => {
-                    ResponseStatus::Ok(rs.iter().map(|r| *r == Ok(true)).collect())
-                }
-                _ => {
-                    stats.record_engine_error();
-                    ResponseStatus::EngineFailed
-                }
-            };
-            outbox.reply(p, epoch, status);
-        }
+        let status = match resp.groups.first() {
+            Some(Ok(answers)) => ResponseStatus::Ok(answers.clone()),
+            _ => {
+                stats.record_engine_error();
+                ResponseStatus::EngineFailed
+            }
+        };
+        outbox.reply(p, resp.stats.epoch, status);
         if last_flush.elapsed() >= flush_after {
             outbox.flush(sink);
             last_flush = Instant::now();
         }
     }
-    stats.record_batch(groups.len());
+    stats.record_batch();
 }
 
 /// Bytes of encoded responses a write buffer (an executor's outbox, a
@@ -744,17 +706,4 @@ fn watchdog_loop(stop: &AtomicBool, batcher: &Batcher, stats: &ServerStats, conf
         }
         outbox.flush(&sink);
     }
-}
-
-fn fresh_group(
-    groups: &mut Vec<FaultSetBatch>,
-    members: &mut Vec<Vec<usize>>,
-    p: &Pending,
-) -> usize {
-    groups.push(FaultSetBatch {
-        faults: p.faults.clone(),
-        queries: Vec::new(),
-    });
-    members.push(Vec::new());
-    groups.len() - 1
 }

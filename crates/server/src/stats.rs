@@ -99,8 +99,9 @@ pub struct TenantSnapshot {
 pub struct StatsSnapshot {
     /// Accumulation windows executed.
     pub batches: u64,
-    /// Fault-set groups executed across those windows (`batches <=
-    /// groups <= requests` when batching is working).
+    /// Fault sets the engine resolved, one per request that reached it:
+    /// its eliminations plus its elimination-cache hits
+    /// (`ftl_engine_eliminations_total + ftl_engine_cache_hits_total`).
     pub groups: u64,
     /// Queries answered `Ok` (answer written), all tenants.
     pub queries: u64,
@@ -160,7 +161,6 @@ pub struct ServerStats {
     /// Per-stage wall-clock histograms of this server's pipeline.
     pub(crate) stages: StageSet,
     batches: Counter,
-    groups: Counter,
     queries: Counter,
     requests: Counter,
     rejects: Counter,
@@ -187,7 +187,6 @@ impl ServerStats {
             epochs,
             stages: StageSet::new(),
             batches: Counter::new(),
-            groups: Counter::new(),
             queries: Counter::new(),
             requests: Counter::new(),
             rejects: Counter::new(),
@@ -225,17 +224,15 @@ impl ServerStats {
         self.tenants.with(|t| t.counters(tenant).rejects.inc());
     }
 
-    /// Records one executed accumulation window of `groups` fault-set
-    /// groups.
-    pub fn record_batch(&self, groups: usize) {
+    /// Records one executed accumulation window.
+    pub fn record_batch(&self) {
         self.batches.inc();
-        self.groups.add(groups as u64);
     }
 
     /// Folds in what one engine call did, given its wall time `call_ns`:
     /// its query and cache counters, one `elimination` stage sample per
     /// elimination (the call's elimination time split evenly; the
-    /// executor runs one group per call, so there is at most one), one
+    /// executor runs one request per call, so there is at most one), one
     /// `answer` sample per answered query (the rest of the call's time
     /// split evenly), and the epoch it pinned.
     pub fn record_engine(&self, call: &BatchStats, call_ns: u64) {
@@ -253,7 +250,7 @@ impl ServerStats {
         self.epoch_pinned.set(call.epoch);
     }
 
-    /// Records a request whose group failed in the engine.
+    /// Records a request whose engine call failed.
     pub fn record_engine_error(&self) {
         self.engine_errors.inc();
     }
@@ -302,7 +299,7 @@ impl ServerStats {
         tenants.sort_by_key(|t| t.tenant);
         StatsSnapshot {
             batches: self.batches.get(),
-            groups: self.groups.get(),
+            groups: self.engine_eliminations.get() + self.engine_cache_hits.get(),
             queries: self.queries.get(),
             requests: self.requests.get(),
             rejects: self.rejects.get(),
@@ -330,7 +327,6 @@ impl ServerStats {
     pub fn render_text(&self) -> String {
         let totals = [
             ("ftl_server_batches_total", &self.batches),
-            ("ftl_server_groups_total", &self.groups),
             ("ftl_server_requests_total", &self.requests),
             ("ftl_server_queries_total", &self.queries),
             ("ftl_server_rejects_total", &self.rejects),
@@ -465,13 +461,12 @@ mod tests {
         }
         s.record_reject(7);
         s.record_ok(9, 1, 5_000_000);
-        s.record_batch(3);
+        s.record_batch();
         let snap = s.snapshot();
         assert_eq!(snap.requests, 101);
         assert_eq!(snap.queries, 401);
         assert_eq!(snap.rejects, 1);
         assert_eq!(snap.batches, 1);
-        assert_eq!(snap.groups, 3);
         assert_eq!(snap.tenants.len(), 2);
         assert_eq!(snap.other_tenants, None, "two tenants fit the cap");
         let t7 = &snap.tenants[0];
@@ -522,6 +517,7 @@ mod tests {
             },
             40_800,
         );
+        assert_eq!(s.snapshot().groups, 1, "one fault set resolved");
         let text = s.render_text();
         for series in [
             // Pipeline side: this registry's stages and engine counters,

@@ -1,7 +1,7 @@
 //! End-to-end loopback tests: real sockets, real threads, BFS ground
 //! truth. The headline scenario is the front end's acceptance test — 64
 //! concurrent connections sharing 8 fault sets, every answer correct,
-//! and far fewer engine executions than requests.
+//! and each set eliminated at most once per executor.
 
 // Test code: panicking asserts are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -47,6 +47,15 @@ fn send_request(stream: &mut TcpStream, req: &QueryRequestFrame) {
     frame::write_frame(stream, &req.to_wire()).unwrap();
 }
 
+/// The server's `ftl_engine_eliminations_total`, from its scrape.
+fn eliminations(handle: &ServerHandle) -> u64 {
+    let text = handle.metrics_text();
+    text.lines()
+        .find_map(|l| l.strip_prefix("ftl_engine_eliminations_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no eliminations counter in:\n{text}"))
+}
+
 /// `read_response`, but failing instead of hanging when no response
 /// arrives within `limit` (`read_frame` retries through socket timeouts,
 /// so a timer flag is what bounds it).
@@ -64,14 +73,16 @@ fn read_response_within(stream: &mut TcpStream, limit: Duration) -> QueryRespons
 
 /// The acceptance scenario: 64 concurrent connections, a shared
 /// vocabulary of 8 fault sets, every response checked against BFS, and
-/// cross-connection batching actually collapsing the work.
+/// the elimination cache sharing the work: no set is eliminated more than
+/// once per executor, however many requests name it.
 #[test]
 fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
+    const EXECUTORS: u64 = 2;
     let g = generators::grid(16, 16);
     let handle = spawn_server(
         &g,
         ServerConfig {
-            executors: 2,
+            executors: EXECUTORS as usize,
             window: Duration::from_millis(4),
             ..ServerConfig::default()
         },
@@ -89,6 +100,7 @@ fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
             ..LoadgenConfig::default()
         },
     );
+    let eliminated = eliminations(&handle);
     let stats = handle.shutdown();
 
     assert_eq!(report.mismatches, 0, "answers must match BFS ground truth");
@@ -100,15 +112,14 @@ fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
     assert_eq!(stats.queries, 64 * 8 * 8);
     assert_eq!(stats.connections_accepted, 64);
     assert_eq!(stats.tenants.len(), 64);
-    // Cross-connection batching: 512 requests over an 8-set vocabulary
-    // must collapse into far fewer engine executions than requests.
+    // 512 requests over an 8-set vocabulary: each executor's cache holds
+    // every set, so each set costs at most one elimination per executor.
     assert!(stats.batches >= 1);
     assert!(
-        stats.groups < stats.requests / 2,
-        "batching collapsed {} requests into {} groups across {} windows — not enough sharing",
+        (1..=EXECUTORS * sets.len() as u64).contains(&eliminated),
+        "{eliminated} eliminations for {} requests over {} sets on {EXECUTORS} executors",
         stats.requests,
-        stats.groups,
-        stats.batches
+        sets.len()
     );
     // Latency percentiles were recorded for every tenant.
     assert!(stats.tenants.iter().all(|t| t.p99_ms > 0.0));
@@ -129,6 +140,7 @@ fn loopback_throughput_stays_above_floor() {
     const CLIENTS: usize = 64;
     const REQUESTS_PER_CLIENT: usize = 16;
     const QUERIES_PER_REQUEST: usize = 16;
+    const EXECUTORS: usize = 2;
     for spec in ["er:1024:8", "grid:32x32"] {
         let g = ftl_server::parse_graph_spec(spec, 1).unwrap();
         let scheme = CycleSpaceScheme::label(&g, 8, Seed::new(1)).unwrap();
@@ -137,7 +149,7 @@ fn loopback_throughput_stays_above_floor() {
             Arc::new(EpochStore::new(Arc::new(store))),
             EngineConfig::default(),
             ServerConfig {
-                executors: 2,
+                executors: EXECUTORS,
                 window: Duration::from_millis(1),
                 ..ServerConfig::default()
             },
@@ -157,11 +169,12 @@ fn loopback_throughput_stays_above_floor() {
                 ..LoadgenConfig::default()
             },
         );
+        let eliminated = eliminations(&handle);
         let stats = handle.shutdown();
         println!(
             "{spec}: {:.0} audited queries/s, p50 {:.3} ms, p99 {:.3} ms, \
-             {} groups for {} requests",
-            report.queries_per_sec, report.p50_ms, report.p99_ms, stats.groups, stats.requests
+             {eliminated} eliminations for {} requests",
+            report.queries_per_sec, report.p50_ms, report.p99_ms, stats.requests
         );
         let requests = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
         assert_eq!(report.mismatches, 0, "{spec}: answers disagreed with BFS");
@@ -176,11 +189,10 @@ fn loopback_throughput_stays_above_floor() {
             requests * QUERIES_PER_REQUEST as u64,
             "{spec}: lost queries"
         );
+        let bound = (EXECUTORS * sets.len()) as u64;
         assert!(
-            stats.groups * 2 < stats.requests,
-            "{spec}: batching did not collapse: {} groups for {} requests",
-            stats.groups,
-            stats.requests
+            eliminated <= bound,
+            "{spec}: {eliminated} eliminations exceed {bound} (executors x distinct sets)"
         );
         assert!(
             report.queries_per_sec >= MIN_QUERIES_PER_SEC,
@@ -442,7 +454,7 @@ fn expired_ttl_answered_before_elimination() {
     assert_eq!(stats.requests, 1, "only the live request was served");
     assert_eq!(
         stats.groups, 1,
-        "the expired request must not have formed a group"
+        "the expired request must not have reached the engine"
     );
     assert_eq!(
         stats.watchdog_fires, 0,
@@ -796,13 +808,14 @@ fn oversized_frame_closes_connection() {
     assert_eq!(stats.frame_errors, 1);
 }
 
-/// A request whose *vertex* id is out of range fails alone even when it
-/// shares its fault-set group with healthy requests: groups merge
-/// queries from many connections, so per-query isolation inside the
-/// group is what keeps one tenant's typo from failing everyone else's
-/// co-batched answers.
+/// Requests that share a window and name one fault set — in different
+/// orders, once with a repeated id — are each their own engine call, and
+/// the elimination cache is what shares the set: it costs one
+/// elimination, and the healthy requests get identical answers. One of
+/// them names an out-of-range vertex: it fails alone, and the requests
+/// sharing its fault set and window keep their answers.
 #[test]
-fn bad_vertex_isolated_within_shared_fault_set_group() {
+fn bad_vertex_fails_alone_and_a_shared_fault_set_is_eliminated_once() {
     let g = generators::grid(6, 6);
     let handle = spawn_server(
         &g,
@@ -816,39 +829,62 @@ fn bad_vertex_isolated_within_shared_fault_set_group() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    // Same fault set — the popular, shared kind (here: one real edge) —
-    // so both requests land in ONE group of one window.
-    let bad = QueryRequestFrame {
-        request_id: 1,
-        tenant_id: 3,
-        faults: vec![EdgeId::new(0)],
-        queries: vec![(VertexId::new(999_999), VertexId::new(1))],
+    let (e0, e7) = (EdgeId::new(0), EdgeId::new(7));
+    let queries = vec![
+        (VertexId::new(0), VertexId::new(35)),
+        (VertexId::new(1), VertexId::new(6)),
+        (VertexId::new(7), VertexId::new(14)),
+    ];
+    let request = |request_id, faults: Vec<EdgeId>, queries| QueryRequestFrame {
+        request_id,
+        tenant_id: request_id as u32,
+        faults,
+        queries,
         ttl_ms: 0,
     };
-    let good = QueryRequestFrame {
-        request_id: 2,
-        tenant_id: 4,
-        faults: vec![EdgeId::new(0)],
-        queries: vec![(VertexId::new(0), VertexId::new(35))],
-        ttl_ms: 0,
-    };
-    send_request(&mut stream, &bad);
-    send_request(&mut stream, &good);
-    let (a, b) = (read_response(&mut stream), read_response(&mut stream));
-    let (bad_resp, good_resp) = if a.request_id == 1 { (a, b) } else { (b, a) };
-    assert_eq!(bad_resp.status, ResponseStatus::EngineFailed);
-    assert!(
-        matches!(&good_resp.status, ResponseStatus::Ok(v) if v.len() == 1),
-        "healthy request poisoned by a co-batched bad vertex id: {:?}",
-        good_resp.status
-    );
+    let requests = [
+        request(
+            1,
+            vec![e0, e7],
+            vec![(VertexId::new(999_999), VertexId::new(1))],
+        ),
+        request(2, vec![e0, e7], queries.clone()),
+        request(3, vec![e7, e0], queries.clone()),
+        request(4, vec![e7, e0, e7], queries.clone()),
+    ];
+    for req in &requests {
+        send_request(&mut stream, req);
+    }
+    let mut responses: Vec<_> = requests
+        .iter()
+        .map(|_| read_response(&mut stream))
+        .collect();
+    responses.sort_by_key(|r| r.request_id);
+    let eliminated = eliminations(&handle);
     let stats = handle.shutdown();
-    // One window, one merged group: the isolation really happened inside
-    // a shared group, not across two separate ones.
+
+    assert_eq!(responses[0].status, ResponseStatus::EngineFailed);
+    let ResponseStatus::Ok(answers) = &responses[1].status else {
+        panic!(
+            "healthy request poisoned by a co-batched bad vertex id: {:?}",
+            responses[1].status
+        );
+    };
+    assert_eq!(answers.len(), queries.len());
+    for r in &responses[2..] {
+        assert_eq!(
+            r.status, responses[1].status,
+            "request {}: the same fault set, named differently, answered differently",
+            r.request_id
+        );
+    }
+    // One window, four engine calls, one elimination: the cache, not the
+    // front end, shared the set across orders and repeats.
     assert_eq!(stats.batches, 1);
-    assert_eq!(stats.groups, 1);
+    assert_eq!(stats.groups, 4, "every request reached the engine");
+    assert_eq!(eliminated, 1);
     assert_eq!(stats.engine_errors, 1);
-    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.requests, 3);
 }
 
 /// Response writes are bounded: a connection writer whose peer never
@@ -947,8 +983,8 @@ fn stalled_reader_costs_only_its_own_connection() {
 }
 
 /// Requests naming out-of-range edges or vertices get a typed
-/// `EngineFailed` — isolated to their own fault-set group, never
-/// poisoning co-batched requests.
+/// `EngineFailed` — isolated to their own engine call, never poisoning
+/// co-batched requests.
 #[test]
 fn bad_fault_set_isolated_to_engine_failed() {
     let g = generators::grid(6, 6);

@@ -342,8 +342,8 @@ fn scrape_reports_the_swaps_of_the_store_it_serves() {
 #[test]
 fn answer_stage_counts_one_sample_per_answered_query() {
     let g = generators::grid(8, 8);
-    // A window long enough that requests naming different fault sets
-    // share it: each window then runs several engine calls, one per group.
+    // A window long enough that several requests share it: each window
+    // then runs several engine calls, one per request.
     let handle = spawn_server(
         &g,
         ServerConfig {
@@ -375,13 +375,16 @@ fn answer_stage_counts_one_sample_per_answered_query() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let text = handle.metrics_text();
-    let (windows, groups) = (
+    let (windows, requests) = (
         scraped(&text, "ftl_server_batches_total"),
-        scraped(&text, "ftl_server_groups_total"),
+        scraped(&text, "ftl_server_requests_total"),
     );
-    assert!(groups > windows, "no window held several groups:\n{text}");
+    assert!(
+        requests > windows,
+        "no window held several requests:\n{text}"
+    );
     // One `answer` sample per query the engine answered, not one per
-    // window (or per group).
+    // window (or per engine call).
     let queries = scraped(&text, "ftl_engine_queries_total");
     assert_eq!(queries, handle.stats().queries);
     let answer = stage_counts(&text)
